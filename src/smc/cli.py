@@ -3,16 +3,13 @@
 Results go to stdout, statistics/audit diagnostics go to stderr (as
 ``stat,<name>,<value>`` CSV-ready lines), so pipelines compose.  Exit
 codes: 0 success, 1 solver or guard error, 2 input/argument parse error.
-Every invocation is deterministic for a fixed seed.  SMC_THREADS caps
-worker threads (0 = sequential); the solvers are single-threaded, so any
-cap is honored trivially.
+Every invocation is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -59,7 +56,6 @@ class RunConfig:
     policy: str = "separator"
     weights: str | None = None
     json_out: bool = False
-    threads: int = 0  # SMC_THREADS cap; solvers are sequential either way
 
 
 def _diag(line: str) -> None:
@@ -439,16 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _threads_cap() -> int:
-    raw = os.environ.get("SMC_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        _diag(f"warning: ignoring non-integer SMC_THREADS={raw!r}")
-        return 0
-    return max(0, cap)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -464,7 +450,6 @@ def main(argv: list[str] | None = None) -> int:
         policy=args.policy,
         weights=args.weights,
         json_out=args.json_out,
-        threads=_threads_cap(),
     )
     try:
         return _HANDLERS[cfg.subcommand](cfg, args)

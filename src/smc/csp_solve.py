@@ -382,10 +382,3 @@ def solve(inst: CspInstance, policy: str = "separator",
         score, asg = _rec_general(inst, env, 0)
     assert stats.leaves >= 1 and stats.branchings >= 0
     return CspSolution(score, asg), stats
-
-
-def solve_general(inst: CspInstance, policy: str = "separator",
-                  audit: CspAudit | None = None,
-                  seed: int = 0) -> tuple[CspSolution, SolveStats]:
-    """Entry point for arbitrary-degree instances; see solve()."""
-    return solve(inst, policy=policy, audit=audit, seed=seed)

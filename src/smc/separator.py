@@ -232,15 +232,22 @@ class PathDecomposition:
         return max((len(b) for b in self.bags), default=0) - 1
 
     def validate(self, g: Graph, nice: bool = True) -> None:
-        positions: dict[int, list[int]] = {v: [] for v in g.vertices()}
+        """ValueError unless a (nice) path decomposition of g; O(n+m+Σ|bag|)."""
+        first: dict[int, int] = {}
+        last: dict[int, int] = {}
         for i, bag in enumerate(self.bags):
             for v in bag:
-                positions[v].append(i)
-        for v, pos in positions.items():
-            if not pos or pos != list(range(pos[0], pos[-1] + 1)):
+                if v not in g:
+                    raise ValueError(f"bag {i} holds vertex {v}, which is not in the graph")
+                if v in last and last[v] != i - 1:
+                    raise ValueError(f"vertex {v} lacks a contiguous nonempty interval")
+                first.setdefault(v, i)
+                last[v] = i
+        for v in g.vertices():
+            if v not in first:
                 raise ValueError(f"vertex {v} lacks a contiguous nonempty interval")
-        for u, v in g.edges():
-            if not any(u in bag and v in bag for bag in self.bags):
+        for u, v in g.edges():  # intervals are contiguous: covered iff they overlap
+            if max(first[u], first[v]) > min(last[u], last[v]):
                 raise ValueError(f"edge ({u},{v}) not inside any bag")
         if nice:
             for i in range(1, len(self.bags)):
@@ -248,75 +255,81 @@ class PathDecomposition:
                     raise ValueError(f"bags {i-1},{i} differ by != 1 vertex")
 
 
-def _greedy_layout(g: Graph, first: int) -> tuple[list[int], int]:
-    """Vertex order minimizing the running boundary, seeded at `first`."""
-    placed: set[int] = set()
-    boundary: set[int] = set()
-    order: list[int] = []
-    remaining = set(g.vertices())
+def _greedy_layout(adj: dict[int, tuple[int, ...]], first: int) -> tuple[list[int], int]:
+    """Vertex order minimizing the running boundary, seeded at `first`.
 
-    def boundary_after(v: int) -> int:
-        new_b = {u for u in boundary | {v} if any(w not in placed and w != v for w in g.neighbors(u))}
-        return len(new_b)
+    B = placed vertices with an unplaced neighbor.  Each step places the
+    unplaced v of least key (|B after placing v|, -#placed neighbors, v):
+    smallest boundary, then most placed neighbors, then smallest id.  With
+    B and unplaced-neighbor counts kept incrementally a key costs O(deg v);
+    only the frontier (unplaced vertices with a placed neighbor, ≤ Δ·|B|)
+    and the first untouched vertex of `fresh` (an untouched v has key
+    (|B| + [deg v > 0], 0, v)) are scored.  One start: O(n·Δ²·width).
+    """
+    unplaced = {v: len(nbrs) for v, nbrs in adj.items()}
+    placed: set[int] = set()
+    frontier: set[int] = set()
+    fresh = sorted(adj, key=lambda v: (len(adj[v]) > 0, v))
+    nxt = 0  # touched vertices never become untouched again
+    order: list[int] = []
+    boundary = width = 0
+
+    def key(v: int) -> tuple[int, int, int]:
+        nbrs = adj[v]
+        closed = sum(1 for u in nbrs if unplaced[u] == 1 and u in placed)
+        return boundary - closed + (unplaced[v] > 0), unplaced[v] - len(nbrs), v
 
     current = first
-    width = 0
     while True:
         order.append(current)
         placed.add(current)
-        remaining.discard(current)
-        boundary = {
-            u
-            for u in boundary | {current}
-            if any(w not in placed for w in g.neighbors(u))
-        }
-        width = max(width, len(boundary))
-        if not remaining:
+        frontier.discard(current)
+        for u in adj[current]:
+            unplaced[u] -= 1
+            if u not in placed:
+                frontier.add(u)
+            elif not unplaced[u]:
+                boundary -= 1
+        if unplaced[current]:
+            boundary += 1
+        width = max(width, boundary)
+        if len(order) == len(adj):
             return order, width
-        current = min(
-            remaining,
-            key=lambda v: (
-                boundary_after(v),
-                -sum(1 for u in g.neighbors(v) if u in placed),
-                v,
-            ),
-        )
+        while nxt < len(fresh) and (fresh[nxt] in placed or fresh[nxt] in frontier):
+            nxt += 1
+        current = min([*frontier, *fresh[nxt:nxt + 1]], key=key)
 
 
 def nice_path_decomposition(g: Graph, starts: int = 16) -> PathDecomposition:
     """Greedy-layout path decomposition, nicified (consecutive bags differ by 1).
 
-    Multi-start over forced first vertices; smallest width wins.  Bag i of
-    the raw decomposition is {v_i} ∪ (placed vertices with a neighbor at
-    position ≥ i).
+    Multi-start over the `starts` smallest ids as forced first vertex; each
+    start runs ``_greedy_layout`` (key and cost there) on one shared
+    adjacency snapshot, and the smallest width wins, ties to the earliest
+    start.  Raw bag i is {v_i} ∪ (placed vertices with a neighbor at
+    position ≥ i); one sweep builds it and steps to it a vertex at a time,
+    forgets (by id) before introduces (by id).
     """
     vs = g.vertices()
     if not vs:
         return PathDecomposition([])
-    best_order, best_width = None, None
-    for first in vs[: min(len(vs), starts)]:
-        order, width = _greedy_layout(g, first)
-        if best_width is None or width < best_width:
-            best_order, best_width = order, width
-    order = best_order
+    adj = {v: g.neighbors(v) for v in vs}
+    order, _ = min((_greedy_layout(adj, first) for first in vs[:starts]), key=lambda ow: ow[1])
     pos = {v: i for i, v in enumerate(order)}
-    raw: list[frozenset[int]] = []
+    last = {v: max((pos[u] for u in nbrs), default=-1) for v, nbrs in adj.items()}
+    bags: list[frozenset[int]] = []
+    cur: frozenset[int] = frozenset()
+    active: set[int] = set()  # placed vertices with a neighbor at position ≥ i
     for i, v in enumerate(order):
-        bag = {v} | {
-            u
-            for u in order[:i]
-            if any(pos[w] >= i for w in g.neighbors(u))
-        }
-        raw.append(frozenset(bag))
-    bags: list[frozenset[int]] = [raw[0]]  # raw[0] is always a singleton
-    for prev, nxt in zip(raw, raw[1:]):
-        cur = prev
-        for v in sorted(prev - nxt):
-            cur = cur - {v}
+        active = {u for u in active if last[u] >= i}
+        raw = active | {v}
+        for u in sorted(cur - raw):
+            cur = cur - {u}
             bags.append(cur)
-        for v in sorted(nxt - prev):
-            cur = cur | {v}
+        for u in sorted(raw - cur):
+            cur = cur | {u}
             bags.append(cur)
+        active.add(v)
     decomp = PathDecomposition(bags)
     decomp.validate(g)
     assert len(bags) <= 2 * g.n + 1
@@ -331,7 +344,8 @@ def separate_balanced_by_measure(
     """Bag-sweep separation with |μ_r(L) - μ_r(R)| ≤ cap.
 
     Requires max degree ≤ 6 and per-vertex weight ≤ cap (the sweep's
-    balance argument needs both).  First balanced bag wins.
+    balance argument needs both).  First balanced bag wins.  L is the set
+    of forgotten vertices; μ_L and μ_S are kept as running sums.
     """
     if g.max_degree() > 6:
         raise ValueError("separate_balanced_by_measure requires max degree <= 6")
@@ -346,14 +360,20 @@ def separate_balanced_by_measure(
         raise ValueError(f"per-vertex weight exceeds cap at {bad[:3]}")
     decomp = nice_path_decomposition(g)
     total = sum(w.values())
-    seen: set[int] = set()
+    mu_l = mu_s = Fraction(0)
+    forgotten: list[int] = []
+    prev: frozenset[int] = frozenset()
     for bag in decomp.bags:
-        seen |= bag
-        left = {v for v in seen if v not in bag}
-        mu_l = sum(w[v] for v in left)
-        mu_s = sum(w[v] for v in bag)
+        for v in bag - prev:
+            mu_s += w[v]
+        for v in prev - bag:  # intervals are contiguous: v never returns
+            mu_s -= w[v]
+            mu_l += w[v]
+            forgotten.append(v)
+        prev = bag
         mu_r = total - mu_l - mu_s
         if abs(mu_l - mu_r) <= cap:
+            left = set(forgotten)
             right = {v for v in vs if v not in left and v not in bag}
             if mu_l > mu_r:
                 left, right = right, left

@@ -253,13 +253,6 @@ class TestDeterminism:
             b = run(argv, stdin)
             assert a == b
 
-    def test_threads_env_is_tolerated(self, monkeypatch):
-        monkeypatch.setenv("SMC_THREADS", "4")
-        assert run(["count-sc"], SC_SAMPLE)[0] == 0
-        monkeypatch.setenv("SMC_THREADS", "bogus")
-        code, out, err = run(["count-sc"], SC_SAMPLE)
-        assert code == 0 and "SMC_THREADS" in err
-
 
 def test_module_entry_point(tmp_path):
     path = tmp_path / "k4.graph"

@@ -13,7 +13,6 @@ from smc.csp_solve import (
     CspAudit,
     select_pivot,
     solve,
-    solve_general,
 )
 from smc.graph import Graph
 from smc.oracles import brute_max2csp
@@ -88,7 +87,7 @@ class TestSolveExamples:
 
     def test_k5_general(self):
         inst = encode_maxcut(Graph.complete(5))
-        sol, _ = solve_general(inst)
+        sol, _ = solve(inst)
         assert sol.score == 6
         assert evaluate(inst, sol.assignment) == 6
 
@@ -97,7 +96,7 @@ class TestSolveExamples:
         for leaf in range(1, 6):
             g.add_edge(0, leaf)
         inst = encode_maxcut(g)
-        sol, _ = solve_general(inst)
+        sol, _ = solve(inst)
         assert sol.score == 5
         center = sol.assignment[0]
         assert all(sol.assignment[leaf] != center for leaf in range(1, 6))
@@ -126,15 +125,15 @@ class TestSolveProperties:
     @given(inst=csp_instances(max_n=7))
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, inst):
-        sol, _ = solve_general(inst)
+        sol, _ = solve(inst)
         assert sol.score == brute_max2csp(inst).score
         assert evaluate(inst, sol.assignment) == sol.score
 
     @given(inst=csp_instances(max_n=6))
     @settings(max_examples=40, deadline=None)
     def test_policies_agree_on_score(self, inst):
-        sep_sol, _ = solve_general(inst, policy="separator")
-        loc_sol, _ = solve_general(inst, policy="local")
+        sep_sol, _ = solve(inst, policy="separator")
+        loc_sol, _ = solve(inst, policy="local")
         assert sep_sol.score == loc_sol.score
 
     def test_deterministic(self):
