@@ -21,6 +21,7 @@ from .graph import Graph, induced_subgraph
 Edge = tuple[int, int]
 Assignment = dict[int, int]
 Extender = Callable[[Assignment], Assignment]
+Fill = Callable[[Assignment], None]  # writes a removed vertex's colour in place
 
 
 def edge_key(u: int, v: int) -> Edge:
@@ -54,6 +55,14 @@ class CspInstance:
         if u < v:
             return self.s_e[(u, v)][cu * self.r + cv]
         return self.s_e[(v, u)][cv * self.r + cu]
+
+    def edge_rows(self, u: int, v: int) -> list[tuple[int, ...]]:
+        """Edge u-v's table oriented from u: rows[cu][cv]."""
+        r = self.r
+        tab = self.s_e[edge_key(u, v)]
+        if u < v:
+            return [tab[c * r:(c + 1) * r] for c in range(r)]
+        return [tab[c::r] for c in range(r)]
 
     @property
     def n(self) -> int:
@@ -94,106 +103,119 @@ def evaluate(inst: CspInstance, phi: Assignment) -> int:
     return total
 
 
-def _argmax_color(values: list[int]) -> int:
-    """Smallest color achieving the max (deterministic tie-break)."""
-    best = max(values)
-    return values.index(best)
-
-
 # -- reductions ----------------------------------------------------------------
+#
+# reduce0/I/II exist once, in place: ``reduce*_inplace`` mutates its
+# instance and returns a fill that writes y's colour into an assignment of
+# the result.  The public ``reduce*`` run it on a copy.
 
 
-def reduce0(inst: CspInstance, y: int) -> tuple[CspInstance, Extender]:
-    """Delete isolated y, absorbing max_C s_y(C) into the niladic score."""
-    if inst.graph.degree(y) != 0:
-        raise ValueError(f"reduce0 needs degree 0, vertex {y} has {inst.graph.degree(y)}")
-    vec = inst.s_v[y]
+def _copying(reduction: Callable[[CspInstance, int], Fill], inst: CspInstance,
+             y: int) -> tuple[CspInstance, Extender]:
     child = inst.copy()
-    child.graph.delete_vertex(y)
-    del child.s_v[y]
-    child.s_nil += max(vec)
-    c_y = _argmax_color(list(vec))
+    fill = reduction(child, y)
 
     def extend(phi: Assignment) -> Assignment:
         out = dict(phi)
-        out[y] = c_y
+        fill(out)
         return out
 
     return child, extend
 
 
-def reduceI(inst: CspInstance, y: int) -> tuple[CspInstance, Extender]:
+def _check_degree(inst: CspInstance, y: int, name: str, want: int) -> None:
+    if inst.graph.degree(y) != want:
+        raise ValueError(f"{name} needs degree {want}, vertex {y} has {inst.graph.degree(y)}")
+
+
+def reduce0_inplace(inst: CspInstance, y: int) -> Fill:
+    """Delete isolated y, absorbing max_C s_y(C) into the niladic score."""
+    _check_degree(inst, y, "reduce0", 0)
+    vec = inst.s_v.pop(y)
+    inst.graph.delete_vertex(y)
+    top = max(vec)
+    inst.s_nil += top
+    c_y = vec.index(top)  # ties go to the smallest colour, here and below
+
+    def fill(phi: Assignment) -> None:
+        phi[y] = c_y
+
+    return fill
+
+
+def reduceI_inplace(inst: CspInstance, y: int) -> Fill:
     """Fold pendant y into its neighbor: s'_x(C) = s_x(C) + max_D (s_xy(C,D)+s_y(D))."""
-    if inst.graph.degree(y) != 1:
-        raise ValueError(f"reduceI needs degree 1, vertex {y} has {inst.graph.degree(y)}")
-    (x,) = inst.graph.neighbors(y)
-    r = inst.r
+    _check_degree(inst, y, "reduceI", 1)
+    (x,) = inst.graph.neighbor_sets()[y]
+    s_y = inst.s_v.pop(y)
     best_d: list[int] = []
     new_x = []
-    for c in range(r):
-        opts = [inst.edge_score(x, y, c, d) + inst.s_v[y][d] for d in range(r)]
-        new_x.append(inst.s_v[x][c] + max(opts))
-        best_d.append(_argmax_color(opts))
-    child = inst.copy()
-    child.graph.delete_vertex(y)
-    del child.s_v[y]
-    del child.s_e[edge_key(x, y)]
-    child.s_v[x] = tuple(new_x)
+    for base, row in zip(inst.s_v[x], inst.edge_rows(x, y)):
+        opts = [e + s for e, s in zip(row, s_y)]
+        top = max(opts)
+        new_x.append(base + top)
+        best_d.append(opts.index(top))
+    inst.graph.delete_vertex(y)
+    del inst.s_e[edge_key(x, y)]
+    inst.s_v[x] = tuple(new_x)
 
-    def extend(phi: Assignment) -> Assignment:
-        out = dict(phi)
-        out[y] = best_d[phi[x]]
-        return out
+    def fill(phi: Assignment) -> None:
+        phi[y] = best_d[phi[x]]
 
-    return child, extend
+    return fill
 
 
-def reduceII(inst: CspInstance, y: int) -> tuple[CspInstance, Extender]:
-    """Contract degree-2 y between x and z into a (possibly merged) xz table.
+def reduceII_inplace(inst: CspInstance, y: int) -> Fill:
+    """Contract degree-2 y between x < z into a (possibly merged) xz table.
 
     s'_xz(C,D) = [existing s_xz(C,D)] + max_F (s_xy(C,F) + s_yz(F,D) + s_y(F)).
     A would-be parallel edge folds into the existing table, keeping the
     graph simple.
     """
-    if inst.graph.degree(y) != 2:
-        raise ValueError(f"reduceII needs degree 2, vertex {y} has {inst.graph.degree(y)}")
-    x, z = inst.graph.neighbors(y)
-    r = inst.r
+    _check_degree(inst, y, "reduceII", 2)
+    x, z = sorted(inst.graph.neighbor_sets()[y])
+    s_y = inst.s_v.pop(y)
+    # via[c][f] = s_xy(c,f) + s_y(f); zy[d][f] = s_yz(f,d)
+    via = [[e + s for e, s in zip(row, s_y)] for row in inst.edge_rows(x, y)]
+    zy = inst.edge_rows(z, y)
     merged = []
-    best_f: list[list[int]] = [[0] * r for _ in range(r)]
-    had_edge = inst.graph.has_edge(x, z)
-    for c in range(r):
-        for d in range(r):
-            opts = [
-                inst.edge_score(x, y, c, f) + inst.edge_score(y, z, f, d) + inst.s_v[y][f]
-                for f in range(r)
-            ]
-            val = max(opts)
-            best_f[c][d] = _argmax_color(opts)
-            if had_edge:
-                val += inst.edge_score(x, z, c, d)
-            merged.append(val)
-    child = inst.copy()
-    child.graph.delete_vertex(y)
-    del child.s_v[y]
-    del child.s_e[edge_key(x, y)]
-    del child.s_e[edge_key(y, z)]
-    if not had_edge:
-        child.graph.add_edge(x, z)
-    # merged is row-major over (color_x, color_z); re-orient if z < x
-    if x < z:
-        child.s_e[(x, z)] = tuple(merged)
-    else:
-        child.s_e[(z, x)] = tuple(
-            merged[c * r + d] for d in range(r) for c in range(r)
-        )
+    best_f: list[list[int]] = []
+    for via_c in via:
+        row_f = []
+        for zy_d in zy:
+            opts = [a + b for a, b in zip(via_c, zy_d)]
+            top = max(opts)
+            merged.append(top)
+            row_f.append(opts.index(top))
+        best_f.append(row_f)
+    old = inst.s_e.get((x, z))
+    if old is not None:
+        merged = [a + b for a, b in zip(merged, old)]
+    inst.graph.delete_vertex(y)
+    del inst.s_e[edge_key(x, y)]
+    del inst.s_e[edge_key(y, z)]
+    inst.graph.add_edge(x, z)
+    inst.s_e[(x, z)] = tuple(merged)  # row-major over (color_x, color_z)
 
-    def extend(phi: Assignment) -> Assignment:
-        out = dict(phi)
-        out[y] = best_f[phi[x]][phi[z]]
-        return out
+    def fill(phi: Assignment) -> None:
+        phi[y] = best_f[phi[x]][phi[z]]
 
-    return child, extend
+    return fill
+
+
+def reduce0(inst: CspInstance, y: int) -> tuple[CspInstance, Extender]:
+    """Copying form of reduce0_inplace: (child, extender), inst untouched."""
+    return _copying(reduce0_inplace, inst, y)
+
+
+def reduceI(inst: CspInstance, y: int) -> tuple[CspInstance, Extender]:
+    """Copying form of reduceI_inplace: (child, extender), inst untouched."""
+    return _copying(reduceI_inplace, inst, y)
+
+
+def reduceII(inst: CspInstance, y: int) -> tuple[CspInstance, Extender]:
+    """Copying form of reduceII_inplace: (child, extender), inst untouched."""
+    return _copying(reduceII_inplace, inst, y)
 
 
 def reduceIII(inst: CspInstance, y: int) -> list[tuple[CspInstance, Extender]]:

@@ -7,6 +7,12 @@ empties, the engine splits components, brute-forces constant-size
 instances, or recomputes a separator; otherwise the next pivot comes
 from the shared separator-case ladder.
 
+Ownership: a ``_rec_cubic`` call owns and consumes its instance and
+separation, and so does ``_rec_general`` with its instance.  Steps that
+do not branch mutate them in place inside one loop, so recursion depth
+is branching depth.  ``solve`` copies the caller's instance once;
+``reduceIII`` children and ``restrict`` pieces are fresh.
+
 Scores are exact (arbitrary-precision) integers throughout, so
 "overflow" cannot silently wrap.  Policy "local" disables all separator
 machinery and branches on a smallest-id maximum-degree vertex, which is
@@ -15,14 +21,14 @@ the baseline the adversarial trace analysis applies to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .csp import (
     CspInstance,
     CspSolution,
-    reduce0,
-    reduceI,
-    reduceII,
+    reduce0_inplace,
+    reduceI_inplace,
+    reduceII_inplace,
     reduceIII,
     restrict,
 )
@@ -128,20 +134,18 @@ def _asg_key(asg: dict[int, int]) -> tuple:
 
 
 def _simplify_action(g: Graph, sep: Separation | None) -> PivotAction | None:
-    for target in (0, 1, 2):
-        found = [v for v in g.vertices() if g.degree(v) == target]
-        if not found:
-            continue
-        y = min(found)
-        kind = ("reduce0", "reduceI", "reduceII")[target]
-        partner = None
-        if target == 2 and sep is not None and sep.side_of(y) == "S":
-            sides = sorted(sep.side_of(u) for u in g.neighbors(y))
-            if sides == ["L", "R"]:
-                partner = next(u for u in g.neighbors(y)
-                               if sep.side_of(u) == "R")
-        return PivotAction(kind, y, partner)
-    return None
+    adj = g.neighbor_sets()
+    low = min(((len(nbrs), v) for v, nbrs in adj.items() if len(nbrs) <= 2),
+              default=None)
+    if low is None:
+        return None
+    deg, y = low
+    partner = None
+    if deg == 2 and sep is not None and y in sep.sep:
+        a, b = adj[y]
+        if {sep.side_of(a), sep.side_of(b)} == {"L", "R"}:
+            partner = a if a in sep.right else b
+    return PivotAction(("reduce0", "reduceI", "reduceII")[deg], y, partner)
 
 
 def select_pivot(inst: CspInstance, sep: Separation) -> PivotAction:
@@ -160,154 +164,177 @@ def select_pivot(inst: CspInstance, sep: Separation) -> PivotAction:
 
 
 def _brute_best(inst: CspInstance) -> tuple[int, dict[int, int]]:
-    """Exhaustive optimum with incremental scoring; ascending color order
-    keeps the first-found optimum lexicographically smallest."""
-    vs = inst.graph.vertices()
-    best_score = None
-    best_asg: dict[int, int] = {}
-    asg: dict[int, int] = {}
+    """Exhaustive optimum.  Colours are enumerated in ascending order over
+    sorted vertices and only a strictly better score replaces the best, so
+    the witness is the lexicographically smallest optimum.
 
-    def go(idx: int, acc: int):
-        nonlocal best_score, best_asg
-        if idx == len(vs):
-            if best_score is None or acc > best_score:
-                best_score, best_asg = acc, dict(asg)
+    Each vertex's colour gains are tabulated once per call, for every
+    colouring of its earlier neighbours; the last vertex takes its best
+    colour from a table instead of a further level of enumeration.
+    """
+    vs = inst.graph.vertices()
+    if not vs:
+        return inst.s_nil, {}
+    r = inst.r
+    pos = {v: i for i, v in enumerate(vs)}
+    adj = inst.graph.neighbor_sets()
+    earlier: list[list[int]] = []  # positions of each vertex's earlier neighbours
+    tables: list[list] = []  # tables[i][code]: gain of each colour of vs[i]
+    for i, v in enumerate(vs):
+        nb = sorted(pos[u] for u in adj[v] if pos[u] < i)
+        table = [inst.s_v[v]]
+        for j in nb:  # code = earlier neighbours' colours in base r, in nb order
+            rows = inst.edge_rows(vs[j], v)
+            table = [[a + b for a, b in zip(gains, row)] for gains in table for row in rows]
+        earlier.append(nb)
+        tables.append(table)
+    last = len(vs) - 1
+    tops = [(max(g), g.index(max(g))) for g in tables[last]]
+    col = [0] * len(vs)
+    best: list = [None, col]  # score, colour vector
+
+    def go(i: int, acc: int) -> None:
+        code = 0
+        for j in earlier[i]:
+            code = code * r + col[j]
+        if i == last:
+            top, c = tops[code]
+            if best[0] is None or acc + top > best[0]:
+                col[i] = c
+                best[0], best[1] = acc + top, list(col)
             return
-        v = vs[idx]
-        base = inst.s_v[v]
-        for c in range(inst.r):
-            gain = base[c]
-            for u in inst.graph.neighbors(v):
-                if u in asg:
-                    gain += inst.edge_score(u, v, asg[u], c)
-            asg[v] = c
-            go(idx + 1, acc + gain)
-        del asg[v]
+        for c, gain in enumerate(tables[i][code]):
+            col[i] = c
+            go(i + 1, acc + gain)
 
     go(0, inst.s_nil)
-    return best_score, best_asg
+    return best[0], dict(zip(vs, best[1]))
 
 
 def _sub_separation(sep: Separation, comp: set[int]) -> Separation:
     return Separation(sep.left & comp, sep.sep & comp, sep.right & comp)
 
 
+_IN_PLACE = {"reduce0": reduce0_inplace, "reduceI": reduceI_inplace,
+             "reduceII": reduceII_inplace}
+_MOVES = ("drag-R", "drag-L", "rotate")
+
+
 def _rec_cubic(inst: CspInstance, sep: Separation, env: _Env,
                depth: int, resep_n: int = -1) -> tuple[int, dict[int, int]]:
-    env.stats.max_depth = max(env.stats.max_depth, depth)
-    g = inst.graph
-    audit = env.audit
-    if audit is not None:
-        assert verify_separation(g, sep), "separation invalid at recursive call"
-    if g.n == 0:
-        env.stats.leaves += 1
-        env.stats.tree_leaves += 1
+    """Optimum and witness of inst under the separation sep; consumes both.
+
+    Reductions, drags, rotations and re-separations run in place; their
+    fills are applied in reverse on the way out.  Only a branch, a stall,
+    a split or a terminal recurses.  Each step counts one level of depth.
+    """
+    stats, audit, g = env.stats, env.audit, inst.graph
+    fills = []
+    while True:
+        stats.max_depth = max(stats.max_depth, depth)
         if audit is not None:
-            audit.record("leaf", inst.r, (g, sep), [])
-        return inst.s_nil, {}
+            assert verify_separation(g, sep), "separation invalid at recursive call"
+        if g.n == 0:
+            stats.leaves += 1
+            stats.tree_leaves += 1
+            if audit is not None:
+                audit.record("leaf", inst.r, (g, sep), [])
+            score, asg = inst.s_nil, {}
+            break
 
-    l3, r3 = deg3_side_counts(g, sep)
-    if l3 > r3:
-        sep.swap()
+        l3, r3 = deg3_side_counts(g, sep)
+        if l3 > r3:
+            sep.swap()
 
-    act = _simplify_action(g, sep)
-    if act is None and not sep.sep:
-        comps = connected_components(g)
-        if len(comps) > 1:
-            children = [(restrict(inst, comp), _sub_separation(sep, set(comp)))
-                        for comp in comps]
-            if audit is not None:
-                mu = audit.record("split", inst.r, (g, sep),
-                                  [(ci.graph, cs) for ci, cs in children],
-                                  eta_exempt=True)
-                _trace(env, mu)
-            score = inst.s_nil
-            asg: dict[int, int] = {}
-            for ci, cs in children:
-                s, a = _rec_cubic(ci, cs, env, depth + 1)
-                score += s
-                asg.update(a)
-            return score, asg
-        if g.n <= BRUTE_LIMIT:
-            env.stats.leaves += inst.r ** g.n
-            env.stats.tree_leaves += 1
-            if audit is not None:
-                mu = audit.record("brute", inst.r, (g, sep), [])
-                _trace(env, mu)
-            return _brute_best(inst)
-        if g.n != resep_n:
-            sep2 = separate_cubic(g, seed=env.seed)
-            env.stats.separator_recomputes += 1
-            if audit is not None:
-                mu = audit.record("reseparate", inst.r, (g, sep), [(g, sep2)],
-                                  eta_exempt=True)
-                _trace(env, mu)
-            return _rec_cubic(inst, sep2, env, depth + 1, resep_n=g.n)
-        # Separating this graph already led back here with nothing removed
-        # (the case ladder consumed the whole separator), so separating
-        # again would repeat the cycle.  Branch on one vertex to shrink the
-        # graph; outside the analyzed cases, hence a soft step.
-        y = min(v for v in g.vertices() if g.degree(v) == g.max_degree())
-        children3 = reduceIII(inst, y)
-        env.stats.branchings += 1
-        seps3 = [_drop(sep, y) for _ in children3]
+        act = _simplify_action(g, sep)
+        if act is None and not sep.sep:
+            comps = connected_components(g)
+            if len(comps) > 1:
+                children = [(restrict(inst, comp), _sub_separation(sep, set(comp)))
+                            for comp in comps]
+                if audit is not None:
+                    _trace(env, audit.record("split", inst.r, (g, sep),
+                                             [(ci.graph, cs) for ci, cs in children],
+                                             eta_exempt=True))
+                score, asg = inst.s_nil, {}
+                for ci, cs in children:
+                    s, a = _rec_cubic(ci, cs, env, depth + 1)
+                    score += s
+                    asg.update(a)
+                break
+            if g.n <= BRUTE_LIMIT:
+                stats.leaves += inst.r ** g.n
+                stats.tree_leaves += 1
+                if audit is not None:
+                    _trace(env, audit.record("brute", inst.r, (g, sep), []))
+                score, asg = _brute_best(inst)
+                break
+            if g.n != resep_n:
+                sep2 = separate_cubic(g, seed=env.seed)
+                stats.separator_recomputes += 1
+                if audit is not None:
+                    _trace(env, audit.record("reseparate", inst.r, (g, sep), [(g, sep2)],
+                                             eta_exempt=True))
+                sep, resep_n, depth = sep2, g.n, depth + 1
+                continue
+            # Separating this graph already led back here with nothing removed
+            # (the case ladder consumed the whole separator), so separating
+            # again would repeat the cycle.  Branch on one vertex to shrink the
+            # graph; outside the analyzed cases, hence a soft step.
+            y = min(v for v in g.vertices() if g.degree(v) == g.max_degree())
+            score, asg = _branch_cubic(inst, sep, y, env, depth, "stall",
+                                       "re-separation made no progress")
+            break
+        if act is None:
+            act = separator_case(g, sep)
+
+        kind, y = act.kind, act.vertex
+        if kind == "branch":
+            score, asg = _branch_cubic(inst, sep, y, env, depth, "branch")
+            break
         if audit is not None:
-            mu = audit.record("stall", inst.r, (g, sep),
-                              [(ci.graph, s2)
-                               for (ci, _), s2 in zip(children3, seps3)],
-                              note="re-separation made no progress")
-            _trace(env, mu)
-        best = None
-        for (child, ext), sep2 in zip(children3, seps3):
-            s, a = _rec_cubic(child, sep2, env, depth + 1)
-            full = ext(a)
-            cand = (-s, _asg_key(full))
-            if best is None or cand < best[0]:
-                best = (cand, s, full)
-        return best[1], best[2]
-    if act is None:
-        act = separator_case(g, sep)
+            parent = (g if kind in _MOVES else g.copy(), sep.copy())
+        if kind in _MOVES:
+            sep.sep.remove(y)
+            (sep.right if kind == "drag-R" else sep.left).add(y)
+        else:
+            fills.append(_IN_PLACE[kind](inst, y))
+            sep.discard(y)
+            resep_n = -1
+        if act.partner is not None:  # rotate, or reduceII's separator repair
+            sep.right.remove(act.partner)
+            sep.sep.add(act.partner)
+        if audit is not None:
+            _trace(env, audit.record(kind, inst.r, parent, [(g, sep)]))
+        depth += 1
+    for fill in reversed(fills):
+        fill(asg)
+    return score, asg
 
-    kind, y = act.kind, act.vertex
-    if kind == "reduce0":
-        child, ext = reduce0(inst, y)
-        return _step(child, _drop(sep, y), ext, kind, inst, sep, env, depth)
-    if kind == "reduceI":
-        child, ext = reduceI(inst, y)
-        return _step(child, _drop(sep, y), ext, kind, inst, sep, env, depth)
-    if kind == "reduceII":
-        sep2 = sep.copy()
-        if act.partner is not None:
-            sep2.right.remove(act.partner)
-            sep2.sep.add(act.partner)
-        child, ext = reduceII(inst, y)
-        sep2.discard(y)
-        return _step(child, sep2, ext, kind, inst, sep, env, depth)
-    if kind in ("drag-R", "drag-L", "rotate"):
-        sep2 = sep.copy()
-        sep2.sep.remove(y)
-        (sep2.right if kind == "drag-R" else sep2.left).add(y)
-        if kind == "rotate":
-            sep2.right.remove(act.partner)
-            sep2.sep.add(act.partner)
-        return _step(inst, sep2, lambda a: a, kind, inst, sep, env, depth,
-                     resep_n=resep_n)
-    assert kind == "branch"
+
+def _best(children, solve_child) -> tuple[int, dict[int, int]]:
+    """Best extended child optimum; ties go to the lexicographically
+    smallest assignment."""
+    best = None
+    for i, (child, ext) in enumerate(children):
+        s, a = solve_child(i, child)
+        full = ext(a)
+        if (best is None or s > best[0]
+                or (s == best[0] and _asg_key(full) < _asg_key(best[1]))):
+            best = (s, full)
+    return best
+
+
+def _branch_cubic(inst: CspInstance, sep: Separation, y: int, env: _Env,
+                  depth: int, kind: str, note: str = "") -> tuple[int, dict[int, int]]:
     children = reduceIII(inst, y)
     env.stats.branchings += 1
     seps = [_drop(sep, y) for _ in children]
-    if audit is not None:
-        mu = audit.record("branch", inst.r, (g, sep),
-                          [(ci.graph, s2) for (ci, _), s2 in zip(children, seps)])
-        _trace(env, mu)
-    best = None
-    for (child, ext), sep2 in zip(children, seps):
-        s, a = _rec_cubic(child, sep2, env, depth + 1)
-        full = ext(a)
-        cand = (-s, _asg_key(full))
-        if best is None or cand < best[0]:
-            best = (cand, s, full)
-    return best[1], best[2]
+    if env.audit is not None:
+        _trace(env, env.audit.record(
+            kind, inst.r, (inst.graph, sep),
+            [(ci.graph, s2) for (ci, _), s2 in zip(children, seps)], note=note))
+    return _best(children, lambda i, child: _rec_cubic(child, seps[i], env, depth + 1))
 
 
 def _drop(sep: Separation, y: int) -> Separation:
@@ -321,45 +348,36 @@ def _trace(env: _Env, mu: float | None):
         env.stats.measure_trace.append(mu)
 
 
-def _step(child: CspInstance, sep2: Separation, ext, kind: str,
-          parent: CspInstance, sep: Separation, env: _Env,
-          depth: int, resep_n: int = -1) -> tuple[int, dict[int, int]]:
-    if env.audit is not None:
-        mu = env.audit.record(kind, parent.r, (parent.graph, sep),
-                              [(child.graph, sep2)])
-        _trace(env, mu)
-    s, a = _rec_cubic(child, sep2, env, depth + 1, resep_n=resep_n)
-    return s, ext(a)
-
-
 def _rec_general(inst: CspInstance, env: _Env,
                  depth: int) -> tuple[int, dict[int, int]]:
-    env.stats.max_depth = max(env.stats.max_depth, depth)
+    """Max-degree outer loop; consumes inst.  Reductions 0/I/II run in
+    place as in ``_rec_cubic``; each still counts one level of depth."""
     g = inst.graph
-    if g.n == 0:
-        env.stats.leaves += 1
-        env.stats.tree_leaves += 1
-        return inst.s_nil, {}
-    act = _simplify_action(g, None)
-    if act is not None:
-        fn = {"reduce0": reduce0, "reduceI": reduceI, "reduceII": reduceII}[act.kind]
-        child, ext = fn(inst, act.vertex)
-        s, a = _rec_general(child, env, depth + 1)
-        return s, ext(a)
-    if env.policy == "separator" and g.max_degree() <= 3:
-        return _rec_cubic(inst, trivial_separation(g.vertices()), env, depth)
-    dmax = g.max_degree()
-    y = min(v for v in g.vertices() if g.degree(v) == dmax)
-    children = reduceIII(inst, y)
-    env.stats.branchings += 1
-    best = None
-    for child, ext in children:
-        s, a = _rec_general(child, env, depth + 1)
-        full = ext(a)
-        cand = (-s, _asg_key(full))
-        if best is None or cand < best[0]:
-            best = (cand, s, full)
-    return best[1], best[2]
+    fills = []
+    while True:
+        env.stats.max_depth = max(env.stats.max_depth, depth)
+        if g.n == 0:
+            env.stats.leaves += 1
+            env.stats.tree_leaves += 1
+            score, asg = inst.s_nil, {}
+            break
+        act = _simplify_action(g, None)
+        if act is not None:
+            fills.append(_IN_PLACE[act.kind](inst, act.vertex))
+            depth += 1
+            continue
+        if env.policy == "separator" and g.max_degree() <= 3:
+            score, asg = _rec_cubic(inst, trivial_separation(g.vertices()), env, depth)
+            break
+        dmax = g.max_degree()
+        y = min(v for v in g.vertices() if g.degree(v) == dmax)
+        children = reduceIII(inst, y)
+        env.stats.branchings += 1
+        score, asg = _best(children, lambda i, child: _rec_general(child, env, depth + 1))
+        break
+    for fill in reversed(fills):
+        fill(asg)
+    return score, asg
 
 
 def solve(inst: CspInstance, policy: str = "separator",
@@ -375,6 +393,7 @@ def solve(inst: CspInstance, policy: str = "separator",
         raise ValueError(f"unknown policy {policy!r}")
     stats = SolveStats(measure_trace=[] if audit is not None else None)
     env = _Env(policy, stats, audit, seed)
+    inst = inst.copy()  # the engines consume their instance
     if policy == "separator" and inst.graph.max_degree() <= 3:
         sep = trivial_separation(inst.graph.vertices())
         score, asg = _rec_cubic(inst, sep, env, 0)

@@ -115,6 +115,11 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
+    def neighbor_sets(self) -> dict[int, set[int]]:
+        """The live map v -> neighbour set, for read-only scans in hot
+        loops; callers must not mutate it."""
+        return self._adj
+
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj.get(u, ())
 

@@ -33,8 +33,9 @@ class PivotAction:
 
 def deg3_side_counts(g: Graph, sep: Separation) -> tuple[int, int]:
     """(|L₃|, |R₃|): degree-3 vertices on each side."""
-    l3 = sum(1 for v in sep.left if g.degree(v) == 3)
-    r3 = sum(1 for v in sep.right if g.degree(v) == 3)
+    adj = g.neighbor_sets()
+    l3 = sum(1 for v in sep.left if len(adj[v]) == 3)
+    r3 = sum(1 for v in sep.right if len(adj[v]) == 3)
     return l3, r3
 
 

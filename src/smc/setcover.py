@@ -68,7 +68,7 @@ class ScIncidence:
         return [u for u in self.incidence.neighbors(v) if u not in self.annotated]
 
     def active_degree(self, v: int) -> int:
-        return len(self.active_neighbors(v))
+        return len(self.incidence.neighbor_sets()[v] - self.annotated)
 
     def active_graph(self) -> Graph:
         return induced_subgraph(

@@ -75,6 +75,19 @@ class TestSolve:
         assert len(payload["assignment"]) == 4
         assert payload["stats"]["leaves"] >= 1
 
+    @pytest.mark.parametrize("g", [Graph.path(2000), Graph.cycle(2000)],
+                             ids=["path", "cycle"])
+    def test_maxcut_long_chain(self, g):
+        # Reduces without branching, one reduction per vertex; runs at the
+        # interpreter's default recursion limit.
+        code, out, err = run(["maxcut", "--json"], format_graph(g))
+        assert code == 0, err
+        payload = json.loads(out)
+        want = g.n - 1 if g.m < g.n else g.n - g.n % 2
+        assert payload["score"] == want
+        colors = payload["assignment"]
+        assert sum(1 for u, v in g.edges() if colors[u] != colors[v]) == want
+
 
 class TestCounting:
     def test_count_ds_both_engines_match_oracle(self):

@@ -2,18 +2,22 @@
 stats counters, and the runtime measure audit."""
 
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from strategies import csp_instances
 
 from smc.csp import encode_maxcut, evaluate, zero_instance
 from smc.csp_solve import (
     BRUTE_LIMIT,
     CspAudit,
+    _brute_best,
     select_pivot,
     solve,
 )
+from smc.generators import csp_on_graph, gen_random_cubic
 from smc.graph import Graph
 from smc.oracles import brute_max2csp
 from smc.policy import PivotAction
@@ -66,6 +70,73 @@ def random_cubic(n: int, rng: random.Random) -> Graph:
             for u, v in edges:
                 g.add_edge(u, v)
             return g
+
+
+def spider(legs: int, length: int) -> Graph:
+    """Centre 0 with `legs` paths of `length` vertices hanging off it."""
+    g = Graph(range(1 + legs * length))
+    for leg in range(legs):
+        prev = 0
+        for k in range(length):
+            v = 1 + leg * length + k
+            g.add_edge(prev, v)
+            prev = v
+    return g
+
+
+def exhaustive_best(inst):
+    """Reference terminal: plain depth-first enumeration, ascending colours
+    over sorted vertices, strict improvement only, so the witness is the
+    lexicographically smallest optimum."""
+    vs = inst.graph.vertices()
+    best_score = None
+    best_asg = {}
+    asg = {}
+
+    def go(idx, acc):
+        nonlocal best_score, best_asg
+        if idx == len(vs):
+            if best_score is None or acc > best_score:
+                best_score, best_asg = acc, dict(asg)
+            return
+        v = vs[idx]
+        base = inst.s_v[v]
+        for c in range(inst.r):
+            gain = base[c]
+            for u in inst.graph.neighbors(v):
+                if u in asg:
+                    gain += inst.edge_score(u, v, asg[u], c)
+            asg[v] = c
+            go(idx + 1, acc + gain)
+        del asg[v]
+
+    go(0, inst.s_nil)
+    return best_score, best_asg
+
+
+class TestBruteTerminal:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(csp_instances(max_n=8, rs=(2, 3, 4), lo=0, hi=0),
+                     csp_instances(max_n=8, rs=(2, 3, 4), lo=-1, hi=1)))
+    def test_matches_exhaustive_score_and_witness(self, inst):
+        if inst.graph.n == 0:
+            assert _brute_best(inst) == (inst.s_nil, {})
+            return
+        assert _brute_best(inst) == exhaustive_best(inst)
+
+
+class TestDepth:
+    """Instances that reduce without branching must not recurse once per
+    reduction; these run at the interpreter's default recursion limit."""
+
+    @pytest.mark.parametrize("policy", ["separator", "local"])
+    def test_spider_of_degree_four(self, policy):
+        g = spider(4, 400)  # 1601 vertices, the centre has degree 4
+        inst = encode_maxcut(g)
+        sol, stats = solve(inst, policy=policy)
+        assert sol.score == g.m  # a tree is bipartite
+        assert evaluate(inst, sol.assignment) == g.m
+        assert stats.branchings == 0
 
 
 class TestSolveExamples:
@@ -241,6 +312,22 @@ class TestAudit:
                      (g, sep), [(g, Separation(set(), {0, 1, 2}, {3}))],
                      eta_exempt=True)
         assert audit.violations == []
+
+
+class TestAuditIsPassive:
+    @pytest.mark.parametrize("r,n", [(2, 24), (3, 16)])
+    def test_same_solution_and_stats(self, r, n):
+        for seed in range(3):
+            inst = csp_on_graph(gen_random_cubic(n, seed), r, seed)
+            before = inst.copy()
+            plain, plain_stats = solve(inst, seed=seed)
+            audited, audited_stats = solve(inst, audit=CspAudit(), seed=seed)
+            assert inst == before, "solve must not consume the caller's instance"
+            assert audited == plain
+            assert audited_stats.measure_trace
+            a, b = asdict(plain_stats), asdict(audited_stats)
+            del a["measure_trace"], b["measure_trace"]
+            assert a == b
 
 
 class TestStats:

@@ -183,6 +183,29 @@ class TestReductionSoundness:
         assert evaluate(inst, full) == parent_opt
 
 
+class TestReductionsLeaveArgument:
+    """The public reductions work on a copy: the engines reduce in place,
+    and a copying form that forgot its copy would corrupt the caller's
+    instance and, through it, the reported witness."""
+
+    @settings(max_examples=80)
+    @given(csp_instances(max_n=7))
+    def test_argument_unchanged(self, inst):
+        before = inst.copy()
+        for y in inst.graph.vertices():
+            d = inst.graph.degree(y)
+            if d >= 3:
+                outs = reduceIII(inst, y)
+            else:
+                outs = [(reduce0, reduceI, reduceII)[d](inst, y)]
+            assert inst == before
+            for child, extend in outs:
+                phi = {v: 0 for v in child.graph.vertices()}
+                full = extend(phi)
+                assert phi == {v: 0 for v in child.graph.vertices()}
+                assert set(full) == set(inst.graph.vertices())
+
+
 class TestEncodings:
     def test_single_edge(self):
         assert brute_max2csp(encode_maxcut(Graph.path(2))).score == 1
