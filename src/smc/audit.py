@@ -335,14 +335,12 @@ def _improve_sc(start: ScWeights, budget: int) -> ScWeights:
     return w
 
 
-def improve_weights(system: str, start, budget: int, seed: int = 0):
+def improve_weights(system: str, start, budget: int):
     """Deterministic coordinate descent on the system's objective.
 
     CSP minimizes w_r (exact interval per coordinate, non-objective
     coordinates recentered); SC minimizes w_elt(6)+w_set(6) by bisecting
     the two objective entries against feasibility.  budget = passes.
-    The seed is accepted for interface stability; the descent is
-    deterministic and ignores it.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")

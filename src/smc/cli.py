@@ -164,6 +164,8 @@ def _print_counts(cfg: RunConfig, vec, n_top: int, stats=None) -> None:
 
 
 def cmd_count_ds(cfg: RunConfig, args) -> int:
+    if args.policy is not None and not args.subcubic:
+        raise InputError("--policy needs --subcubic")
     lg = _parse_input(cfg, parse_labeled_graph)
     if args.subcubic:
         audit = DsAudit() if cfg.audit else None
@@ -370,11 +372,12 @@ _HANDLERS = {
 }
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, policy: bool = False) -> None:
     sub.add_argument("--input", help="input file (default: stdin)")
     sub.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
-    sub.add_argument("--policy", choices=("separator", "local"),
-                     default="separator", help="branching policy")
+    if policy:  # only where an engine reads it
+        sub.add_argument("--policy", choices=("separator", "local"),
+                         help="branching policy (default: separator)")
     sub.add_argument("--weights", help="weights file overriding the published table")
     sub.add_argument("--audit-measure", dest="audit", action="store_true",
                      help="run the per-step measure audit (report on stderr)")
@@ -398,13 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("maxcut", "Max Cut of a graph via the CSP encoding"),
         ("max2sat", "Max 2-SAT (DIMACS 2-CNF) via the CSP encoding"),
     ):
-        _add_common(subs.add_parser(name, help=helptext))
+        _add_common(subs.add_parser(name, help=helptext), policy=True)
 
     ds = subs.add_parser("count-ds", help="dominating-set counts by size")
     ds.add_argument("--subcubic", action="store_true",
                     help="use the native labeled subcubic engine "
                     "(default: set-cover translation)")
-    _add_common(ds)
+    _add_common(ds, policy=True)
 
     _add_common(subs.add_parser("count-sc", help="set-cover counts by size"))
     _add_common(subs.add_parser("separate", help="balanced separation of a graph"))
@@ -447,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         audit=args.audit,
         stats=args.stats,
-        policy=args.policy,
+        policy=getattr(args, "policy", None) or "separator",
         weights=args.weights,
         json_out=args.json_out,
     )

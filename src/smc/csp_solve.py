@@ -34,7 +34,7 @@ from .csp import (
 )
 from .graph import Graph, connected_components
 from .measures import csp_eta, csp_mu
-from .policy import PivotAction, deg3_side_counts, separator_case
+from .policy import MOVES, PivotAction, apply_move, deg3_side_counts, separator_case
 from .separator import Separation, separate_cubic, trivial_separation, verify_separation
 from .weights import CspWeights
 
@@ -217,7 +217,6 @@ def _sub_separation(sep: Separation, comp: set[int]) -> Separation:
 
 _IN_PLACE = {"reduce0": reduce0_inplace, "reduceI": reduceI_inplace,
              "reduceII": reduceII_inplace}
-_MOVES = ("drag-R", "drag-L", "rotate")
 
 
 def _rec_cubic(inst: CspInstance, sep: Separation, env: _Env,
@@ -293,17 +292,16 @@ def _rec_cubic(inst: CspInstance, sep: Separation, env: _Env,
             score, asg = _branch_cubic(inst, sep, y, env, depth, "branch")
             break
         if audit is not None:
-            parent = (g if kind in _MOVES else g.copy(), sep.copy())
-        if kind in _MOVES:
-            sep.sep.remove(y)
-            (sep.right if kind == "drag-R" else sep.left).add(y)
+            parent = (g if kind in MOVES else g.copy(), sep.copy())
+        if kind in MOVES:
+            apply_move(sep, act, g.neighbor_sets().__getitem__)
         else:
             fills.append(_IN_PLACE[kind](inst, y))
             sep.discard(y)
             resep_n = -1
-        if act.partner is not None:  # rotate, or reduceII's separator repair
-            sep.right.remove(act.partner)
-            sep.sep.add(act.partner)
+            if act.partner is not None:  # reduceII's separator repair
+                sep.right.remove(act.partner)
+                sep.sep.add(act.partner)
         if audit is not None:
             _trace(env, audit.record(kind, inst.r, parent, [(g, sep)]))
         depth += 1

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .counts import CountVector
 from .graph import Graph, connected_components, cubic_structure, induced_subgraph, parse_graph
-from .policy import PivotAction, deg3_side_counts, separator_case
+from .policy import PivotAction, apply_move, deg3_side_counts, separator_case
 from .separator import Separation, separate_cubic, trivial_separation, verify_separation
 
 U, N, C = "U", "N", "C"
@@ -132,15 +132,6 @@ def branch3(lg: LabeledGraph, x: int) -> tuple[LabeledGraph, LabeledGraph, Label
         else:
             g_forb.label[u] = N
     return g_in, g_opt, g_forb
-
-
-def combine_components(a: CountVector, b: CountVector) -> CountVector:
-    """Counts for a disjoint union: convolution of the per-part counts.
-
-    No truncation is needed: sizes add, so the result never exceeds the
-    combined vertex count.
-    """
-    return a.convolve(b)
 
 
 # -- terminal counters ---------------------------------------------------------
@@ -497,27 +488,6 @@ def _linear_order(g: Graph) -> tuple[list[int], bool]:
 # -- pivot selection -----------------------------------------------------------
 
 
-def _deg2_run(g: Graph, sep: Separation, s: int, toward: str) -> tuple[list[int], int | None]:
-    """Maximal degree <= 2 run from separator vertex s into one side.
-
-    Returns the run (s first) and the vertex that ended it: the first
-    degree-3 or separator vertex encountered, or None when the run dies
-    out at a degree <= 1 vertex.  Away from s the run lies entirely in
-    the `toward` side, since that side has no edges to the other one.
-    """
-    run = [s]
-    prev = s
-    cur = next(u for u in g.neighbors(s) if sep.side_of(u) == toward)
-    while True:
-        if sep.side_of(cur) == "S" or g.degree(cur) == 3:
-            return run, cur
-        run.append(cur)
-        nxts = [u for u in g.neighbors(cur) if u != prev]
-        if not nxts:
-            return run, None
-        prev, cur = cur, nxts[0]
-
-
 def select_pivot_ds(lg: LabeledGraph, sep: Separation) -> PivotAction:
     """Next engine action for a component that still needs branching.
 
@@ -684,9 +654,7 @@ def _rec(lg: LabeledGraph, sep: Separation, env: _Env, depth: int, resep_n: int 
         vec = CountVector.one()
         for comp in comps:
             sub = _sub_labeled(lg, comp)
-            vec = combine_components(
-                vec, _rec(sub, _project(sep, sub), env, depth + 1)
-            )
+            vec = vec.convolve(_rec(sub, _project(sep, sub), env, depth + 1))
         if audit is not None:
             audit.check_return("split", g.n, vec)
         return vec
@@ -708,39 +676,10 @@ def _rec(lg: LabeledGraph, sep: Separation, env: _Env, depth: int, resep_n: int 
         y = min(v for v in g.vertices() if g.degree(v) == 3)
         return _branch(lg, y, sep, env, depth, "stall")
     act = select_pivot_ds(lg, sep)
-    y = act.vertex
-    if act.kind in ("drag-R", "drag-L"):
-        sep2 = sep.copy()
-        sep2.sep.remove(y)
-        (sep2.right if act.kind == "drag-R" else sep2.left).add(y)
-        return _rec(lg, sep2, env, depth + 1, resep_n=resep_n)
-    if act.kind in ("drag-path-R", "drag-path-L"):
-        to_right = act.kind == "drag-path-R"
-        run, stop = _deg2_run(g, sep, y, "L" if to_right else "R")
-        sep2 = sep.copy()
-        for v in run:
-            sep2.discard(v)
-            (sep2.right if to_right else sep2.left).add(v)
-        if stop is not None and stop not in sep2.sep:
-            (sep2.left if to_right else sep2.right).discard(stop)
-            sep2.sep.add(stop)
-        return _rec(lg, sep2, env, depth + 1, resep_n=resep_n)
-    if act.kind == "rotate":
-        sep2 = sep.copy()
-        sep2.sep.remove(y)
-        sep2.left.add(y)
-        sep2.right.remove(act.partner)
-        sep2.sep.add(act.partner)
-        return _rec(lg, sep2, env, depth + 1, resep_n=resep_n)
-    if act.kind == "rotate-pair":
-        sep2 = sep.copy()
-        sep2.sep.remove(y)
-        sep2.left.add(y)
-        sep2.right.remove(act.partner)
-        sep2.left.add(act.partner)
-        return _rec(lg, sep2, env, depth + 1, resep_n=resep_n)
-    assert act.kind == "branch"
-    return _branch(lg, y, sep, env, depth, "branch")
+    if act.kind == "branch":
+        return _branch(lg, act.vertex, sep, env, depth, "branch")
+    apply_move(sep, act, g.neighbor_sets().__getitem__)
+    return _rec(lg, sep, env, depth + 1, resep_n=resep_n)
 
 
 def _branch(lg: LabeledGraph, y: int, sep: Separation, env: _Env, depth: int, kind: str) -> CountVector:
@@ -800,7 +739,7 @@ def _rec_local(lg: LabeledGraph, env: _Env, depth: int) -> CountVector:
             env.stats.dp_calls += 1
             order, is_path = _linear_order(sub.graph)
             part = _path_count(sub, order) if is_path else _cycle_count(sub, order)
-        vec = combine_components(vec, part)
+        vec = vec.convolve(part)
     if audit is not None:
         audit.check_return("flat", g.n, vec)
     return vec

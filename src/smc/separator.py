@@ -83,23 +83,38 @@ def _cut_size(g: Graph, in_a: dict[int, bool]) -> int:
 
 
 def _refine(g: Graph, in_a: dict[int, bool]) -> None:
-    """Hill-climb on A/B swaps (size-preserving) until no swap helps."""
+    """Hill-climb on A/B swaps (size-preserving) until no swap helps.
+
+    Each round makes the swap of largest gain d[x] + d[y] - 2·[xy ∈ E],
+    d = external - internal degree, ties to the smallest x, then y.  x's
+    best partner is the first non-neighbour in the highest d-bucket of B
+    holding one, or one of x's own neighbours at a penalty of 2.
+    """
+    adj = g.neighbor_sets()
     vs = g.vertices()
     while True:
-        d = {}
-        for v in vs:
-            ext = sum(1 for u in g.neighbors(v) if in_a[u] != in_a[v])
-            d[v] = 2 * ext - g.degree(v)  # ext - int
+        d = {v: 2 * sum(1 for u in adj[v] if in_a[u] != in_a[v]) - len(adj[v])
+             for v in vs}
+        buckets: dict[int, list[int]] = {}  # d value -> ascending B vertices
+        for y in vs:
+            if not in_a[y]:
+                buckets.setdefault(d[y], []).append(y)
+        levels = sorted(buckets, reverse=True)
         best_gain, best_pair = 0, None
         for x in vs:
             if not in_a[x]:
                 continue
-            for y in vs:
-                if in_a[y]:
-                    continue
-                gain = d[x] + d[y] - 2 * (1 if g.has_edge(x, y) else 0)
-                if gain > best_gain:
-                    best_gain, best_pair = gain, (x, y)
+            near = adj[x]
+            cands = [(d[y] - 2, -y) for y in near if not in_a[y]]
+            for level in levels:
+                y = next((y for y in buckets[level] if y not in near), None)
+                if y is not None:
+                    cands.append((level, -y))
+                    break
+            if cands:
+                top, neg_y = max(cands)
+                if d[x] + top > best_gain:
+                    best_gain, best_pair = d[x] + top, (x, -neg_y)
         if best_pair is None:
             return
         x, y = best_pair

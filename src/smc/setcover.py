@@ -7,6 +7,10 @@ where A is the set of annotated vertices: annotation removes a vertex
 from play without deleting its edges, so annotated vertices can be
 resolved exactly at the leaves from the recorded order and neighbor
 snapshots.
+
+Ownership: an engine call owns and consumes its instance.  Annotations
+and separator moves mutate it in place; branches and component splits
+build fresh children.  ``sc_count`` copies the caller's instance once.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from fractions import Fraction
 from .counts import CountVector
 from .graph import Graph, connected_components, induced_subgraph
 from .measures import sc_mu3, sc_mu3_parts, sc_mu4, sc_progress, sc_side_weights
+from .policy import PivotAction, apply_move
 from .separator import (
     Separation,
     separate_balanced_by_measure,
@@ -31,9 +36,7 @@ MU_REL_SLACK = 1e-9
 @dataclass
 class Annotation:
     vertex: int
-    reason: str  # "deg<=1" | "dup-deg2"
     neighbors: tuple[int, ...]  # active neighbors at annotation time
-    attached_to: int | None  # lowest-id active neighbor (side bookkeeping)
 
 
 @dataclass
@@ -486,16 +489,6 @@ def _component(inst: ScIncidence, comp: list[int]) -> ScIncidence:
     )
 
 
-def _annotated(inst: ScIncidence, v: int, reason: str) -> ScIncidence:
-    child = inst.copy()
-    nbrs = tuple(sorted(child.active_neighbors(v)))
-    child.annotation_log.append(
-        Annotation(v, reason, nbrs, min(nbrs) if nbrs else None))
-    child.annotated.add(v)
-    child.sep.discard(v)
-    return child
-
-
 def _without(inst: ScIncidence, doomed: set[int],
              reset_sep: bool = False) -> ScIncidence:
     child = inst.copy()
@@ -537,21 +530,6 @@ def sc_count(inst: ScIncidence, weights: ScWeights | None = None,
     return vec, env.stats
 
 
-def sc3_count(inst: ScIncidence, weights: ScWeights | None = None,
-              audit: ScAudit | None = None) -> CountVector:
-    """Subcubic entry point: separator ladder for max active degree <= 3.
-
-    Same counts as sc_count (the two engines are mutually recursive); this
-    front door only checks the degree bound and skips the handover record.
-    """
-    if _max_active_degree(inst) > 3:
-        raise ValueError("sc3_count requires max degree <= 3 on I - A")
-    work = inst.copy()
-    work.check()
-    env = _ScEnv(weights or ScWeights.published(), ScStats(), audit)
-    return _sc3(work, env, 0, -1, sc_mu3_parts(work, env.weights)[1])
-
-
 def _sc(inst: ScIncidence, env: _ScEnv, depth: int, resep_n: int,
         frozen: Fraction | None) -> CountVector:
     st, aud = env.stats, env.audit
@@ -577,23 +555,20 @@ def _sc(inst: ScIncidence, env: _ScEnv, depth: int, resep_n: int,
             vec = vec.convolve(_sc(child, env, depth + 1, -1, None))
         return vec
 
+    # annotate a degree <= 1 vertex, else a duplicate degree-2 one; the
+    # parent is snapshotted only for the audit, which measures both
     low = [v for v in inst.active_vertices() if inst.active_degree(v) <= 1]
-    if low:
-        child = _annotated(inst, min(low), "deg<=1")
+    v = min(low) if low else _find_duplicate(inst)
+    if v is not None:
+        parent = inst.copy() if aud else None
+        inst.annotation_log.append(Annotation(v, tuple(inst.active_neighbors(v))))
+        inst.annotated.add(v)
+        inst.sep.discard(v)
         st.annotations += 1
         if aud:
-            aud.record("annotate", inst, [child], note=f"v={min(low)}",
-                       frozen_arg=frozen)
-        return _sc(child, env, depth + 1, -1, frozen)
-
-    dup = _find_duplicate(inst)
-    if dup is not None:
-        child = _annotated(inst, dup, "dup-deg2")
-        st.annotations += 1
-        if aud:
-            aud.record("annotate", inst, [child], note=f"dup v={dup}",
-                       frozen_arg=frozen)
-        return _sc(child, env, depth + 1, -1, frozen)
+            aud.record("annotate", parent, [inst],
+                       note=f"v={v}" if low else f"dup v={v}", frozen_arg=frozen)
+        return _sc(inst, env, depth + 1, -1, frozen)
 
     d_set = max((inst.active_degree(v) for v in inst.active_vertices()
                  if inst.is_set(v)), default=0)
@@ -669,77 +644,38 @@ def _sc3(inst: ScIncidence, env: _ScEnv, depth: int,
         return [u for u in inst.active_neighbors(v)
                 if sep.side_of(u) == side]
 
-    def step(kind: str, child: ScIncidence, token: int) -> CountVector:
+    def move(kind: str, v: int, partner: int | None = None) -> CountVector:
+        parent = inst.copy() if aud else None
+        adj = g.neighbor_sets()
+        apply_move(sep, PivotAction(kind, v, partner),
+                   lambda u: adj[u] - inst.annotated)
         if aud:
-            aud.record(kind, inst, [child], frozen_arg=frozen)
-        return _sc(child, env, depth + 1, token, frozen)
+            aud.record(kind, parent, [inst], frozen_arg=frozen)
+        return _sc(inst, env, depth + 1, resep_n, frozen)
 
     for s in s_sorted:
         if not side_nbrs(s, "L"):
-            child = inst.copy()
-            child.sep.discard(s)
-            child.sep.right.add(s)
-            return step("drag-R", child, resep_n)
+            return move("drag-R", s)
         if not side_nbrs(s, "R"):
-            child = inst.copy()
-            child.sep.discard(s)
-            child.sep.left.add(s)
-            return step("drag-L", child, resep_n)
+            return move("drag-L", s)
 
     deg2 = [s for s in s_sorted if inst.active_degree(s) == 2]
     if deg2:
         # every S vertex now has a neighbor on each side, so a degree-2
-        # one has exactly one per side; walk the chain away from the
-        # heavy side and push it (plus s) onto the heavy side
-        s = deg2[0]
-        balanced = gap <= 2 * w.B
-        walk_side = "L" if balanced else "R"
-        prev, cur = s, side_nbrs(s, walk_side)[0]
-        while cur not in sep.sep and inst.active_degree(cur) == 2:
-            prev, cur = cur, next(u for u in inst.active_neighbors(cur)
-                                  if u != prev)
-        child = inst.copy()
-        cs = child.sep
-        dest = cs.right if balanced else cs.left
-        run, scan = [s], s
-        back, at = s, side_nbrs(s, walk_side)[0]
-        while at != cur:
-            run.append(at)
-            back, at = at, next(u for u in inst.active_neighbors(at)
-                                if u != back)
-        for v in run:
-            cs.discard(v)
-            dest.add(v)
-        if cur not in cs.sep:
-            cs.discard(cur)
-            cs.sep.add(cur)
-        kind = "drag-path-R" if balanced else "drag-path-L"
-        return step(kind, child, resep_n)
+        # one has exactly one per side; near balance its chain in the light
+        # side L goes to R with it, otherwise its chain in R goes to L
+        return move("drag-path-R" if gap <= 2 * w.B else "drag-path-L", deg2[0])
 
     if gap > w.B:
-        for s in s_sorted:
-            ell, arr = side_nbrs(s, "L"), side_nbrs(s, "R")
-            if len(ell) == 2 and len(arr) == 1 \
-                    and inst.active_degree(arr[0]) == 3:
-                r = arr[0]
-                child = inst.copy()
-                child.sep.discard(s)
-                child.sep.left.add(s)
-                child.sep.discard(r)
-                child.sep.sep.add(r)
-                return step("rotate", child, resep_n)
-        for s in s_sorted:
-            ell, arr = side_nbrs(s, "L"), side_nbrs(s, "R")
-            if len(ell) == 2 and len(arr) == 1 \
-                    and inst.active_degree(arr[0]) == 2:
-                r = arr[0]
-                other = [u for u in inst.active_neighbors(r) if u != s]
-                if other and other[0] in sep.sep:
-                    child = inst.copy()
-                    for v in (s, r):
-                        child.sep.discard(v)
-                        child.sep.left.add(v)
-                    return step("rotate-pair", child, resep_n)
+        # S is all degree 3 now: two L-neighbours leave one R-neighbour r
+        two_l = [(s, side_nbrs(s, "R")[0]) for s in s_sorted
+                 if len(side_nbrs(s, "L")) == 2]
+        for s, r in two_l:
+            if inst.active_degree(r) == 3:
+                return move("rotate", s, r)
+        for s, r in two_l:  # every r has degree 2 here
+            if next(u for u in inst.active_neighbors(r) if u != s) in sep.sep:
+                return move("rotate-pair", s, r)
 
     st.branchings += 1
     elts = [s for s in s_sorted if not inst.is_set(s)]

@@ -253,6 +253,23 @@ class TestExitCodes:
         code, _, _ = run(["maxcut", "--input", "/nonexistent/path.graph"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["count-sc", "--policy", "local"],
+        ["count-ds", "--policy", "local"],
+        ["count-ds", "--policy", "separator"],
+        ["separate", "--policy", "local"],
+        ["oracle", "ds", "--policy", "local"],
+    ])
+    def test_policy_rejected_where_ignored(self, argv):
+        text = SC_SAMPLE if argv[0] == "count-sc" else K4
+        code, out, err = run(argv, text)
+        assert code == 2 and out == "" and "policy" in err
+
+    def test_subcubic_count_ds_takes_policy(self):
+        code, out, _ = run(["count-ds", "--subcubic", "--policy", "local"], K4)
+        assert code == 0
+        assert out == run(["count-ds"], K4)[1]
+
 
 class TestDeterminism:
     def test_byte_identical_stdout(self):

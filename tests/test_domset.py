@@ -17,7 +17,6 @@ from smc.domset import (
     DsAudit,
     LabeledGraph,
     branch3,
-    combine_components,
     count_ds,
     format_labeled_graph,
     parse_labeled_graph,
@@ -171,15 +170,15 @@ class TestTerminalShapes:
 class TestCombine:
     def test_identity(self):
         b = CountVector((0, 3, 3, 1))
-        assert combine_components(CountVector.one(), b) == b
+        assert CountVector.one().convolve(b) == b
 
     def test_zero_annihilates(self):
-        got = combine_components(CountVector.zero(), CountVector((0, 3, 3, 1)))
+        got = CountVector.zero().convolve(CountVector((0, 3, 3, 1)))
         assert got == CountVector.zero()
 
     def test_triangle_pair(self):
         t = CountVector((0, 3, 3, 1))
-        assert combine_components(t, t).to_list(6) == [0, 0, 9, 18, 15, 6, 1]
+        assert t.convolve(t).to_list(6) == [0, 0, 9, 18, 15, 6, 1]
 
 
 class TestOracleEquivalence:

@@ -1,0 +1,177 @@
+"""The shared separator moves, and the engines that route through them.
+
+``apply_move`` is checked on hand-built separations, one per move kind
+and one per way a drag-path run can end.  The engine tests pin count
+vectors and full stats of both #DS routes on seeded cubic graphs and on
+cubic graphs with subdivided edges, and check that attaching an audit
+changes neither.
+"""
+
+import random
+from dataclasses import asdict
+
+import pytest
+
+from smc.domset import DsAudit, LabeledGraph, count_ds
+from smc.generators import gen_random_cubic
+from smc.graph import Graph
+from smc.policy import PivotAction, apply_move
+from smc.separator import Separation, verify_separation
+from smc.setcover import ScAudit, ds_to_sc, sc_count
+
+
+def moved(g: Graph, sep: Separation, kind: str, s: int, partner=None,
+          nbrs=None) -> Separation:
+    adj = g.neighbor_sets()
+    apply_move(sep, PivotAction(kind, s, partner), nbrs or adj.__getitem__)
+    assert verify_separation(g, sep)
+    return sep
+
+
+def sides(sep: Separation) -> tuple[set[int], set[int], set[int]]:
+    return sep.left, sep.sep, sep.right
+
+
+class TestApplyMove:
+    def test_drag_r_and_drag_l(self):
+        g = Graph.path(4)
+        sep = Separation({0}, {1, 2}, {3})
+        moved(g, sep, "drag-R", 2)
+        assert sides(sep) == ({0}, {1}, {2, 3})
+        sep = Separation({0}, {1, 2}, {3})
+        moved(g, sep, "drag-L", 1)
+        assert sides(sep) == ({0, 1}, {2}, {3})
+
+    def test_rotate(self):
+        # s=0 has L-neighbours 1, 2 and R-neighbour 3, which takes its place
+        g = Graph(range(6), [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (3, 5)])
+        sep = moved(g, Separation({1, 2}, {0}, {3, 4, 5}), "rotate", 0, 3)
+        assert sides(sep) == ({0, 1, 2}, {3}, {4, 5})
+
+    def test_rotate_pair(self):
+        # the degree-2 partner 3 already leads to the separator vertex 4
+        g = Graph(range(7), [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (4, 5), (4, 6)])
+        sep = moved(g, Separation({1, 2, 5}, {0, 4}, {3, 6}), "rotate-pair", 0, 3)
+        assert sides(sep) == ({0, 1, 2, 3, 5}, {4}, {6})
+
+    def test_drag_path_ends_at_separator_vertex(self):
+        # run 0-1-2 into L meets the separator vertex 3, which stays in S
+        g = Graph(range(7), [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (0, 6)])
+        sep = moved(g, Separation({1, 2, 4}, {0, 3}, {5, 6}), "drag-path-R", 0)
+        assert sides(sep) == ({4}, {3}, {0, 1, 2, 5, 6})
+
+    def test_drag_path_ends_at_degree_3_vertex(self):
+        # run 0-2 into R meets the degree-3 vertex 3, which joins S
+        g = Graph(range(6), [(0, 1), (0, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
+        sep = moved(g, Separation({1}, {0}, {2, 3, 4, 5}), "drag-path-L", 0)
+        assert sides(sep) == ({0, 1, 2}, {3}, {4, 5})
+
+    def test_drag_path_dies_out_at_degree_1_vertex(self):
+        # the leaf 2 ends the run and moves with it; S empties
+        g = Graph(range(4), [(0, 1), (1, 2), (0, 3)])
+        sep = moved(g, Separation({1, 2}, {0}, {3}), "drag-path-R", 0)
+        assert sides(sep) == (set(), set(), {0, 1, 2, 3})
+
+    def test_drag_path_reads_only_the_given_neighbours(self):
+        # vertex 5 hidden from nbrs (as an annotated vertex is): 2 counts
+        # as degree 2 and the run goes on through it to the leaf 3
+        g = Graph(range(6), [(0, 1), (1, 2), (2, 3), (2, 5), (0, 4)])
+        adj = g.neighbor_sets()
+        sep = Separation({1, 2, 3}, {0}, {4})
+        apply_move(sep, PivotAction("drag-path-R", 0), lambda v: adj[v] - {5})
+        assert sides(sep) == (set(), set(), {0, 1, 2, 3, 4})
+        sep = moved(g, Separation({1, 2, 3, 5}, {0}, {4}), "drag-path-R", 0)
+        assert sides(sep) == ({3, 5}, {2}, {0, 1, 4})
+
+    def test_branch_is_not_a_move(self):
+        sep = Separation({0}, {1}, {2})
+        with pytest.raises(ValueError):
+            apply_move(sep, PivotAction("branch", 1), Graph.path(3).neighbor_sets().__getitem__)
+        assert sides(sep) == ({0}, {1}, {2})
+
+
+def subdivided(n: int, seed: int, k: int) -> Graph:
+    """Random cubic graph with k seeded edges each split by a new vertex."""
+    g = gen_random_cubic(n, seed)
+    nxt = n
+    for u, v in random.Random(seed).sample(g.edges(), k):
+        g.remove_edge(u, v)
+        g.add_vertex(nxt)
+        g.add_edge(u, nxt)
+        g.add_edge(nxt, v)
+        nxt += 1
+    return g
+
+
+def pinned_graph(n: int, seed: int, k: int) -> Graph:
+    return subdivided(n, seed, k) if k else gen_random_cubic(n, seed)
+
+
+# (n, seed, subdivided edges) -> (counts, count_ds stats, sc_count stats),
+# recorded before the engines shared apply_move.  Between them the runs
+# make every move but rotate-pair (covered by TestApplyMove).
+PINNED = {
+    (24, 0, 0): (
+        (0, 0, 0, 0, 0, 0, 1, 79, 3162, 32864, 158572, 452198, 863323, 1187035, 1230545,
+         990499, 630451, 320355, 130180, 42030, 10602, 2024, 276, 24, 1),
+        {'branchings': 34, 'leaves': 69, 'dp_calls': 69, 'enum_calls': 0, 'max_depth': 8,
+         'separator_recomputes': 1},
+        {'branchings': 820, 'annotations': 9492, 'dp_calls': 2138, 'splits': 655,
+         'leaves': 2138, 'max_depth': 55, 'separator_recomputes': 334}),
+    (24, 2, 0): (
+        (0, 0, 0, 0, 0, 0, 0, 158, 4577, 40667, 180456, 489622, 905997, 1221101, 1250044,
+         998534, 632794, 320816, 130235, 42033, 10602, 2024, 276, 24, 1),
+        {'branchings': 34, 'leaves': 69, 'dp_calls': 69, 'enum_calls': 0, 'max_depth': 6,
+         'separator_recomputes': 1},
+        {'branchings': 899, 'annotations': 9552, 'dp_calls': 2484, 'splits': 846,
+         'leaves': 2484, 'max_depth': 49, 'separator_recomputes': 406}),
+    (24, 3, 0): (
+        (0, 0, 0, 0, 0, 0, 0, 85, 2825, 29153, 144782, 425014, 829710, 1158786, 1213773,
+         983381, 628319, 319924, 130127, 42027, 10602, 2024, 276, 24, 1),
+        {'branchings': 13, 'leaves': 27, 'dp_calls': 27, 'enum_calls': 0, 'max_depth': 5,
+         'separator_recomputes': 1},
+        {'branchings': 935, 'annotations': 10880, 'dp_calls': 2650, 'splits': 811,
+         'leaves': 2650, 'max_depth': 50, 'separator_recomputes': 390}),
+    (18, 1, 5): (
+        (0, 0, 0, 0, 0, 0, 0, 80, 2159, 19042, 84548, 226220, 404867, 517913, 494423,
+         362058, 206637, 92495, 32373, 8737, 1766, 253, 23, 1),
+        {'branchings': 4, 'leaves': 9, 'dp_calls': 9, 'enum_calls': 0, 'max_depth': 5,
+         'separator_recomputes': 1},
+        {'branchings': 405, 'annotations': 4514, 'dp_calls': 1098, 'splits': 379,
+         'leaves': 1098, 'max_depth': 47, 'separator_recomputes': 185}),
+    (20, 2, 3): (
+        (0, 0, 0, 0, 0, 0, 0, 76, 2438, 23061, 102296, 266827, 462574, 573661, 532834,
+         381360, 213729, 94367, 32712, 8775, 1768, 253, 23, 1),
+        {'branchings': 11, 'leaves': 23, 'dp_calls': 23, 'enum_calls': 0, 'max_depth': 5,
+         'separator_recomputes': 1},
+        {'branchings': 536, 'annotations': 4742, 'dp_calls': 1674, 'splits': 582,
+         'leaves': 1674, 'max_depth': 43, 'separator_recomputes': 291}),
+}
+
+
+class TestEnginesPinned:
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_count_ds_and_sc_count(self, key):
+        counts, ds_stats, sc_stats = PINNED[key]
+        g = pinned_graph(*key)
+        vec, stats = count_ds(LabeledGraph.all_u(g))
+        assert vec.counts == counts and asdict(stats) == ds_stats
+        vec, stats = sc_count(ds_to_sc(g))
+        assert vec.counts == counts and asdict(stats) == sc_stats
+
+
+class TestAuditIsPassive:
+    @pytest.mark.parametrize("key", [(18, 1, 5), (20, 2, 3)])
+    def test_count_ds(self, key):
+        lg = LabeledGraph.all_u(pinned_graph(*key))
+        audit = DsAudit(strict=True)
+        assert count_ds(lg, audit=audit) == count_ds(lg)
+        assert audit.entries
+
+    @pytest.mark.parametrize("key", [(12, 0, 0), (14, 1, 0), (12, 0, 2)])
+    def test_sc_count(self, key):
+        inst = ds_to_sc(pinned_graph(*key))
+        audit = ScAudit()
+        assert sc_count(inst, audit=audit) == sc_count(inst)
+        assert any(e.kind == "annotate" for e in audit.entries)
+        assert any(e.kind.startswith("drag") for e in audit.entries)

@@ -13,6 +13,7 @@ from smc.separator import (
     PathDecomposition,
     Separation,
     _greedy_layout,
+    _refine,
     bisect_heuristic,
     nice_path_decomposition,
     separate_balanced_by_measure,
@@ -120,6 +121,37 @@ def reference_sweep(g: Graph, w: dict[int, Fraction], cap: Fraction) -> Separati
     raise AssertionError("bag sweep found no balanced separation")
 
 
+def reference_refine(g: Graph, in_a: dict[int, bool]) -> None:
+    """Swap hill-climb scanning every A x B pair in id order each round."""
+    vs = g.vertices()
+    while True:
+        d = {}
+        for v in vs:
+            ext = sum(1 for u in g.neighbors(v) if in_a[u] != in_a[v])
+            d[v] = 2 * ext - g.degree(v)
+        best_gain, best_pair = 0, None
+        for x in vs:
+            if not in_a[x]:
+                continue
+            for y in vs:
+                if in_a[y]:
+                    continue
+                gain = d[x] + d[y] - 2 * (1 if g.has_edge(x, y) else 0)
+                if gain > best_gain:
+                    best_gain, best_pair = gain, (x, y)
+        if best_pair is None:
+            return
+        x, y = best_pair
+        in_a[x], in_a[y] = False, True
+
+
+@st.composite
+def split_graphs(draw):
+    """A graph and an arbitrary A/B split of its vertices."""
+    g = draw(graphs(max_n=30, max_degree=draw(st.sampled_from([3, 6]))))
+    return g, {v: draw(st.booleans()) for v in g.vertices()}
+
+
 def relabeled(g: Graph, seed: int) -> Graph:
     ids = random.Random(seed).sample(range(10 * g.n + 10), g.n)
     return Graph(
@@ -176,6 +208,25 @@ class TestBisection:
 
     def test_empty(self):
         assert bisect_heuristic(Graph()).cut == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(split_graphs())
+    def test_refine_matches_pair_scan(self, case):
+        g, in_a = case
+        want = dict(in_a)
+        reference_refine(g, want)
+        _refine(g, in_a)
+        assert in_a == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_refine_matches_pair_scan_on_relabelled_cubic(self, seed):
+        g = relabeled(gen_random_cubic(40, seed), seed)
+        rng = random.Random(seed)
+        in_a = {v: rng.random() < 0.5 for v in g.vertices()}
+        want = dict(in_a)
+        reference_refine(g, want)
+        _refine(g, in_a)
+        assert in_a == want
 
     @settings(max_examples=40)
     @given(graphs(max_n=12))

@@ -19,7 +19,6 @@ from smc.setcover import (
     ds_to_sc,
     format_sc,
     parse_sc,
-    sc3_count,
     sc_count,
     sc_dp,
 )
@@ -193,17 +192,12 @@ class TestSc3:
     def test_chorded_six_cycle(self):
         # alternating 6-cycle plus one chord: two degree-3 vertices
         inst = inst_from_sets([{0, 1}, {1, 2}, {2, 0, 1}], 3)
-        assert sc3_count(inst) == brute_setcover(inst)
-
-    def test_degree_guard(self):
-        with pytest.raises(ValueError):
-            sc3_count(ds_to_sc(Graph.complete(4)))
+        assert sc_count(inst)[0] == brute_setcover(inst)
 
     def test_subcubic_translations(self):
-        rng = random.Random(3)
         for n in (4, 5, 6, 7):
             g = Graph.cycle(n)
-            got = sc3_count(ds_to_sc(g))
+            got, _ = sc_count(ds_to_sc(g))
             assert got == brute_domset(LabeledGraph.all_u(g))
 
     def test_cubic_graphs_via_general_ladder(self):
