@@ -116,6 +116,8 @@ def _emit_audit(cfg: RunConfig, audit, violations) -> None:
 
 
 def _run_csp(cfg: RunConfig, inst) -> int:
+    if cfg.weights is not None and not cfg.audit:
+        raise InputError("--weights needs --audit-measure")
     audit = CspAudit(weights=_load_weights(cfg, "csp")) if cfg.audit else None
     sol, stats = solve(inst, policy=cfg.policy, audit=audit, seed=cfg.seed)
     order = inst.graph.vertices()
@@ -166,6 +168,8 @@ def _print_counts(cfg: RunConfig, vec, n_top: int, stats=None) -> None:
 def cmd_count_ds(cfg: RunConfig, args) -> int:
     if args.policy is not None and not args.subcubic:
         raise InputError("--policy needs --subcubic")
+    if cfg.weights is not None and args.subcubic:
+        raise InputError("--weights does not apply to --subcubic")
     lg = _parse_input(cfg, parse_labeled_graph)
     if args.subcubic:
         audit = DsAudit() if cfg.audit else None
@@ -372,13 +376,15 @@ _HANDLERS = {
 }
 
 
-def _add_common(sub: argparse.ArgumentParser, policy: bool = False) -> None:
+def _add_common(sub: argparse.ArgumentParser, policy: bool = False,
+                weights: bool = False) -> None:
     sub.add_argument("--input", help="input file (default: stdin)")
     sub.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
     if policy:  # only where an engine reads it
         sub.add_argument("--policy", choices=("separator", "local"),
                          help="branching policy (default: separator)")
-    sub.add_argument("--weights", help="weights file overriding the published table")
+    if weights:  # only where a weight table is read
+        sub.add_argument("--weights", help="weights file overriding the published table")
     sub.add_argument("--audit-measure", dest="audit", action="store_true",
                      help="run the per-step measure audit (report on stderr)")
     sub.add_argument("--stats", action="store_true",
@@ -401,15 +407,16 @@ def build_parser() -> argparse.ArgumentParser:
         ("maxcut", "Max Cut of a graph via the CSP encoding"),
         ("max2sat", "Max 2-SAT (DIMACS 2-CNF) via the CSP encoding"),
     ):
-        _add_common(subs.add_parser(name, help=helptext), policy=True)
+        _add_common(subs.add_parser(name, help=helptext), policy=True, weights=True)
 
     ds = subs.add_parser("count-ds", help="dominating-set counts by size")
     ds.add_argument("--subcubic", action="store_true",
                     help="use the native labeled subcubic engine "
                     "(default: set-cover translation)")
-    _add_common(ds, policy=True)
+    _add_common(ds, policy=True, weights=True)
 
-    _add_common(subs.add_parser("count-sc", help="set-cover counts by size"))
+    _add_common(subs.add_parser("count-sc", help="set-cover counts by size"),
+                weights=True)
     _add_common(subs.add_parser("separate", help="balanced separation of a graph"))
 
     gen = subs.add_parser("gen", help="emit a family or random instance")
@@ -430,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     am = subs.add_parser("audit-measure", help="weight-system feasibility report")
     am.add_argument("--system", choices=("csp", "sc"), required=True)
-    _add_common(am)
+    _add_common(am, weights=True)
 
     orc = subs.add_parser("oracle", help="brute-force reference solver")
     orc.add_argument("problem", choices=("csp", "ds", "sc"))
@@ -451,7 +458,7 @@ def main(argv: list[str] | None = None) -> int:
         audit=args.audit,
         stats=args.stats,
         policy=getattr(args, "policy", None) or "separator",
-        weights=args.weights,
+        weights=getattr(args, "weights", None),
         json_out=args.json_out,
     )
     try:

@@ -7,6 +7,7 @@ value-like and compared mathematically (trailing zeros ignored).
 
 from __future__ import annotations
 
+from operator import add, neg, sub
 from typing import Iterable
 
 
@@ -30,16 +31,17 @@ class CountVector:
         return CountVector((0,) * k + (1,))
 
     def __add__(self, other: "CountVector") -> "CountVector":
-        n = max(len(self.counts), len(other.counts))
-        a = self.counts + (0,) * (n - len(self.counts))
-        b = other.counts + (0,) * (n - len(other.counts))
-        return CountVector(x + y for x, y in zip(a, b))
+        a, b = self.counts, other.counts
+        if len(a) < len(b):
+            a, b = b, a
+        return CountVector(tuple(map(add, a, b)) + a[len(b):])
 
     def __sub__(self, other: "CountVector") -> "CountVector":
-        n = max(len(self.counts), len(other.counts))
-        a = self.counts + (0,) * (n - len(self.counts))
-        b = other.counts + (0,) * (n - len(other.counts))
-        return CountVector(x - y for x, y in zip(a, b))
+        a, b = self.counts, other.counts
+        diff = tuple(map(sub, a, b))
+        if len(a) >= len(b):
+            return CountVector(diff + a[len(b):])
+        return CountVector(diff + tuple(map(neg, b[len(a):])))
 
     def shift(self, k: int = 1) -> "CountVector":
         """Add k to every cardinality (multiply by x^k)."""

@@ -158,86 +158,62 @@ def _needs(lab: str) -> bool:
 
 def _chain_table(
     lg: LabeledGraph, seq: list[int], m_a: int | None, m_b: int | None
-) -> dict[tuple[int, int], list[int]]:
+) -> dict[tuple[int, int], CountVector]:
     """Transfer DP along a chain of degree <= 2 vertices.
 
     m_a / m_b are the memberships of the attachment vertices at either
     end (None = no attachment, the chain just ends).  Returns, keyed by
-    (first vertex in set, last vertex in set), the count of internal
-    configurations by internal set size.  Those two bits are what the
-    ends export: whether the chain dominates its attachments.
+    (first vertex in set, last vertex in set), the count vector of
+    internal configurations by internal set size.  Those two bits are
+    what the ends export: whether the chain dominates its attachments.
+    With no attachment at the start nothing reads the first bit, so it
+    is kept at 0 and the states halve.
     """
     # states: (first membership, previous membership, previous vertex
     #          still undominated) -> counts by size
-    state: dict[tuple[int, int, int], list[int]] = {}
+    state: dict[tuple[int, int, int], CountVector] = {}
     v0 = seq[0]
     for c in (0, 1) if lg.label[v0] != N else (0,):
         pend = int(_needs(lg.label[v0]) and not c and not (m_a or 0))
-        state[(c, c, pend)] = _bump([], c, 1)
+        state[(c if m_a is not None else 0, c, pend)] = CountVector.unit(c)
     for v in seq[1:]:
-        nxt: dict[tuple[int, int, int], list[int]] = {}
+        nxt: dict[tuple[int, int, int], CountVector] = {}
         for (c0, cp, pend), cnt in state.items():
             for c in (0, 1) if lg.label[v] != N else (0,):
                 if pend and not c:
                     continue  # the previous vertex ran out of dominators
                 np = int(_needs(lg.label[v]) and not c and not cp)
-                _merge(nxt, (c0, c, np), cnt, c)
+                _merge(nxt, (c0, c, np), cnt.shift(1) if c else cnt)
         state = nxt
-    out: dict[tuple[int, int], list[int]] = {}
+    out: dict[tuple[int, int], CountVector] = {}
     for (c0, cp, pend), cnt in state.items():
         if pend and not (m_b or 0):
             continue
-        key = (c0, cp)
-        out[key] = _add_into(out.get(key), cnt)
+        _merge(out, (c0, cp), cnt)
     return out
 
 
-def _bump(counts: list[int], shift: int, value: int) -> list[int]:
-    out = list(counts) + [0] * (shift + 1 - len(counts))
-    while len(out) <= shift:
-        out.append(0)
-    out[shift] += value
-    return out
-
-
-def _merge(table: dict, key: tuple, counts: list[int], shift: int) -> None:
-    cur = table.get(key, [])
-    need = len(counts) + shift
-    cur = cur + [0] * (need - len(cur))
-    for i, x in enumerate(counts):
-        cur[i + shift] += x
-    table[key] = cur
-
-
-def _add_into(cur: list[int] | None, counts: list[int]) -> list[int]:
-    if cur is None:
-        return list(counts)
-    out = cur + [0] * (len(counts) - len(cur))
-    for i, x in enumerate(counts):
-        out[i] += x
-    return out
+def _merge(table: dict, key: tuple, vec: CountVector) -> None:
+    cur = table.get(key)
+    table[key] = vec if cur is None else cur + vec
 
 
 def _path_count(lg: LabeledGraph, seq: list[int]) -> CountVector:
-    table = _chain_table(lg, seq, None, None)
-    total: list[int] = []
-    for cnt in table.values():
-        total = _add_into(total, cnt)
-    return CountVector(total)
+    return sum(_chain_table(lg, seq, None, None).values(), CountVector.zero())
 
 
 def _cycle_count(lg: LabeledGraph, seq: list[int]) -> CountVector:
     """Transfer DP around a cycle; the first vertex's domination by the
     last one is deferred until the ends meet."""
     v0 = seq[0]
-    total: list[int] = []
+    total = CountVector.zero()
     for c0 in (0, 1) if lg.label[v0] != N else (0,):
         # state: (previous membership, previous pending, first pending)
-        state: dict[tuple[int, int, int], list[int]] = {
-            (c0, 0, int(_needs(lg.label[v0]) and not c0)): _bump([], c0, 1)
+        state: dict[tuple[int, int, int], CountVector] = {
+            (c0, 0, int(_needs(lg.label[v0]) and not c0)): CountVector.unit(c0)
         }
         for pos, v in enumerate(seq[1:]):
-            nxt: dict[tuple[int, int, int], list[int]] = {}
+            nxt: dict[tuple[int, int, int], CountVector] = {}
             for (cp, pend, first), cnt in state.items():
                 for c in (0, 1) if lg.label[v] != N else (0,):
                     if pend and not c:
@@ -245,15 +221,15 @@ def _cycle_count(lg: LabeledGraph, seq: list[int]) -> CountVector:
                     np = int(_needs(lg.label[v]) and not c and not cp)
                     # only the second vertex can clear the first one early
                     nf = int(first and not c) if pos == 0 else first
-                    _merge(nxt, (c, np, nf), cnt, c)
+                    _merge(nxt, (c, np, nf), cnt.shift(1) if c else cnt)
             state = nxt
         for (cp, pend, first), cnt in state.items():
             if pend and not c0:
                 continue  # last vertex only has the first one left
             if first and not cp:
                 continue  # first vertex only has the last one left
-            total = _add_into(total, cnt)
-    return CountVector(total)
+            total = total + cnt
+    return total
 
 
 def _chains_of(g: Graph, cores: set[int]) -> list[tuple[int, int | None, list[int]]]:
@@ -303,7 +279,9 @@ def _core_count(lg: LabeledGraph) -> CountVector:
     discharged once its three edge slots are all folded.  The live core
     front stays small for the component shapes this is invoked on, so
     the sweep is cheap even though the state is exponential in the
-    front.
+    front.  Every state holds a ``CountVector``: introducing a member
+    shifts it, folding a chain convolves it with the chain's table entry,
+    and states that meet under one key add up.
     """
     g = lg.graph
     cores = {v for v in g.vertices() if g.degree(v) == 3}
@@ -345,14 +323,14 @@ def _core_count(lg: LabeledGraph) -> CountVector:
 
     slots = {a: 0 for a in cores}  # folded edge slots per core
     # state: frozen tuple of (core, membership, dominated) -> counts by size
-    state: dict[tuple, list[int]] = {(): [1]}
+    state: dict[tuple, CountVector] = {(): CountVector.one()}
     live: set[int] = set()
     folded = [False] * len(chains)
 
     def fold(ci: int) -> None:
         nonlocal state
         a, b, run = chains[ci]
-        nxt: dict[tuple, list[int]] = {}
+        nxt: dict[tuple, CountVector] = {}
         for key, cnt in state.items():
             kd = dict((c, (m, d)) for c, m, d in key)
             m_a, d_a = kd[a]
@@ -363,7 +341,7 @@ def _core_count(lg: LabeledGraph) -> CountVector:
                 kd[a] = (m_a, d_a or m_b)
                 kd[b] = (m_b, d_b or m_a)
                 nkey = tuple((c,) + kd[c] for c in sorted(kd))
-                _merge(nxt, nkey, cnt, 0)
+                _merge(nxt, nkey, cnt)
             else:
                 tab = tables[ci][(m_a, m_b if b is not None else None)]
                 for (first_in, last_in), sub in tab.items():
@@ -373,14 +351,12 @@ def _core_count(lg: LabeledGraph) -> CountVector:
                         mb, db = kd2[b]
                         kd2[b] = (mb, db or last_in)
                     nkey = tuple((c,) + kd2[c] for c in sorted(kd2))
-                    cur = nxt.get(nkey, [])
-                    prod = _poly_mul(cnt, sub)
-                    nxt[nkey] = _add_into(cur, prod)
+                    _merge(nxt, nkey, cnt.convolve(sub))
         state = nxt
 
     def discharge(a: int) -> None:
         nonlocal state
-        nxt: dict[tuple, list[int]] = {}
+        nxt: dict[tuple, CountVector] = {}
         for key, cnt in state.items():
             keep = []
             ok = True
@@ -392,17 +368,17 @@ def _core_count(lg: LabeledGraph) -> CountVector:
                 else:
                     keep.append((c, m, d))
             if ok:
-                _merge(nxt, tuple(keep), cnt, 0)
+                _merge(nxt, tuple(keep), cnt)
         state = nxt
 
     chain_ends = [(a, b) for a, b, _ in chains]
     for a in order:
         # introduce a
-        nxt: dict[tuple, list[int]] = {}
+        nxt: dict[tuple, CountVector] = {}
         for key, cnt in state.items():
             for m in (0, 1):
                 nkey = tuple(sorted(key + ((a, m, 0),)))
-                _merge(nxt, nkey, cnt, m)
+                _merge(nxt, nkey, cnt.shift(1) if m else cnt)
         state = nxt
         live.add(a)
         for ci, (ca, cb) in enumerate(chain_ends):
@@ -419,22 +395,8 @@ def _core_count(lg: LabeledGraph) -> CountVector:
                 discharge(c)
                 live.discard(c)
     assert all(folded) and not live
-    total: list[int] = []
-    for key, cnt in state.items():
-        assert key == ()
-        total = _add_into(total, cnt)
-    return CountVector(total)
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+    assert all(key == () for key in state)
+    return sum(state.values(), CountVector.zero())
 
 
 def _enum_count(lg: LabeledGraph) -> CountVector:

@@ -531,29 +531,33 @@ def sc_count(inst: ScIncidence, weights: ScWeights | None = None,
 
 
 def _sc(inst: ScIncidence, env: _ScEnv, depth: int, resep_n: int,
-        frozen: Fraction | None) -> CountVector:
+        frozen: Fraction | None, connected: bool = False) -> CountVector:
+    """One engine node.  `connected` marks a node whose parent was an
+    annotation or a separator move: those leave the incidence graph as it
+    was, nonempty and connected, so the leaf and split checks are skipped."""
     st, aud = env.stats, env.audit
     st.max_depth = max(st.max_depth, depth)
     if aud is not None:
         inst.check()
     g = inst.incidence
 
-    if not g.vertices():
-        st.leaves += 1
-        if aud:
-            aud.record("leaf", inst, [])
-        return CountVector.one()
+    if not connected:
+        if not g.vertices():
+            st.leaves += 1
+            if aud:
+                aud.record("leaf", inst, [])
+            return CountVector.one()
 
-    comps = connected_components(g)
-    if len(comps) > 1:
-        st.splits += 1
-        children = [_component(inst, comp) for comp in comps]
-        if aud:
-            aud.record("split", inst, children, note=f"{len(comps)} parts")
-        vec = CountVector.one()
-        for child in children:
-            vec = vec.convolve(_sc(child, env, depth + 1, -1, None))
-        return vec
+        comps = connected_components(g)
+        if len(comps) > 1:
+            st.splits += 1
+            children = [_component(inst, comp) for comp in comps]
+            if aud:
+                aud.record("split", inst, children, note=f"{len(comps)} parts")
+            vec = CountVector.one()
+            for child in children:
+                vec = vec.convolve(_sc(child, env, depth + 1, -1, None))
+            return vec
 
     # annotate a degree <= 1 vertex, else a duplicate degree-2 one; the
     # parent is snapshotted only for the audit, which measures both
@@ -568,7 +572,7 @@ def _sc(inst: ScIncidence, env: _ScEnv, depth: int, resep_n: int,
         if aud:
             aud.record("annotate", parent, [inst],
                        note=f"v={v}" if low else f"dup v={v}", frozen_arg=frozen)
-        return _sc(inst, env, depth + 1, -1, frozen)
+        return _sc(inst, env, depth + 1, -1, frozen, connected=True)
 
     d_set = max((inst.active_degree(v) for v in inst.active_vertices()
                  if inst.is_set(v)), default=0)
@@ -651,7 +655,7 @@ def _sc3(inst: ScIncidence, env: _ScEnv, depth: int,
                    lambda u: adj[u] - inst.annotated)
         if aud:
             aud.record(kind, parent, [inst], frozen_arg=frozen)
-        return _sc(inst, env, depth + 1, resep_n, frozen)
+        return _sc(inst, env, depth + 1, resep_n, frozen, connected=True)
 
     for s in s_sorted:
         if not side_nbrs(s, "L"):

@@ -270,6 +270,34 @@ class TestExitCodes:
         assert code == 0
         assert out == run(["count-ds"], K4)[1]
 
+    @pytest.mark.parametrize("argv", [
+        ["count-ds", "--subcubic"],
+        ["maxcut"],
+        ["solve-csp"],
+        ["max2sat"],
+        ["separate"],
+        ["gen", "cubic", "--n", "8"],
+        ["trace-lb", "--family", "g3", "--n", "8"],
+        ["oracle", "ds"],
+    ])
+    def test_weights_rejected_where_ignored(self, argv, tmp_path):
+        wfile = tmp_path / "w.txt"
+        wfile.write_text("# the published table\n")
+        text = {"solve-csp": run(["gen", "csp", "--n", "4", "--m", "3"])[1],
+                "max2sat": "p cnf 2 1\n1 2 0\n"}.get(argv[0], K4)
+        code, out, err = run(argv + ["--weights", str(wfile)], text)
+        assert code == 2 and out == "" and "weights" in err
+
+    def test_weights_accepted_where_read(self, tmp_path):
+        wfile = tmp_path / "w.txt"
+        wfile.write_text("# the published table\n")
+        w = ["--weights", str(wfile)]
+        assert run(["count-ds"] + w, K4) == run(["count-ds"], K4)
+        assert run(["count-sc"] + w, SC_SAMPLE) == run(["count-sc"], SC_SAMPLE)
+        code, out, err = run(["maxcut", "--audit-measure"] + w, K4)
+        assert code == 0 and out == run(["maxcut"], K4)[1]
+        assert "stat,audit_violations," in err
+
 
 class TestDeterminism:
     def test_byte_identical_stdout(self):

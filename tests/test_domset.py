@@ -1,12 +1,17 @@
 """Dominating-set counter: branching rules, terminal counters, pivot
 sharing with the CSP engine, and oracle equivalence on labeled graphs."""
 
+import json
 import random
+from contextlib import redirect_stdout
+from io import StringIO
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from strategies import labeled_subcubic
 
+from smc.cli import main
 from smc.counts import CountVector
 from smc.csp import encode_maxcut
 from smc.csp_solve import select_pivot
@@ -16,13 +21,19 @@ from smc.domset import (
     U,
     DsAudit,
     LabeledGraph,
+    _chain_table,
+    _chains_of,
+    _core_count,
+    _cycle_count,
+    _needs,
+    _path_count,
     branch3,
     count_ds,
     format_labeled_graph,
     parse_labeled_graph,
     select_pivot_ds,
 )
-from smc.graph import Graph
+from smc.graph import Graph, connected_components, format_graph, induced_subgraph
 from smc.oracles import brute_domset
 from smc.separator import separate_cubic
 
@@ -268,3 +279,304 @@ class TestTextFormat:
         txt = format_labeled_graph(LabeledGraph.all_u(Graph.complete(4)))
         with pytest.raises(AssertionError):
             parse_labeled_graph(txt + "label 0 C\n")
+
+
+# -- the former list-based chain DPs, kept as the oracle for the CountVector ones
+
+
+def list_chain_table(
+    lg: LabeledGraph, seq: list[int], m_a: int | None, m_b: int | None
+) -> dict[tuple[int, int], list[int]]:
+    # states: (first membership, previous membership, previous vertex
+    #          still undominated) -> counts by size
+    state: dict[tuple[int, int, int], list[int]] = {}
+    v0 = seq[0]
+    for c in (0, 1) if lg.label[v0] != N else (0,):
+        pend = int(_needs(lg.label[v0]) and not c and not (m_a or 0))
+        state[(c, c, pend)] = _list_bump([], c, 1)
+    for v in seq[1:]:
+        nxt: dict[tuple[int, int, int], list[int]] = {}
+        for (c0, cp, pend), cnt in state.items():
+            for c in (0, 1) if lg.label[v] != N else (0,):
+                if pend and not c:
+                    continue  # the previous vertex ran out of dominators
+                np = int(_needs(lg.label[v]) and not c and not cp)
+                _list_merge(nxt, (c0, c, np), cnt, c)
+        state = nxt
+    out: dict[tuple[int, int], list[int]] = {}
+    for (c0, cp, pend), cnt in state.items():
+        if pend and not (m_b or 0):
+            continue
+        key = (c0, cp)
+        out[key] = _list_add_into(out.get(key), cnt)
+    return out
+
+
+def _list_bump(counts: list[int], shift: int, value: int) -> list[int]:
+    out = list(counts) + [0] * (shift + 1 - len(counts))
+    while len(out) <= shift:
+        out.append(0)
+    out[shift] += value
+    return out
+
+
+def _list_merge(table: dict, key: tuple, counts: list[int], shift: int) -> None:
+    cur = table.get(key, [])
+    need = len(counts) + shift
+    cur = cur + [0] * (need - len(cur))
+    for i, x in enumerate(counts):
+        cur[i + shift] += x
+    table[key] = cur
+
+
+def _list_add_into(cur: list[int] | None, counts: list[int]) -> list[int]:
+    if cur is None:
+        return list(counts)
+    out = cur + [0] * (len(counts) - len(cur))
+    for i, x in enumerate(counts):
+        out[i] += x
+    return out
+
+
+def list_cycle_count(lg: LabeledGraph, seq: list[int]) -> CountVector:
+    v0 = seq[0]
+    total: list[int] = []
+    for c0 in (0, 1) if lg.label[v0] != N else (0,):
+        # state: (previous membership, previous pending, first pending)
+        state: dict[tuple[int, int, int], list[int]] = {
+            (c0, 0, int(_needs(lg.label[v0]) and not c0)): _list_bump([], c0, 1)
+        }
+        for pos, v in enumerate(seq[1:]):
+            nxt: dict[tuple[int, int, int], list[int]] = {}
+            for (cp, pend, first), cnt in state.items():
+                for c in (0, 1) if lg.label[v] != N else (0,):
+                    if pend and not c:
+                        continue
+                    np = int(_needs(lg.label[v]) and not c and not cp)
+                    # only the second vertex can clear the first one early
+                    nf = int(first and not c) if pos == 0 else first
+                    _list_merge(nxt, (c, np, nf), cnt, c)
+            state = nxt
+        for (cp, pend, first), cnt in state.items():
+            if pend and not c0:
+                continue  # last vertex only has the first one left
+            if first and not cp:
+                continue  # first vertex only has the last one left
+            total = _list_add_into(total, cnt)
+    return CountVector(total)
+
+
+def list_core_count(lg: LabeledGraph) -> CountVector:
+    g = lg.graph
+    cores = {v for v in g.vertices() if g.degree(v) == 3}
+    assert cores, "core sweep needs at least one degree-3 vertex"
+    for a in cores:
+        assert lg.label[a] == U
+    chains = _chains_of(g, cores)
+    tables = [
+        {
+            (m_a, m_b): list_chain_table(lg, run, m_a, m_b)
+            for m_a in (0, 1)
+            for m_b in ((0, 1) if b is not None else (None,))
+        }
+        if run
+        else None  # direct core-core edge: no internal vertices
+        for (a, b, run) in chains
+    ]
+
+    # fold order: cores by BFS over chain adjacency, chains as soon as ready
+    order: list[int] = []
+    seen = set()
+    adj: dict[int, list[int]] = {a: [] for a in cores}
+    for a, b, _ in chains:
+        if b is not None and b != a:
+            adj[a].append(b)
+            adj[b].append(a)
+    for start in sorted(cores):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue = [start]
+        while queue:
+            v = queue.pop(0)
+            order.append(v)
+            for u in sorted(adj[v]):
+                if u not in seen:
+                    seen.add(u)
+                    queue.append(u)
+
+    slots = {a: 0 for a in cores}  # folded edge slots per core
+    # state: frozen tuple of (core, membership, dominated) -> counts by size
+    state: dict[tuple, list[int]] = {(): [1]}
+    live: set[int] = set()
+    folded = [False] * len(chains)
+
+    def fold(ci: int) -> None:
+        nonlocal state
+        a, b, run = chains[ci]
+        nxt: dict[tuple, list[int]] = {}
+        for key, cnt in state.items():
+            kd = dict((c, (m, d)) for c, m, d in key)
+            m_a, d_a = kd[a]
+            if b is not None:
+                m_b, d_b = kd[b]
+            if not run:
+                # direct edge: each endpoint dominates the other if taken
+                kd[a] = (m_a, d_a or m_b)
+                kd[b] = (m_b, d_b or m_a)
+                nkey = tuple((c,) + kd[c] for c in sorted(kd))
+                _list_merge(nxt, nkey, cnt, 0)
+            else:
+                tab = tables[ci][(m_a, m_b if b is not None else None)]
+                for (first_in, last_in), sub in tab.items():
+                    kd2 = dict(kd)
+                    kd2[a] = (m_a, d_a or first_in)
+                    if b is not None:
+                        mb, db = kd2[b]
+                        kd2[b] = (mb, db or last_in)
+                    nkey = tuple((c,) + kd2[c] for c in sorted(kd2))
+                    cur = nxt.get(nkey, [])
+                    prod = _list_poly_mul(cnt, sub)
+                    nxt[nkey] = _list_add_into(cur, prod)
+        state = nxt
+
+    def discharge(a: int) -> None:
+        nonlocal state
+        nxt: dict[tuple, list[int]] = {}
+        for key, cnt in state.items():
+            keep = []
+            ok = True
+            for c, m, d in key:
+                if c == a:
+                    if not (m or d):
+                        ok = False  # an undominated core vertex is final here
+                        break
+                else:
+                    keep.append((c, m, d))
+            if ok:
+                _list_merge(nxt, tuple(keep), cnt, 0)
+        state = nxt
+
+    chain_ends = [(a, b) for a, b, _ in chains]
+    for a in order:
+        # introduce a
+        nxt: dict[tuple, list[int]] = {}
+        for key, cnt in state.items():
+            for m in (0, 1):
+                nkey = tuple(sorted(key + ((a, m, 0),)))
+                _list_merge(nxt, nkey, cnt, m)
+        state = nxt
+        live.add(a)
+        for ci, (ca, cb) in enumerate(chain_ends):
+            if folded[ci]:
+                continue
+            if ca in live and (cb is None or cb in live):
+                fold(ci)
+                folded[ci] = True
+                slots[ca] += 1
+                if cb is not None:
+                    slots[cb] += 1  # a chain looping back spends two slots of ca
+        for c in sorted(live.copy()):
+            if slots[c] == 3:
+                discharge(c)
+                live.discard(c)
+    assert all(folded) and not live
+    total: list[int] = []
+    for key, cnt in state.items():
+        assert key == ()
+        total = _list_add_into(total, cnt)
+    return CountVector(total)
+
+
+def _list_poly_mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+
+@st.composite
+def labeled_chains(draw, min_n: int = 1, max_n: int = 40):
+    """(labels, vertex sequence) of a U/N/C chain; the DPs read only these."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    seq = draw(st.permutations(range(n)))
+    labels = draw(st.lists(st.sampled_from([U, N, C]), min_size=n, max_size=n))
+    g = Graph(range(n), zip(seq, seq[1:]))
+    return LabeledGraph(g, dict(zip(seq, labels))), seq
+
+
+@st.composite
+def labeled_cores(draw, max_n: int = 12):
+    """A connected labeled subcubic graph with at least one degree-3 vertex."""
+    lg = draw(labeled_subcubic(max_n=max_n, min_n=4))
+    g = lg.graph
+    assume(g.max_degree() == 3)
+    top = min(v for v in g.vertices() if g.degree(v) == 3)
+    comp = next(c for c in connected_components(g) if top in c)
+    return LabeledGraph(induced_subgraph(g, comp), {v: lg.label[v] for v in comp})
+
+
+def exact(vecs: dict) -> dict:
+    return {k: tuple(v.counts if isinstance(v, CountVector) else v) for k, v in vecs.items()}
+
+
+class TestChainDpOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(labeled_chains())
+    def test_chain_table_every_end_pair(self, case):
+        lg, seq = case
+        for m_a in (None, 0, 1):
+            for m_b in (None, 0, 1):
+                want = list_chain_table(lg, seq, m_a, m_b)
+                if m_a is None:  # nothing reads the first bit; it is kept at 0
+                    merged: dict = {}
+                    for (_, cp), cnt in want.items():
+                        merged[(0, cp)] = _list_add_into(merged.get((0, cp)), cnt)
+                    want = merged
+                assert exact(_chain_table(lg, seq, m_a, m_b)) == exact(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(labeled_chains())
+    def test_path_count(self, case):
+        lg, seq = case
+        total: list[int] = []
+        for cnt in list_chain_table(lg, seq, None, None).values():
+            total = _list_add_into(total, cnt)
+        assert _path_count(lg, seq).counts == tuple(total)
+
+    @settings(max_examples=150, deadline=None)
+    @given(labeled_chains(min_n=3))
+    def test_cycle_count(self, case):
+        lg, seq = case
+        assert _cycle_count(lg, seq).counts == list_cycle_count(lg, seq).counts
+
+    @settings(max_examples=100, deadline=None)
+    @given(labeled_cores())
+    def test_core_count(self, lg):
+        assert _core_count(lg).counts == list_core_count(lg).counts
+
+
+class TestDominationPolynomialRecurrence:
+    """D(G_n) = x (D(G_n-1) + D(G_n-2) + D(G_n-3)) for paths and cycles
+    (Alikhani-Peng), seeded by brute force at n = 4, 5, 6."""
+
+    @pytest.mark.parametrize("make", [Graph.path, Graph.cycle], ids=["path", "cycle"])
+    def test_cli_matches_recurrence_at_1200(self, make, tmp_path):
+        n_top = 1200
+        window = [brute_domset(LabeledGraph.all_u(make(k))) for k in (4, 5, 6)]
+        for k in range(7, n_top + 1):
+            window = window[1:] + [(window[0] + window[1] + window[2]).shift(1)]
+            if k <= 12:  # the recurrence itself, inside oracle range
+                assert window[-1] == brute_domset(LabeledGraph.all_u(make(k)))
+        path = tmp_path / "chain.graph"
+        path.write_text(format_graph(make(n_top)))
+        out = StringIO()
+        with redirect_stdout(out):
+            code = main(["count-ds", "--subcubic", "--json", "--input", str(path)])
+        assert code == 0
+        assert json.loads(out.getvalue())["counts"] == window[-1].to_list(n_top)
