@@ -35,7 +35,7 @@ from smc.generators import (
 )
 from smc.graph import Graph, format_graph, parse_graph
 from smc.oracles import brute_domset, brute_max2csp, brute_setcover
-from smc.separator import separate_balanced_by_measure, separate_cubic
+from smc.separator import nice_path_decomposition, separate_balanced_by_measure, separate_cubic
 from smc.setcover import ScAudit, ds_to_sc, parse_sc, sc_count
 from smc.weights import CspWeights, ScWeights, parse_csp_weights, parse_sc_weights
 
@@ -168,6 +168,8 @@ def _print_counts(cfg: RunConfig, vec, n_top: int, stats=None) -> None:
 def cmd_count_ds(cfg: RunConfig, args) -> int:
     if args.policy is not None and not args.subcubic:
         raise InputError("--policy needs --subcubic")
+    if args.seed is not None and not args.subcubic:
+        raise InputError("--seed needs --subcubic")
     if cfg.weights is not None and args.subcubic:
         raise InputError("--weights does not apply to --subcubic")
     lg = _parse_input(cfg, parse_labeled_graph)
@@ -209,7 +211,7 @@ def cmd_separate(cfg: RunConfig, args) -> int:
     if g.max_degree() <= 3:
         sep = separate_cubic(g, seed=cfg.seed)
     else:
-        sep = separate_balanced_by_measure(g, lambda v: 1, 1)
+        sep = separate_balanced_by_measure(g, lambda v: 1, 1, nice_path_decomposition(g))
     sides = {name: sorted(getattr(sep, attr)) for name, attr in
              (("left", "left"), ("sep", "sep"), ("right", "right"))}
     if cfg.json_out:
@@ -229,6 +231,8 @@ def cmd_separate(cfg: RunConfig, args) -> int:
 
 def cmd_gen(cfg: RunConfig, args) -> int:
     fam = args.family
+    if args.seed is not None and fam not in ("cubic", "csp"):
+        raise InputError(f"--seed does not apply to the fixed family {fam}")
     try:
         if fam == "g3":
             out = format_graph(gen_g3(_require(args.n, "--n")))
@@ -376,21 +380,24 @@ _HANDLERS = {
 }
 
 
-def _add_common(sub: argparse.ArgumentParser, policy: bool = False,
-                weights: bool = False) -> None:
-    sub.add_argument("--input", help="input file (default: stdin)")
-    sub.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
-    if policy:  # only where an engine reads it
-        sub.add_argument("--policy", choices=("separator", "local"),
-                         help="branching policy (default: separator)")
-    if weights:  # only where a weight table is read
-        sub.add_argument("--weights", help="weights file overriding the published table")
-    sub.add_argument("--audit-measure", dest="audit", action="store_true",
-                     help="run the per-step measure audit (report on stderr)")
-    sub.add_argument("--stats", action="store_true",
-                     help="emit stat,<name>,<value> lines on stderr")
-    sub.add_argument("--json", dest="json_out", action="store_true",
-                     help="emit one JSON object on stdout")
+_FLAGS = {
+    "--input": dict(help="input file (default: stdin)"),
+    "--seed": dict(type=int, help="64-bit seed (default 0)"),
+    "--policy": dict(choices=("separator", "local"),
+                     help="branching policy (default: separator)"),
+    "--weights": dict(help="weights file overriding the published table"),
+    "--audit-measure": dict(dest="audit", action="store_true",
+                            help="run the per-step measure audit (report on stderr)"),
+    "--stats": dict(action="store_true", help="emit stat,<name>,<value> lines on stderr"),
+    "--json": dict(dest="json_out", action="store_true",
+                   help="emit one JSON object on stdout"),
+}
+
+
+def _add_flags(sub: argparse.ArgumentParser, *flags: str) -> None:
+    """Give a subcommand exactly the shared flags its handler reads."""
+    for flag in flags:
+        sub.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,17 +414,18 @@ def build_parser() -> argparse.ArgumentParser:
         ("maxcut", "Max Cut of a graph via the CSP encoding"),
         ("max2sat", "Max 2-SAT (DIMACS 2-CNF) via the CSP encoding"),
     ):
-        _add_common(subs.add_parser(name, help=helptext), policy=True, weights=True)
+        _add_flags(subs.add_parser(name, help=helptext), *_FLAGS)
 
     ds = subs.add_parser("count-ds", help="dominating-set counts by size")
     ds.add_argument("--subcubic", action="store_true",
                     help="use the native labeled subcubic engine "
                     "(default: set-cover translation)")
-    _add_common(ds, policy=True, weights=True)
+    _add_flags(ds, *_FLAGS)
 
-    _add_common(subs.add_parser("count-sc", help="set-cover counts by size"),
-                weights=True)
-    _add_common(subs.add_parser("separate", help="balanced separation of a graph"))
+    _add_flags(subs.add_parser("count-sc", help="set-cover counts by size"),
+               "--input", "--weights", "--audit-measure", "--stats", "--json")
+    _add_flags(subs.add_parser("separate", help="balanced separation of a graph"),
+               "--input", "--seed", "--stats", "--json")
 
     gen = subs.add_parser("gen", help="emit a family or random instance")
     gen.add_argument("family", choices=("g3", "g4", "g5", "cubic", "csp"))
@@ -426,22 +434,22 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n4", type=int)
     gen.add_argument("--m", type=int)
     gen.add_argument("--r", type=int, default=2)
-    _add_common(gen)
+    _add_flags(gen, "--seed")
 
     tr = subs.add_parser("trace-lb", help="adversarial trace on a family")
     tr.add_argument("--family", choices=("g3", "g4", "g5"), required=True)
     tr.add_argument("--n", type=int)
     tr.add_argument("--n3", type=int)
     tr.add_argument("--n4", type=int)
-    _add_common(tr)
+    _add_flags(tr, "--stats", "--json")
 
     am = subs.add_parser("audit-measure", help="weight-system feasibility report")
     am.add_argument("--system", choices=("csp", "sc"), required=True)
-    _add_common(am, weights=True)
+    _add_flags(am, "--weights", "--json")
 
     orc = subs.add_parser("oracle", help="brute-force reference solver")
     orc.add_argument("problem", choices=("csp", "ds", "sc"))
-    _add_common(orc)
+    _add_flags(orc, "--input", "--json")
     return top
 
 
@@ -453,13 +461,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code or 0)
     cfg = RunConfig(
         subcommand=args.subcommand,
-        input=args.input,
-        seed=args.seed,
-        audit=args.audit,
-        stats=args.stats,
+        input=getattr(args, "input", None),
+        seed=getattr(args, "seed", None) or 0,
+        audit=getattr(args, "audit", False),
+        stats=getattr(args, "stats", False),
         policy=getattr(args, "policy", None) or "separator",
         weights=getattr(args, "weights", None),
-        json_out=args.json_out,
+        json_out=getattr(args, "json_out", False),
     )
     try:
         return _HANDLERS[cfg.subcommand](cfg, args)

@@ -355,9 +355,12 @@ def separate_balanced_by_measure(
     g: Graph,
     weight: Callable[[int], Fraction],
     cap: Fraction,
+    decomp: PathDecomposition,
 ) -> Separation:
     """Bag-sweep separation with |μ_r(L) - μ_r(R)| ≤ cap.
 
+    `decomp` is a nice path decomposition of g, which the caller builds
+    (``nice_path_decomposition``) and may use for other work too.
     Requires max degree ≤ 6 and per-vertex weight ≤ cap (the sweep's
     balance argument needs both).  First balanced bag wins.  L is the set
     of forgotten vertices; μ_L and μ_S are kept as running sums.
@@ -373,7 +376,6 @@ def separate_balanced_by_measure(
     bad = [v for v in vs if w[v] > cap]
     if bad:
         raise ValueError(f"per-vertex weight exceeds cap at {bad[:3]}")
-    decomp = nice_path_decomposition(g)
     total = sum(w.values())
     mu_l = mu_s = Fraction(0)
     forgotten: list[int] = []

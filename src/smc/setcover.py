@@ -8,6 +8,9 @@ from play without deleting its edges, so annotated vertices can be
 resolved exactly at the leaves from the recorded order and neighbor
 snapshots.
 
+The engine's one terminal, ``sc_dp``, sweeps a nice path decomposition of
+the active part; pieces wider than ``PD_WIDTH_CAP`` are branched on.
+
 Ownership: an engine call owns and consumes its instance.  Annotations
 and separator moves mutate it in place; branches and component splits
 build fresh children.  ``sc_count`` copies the caller's instance once.
@@ -23,7 +26,9 @@ from .graph import Graph, connected_components, induced_subgraph
 from .measures import sc_mu3, sc_mu3_parts, sc_mu4, sc_progress, sc_side_weights
 from .policy import PivotAction, apply_move
 from .separator import (
+    PathDecomposition,
     Separation,
+    nice_path_decomposition,
     separate_balanced_by_measure,
     trivial_separation,
     verify_separation,
@@ -157,7 +162,11 @@ def format_sc(inst: ScIncidence) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- leaf counting: max active degree <= 2 ----------------------------------
+# -- leaf counting: one sweep over a path decomposition ---------------------
+
+# Widest decomposition the engine counts directly instead of branching: a
+# bag holds at most PD_WIDTH_CAP + 1 vertices, so at most 2^9 = 512 states.
+PD_WIDTH_CAP = 8
 
 
 def _fold_set_under(target: tuple[CountVector, CountVector],
@@ -185,13 +194,18 @@ def _fold_elt_under(target: tuple[CountVector, CountVector],
     return ta.convolve(va + vb), tb.convolve(va)
 
 
-def sc_dp(inst: ScIncidence) -> CountVector:
-    """Exact cover counts once the active part has maximum degree <= 2.
+def _add_into(states: dict[int, CountVector], key: int, vec: CountVector) -> None:
+    if vec.counts:  # states that only ever hold zero are left out
+        states[key] = states[key] + vec if key in states else vec
 
-    The active structure is a disjoint union of alternating paths and
-    cycles; annotated vertices are folded back in annotation order.
-    Every vertex carries a generating-function pair over the choices in
-    the material already folded onto it:
+
+def sc_dp(inst: ScIncidence, decomp: PathDecomposition) -> CountVector:
+    """Exact cover counts by one sweep over `decomp`, a nice path
+    decomposition of the active part, with up to 2^(width+1) states.
+
+    Annotated vertices are first folded back in annotation order.  Every
+    vertex carries a generating-function pair over the choices in the
+    material already folded onto it:
 
       set vertex:      (covers, idle)  split by whether its slot covers
                        the remaining neighbors       (base z, 1);
@@ -202,13 +216,14 @@ def sc_dp(inst: ScIncidence) -> CountVector:
     neighbor, or onto its duplicate twin when both snapshot neighbors
     survive; if nothing survives it folds into a global factor, which is
     exact because a deleted set is never taken and a deleted element
-    needs no cover.  Leftover paths and cycles are swept with a
-    pending-coverage transfer DP.
+    needs no cover.
+
+    The sweep's state is the bitmask of "on" bag vertices: sets that
+    cover and elements still pending.  Every edge lies in some bag, so a
+    covering neighbor meets each element in one; forgetting a pending
+    element drops the state.
     """
     g = inst.incidence
-    for v in inst.active_vertices():
-        if inst.active_degree(v) > 2:
-            raise ValueError(f"sc_dp needs max active degree <= 2, vertex {v}")
     assert {a.vertex for a in inst.annotation_log} == set(inst.annotated), (
         "every annotated vertex needs a log entry")
 
@@ -257,77 +272,41 @@ def sc_dp(inst: ScIncidence) -> CountVector:
             total = total.convolve(va + vb if inst.is_set(v) else va)
         absorbed.add(v)
 
-    active = set(g.vertices()) - inst.annotated
-    ag = induced_subgraph(g, active)
-    for comp in connected_components(ag):
-        total = total.convolve(_sweep_chain(ag, comp, pairs, inst))
-    return total
-
-
-def _chain_states(order: list[int], pairs, inst: ScIncidence,
-                  init_bit: int | None = None) -> dict[int, CountVector]:
-    """Transfer DP along an alternating chain.
-
-    State bit after a set vertex: 1 iff its slot covers its neighbors;
-    after an element vertex: 1 iff the element still needs the next set
-    (pending).  `init_bit` forces the first vertex (a set) for cycles.
-    """
-    v0 = order[0]
-    a, b = pairs[v0]
-    if init_bit is None:
-        states = {1: a, 0: b} if inst.is_set(v0) else {0: a, 1: b}
-    else:
-        states = {init_bit: a if init_bit else b}
-    for v in order[1:]:
-        a, b = pairs[v]
-        new = {0: CountVector.zero(), 1: CountVector.zero()}
-        if inst.is_set(v):
-            for p, acc in states.items():
-                new[1] = new[1] + acc.convolve(a)
-                if p == 0:  # pending predecessor kills the idle branch
-                    new[0] = new[0] + acc.convolve(b)
-        else:
-            for c, acc in states.items():
-                new[0] = new[0] + acc.convolve(a)
-                if c == 1:
-                    new[0] = new[0] + acc.convolve(b)
-                else:
-                    new[1] = new[1] + acc.convolve(b)
-        states = new
-    return states
-
-
-def _sweep_chain(ag: Graph, comp: list[int], pairs,
-                 inst: ScIncidence) -> CountVector:
-    if len(comp) == 1:
-        a, b = pairs[comp[0]]
-        return a + b if inst.is_set(comp[0]) else a
-    ends = sorted(v for v in comp if ag.degree(v) <= 1)
-    if ends:  # path
-        order = [ends[0]]
-        prev: int | None = None
-        while len(order) < len(comp):
-            nxt = min(u for u in ag.neighbors(order[-1]) if u != prev)
-            prev = order[-1]
-            order.append(nxt)
-        states = _chain_states(order, pairs, inst)
-        if inst.is_set(order[-1]):
-            return states[0] + states[1]
-        return states[0]
-    # cycle: start at the smallest set vertex, close the pending element
-    # against the start's cover bit
-    start = min(v for v in comp if inst.is_set(v))
-    order = [start, min(ag.neighbors(start))]
-    while len(order) < len(comp):
-        order.append(next(u for u in ag.neighbors(order[-1])
-                          if u != order[-2]))
-    total = CountVector.zero()
-    for c0 in (0, 1):
-        states = _chain_states(order, pairs, inst, init_bit=c0)
-        total = total + states[0]
-        if c0 == 1:
-            total = total + states[1]
-    return total
+    adj = g.neighbor_sets()
+    bit: dict[int, int] = {}  # bag vertex -> its state bit
+    states = {0: CountVector.one()}
+    prev: frozenset[int] = frozenset()
+    # the last bag is not empty: a closing empty bag forgets what it holds
+    for bag in [*decomp.bags, frozenset()]:
+        for v in prev - bag:
+            b = bit.pop(v)
+            new: dict[int, CountVector] = {}
+            for s, acc in states.items():
+                if inst.is_set(v) or not s & b:  # a pending element stays uncovered
+                    _add_into(new, s & ~b, acc)
+            states = new
+        for v in bag - prev:
+            used = sum(bit.values())
+            bit[v] = b = ~used & (used + 1)  # the lowest free bit
+            nb = sum(bit.get(u, 0) for u in adj[v])
+            new = {}
+            if inst.is_set(v):  # taking it covers its pending neighbors
+                covers, idle = pairs[v]
+                for s, acc in states.items():
+                    _add_into(new, s, acc.convolve(idle))
+                    _add_into(new, (s & ~nb) | b, acc.convolve(covers))
+            else:
+                sat, pend = pairs[v]
+                either = sat + pend
+                for s, acc in states.items():
+                    if s & nb:  # a covering set is already in the bag
+                        _add_into(new, s, acc.convolve(either))
+                    else:
+                        _add_into(new, s, acc.convolve(sat))
+                        _add_into(new, s | b, acc.convolve(pend))
+            states = new
+        prev = bag
+    return total.convolve(states.get(0, CountVector.zero()))
 
 
 # -- engine ------------------------------------------------------------------
@@ -519,9 +498,11 @@ def sc_count(inst: ScIncidence, weights: ScWeights | None = None,
              audit: ScAudit | None = None) -> tuple[CountVector, ScStats]:
     """Count set covers of every cardinality (duplicate sets distinct).
 
-    Branches on sets/elements of degree >= 4 until the incidence graph is
-    subcubic, then follows the separator ladder; paths and cycles are
-    counted directly and annotated vertices are resolved at the leaves.
+    A node that would branch in the general phase or re-separate is
+    counted by ``sc_dp`` when its path decomposition has width at most
+    ``PD_WIDTH_CAP``, as is every piece of maximum degree 2.  Wider pieces
+    branch on sets/elements of degree >= 4 until the incidence graph is
+    subcubic, then follow the separator ladder.
     """
     work = inst.copy()
     work.check()
@@ -579,19 +560,26 @@ def _sc(inst: ScIncidence, env: _ScEnv, depth: int, resep_n: int,
     d_elt = max((inst.active_degree(v) for v in inst.active_vertices()
                  if not inst.is_set(v)), default=0)
 
-    if d_set <= 2 and d_elt <= 2:
-        st.dp_calls += 1
-        st.leaves += 1
-        if aud:
-            aud.record("dp", inst, [], frozen_arg=frozen)
-        return sc_dp(inst)
+    # One decomposition per node about to branch in the general phase or to
+    # re-separate: narrow, the node is counted; wide, re-separation sweeps it.
+    ag = decomp = None
+    chains = max(d_set, d_elt) <= 2
+    if not inst.sep.sep or chains:
+        ag = inst.active_graph()
+        decomp = nice_path_decomposition(ag)
+        if decomp.width <= PD_WIDTH_CAP or chains:
+            st.dp_calls += 1
+            st.leaves += 1
+            if aud:
+                aud.record("dp", inst, [], frozen_arg=frozen)
+            return sc_dp(inst, decomp)
 
     if d_set <= 3 and d_elt <= 3:
         if frozen is None:
             frozen = sc_mu3_parts(inst, env.weights)[1]
             if aud:
                 aud.record_handover(inst)
-        return _sc3(inst, env, depth, resep_n, frozen)
+        return _sc3(inst, env, depth, resep_n, frozen, ag, decomp)
 
     # general phase: branch on a maximum-degree set or element
     st.branchings += 1
@@ -614,9 +602,10 @@ def _sc(inst: ScIncidence, env: _ScEnv, depth: int, resep_n: int,
             - _sc(forb, env, depth + 1, -1, None))
 
 
-def _sc3(inst: ScIncidence, env: _ScEnv, depth: int,
-         resep_n: int, frozen: Fraction) -> CountVector:
-    """Subcubic ladder; every action recurses through the outer engine."""
+def _sc3(inst: ScIncidence, env: _ScEnv, depth: int, resep_n: int, frozen: Fraction,
+         ag: Graph | None, decomp: PathDecomposition | None) -> CountVector:
+    """Subcubic ladder; every action recurses through the outer engine.
+    With S empty it re-separates by sweeping `decomp`, the bags of `ag`."""
     st, aud, w = env.stats, env.audit, env.weights
     g = inst.incidence
 
@@ -626,9 +615,8 @@ def _sc3(inst: ScIncidence, env: _ScEnv, depth: int,
             return _stall(inst, env, depth)
         mu_l, mu_s, mu_r = sc_side_weights(inst, w)
         arg_old = max(mu_l, mu_r) + mu_s
-        ag = inst.active_graph()
         inst.sep = separate_balanced_by_measure(
-            ag, lambda v: w.wright(ag.degree(v)), w.B)
+            ag, lambda v: w.wright(ag.degree(v)), w.B, decomp)
         st.separator_recomputes += 1
         resep_n = n_act
         mu_l, mu_s, mu_r = sc_side_weights(inst, w)

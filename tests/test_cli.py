@@ -136,9 +136,10 @@ class TestCounting:
 
 
 class TestSeparate:
-    @pytest.mark.parametrize("gen_args", [["g3", "--n", "16"], ["cubic", "--n", "14"]])
+    @pytest.mark.parametrize("gen_args", [["g3", "--n", "16"],
+                                          ["cubic", "--n", "14", "--seed", "3"]])
     def test_output_is_valid_separation(self, gen_args):
-        _, text, _ = run(["gen", *gen_args, "--seed", "3"])
+        _, text, _ = run(["gen", *gen_args])
         code, out, _ = run(["separate", "--seed", "3"], text)
         assert code == 0
         sides = {}
@@ -297,6 +298,39 @@ class TestExitCodes:
         code, out, err = run(["maxcut", "--audit-measure"] + w, K4)
         assert code == 0 and out == run(["maxcut"], K4)[1]
         assert "stat,audit_violations," in err
+
+
+    @pytest.mark.parametrize("argv", [
+        ["count-sc", "--seed", "5"],
+        ["count-ds", "--seed", "5"],
+        ["gen", "g3", "--n", "8", "--seed", "5"],
+        ["oracle", "ds", "--seed", "5"],
+        ["separate", "--audit-measure"],
+        ["oracle", "ds", "--audit-measure"],
+        ["gen", "cubic", "--n", "8", "--stats"],
+        ["audit-measure", "--system", "sc", "--stats"],
+        ["trace-lb", "--family", "g3", "--n", "8", "--input", "-"],
+        ["audit-measure", "--system", "sc", "--input", "-"],
+        ["gen", "cubic", "--n", "8", "--json"],
+    ])
+    def test_shared_flag_rejected_where_ignored(self, argv):
+        flag = next(a for a in argv if a in ("--seed", "--audit-measure", "--stats",
+                                             "--input", "--json"))
+        code, out, err = run(argv, SC_SAMPLE if argv[0] == "count-sc" else K4)
+        assert code == 2 and out == "" and flag in err
+
+    def test_shared_flags_accepted_where_read(self, tmp_path):
+        assert run(["count-ds", "--subcubic", "--seed", "5"], K4)[1] == run(["count-ds"], K4)[1]
+        assert run(["gen", "cubic", "--n", "8", "--seed", "5"])[0] == 0
+        code, out, err = run(["count-sc", "--audit-measure"], SC_SAMPLE)
+        assert code == 0 and out == "counts 0 0 1\n" and "stat,audit_violations,0" in err
+        code, _, err = run(["separate", "--stats"], K4)
+        assert code == 0 and "stat,sep_size," in err
+        path = tmp_path / "k4.graph"
+        path.write_text(K4)
+        assert run(["oracle", "ds", "--input", str(path)]) == run(["oracle", "ds"], K4)
+        code, out, _ = run(["oracle", "sc", "--json"], SC_SAMPLE)
+        assert code == 0 and json.loads(out) == {"counts": [0, 0, 1]}
 
 
 class TestDeterminism:

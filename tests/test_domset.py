@@ -565,9 +565,8 @@ class TestDominationPolynomialRecurrence:
     """D(G_n) = x (D(G_n-1) + D(G_n-2) + D(G_n-3)) for paths and cycles
     (Alikhani-Peng), seeded by brute force at n = 4, 5, 6."""
 
-    @pytest.mark.parametrize("make", [Graph.path, Graph.cycle], ids=["path", "cycle"])
-    def test_cli_matches_recurrence_at_1200(self, make, tmp_path):
-        n_top = 1200
+    @staticmethod
+    def check(make, n_top: int, route: list[str], tmp_path) -> None:
         window = [brute_domset(LabeledGraph.all_u(make(k))) for k in (4, 5, 6)]
         for k in range(7, n_top + 1):
             window = window[1:] + [(window[0] + window[1] + window[2]).shift(1)]
@@ -577,6 +576,15 @@ class TestDominationPolynomialRecurrence:
         path.write_text(format_graph(make(n_top)))
         out = StringIO()
         with redirect_stdout(out):
-            code = main(["count-ds", "--subcubic", "--json", "--input", str(path)])
+            code = main(["count-ds", *route, "--json", "--input", str(path)])
         assert code == 0
         assert json.loads(out.getvalue())["counts"] == window[-1].to_list(n_top)
+
+    @pytest.mark.parametrize("make", [Graph.path, Graph.cycle], ids=["path", "cycle"])
+    def test_cli_matches_recurrence_at_1200(self, make, tmp_path):
+        self.check(make, 1200, ["--subcubic"], tmp_path)
+
+    @pytest.mark.parametrize("make", [Graph.path, Graph.cycle], ids=["path", "cycle"])
+    def test_set_cover_route_matches_recurrence_at_400(self, make, tmp_path):
+        # width 1 and 2: counted by the path-decomposition DP without branching
+        self.check(make, 400, [], tmp_path)

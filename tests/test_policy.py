@@ -4,7 +4,9 @@
 and one per way a drag-path run can end.  The engine tests pin count
 vectors and full stats of both #DS routes on seeded cubic graphs and on
 cubic graphs with subdivided edges, and check that attaching an audit
-changes neither.
+changes neither.  The set-cover pins run the separator ladder with the
+path-decomposition terminal switched off (``PD_WIDTH_CAP`` = -1), and
+once more at the shipped cap.
 """
 
 import random
@@ -149,15 +151,36 @@ PINNED = {
 }
 
 
+# sc_count stats at the shipped PD_WIDTH_CAP, where narrow pieces are
+# counted by the path-decomposition DP instead of the ladder
+PINNED_AT_CAP = {
+    (24, 0, 0): {'branchings': 7, 'annotations': 8, 'dp_calls': 8, 'splits': 0,
+                 'leaves': 8, 'max_depth': 6, 'separator_recomputes': 0},
+    (24, 2, 0): {'branchings': 4, 'annotations': 4, 'dp_calls': 5, 'splits': 0,
+                 'leaves': 5, 'max_depth': 4, 'separator_recomputes': 0},
+    (24, 3, 0): {'branchings': 13, 'annotations': 10, 'dp_calls': 14, 'splits': 0,
+                 'leaves': 14, 'max_depth': 8, 'separator_recomputes': 0},
+    (18, 1, 5): {'branchings': 1, 'annotations': 1, 'dp_calls': 2, 'splits': 0,
+                 'leaves': 2, 'max_depth': 2, 'separator_recomputes': 0},
+    (20, 2, 3): {'branchings': 0, 'annotations': 0, 'dp_calls': 1, 'splits': 0,
+                 'leaves': 1, 'max_depth': 0, 'separator_recomputes': 0},
+}
+
+
 class TestEnginesPinned:
     @pytest.mark.parametrize("key", sorted(PINNED))
-    def test_count_ds_and_sc_count(self, key):
+    def test_count_ds_and_sc_count(self, key, ladder):
         counts, ds_stats, sc_stats = PINNED[key]
         g = pinned_graph(*key)
         vec, stats = count_ds(LabeledGraph.all_u(g))
         assert vec.counts == counts and asdict(stats) == ds_stats
         vec, stats = sc_count(ds_to_sc(g))
         assert vec.counts == counts and asdict(stats) == sc_stats
+
+    @pytest.mark.parametrize("key", sorted(PINNED_AT_CAP))
+    def test_sc_count_at_width_cap(self, key):
+        vec, stats = sc_count(ds_to_sc(pinned_graph(*key)))
+        assert vec.counts == PINNED[key][0] and asdict(stats) == PINNED_AT_CAP[key]
 
 
 class TestAuditIsPassive:
@@ -169,7 +192,7 @@ class TestAuditIsPassive:
         assert audit.entries
 
     @pytest.mark.parametrize("key", [(12, 0, 0), (14, 1, 0), (12, 0, 2)])
-    def test_sc_count(self, key):
+    def test_sc_count(self, key, ladder):
         inst = ds_to_sc(pinned_graph(*key))
         audit = ScAudit()
         assert sc_count(inst, audit=audit) == sc_count(inst)

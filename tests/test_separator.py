@@ -347,6 +347,10 @@ class TestValidate:
             self.pd({0}, {0, 1}, {1}, {1, 2}, {2}, {2, 7}).validate(self.G)
 
 
+def sweep(g: Graph, weight, cap) -> Separation:
+    return separate_balanced_by_measure(g, weight, cap, nice_path_decomposition(g))
+
+
 class TestBalancedByMeasure:
     @staticmethod
     def unit(_v: int) -> Fraction:
@@ -354,7 +358,7 @@ class TestBalancedByMeasure:
 
     def test_p5(self):
         g = Graph.path(5)
-        s = separate_balanced_by_measure(g, self.unit, Fraction(1))
+        s = sweep(g, self.unit, Fraction(1))
         assert verify_separation(g, s)
         assert abs(len(s.left) - len(s.right)) <= 1
 
@@ -372,22 +376,20 @@ class TestBalancedByMeasure:
 
     def test_single_vertex(self):
         g = Graph([0])
-        s = separate_balanced_by_measure(g, self.unit, Fraction(1))
+        s = sweep(g, self.unit, Fraction(1))
         assert verify_separation(g, s)
 
     def test_degree_guard(self):
         with pytest.raises(ValueError):
-            separate_balanced_by_measure(Graph.complete(8), self.unit, Fraction(10))
+            sweep(Graph.complete(8), self.unit, Fraction(10))
 
     def test_weight_cap_precondition(self):
         with pytest.raises(ValueError):
-            separate_balanced_by_measure(
-                Graph.path(3), lambda v: Fraction(2), Fraction(1)
-            )
+            sweep(Graph.path(3), lambda v: Fraction(2), Fraction(1))
 
     def test_petersen(self):
         g = petersen()
-        s = separate_balanced_by_measure(g, self.unit, Fraction(1))
+        s = sweep(g, self.unit, Fraction(1))
         assert verify_separation(g, s)
         assert abs(len(s.left) - len(s.right)) <= 1
 
@@ -396,7 +398,7 @@ class TestBalancedByMeasure:
     def test_unit_weight_balance(self, g):
         if g.n == 0:
             return
-        s = separate_balanced_by_measure(g, self.unit, Fraction(1))
+        s = sweep(g, self.unit, Fraction(1))
         assert verify_separation(g, s)
         assert abs(len(s.left) - len(s.right)) <= 1
         assert len(s.left) <= len(s.right)
@@ -405,6 +407,6 @@ class TestBalancedByMeasure:
     @given(weighted_graphs())
     def test_matches_reference_sweep(self, case):
         g, w, cap = case
-        s = separate_balanced_by_measure(g, w.__getitem__, cap)
+        s = sweep(g, w.__getitem__, cap)
         ref = reference_sweep(g, w, cap)
         assert (s.left, s.sep, s.right) == (ref.left, ref.sep, ref.right)

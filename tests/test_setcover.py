@@ -1,21 +1,28 @@
-"""Set-cover counting: incidence plumbing, the degree-<=2 transfer DP with
+"""Set-cover counting: incidence plumbing, the path-decomposition DP with
 annotation resolution, the subcubic separator ladder, oracle equivalence,
-and the runtime measure audit."""
+and the runtime measure audit.  The ladder is tested with the DP terminal
+switched off (the ``ladder`` fixture), since at the shipped width cap
+small instances never reach it."""
 
 import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from strategies import graphs, sc_instances
 
+import smc.setcover
 from smc.counts import CountVector
 from smc.domset import LabeledGraph
 from smc.graph import Graph
 from smc.oracles import brute_domset, brute_setcover
-from smc.separator import trivial_separation
+from smc.separator import nice_path_decomposition, trivial_separation
 from smc.setcover import (
+    PD_WIDTH_CAP,
+    Annotation,
     ScAudit,
     ScIncidence,
+    _find_duplicate,
     ds_to_sc,
     format_sc,
     parse_sc,
@@ -34,6 +41,25 @@ def inst_from_sets(sets: list[set[int]], ne: int) -> ScIncidence:
         set(range(ne, ne + len(sets))),
         sep=trivial_separation(range(ne + len(sets))),
     )
+
+
+def dp(inst: ScIncidence) -> CountVector:
+    return sc_dp(inst, nice_path_decomposition(inst.active_graph()))
+
+
+def annotated(inst: ScIncidence, steps: int) -> ScIncidence:
+    """A copy after up to `steps` of the engine's annotation steps: the
+    smallest active vertex of degree <= 1, else a duplicate of degree 2."""
+    inst = inst.copy()
+    for _ in range(steps):
+        low = [v for v in inst.active_vertices() if inst.active_degree(v) <= 1]
+        v = min(low) if low else _find_duplicate(inst)
+        if v is None:
+            break
+        inst.annotation_log.append(Annotation(v, tuple(inst.active_neighbors(v))))
+        inst.annotated.add(v)
+        inst.sep.discard(v)
+    return inst
 
 
 def random_cubic(n: int, rng: random.Random) -> Graph:
@@ -155,21 +181,35 @@ class TestScDp:
     def test_alternating_path_of_four(self):
         # e0-s0-e1-s1 with s0={e0,e1}, s1={e1}
         inst = inst_from_sets([{0, 1}, {1}], 2)
-        vec = sc_dp(inst)
+        vec = dp(inst)
         assert vec.to_list(2) == [0, 1, 1]
         assert vec == brute_setcover(inst)
 
     def test_live_cycle(self):
         # 6-cycle: three sets chained around three elements
         inst = inst_from_sets([{0, 1}, {1, 2}, {2, 0}], 3)
-        assert sc_dp(inst) == brute_setcover(inst)
+        assert dp(inst) == brute_setcover(inst)
 
-    def test_degree_guard(self):
-        with pytest.raises(ValueError):
-            sc_dp(inst_from_sets([{0}, {0}, {0}], 1))
+    def test_any_degree(self):
+        # an element in three sets; a set and an element of degree 4
+        for sets, ne in (([{0}, {0}, {0}], 1),
+                         ([{0, 1, 2, 3}, {0, 1}, {2, 3}, {1, 2}, {0, 3}, {0, 2}], 4)):
+            inst = inst_from_sets(sets, ne)
+            assert dp(inst) == brute_setcover(inst)
 
     def test_empty(self):
-        assert sc_dp(inst_from_sets([], 0)).to_list(0) == [1]
+        assert dp(inst_from_sets([], 0)).to_list(0) == [1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(sc_instances(max_sets=8, max_elems=8), st.integers(0, 20))
+    def test_matches_brute_setcover_after_annotations(self, inst, steps):
+        assert dp(annotated(inst, steps)) == brute_setcover(inst)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(max_n=9), st.integers(0, 20))
+    def test_translation_matches_brute_domset_after_annotations(self, g, steps):
+        inst = annotated(ds_to_sc(g), steps)
+        assert dp(inst) == brute_domset(LabeledGraph.all_u(g))
 
     def test_full_annotation_resolution(self):
         # paths and cycles peel completely through the deg<=1 and duplicate
@@ -200,7 +240,7 @@ class TestSc3:
             got, _ = sc_count(ds_to_sc(g))
             assert got == brute_domset(LabeledGraph.all_u(g))
 
-    def test_cubic_graphs_via_general_ladder(self):
+    def test_cubic_graphs_via_general_ladder(self, ladder):
         rng = random.Random(5)
         for _ in range(4):
             g = random_cubic(8, rng)
@@ -210,34 +250,44 @@ class TestSc3:
 
 
 class TestOracleEquivalence:
+    """At the shipped width cap, and with the ladder on every piece."""
+
     @settings(max_examples=150, deadline=None)
     @given(sc_instances(max_sets=8, max_elems=8))
     def test_matches_brute_setcover(self, inst):
-        vec, _ = sc_count(inst)
-        assert vec == brute_setcover(inst)
+        want = brute_setcover(inst)
+        assert sc_count(inst)[0] == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(smc.setcover, "PD_WIDTH_CAP", -1)
+            assert sc_count(inst)[0] == want
 
     @settings(max_examples=150, deadline=None)
     @given(graphs(max_n=9))
     def test_translation_matches_brute_domset(self, g):
-        vec, _ = sc_count(ds_to_sc(g))
-        assert vec == brute_domset(LabeledGraph.all_u(g))
+        want = brute_domset(LabeledGraph.all_u(g))
+        assert sc_count(ds_to_sc(g))[0] == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(smc.setcover, "PD_WIDTH_CAP", -1)
+            assert sc_count(ds_to_sc(g))[0] == want
 
 
 class TestAudit:
-    def test_zero_hard_violations_on_random_graphs(self):
-        rng = random.Random(42)
-        for _ in range(20):
-            n = rng.randint(6, 14)
-            g = Graph(range(n))
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if rng.random() < 0.3:
-                        g.add_edge(u, v)
-            audit = ScAudit()
-            sc_count(ds_to_sc(g), audit=audit)
-            assert not audit.violations
+    def test_zero_hard_violations_on_random_graphs(self, monkeypatch):
+        for cap in (PD_WIDTH_CAP, -1):  # shipped, and the ladder everywhere
+            monkeypatch.setattr(smc.setcover, "PD_WIDTH_CAP", cap)
+            rng = random.Random(42)
+            for _ in range(20):
+                n = rng.randint(6, 14)
+                g = Graph(range(n))
+                for u in range(n):
+                    for v in range(u + 1, n):
+                        if rng.random() < 0.3:
+                            g.add_edge(u, v)
+                audit = ScAudit()
+                sc_count(ds_to_sc(g), audit=audit)
+                assert not audit.violations
 
-    def test_ladder_entry_kinds(self):
+    def test_ladder_entry_kinds(self, ladder):
         audit = ScAudit()
         sc_count(ds_to_sc(random_cubic(16, random.Random(2))), audit=audit)
         kinds = {e.kind for e in audit.entries}
@@ -248,7 +298,7 @@ class TestAudit:
             if e.kind == "reseparate":
                 assert "->" in e.note
 
-    def test_balance_flags_are_logged_not_hard(self):
+    def test_balance_flags_are_logged_not_hard(self, ladder):
         # drag-R moves weight into the heavy side whenever the separator
         # vertex has no left neighbor; that trips the balance field only
         audit = ScAudit()
@@ -262,7 +312,7 @@ class TestAudit:
         vec, _ = sc_count(inst, audit=ScAudit(strict=True))
         assert vec == brute_setcover(inst)
 
-    def test_progress_checked_on_ladder_steps(self):
+    def test_progress_checked_on_ladder_steps(self, ladder):
         audit = ScAudit()
         sc_count(ds_to_sc(random_cubic(14, random.Random(7))), audit=audit)
         assert all(e.step_ok for e in audit.entries if e.hard)
