@@ -174,6 +174,8 @@ def cmd_count_ds(cfg: RunConfig, args) -> int:
         raise InputError("--weights does not apply to --subcubic")
     lg = _parse_input(cfg, parse_labeled_graph)
     if args.subcubic:
+        if lg.graph.max_degree() > 3:
+            raise InputError(f"--subcubic needs max degree <= 3, got {lg.graph.max_degree()}")
         audit = DsAudit() if cfg.audit else None
         vec, stats = count_ds(lg, policy=cfg.policy, audit=audit, seed=cfg.seed)
         _print_counts(cfg, vec, lg.graph.n, stats)

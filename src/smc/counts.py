@@ -83,3 +83,10 @@ class CountVector:
 
     def __repr__(self) -> str:
         return f"CountVector({list(self.counts)!r})"
+
+
+def add_into(states: dict[int, CountVector], key: int, vec: CountVector) -> None:
+    """states[key] += vec, for the path-decomposition sweeps; states that
+    only ever hold zero are left out."""
+    if vec.counts:
+        states[key] = states[key] + vec if key in states else vec

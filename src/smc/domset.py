@@ -10,22 +10,31 @@ The result of a count is a cardinality-indexed vector: entry k = number
 of valid dominating sets of size exactly k.  The counter branches
 three ways on a degree-3 vertex (in / optional / forbidden) and
 recombines by inclusion-exclusion; degree <= 2 vertices are never
-branched on.  They are swept up by the terminal counters instead: a
-connected component that is a path, a cycle, or — more generally — has
-at most CORE_LIMIT degree-3 vertices is counted by a transfer DP along
-its degree-2 chains, and anything else of at most ENUM_LIMIT vertices
-falls back to pruned enumeration.  Branch pivots come from the same
-separator-case ladder the Max 2-CSP solver uses.
+branched on.  Its one terminal, ``ds_dp``, sweeps a path decomposition
+with three states per bag vertex: a connected component is counted
+outright when it has max degree <= 2 (walked as a path or cycle) or a
+nice path decomposition of width at most ``PD_WIDTH_CAP``.  Branch
+pivots come from the same separator-case ladder the Max 2-CSP solver
+uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counts import CountVector
-from .graph import Graph, connected_components, cubic_structure, induced_subgraph, parse_graph
+from .counts import CountVector, add_into
+from .graph import Graph, connected_components, induced_subgraph, parse_graph
 from .policy import PivotAction, apply_move, deg3_side_counts, separator_case
-from .separator import Separation, separate_cubic, trivial_separation, verify_separation
+from .separator import (
+    PD_WIDTH_CAP,
+    PathDecomposition,
+    Separation,
+    nice_path_decomposition,
+    path_decomposition,
+    separate_cubic,
+    trivial_separation,
+    verify_separation,
+)
 
 U, N, C = "U", "N", "C"
 LABELS = (U, N, C)
@@ -44,11 +53,15 @@ class LabeledGraph:
         return LabeledGraph(self.graph.copy(), dict(self.label))
 
     def check(self) -> None:
-        assert set(self.label) == set(self.graph.vertices()), "labels must be total"
-        assert all(l in LABELS for l in self.label.values())
+        """ValueError unless every vertex has a label in LABELS and every
+        degree-3 vertex is labeled U."""
+        if set(self.label) != set(self.graph.vertices()):
+            raise ValueError("labels must be total")
         for v in self.graph.vertices():
-            if self.graph.degree(v) == 3:
-                assert self.label[v] == U, f"degree-3 vertex {v} labeled {self.label[v]}"
+            if self.label[v] not in LABELS:
+                raise ValueError(f"vertex {v} has unknown label {self.label[v]!r}")
+            if self.graph.degree(v) == 3 and self.label[v] != U:
+                raise ValueError(f"degree-3 vertex {v} labeled {self.label[v]}")
 
     def delete_vertex(self, v: int) -> None:
         self.graph.delete_vertex(v)
@@ -91,10 +104,6 @@ def format_labeled_graph(lg: LabeledGraph) -> str:
 # -- three-way branching -------------------------------------------------------
 
 
-ENUM_LIMIT = 20  # component size cap for the enumeration fallback
-CORE_LIMIT = 12  # degree-3 core size cap for the chain-transfer DP
-
-
 def branch3(lg: LabeledGraph, x: int) -> tuple[LabeledGraph, LabeledGraph, LabeledGraph]:
     """Three-way inclusion/exclusion branch on a degree-3 vertex.
 
@@ -134,317 +143,68 @@ def branch3(lg: LabeledGraph, x: int) -> tuple[LabeledGraph, LabeledGraph, Label
     return g_in, g_opt, g_forb
 
 
-# -- terminal counters ---------------------------------------------------------
-#
-# A vertex of degree <= 2 lies on a chain: a maximal run of degree <= 2
-# vertices with zero, one, or two attachments to degree-3 "core"
-# vertices.  A connected labeled graph therefore decomposes into its
-# core plus chains, and the whole count is a sweep over the core with a
-# transfer DP along each chain.  Components without any core are bare
-# paths or cycles, handled by the same chain DP directly.
+# -- terminal counter: one sweep over a path decomposition ---------------------
 
 
-def _isolated_factor(lab: str) -> CountVector:
-    if lab == U:
-        return CountVector((0, 1))  # only its own membership dominates it
-    if lab == N:
-        return CountVector.zero()  # needs a dominator it cannot have
-    return CountVector((1, 1))
+def ds_dp(lg: LabeledGraph, decomp: PathDecomposition) -> CountVector:
+    """Dominating-set counts by one sweep over `decomp`, a nice path
+    decomposition of lg.graph, with up to 3^(width+1) states.
 
-
-def _needs(lab: str) -> bool:
-    return lab != C
-
-
-def _chain_table(
-    lg: LabeledGraph, seq: list[int], m_a: int | None, m_b: int | None
-) -> dict[tuple[int, int], CountVector]:
-    """Transfer DP along a chain of degree <= 2 vertices.
-
-    m_a / m_b are the memberships of the attachment vertices at either
-    end (None = no attachment, the chain just ends).  Returns, keyed by
-    (first vertex in set, last vertex in set), the count vector of
-    internal configurations by internal set size.  Those two bits are
-    what the ends export: whether the chain dominates its attachments.
-    With no attachment at the start nothing reads the first bit, so it
-    is kept at 0 and the states halve.
+    Each bag vertex is in the set, out and dominated (or labeled C, which
+    needs no domination), or out and still pending.  A state key holds the
+    in-set bit 4^i and the pending bit 2·4^i of the vertex in bag slot i.
+    Introducing v in the set (never an N vertex) shifts the count vector
+    and clears its bag neighbors' pending bits; introducing it out makes
+    it pending when it needs domination and no bag neighbor is in.  Every
+    edge lies in some bag, so a vertex still pending when it is forgotten
+    stays undominated and its states are dropped.
     """
-    # states: (first membership, previous membership, previous vertex
-    #          still undominated) -> counts by size
-    state: dict[tuple[int, int, int], CountVector] = {}
-    v0 = seq[0]
-    for c in (0, 1) if lg.label[v0] != N else (0,):
-        pend = int(_needs(lg.label[v0]) and not c and not (m_a or 0))
-        state[(c if m_a is not None else 0, c, pend)] = CountVector.unit(c)
-    for v in seq[1:]:
-        nxt: dict[tuple[int, int, int], CountVector] = {}
-        for (c0, cp, pend), cnt in state.items():
-            for c in (0, 1) if lg.label[v] != N else (0,):
-                if pend and not c:
-                    continue  # the previous vertex ran out of dominators
-                np = int(_needs(lg.label[v]) and not c and not cp)
-                _merge(nxt, (c0, c, np), cnt.shift(1) if c else cnt)
-        state = nxt
-    out: dict[tuple[int, int], CountVector] = {}
-    for (c0, cp, pend), cnt in state.items():
-        if pend and not (m_b or 0):
-            continue
-        _merge(out, (c0, cp), cnt)
-    return out
+    adj = lg.graph.neighbor_sets()
+    slot: dict[int, int] = {}  # bag vertex -> its in-set bit
+    states = {0: CountVector.one()}
+    prev: frozenset[int] = frozenset()
+    # the last bag is not empty: a closing empty bag forgets what it holds
+    for bag in [*decomp.bags, frozenset()]:
+        for v in prev - bag:
+            b = slot.pop(v)
+            new: dict[int, CountVector] = {}
+            for s, acc in states.items():
+                if not s & b << 1:
+                    add_into(new, s & ~(3 * b), acc)
+            states = new
+        for v in bag - prev:
+            used = 3 * sum(slot.values())
+            slot[v] = b = ~used & (used + 1)  # the lowest free slot
+            nb = sum(slot.get(u, 0) for u in adj[v])
+            lab = lg.label[v]
+            new = {}
+            ins: dict[int, CountVector] = {}  # summed before their one shift
+            for s, acc in states.items():
+                if lab != N:
+                    add_into(ins, (s & ~(nb << 1)) | b, acc)
+                add_into(new, s | b << 1 if lab != C and not s & nb else s, acc)
+            for s, acc in ins.items():
+                new[s] = acc.shift(1)
+            states = new
+        prev = bag
+    return states.get(0, CountVector.zero())
 
 
-def _merge(table: dict, key: tuple, vec: CountVector) -> None:
-    cur = table.get(key)
-    table[key] = vec if cur is None else cur + vec
-
-
-def _path_count(lg: LabeledGraph, seq: list[int]) -> CountVector:
-    return sum(_chain_table(lg, seq, None, None).values(), CountVector.zero())
-
-
-def _cycle_count(lg: LabeledGraph, seq: list[int]) -> CountVector:
-    """Transfer DP around a cycle; the first vertex's domination by the
-    last one is deferred until the ends meet."""
-    v0 = seq[0]
-    total = CountVector.zero()
-    for c0 in (0, 1) if lg.label[v0] != N else (0,):
-        # state: (previous membership, previous pending, first pending)
-        state: dict[tuple[int, int, int], CountVector] = {
-            (c0, 0, int(_needs(lg.label[v0]) and not c0)): CountVector.unit(c0)
-        }
-        for pos, v in enumerate(seq[1:]):
-            nxt: dict[tuple[int, int, int], CountVector] = {}
-            for (cp, pend, first), cnt in state.items():
-                for c in (0, 1) if lg.label[v] != N else (0,):
-                    if pend and not c:
-                        continue
-                    np = int(_needs(lg.label[v]) and not c and not cp)
-                    # only the second vertex can clear the first one early
-                    nf = int(first and not c) if pos == 0 else first
-                    _merge(nxt, (c, np, nf), cnt.shift(1) if c else cnt)
-            state = nxt
-        for (cp, pend, first), cnt in state.items():
-            if pend and not c0:
-                continue  # last vertex only has the first one left
-            if first and not cp:
-                continue  # first vertex only has the last one left
-            total = total + cnt
-    return total
-
-
-def _chains_of(g: Graph, cores: set[int]) -> list[tuple[int, int | None, list[int]]]:
-    """Decompose a connected component into (core_a, core_b, internals).
-
-    Walks the degree <= 2 runs from every core edge slot.  core_b is
-    None for a pendant chain (the run ends at a degree <= 1 vertex);
-    internals is empty for a direct core-core edge.
-    """
-    chains: list[tuple[int, int | None, list[int]]] = []
-    seen_internal: set[int] = set()
-    seen_core_edge: set[tuple[int, int]] = set()
-    for a in sorted(cores):
-        for w in g.neighbors(a):
-            if w in cores:
-                key = (min(a, w), max(a, w))
-                if key not in seen_core_edge:
-                    seen_core_edge.add(key)
-                    chains.append((a, w, []))
-                continue
-            if w in seen_internal:
-                continue
-            run = [w]
-            seen_internal.add(w)
-            prev, cur = a, w
-            stop: int | None = None
-            while True:
-                nxts = [u for u in g.neighbors(cur) if u != prev]
-                if not nxts:
-                    break  # pendant end
-                prev, cur = cur, nxts[0]
-                if cur in cores:
-                    stop = cur
-                    break
-                run.append(cur)
-                seen_internal.add(cur)
-            chains.append((a, stop, run))
-    return chains
-
-
-def _core_count(lg: LabeledGraph) -> CountVector:
-    """Count over a connected component by sweeping its degree-3 core.
-
-    Core vertices are introduced one at a time (both memberships,
-    tracking whether each is dominated yet); each chain is folded in as
-    soon as both of its attachments are live, and a core vertex is
-    discharged once its three edge slots are all folded.  The live core
-    front stays small for the component shapes this is invoked on, so
-    the sweep is cheap even though the state is exponential in the
-    front.  Every state holds a ``CountVector``: introducing a member
-    shifts it, folding a chain convolves it with the chain's table entry,
-    and states that meet under one key add up.
-    """
-    g = lg.graph
-    cores = {v for v in g.vertices() if g.degree(v) == 3}
-    assert cores, "core sweep needs at least one degree-3 vertex"
-    for a in cores:
-        assert lg.label[a] == U
-    chains = _chains_of(g, cores)
-    tables = [
-        {
-            (m_a, m_b): _chain_table(lg, run, m_a, m_b)
-            for m_a in (0, 1)
-            for m_b in ((0, 1) if b is not None else (None,))
-        }
-        if run
-        else None  # direct core-core edge: no internal vertices
-        for (a, b, run) in chains
-    ]
-
-    # fold order: cores by BFS over chain adjacency, chains as soon as ready
-    order: list[int] = []
-    seen = set()
-    adj: dict[int, list[int]] = {a: [] for a in cores}
-    for a, b, _ in chains:
-        if b is not None and b != a:
-            adj[a].append(b)
-            adj[b].append(a)
-    for start in sorted(cores):
-        if start in seen:
-            continue
-        seen.add(start)
-        queue = [start]
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for u in sorted(adj[v]):
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-
-    slots = {a: 0 for a in cores}  # folded edge slots per core
-    # state: frozen tuple of (core, membership, dominated) -> counts by size
-    state: dict[tuple, CountVector] = {(): CountVector.one()}
-    live: set[int] = set()
-    folded = [False] * len(chains)
-
-    def fold(ci: int) -> None:
-        nonlocal state
-        a, b, run = chains[ci]
-        nxt: dict[tuple, CountVector] = {}
-        for key, cnt in state.items():
-            kd = dict((c, (m, d)) for c, m, d in key)
-            m_a, d_a = kd[a]
-            if b is not None:
-                m_b, d_b = kd[b]
-            if not run:
-                # direct edge: each endpoint dominates the other if taken
-                kd[a] = (m_a, d_a or m_b)
-                kd[b] = (m_b, d_b or m_a)
-                nkey = tuple((c,) + kd[c] for c in sorted(kd))
-                _merge(nxt, nkey, cnt)
-            else:
-                tab = tables[ci][(m_a, m_b if b is not None else None)]
-                for (first_in, last_in), sub in tab.items():
-                    kd2 = dict(kd)
-                    kd2[a] = (m_a, d_a or first_in)
-                    if b is not None:
-                        mb, db = kd2[b]
-                        kd2[b] = (mb, db or last_in)
-                    nkey = tuple((c,) + kd2[c] for c in sorted(kd2))
-                    _merge(nxt, nkey, cnt.convolve(sub))
-        state = nxt
-
-    def discharge(a: int) -> None:
-        nonlocal state
-        nxt: dict[tuple, CountVector] = {}
-        for key, cnt in state.items():
-            keep = []
-            ok = True
-            for c, m, d in key:
-                if c == a:
-                    if not (m or d):
-                        ok = False  # an undominated core vertex is final here
-                        break
-                else:
-                    keep.append((c, m, d))
-            if ok:
-                _merge(nxt, tuple(keep), cnt)
-        state = nxt
-
-    chain_ends = [(a, b) for a, b, _ in chains]
-    for a in order:
-        # introduce a
-        nxt: dict[tuple, CountVector] = {}
-        for key, cnt in state.items():
-            for m in (0, 1):
-                nkey = tuple(sorted(key + ((a, m, 0),)))
-                _merge(nxt, nkey, cnt.shift(1) if m else cnt)
-        state = nxt
-        live.add(a)
-        for ci, (ca, cb) in enumerate(chain_ends):
-            if folded[ci]:
-                continue
-            if ca in live and (cb is None or cb in live):
-                fold(ci)
-                folded[ci] = True
-                slots[ca] += 1
-                if cb is not None:
-                    slots[cb] += 1  # a chain looping back spends two slots of ca
-        for c in sorted(live.copy()):
-            if slots[c] == 3:
-                discharge(c)
-                live.discard(c)
-    assert all(folded) and not live
-    assert all(key == () for key in state)
-    return sum(state.values(), CountVector.zero())
-
-
-def _enum_count(lg: LabeledGraph) -> CountVector:
-    """Pruned enumeration over subsets of one component.
-
-    Vertices are decided in id order; a vertex is settled once the last
-    of its closed neighborhood is decided, and an undominated settled
-    U/N vertex kills the whole subtree.
-    """
-    g = lg.graph
+def _linear_order(g: Graph) -> list[int]:
+    """Walk order of a graph of max degree <= 2: each path from an end,
+    then each cycle from its smallest vertex.  Along it a path has width 1
+    and a cycle width 2."""
+    adj = g.neighbor_sets()
     vs = g.vertices()
-    n = len(vs)
-    idx = {v: i for i, v in enumerate(vs)}
-    closed = [1 << i | sum(1 << idx[u] for u in g.neighbors(vs[i])) for i in range(n)]
-    labs = [lg.label[v] for v in vs]
-    settle_at: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        last = max(i, max((idx[u] for u in g.neighbors(vs[i])), default=i))
-        if labs[i] != C:
-            settle_at[last].append(i)
-    counts = [0] * (n + 1)
-
-    def go(i: int, dom: int, size: int) -> None:
-        if i == n:
-            counts[size] += 1
-            return
-        choices = (0,) if labs[i] == N else (0, 1)
-        for c in choices:
-            nd = dom | closed[i] if c else dom
-            if all(nd >> j & 1 for j in settle_at[i]):
-                go(i + 1, nd, size + c)
-
-    go(0, 0, 0)
-    return CountVector(counts)
-
-
-def _linear_order(g: Graph) -> tuple[list[int], bool]:
-    """(traversal order, is_path) for a connected graph of max degree 2."""
-    ends = [v for v in g.vertices() if g.degree(v) <= 1]
-    start = min(ends) if ends else min(g.vertices())
-    order = [start]
-    prev = None
-    cur = start
-    while len(order) < g.n:
-        nxt = min(u for u in g.neighbors(cur) if u != prev)
-        order.append(nxt)
-        prev, cur = cur, nxt
-    return order, bool(ends)
+    order: list[int] = []
+    seen: set[int] = set()
+    for start in [v for v in vs if len(adj[v]) <= 1] + vs:
+        cur = start if start not in seen else None
+        while cur is not None:
+            order.append(cur)
+            seen.add(cur)
+            cur = min((u for u in adj[cur] if u not in seen), default=None)
+    return order
 
 
 # -- pivot selection -----------------------------------------------------------
@@ -494,7 +254,6 @@ class DsStats:
     branchings: int = 0
     leaves: int = 0
     dp_calls: int = 0
-    enum_calls: int = 0
     max_depth: int = 0
     separator_recomputes: int = 0
 
@@ -518,17 +277,12 @@ class DsAudit:
     The branch recombination subtracts the forbidden child, so a bug
     would typically show up as a negative entry or an impossible total;
     audit mode asserts entrywise nonnegativity, no mass above index n,
-    and total <= 2^n at every vector-producing return.  Branches also
-    compare the cubic-structure size before and after: a branch whose
-    children shrink it by less than one vertex is logged, not asserted
-    (the deleted pivot is expected to leave the structure, which a
-    pendant-supported pivot need not).
+    and total <= 2^n at every vector-producing return.
     """
 
     def __init__(self, strict: bool = False):
         self.strict = strict
         self.entries: list[DsAuditEntry] = []
-        self.gamma_flags: list[str] = []
 
     @property
     def violations(self) -> list[DsAuditEntry]:
@@ -543,17 +297,9 @@ class DsAudit:
         if self.strict and not entry.ok:
             raise AssertionError(f"count audit violation at {kind}: {entry}")
 
-    def check_branch(self, parent: Graph, children: tuple[LabeledGraph, ...]) -> None:
-        gp = len(cubic_structure(parent).vertices())
-        for child in children:
-            gc = len(cubic_structure(child.graph).vertices())
-            if gp and gc > gp - 1:
-                self.gamma_flags.append(f"cubic structure {gp} -> {gc} at a branch")
-
 
 @dataclass
 class _Env:
-    policy: str
     stats: DsStats
     audit: DsAudit | None
     seed: int
@@ -570,29 +316,20 @@ def _project(sep: Separation, child: LabeledGraph) -> Separation:
     return Separation(sep.left & keep, sep.sep & keep, sep.right & keep)
 
 
-def _terminal(lg: LabeledGraph, env: _Env) -> tuple[str, CountVector] | None:
-    """Count a connected component outright when no branching is needed.
-
-    Preference order: isolated-vertex factor, chain DP (paths, cycles,
-    and anything whose degree-3 core fits the sweep), then pruned
-    enumeration as the small-component fallback.
-    """
+def _terminal(lg: LabeledGraph, env: _Env) -> CountVector | None:
+    """Count a connected component outright by ``ds_dp``, or None when it
+    must branch.  Max degree <= 2 is always counted, along its walk order;
+    anything else when its nice path decomposition has width at most
+    PD_WIDTH_CAP."""
     g = lg.graph
-    if g.n == 1:
-        return "leaf-isolated", _isolated_factor(lg.label[g.vertices()[0]])
     if g.max_degree() <= 2:
-        env.stats.dp_calls += 1
-        order, is_path = _linear_order(g)
-        if is_path:
-            return "dp-path", _path_count(lg, order)
-        return "dp-cycle", _cycle_count(lg, order)
-    if sum(1 for v in g.vertices() if g.degree(v) == 3) <= CORE_LIMIT:
-        env.stats.dp_calls += 1
-        return "dp-core", _core_count(lg)
-    if g.n <= ENUM_LIMIT:
-        env.stats.enum_calls += 1
-        return "enum", _enum_count(lg)
-    return None
+        decomp = path_decomposition(g, _linear_order(g))
+    else:
+        decomp = nice_path_decomposition(g)
+        if decomp.width > PD_WIDTH_CAP:
+            return None
+    env.stats.dp_calls += 1
+    return ds_dp(lg, decomp)
 
 
 def _rec(lg: LabeledGraph, sep: Separation, env: _Env, depth: int, resep_n: int = -1) -> CountVector:
@@ -620,12 +357,11 @@ def _rec(lg: LabeledGraph, sep: Separation, env: _Env, depth: int, resep_n: int 
         if audit is not None:
             audit.check_return("split", g.n, vec)
         return vec
-    term = _terminal(lg, env)
-    if term is not None:
-        kind, vec = term
+    vec = _terminal(lg, env)
+    if vec is not None:
         env.stats.leaves += 1
         if audit is not None:
-            audit.check_return(kind, g.n, vec)
+            audit.check_return("dp", g.n, vec)
         return vec
     if not sep.sep:
         if g.n != resep_n:
@@ -645,12 +381,9 @@ def _rec(lg: LabeledGraph, sep: Separation, env: _Env, depth: int, resep_n: int 
 
 
 def _branch(lg: LabeledGraph, y: int, sep: Separation, env: _Env, depth: int, kind: str) -> CountVector:
-    children = branch3(lg, y)
+    g_in, g_opt, g_forb = branch3(lg, y)
     env.stats.branchings += 1
     audit = env.audit
-    if audit is not None:
-        audit.check_branch(lg.graph, children)
-    g_in, g_opt, g_forb = children
     vec_in = _rec(g_in, _project(sep, g_in), env, depth + 1)
     vec_opt = _rec(g_opt, _project(sep, g_opt), env, depth + 1)
     vec_forb = _rec(g_forb, _project(sep, g_forb), env, depth + 1)
@@ -678,11 +411,8 @@ def _rec_local(lg: LabeledGraph, env: _Env, depth: int) -> CountVector:
         return vec
     deg3 = [v for v in g.vertices() if g.degree(v) == 3]
     if deg3:
-        children = branch3(lg, deg3[0])
+        g_in, g_opt, g_forb = branch3(lg, deg3[0])
         env.stats.branchings += 1
-        if audit is not None:
-            audit.check_branch(g, children)
-        g_in, g_opt, g_forb = children
         vec = (
             _rec_local(g_in, env, depth + 1).shift(1)
             + _rec_local(g_opt, env, depth + 1)
@@ -692,16 +422,8 @@ def _rec_local(lg: LabeledGraph, env: _Env, depth: int) -> CountVector:
             audit.check_return("branch", g.n, vec)
         return vec
     env.stats.leaves += 1
-    vec = CountVector.one()
-    for comp in connected_components(g):
-        sub = _sub_labeled(lg, comp)
-        if len(comp) == 1:
-            part = _isolated_factor(sub.label[comp[0]])
-        else:
-            env.stats.dp_calls += 1
-            order, is_path = _linear_order(sub.graph)
-            part = _path_count(sub, order) if is_path else _cycle_count(sub, order)
-        vec = vec.convolve(part)
+    env.stats.dp_calls += 1
+    vec = ds_dp(lg, path_decomposition(g, _linear_order(g)))
     if audit is not None:
         audit.check_return("flat", g.n, vec)
     return vec
@@ -724,10 +446,12 @@ def count_ds(
     """
     if policy not in ("separator", "local"):
         raise ValueError(f"unknown policy {policy!r}")
+    if lg.graph.max_degree() > 3:
+        raise ValueError(f"count_ds needs max degree <= 3, got {lg.graph.max_degree()}")
     lg = lg.copy()
     lg.check()
     stats = DsStats()
-    env = _Env(policy, stats, audit, seed)
+    env = _Env(stats, audit, seed)
     if policy == "separator":
         start = trivial_separation(lg.graph.vertices()) if sep is None else sep.copy()
         vec = _rec(lg, start, env, 0)

@@ -138,90 +138,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-class MultiGraph:
-    """Undirected multigraph with loops and parallel edges.
-
-    A loop contributes 2 to its endpoint's degree.  Stored as symmetric
-    multiplicity maps; ``_adj[v][v] = k`` means k loops at v.
-    """
-
-    __slots__ = ("_adj",)
-
-    def __init__(self) -> None:
-        self._adj: dict[int, dict[int, int]] = {}
-
-    @staticmethod
-    def from_graph(g: Graph) -> "MultiGraph":
-        m = MultiGraph()
-        for v in g.vertices():
-            m.add_vertex(v)
-        for u, v in g.edges():
-            m.add_edge(u, v)
-        return m
-
-    def add_vertex(self, v: int) -> None:
-        self._adj.setdefault(v, {})
-
-    def add_edge(self, u: int, v: int) -> None:
-        self.add_vertex(u)
-        self.add_vertex(v)
-        self._adj[u][v] = self._adj[u].get(v, 0) + 1
-        if u != v:
-            self._adj[v][u] = self._adj[v].get(u, 0) + 1
-
-    def delete_vertex(self, v: int) -> None:
-        if v not in self._adj:
-            raise KeyError(f"unknown vertex id {v}")
-        for u in self._adj[v]:
-            if u != v:
-                del self._adj[u][v]
-        del self._adj[v]
-
-    def vertices(self) -> list[int]:
-        return sorted(self._adj)
-
-    @property
-    def n(self) -> int:
-        return len(self._adj)
-
-    def degree(self, v: int) -> int:
-        nbrs = self._adj[v]
-        return sum(k for u, k in nbrs.items() if u != v) + 2 * nbrs.get(v, 0)
-
-    def multiplicity(self, u: int, v: int) -> int:
-        return self._adj.get(u, {}).get(v, 0)
-
-    def incidences(self, v: int) -> list[int]:
-        """Endpoints of non-loop edges at v, one entry per edge, sorted."""
-        out: list[int] = []
-        for u in sorted(self._adj[v]):
-            if u != v:
-                out.extend([u] * self._adj[v][u])
-        return out
-
-    def loops_at(self, v: int) -> int:
-        return self._adj[v].get(v, 0)
-
-    def edges(self) -> list[tuple[int, int]]:
-        """Sorted edge multiset: (u,v) with u <= v, repeated by multiplicity."""
-        out: list[tuple[int, int]] = []
-        for u in sorted(self._adj):
-            for v in sorted(self._adj[u]):
-                if u < v:
-                    out.extend([(u, v)] * self._adj[u][v])
-                elif u == v:
-                    out.extend([(u, u)] * self._adj[u][u])
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MultiGraph):
-            return NotImplemented
-        return self._adj == other._adj
-
-    def __repr__(self) -> str:
-        return f"MultiGraph(n={self.n}, m={len(self.edges())})"
-
-
 # -- pure graph operations ---------------------------------------------------
 
 
@@ -233,13 +149,6 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
         raise KeyError(f"unknown vertex ids {sorted(unknown)}")
     out = Graph()
     out._adj = {v: g._adj[v] & keep for v in keep}
-    return out
-
-
-def remove_vertex(g: Graph, v: int) -> Graph:
-    """Copy of g with v and its incident edges removed."""
-    out = g.copy()
-    out.delete_vertex(v)
     return out
 
 
@@ -264,37 +173,6 @@ def connected_components(g: Graph) -> list[list[int]]:
             frontier = nxt
         comps.append(sorted(comp))
     return comps
-
-
-def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
-
-
-def cubic_structure(g: Graph) -> MultiGraph:
-    """The 3-regular multigraph left after dissolving all degree <= 2 parts.
-
-    Repeatedly: delete degree-0 and degree-1 vertices; suppress a degree-2
-    vertex by replacing it with an edge between its two incidences (which
-    may create a parallel edge or a loop).  A vertex whose whole degree
-    comes from a loop is a collapsed cycle component and is removed.  The
-    result is independent of the elimination order; we scan by smallest id
-    for determinism.
-    """
-    if g.max_degree() > 3:
-        raise ValueError("cubic_structure requires max degree <= 3")
-    m = MultiGraph.from_graph(g)
-    while True:
-        v = next((u for u in m.vertices() if m.degree(u) < 3), None)
-        if v is None:
-            return m
-        if m.degree(v) <= 1:
-            m.delete_vertex(v)
-        elif m.loops_at(v):
-            m.delete_vertex(v)
-        else:
-            a, b = m.incidences(v)
-            m.delete_vertex(v)
-            m.add_edge(a, b)
 
 
 # -- text format ---------------------------------------------------------------
@@ -333,14 +211,8 @@ def parse_graph(text: str) -> Graph:
 def format_graph(g: Graph) -> str:
     vs = g.vertices()
     if vs != list(range(len(vs))):
-        raise ValueError("text format needs contiguous 0-based ids; relabel first")
+        raise ValueError("text format needs contiguous 0-based ids")
     lines = [f"graph {g.n} {g.m}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
 
-
-def relabel_contiguous(g: Graph) -> tuple[Graph, dict[int, int]]:
-    """Copy of g with ids remapped to 0..n-1 in sorted order, plus the map."""
-    mapping = {v: i for i, v in enumerate(g.vertices())}
-    out = Graph(mapping.values(), [(mapping[u], mapping[v]) for u, v in g.edges()])
-    return out, mapping

@@ -315,36 +315,49 @@ def _greedy_layout(adj: dict[int, tuple[int, ...]], first: int) -> tuple[list[in
         current = min([*frontier, *fresh[nxt:nxt + 1]], key=key)
 
 
+# Widest decomposition the engines count directly instead of branching: a
+# bag holds at most PD_WIDTH_CAP + 1 vertices, so a set-cover sweep has at
+# most 2^9 states and a #DS sweep at most 3^9.
+PD_WIDTH_CAP = 8
+
+
 def nice_path_decomposition(g: Graph, starts: int = 16) -> PathDecomposition:
     """Greedy-layout path decomposition, nicified (consecutive bags differ by 1).
 
     Multi-start over the `starts` smallest ids as forced first vertex; each
     start runs ``_greedy_layout`` (key and cost there) on one shared
     adjacency snapshot, and the smallest width wins, ties to the earliest
-    start.  Raw bag i is {v_i} ∪ (placed vertices with a neighbor at
-    position ≥ i); one sweep builds it and steps to it a vertex at a time,
-    forgets (by id) before introduces (by id).
+    start.  ``path_decomposition`` turns the winning order into bags.
     """
     vs = g.vertices()
     if not vs:
         return PathDecomposition([])
     adj = {v: g.neighbors(v) for v in vs}
     order, _ = min((_greedy_layout(adj, first) for first in vs[:starts]), key=lambda ow: ow[1])
+    return path_decomposition(g, order)
+
+
+def path_decomposition(g: Graph, order: list[int]) -> PathDecomposition:
+    """Nice path decomposition of g along a vertex order.
+
+    Raw bag i is {v_i} ∪ (earlier vertices with a neighbor at position
+    ≥ i), so a vertex leaves after the later of its own position and its
+    last neighbor's.  One sweep steps from raw bag to raw bag a vertex at
+    a time: it forgets (by id) what leaves, then introduces v_i.
+    """
+    adj = g.neighbor_sets()
     pos = {v: i for i, v in enumerate(order)}
-    last = {v: max((pos[u] for u in nbrs), default=-1) for v, nbrs in adj.items()}
+    leave: list[list[int]] = [[] for _ in range(len(order) + 1)]
+    for i, v in enumerate(order):
+        leave[max([i, *(pos[u] for u in adj[v])]) + 1].append(v)
     bags: list[frozenset[int]] = []
     cur: frozenset[int] = frozenset()
-    active: set[int] = set()  # placed vertices with a neighbor at position ≥ i
     for i, v in enumerate(order):
-        active = {u for u in active if last[u] >= i}
-        raw = active | {v}
-        for u in sorted(cur - raw):
+        for u in sorted(leave[i]):
             cur = cur - {u}
             bags.append(cur)
-        for u in sorted(raw - cur):
-            cur = cur | {u}
-            bags.append(cur)
-        active.add(v)
+        cur = cur | {v}
+        bags.append(cur)
     decomp = PathDecomposition(bags)
     decomp.validate(g)
     assert len(bags) <= 2 * g.n + 1

@@ -21,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .counts import CountVector
+from .counts import CountVector, add_into
 from .graph import Graph, connected_components, induced_subgraph
 from .measures import sc_mu3, sc_mu3_parts, sc_mu4, sc_progress, sc_side_weights
 from .policy import PivotAction, apply_move
 from .separator import (
+    PD_WIDTH_CAP,
     PathDecomposition,
     Separation,
     nice_path_decomposition,
@@ -164,10 +165,6 @@ def format_sc(inst: ScIncidence) -> str:
 
 # -- leaf counting: one sweep over a path decomposition ---------------------
 
-# Widest decomposition the engine counts directly instead of branching: a
-# bag holds at most PD_WIDTH_CAP + 1 vertices, so at most 2^9 = 512 states.
-PD_WIDTH_CAP = 8
-
 
 def _fold_set_under(target: tuple[CountVector, CountVector],
                     va: CountVector, vb: CountVector,
@@ -192,11 +189,6 @@ def _fold_elt_under(target: tuple[CountVector, CountVector],
     branches of the element."""
     ta, tb = target
     return ta.convolve(va + vb), tb.convolve(va)
-
-
-def _add_into(states: dict[int, CountVector], key: int, vec: CountVector) -> None:
-    if vec.counts:  # states that only ever hold zero are left out
-        states[key] = states[key] + vec if key in states else vec
 
 
 def sc_dp(inst: ScIncidence, decomp: PathDecomposition) -> CountVector:
@@ -283,7 +275,7 @@ def sc_dp(inst: ScIncidence, decomp: PathDecomposition) -> CountVector:
             new: dict[int, CountVector] = {}
             for s, acc in states.items():
                 if inst.is_set(v) or not s & b:  # a pending element stays uncovered
-                    _add_into(new, s & ~b, acc)
+                    add_into(new, s & ~b, acc)
             states = new
         for v in bag - prev:
             used = sum(bit.values())
@@ -293,17 +285,17 @@ def sc_dp(inst: ScIncidence, decomp: PathDecomposition) -> CountVector:
             if inst.is_set(v):  # taking it covers its pending neighbors
                 covers, idle = pairs[v]
                 for s, acc in states.items():
-                    _add_into(new, s, acc.convolve(idle))
-                    _add_into(new, (s & ~nb) | b, acc.convolve(covers))
+                    add_into(new, s, acc.convolve(idle))
+                    add_into(new, (s & ~nb) | b, acc.convolve(covers))
             else:
                 sat, pend = pairs[v]
                 either = sat + pend
                 for s, acc in states.items():
                     if s & nb:  # a covering set is already in the bag
-                        _add_into(new, s, acc.convolve(either))
+                        add_into(new, s, acc.convolve(either))
                     else:
-                        _add_into(new, s, acc.convolve(sat))
-                        _add_into(new, s | b, acc.convolve(pend))
+                        add_into(new, s, acc.convolve(sat))
+                        add_into(new, s | b, acc.convolve(pend))
             states = new
         prev = bag
     return total.convolve(states.get(0, CountVector.zero()))

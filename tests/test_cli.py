@@ -135,6 +135,39 @@ class TestCounting:
         assert fast == ref
 
 
+STAR4 = "graph 5 4\n0 1\n0 2\n0 3\n0 4\n"
+# triangles 0-1-2, 3-4-5, 6-7-8 tied at 0, which also holds the leaf 9:
+# degree 5; 10 and 11 are isolated
+TRIANGLES = ("graph 12 12\n0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n6 7\n6 8\n7 8\n"
+             "0 3\n0 6\n0 9\n")
+
+
+class TestSubcubicInput:
+    @pytest.mark.parametrize("text", [STAR4, TRIANGLES], ids=["star", "triangles"])
+    def test_degree_above_three_is_input_error(self, text):
+        code, out, err = run(["count-ds", "--subcubic"], text)
+        assert code == 2 and out == "" and "max degree <= 3" in err
+        code, out, _ = run(["count-ds"], text)
+        assert code == 0
+        assert out == run(["oracle", "ds"], text)[1]
+
+    def test_degree3_labeled_n_is_input_error(self):
+        for extra in ([], ["--subcubic"]):
+            code, out, err = run(["count-ds", *extra], K4 + "label 0 N\n")
+            assert code == 2 and out == "" and "degree-3 vertex 0 labeled N" in err
+
+    def test_label_check_runs_under_python_o(self, tmp_path):
+        path = tmp_path / "k4.graph"
+        path.write_text(K4 + "label 0 C\n")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "smc.cli", "count-ds", "--subcubic",
+             "--input", str(path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "degree-3 vertex 0 labeled C" in proc.stderr
+
+
 class TestSeparate:
     @pytest.mark.parametrize("gen_args", [["g3", "--n", "16"],
                                           ["cubic", "--n", "14", "--seed", "3"]])

@@ -1,5 +1,6 @@
-"""Dominating-set counter: branching rules, terminal counters, pivot
-sharing with the CSP engine, and oracle equivalence on labeled graphs."""
+"""Dominating-set counter: branching rules, the path-decomposition
+terminal, pivot sharing with the CSP engine, and oracle equivalence on
+labeled graphs."""
 
 import json
 import random
@@ -21,21 +22,19 @@ from smc.domset import (
     U,
     DsAudit,
     LabeledGraph,
-    _chain_table,
-    _chains_of,
-    _core_count,
-    _cycle_count,
-    _needs,
-    _path_count,
+    _linear_order,
     branch3,
     count_ds,
+    ds_dp,
     format_labeled_graph,
     parse_labeled_graph,
     select_pivot_ds,
 )
+from smc.generators import gen_random_cubic
 from smc.graph import Graph, connected_components, format_graph, induced_subgraph
 from smc.oracles import brute_domset
-from smc.separator import separate_cubic
+from smc.separator import nice_path_decomposition, path_decomposition, separate_cubic
+from smc.setcover import ds_to_sc, sc_count
 
 BOTH = ("separator", "local")
 
@@ -109,7 +108,7 @@ class TestBranch3:
         with pytest.raises(ValueError):
             branch3(LabeledGraph.all_u(Graph.path(3)), 1)
 
-    @given(labeled_subcubic(max_n=8))
+    @given(labeled_subcubic(max_n=8, min_n=4))  # fewer vertices have no degree 3
     def test_recombination_matches_oracle(self, lg):
         deg3 = [v for v in lg.graph.vertices() if lg.graph.degree(v) == 3]
         assume(deg3)
@@ -175,7 +174,7 @@ class TestTerminalShapes:
                 lg = LabeledGraph(g, label)
                 vec, stats = count_ds(lg, audit=DsAudit(strict=True))
                 assert vec == brute_domset(lg)
-                assert stats.branchings == 0  # chain DP covers the whole core
+                assert stats.branchings == 0  # one DP counts the whole component
 
 
 class TestCombine:
@@ -220,16 +219,16 @@ class TestEngine:
             vec_s, sep_stats = count_ds(lg, policy="separator")
             vec_l, loc_stats = count_ds(lg, policy="local")
             assert vec_s == vec_l
-            assert sep_stats.branchings == 0  # every K4 is a chain-DP core
+            assert sep_stats.branchings == 0  # every K4 has width 3: one DP each
             assert loc_stats.branchings == (3**copies - 1) // 2
             assert sep_stats.branchings < loc_stats.branchings
 
-    def test_subdivided_cubic_policies_agree(self):
+    def test_subdivided_cubic_policies_agree(self, ladder):
         rng = random.Random(11)
         g = random_cubic(22, rng)
         es = sorted(g.edges())
         rng.shuffle(es)
-        h = subdivide(g, es[:4])  # 22 degree-3 cores: must branch before DP
+        h = subdivide(g, es[:4])  # with the DP terminal off: must branch
         audit = DsAudit(strict=True)
         vec_s, st_s = count_ds(LabeledGraph.all_u(h), audit=audit)
         vec_l, st_l = count_ds(LabeledGraph.all_u(h), policy="local")
@@ -237,18 +236,24 @@ class TestEngine:
         assert 0 < st_s.branchings < st_l.branchings
         assert st_s.dp_calls > 0
         assert not audit.violations
-        assert not audit.gamma_flags
 
-    def test_cubic_enum_fallback(self):
+    def test_cubic_dp_terminal(self, monkeypatch):
         rng = random.Random(3)
         g = random_cubic(22, rng)
         audit = DsAudit(strict=True)
         vec_s, st_s = count_ds(LabeledGraph.all_u(g), audit=audit)
         vec_l, _ = count_ds(LabeledGraph.all_u(g), policy="local")
         assert vec_s == vec_l
-        assert st_s.enum_calls > 0  # children stay above the core cap
-        assert st_s.separator_recomputes >= 1
+        assert nice_path_decomposition(g).width <= 8
+        assert (st_s.branchings, st_s.dp_calls, st_s.separator_recomputes) == (0, 1, 0)
+        assert [e.kind for e in audit.entries] == ["dp"]
         assert vec_s.to_list(22)[22] == 1  # V dominates V
+        # below the component's width the engine separates and branches
+        # until the pieces fit, and the count does not change
+        monkeypatch.setattr("smc.domset.PD_WIDTH_CAP", 3)
+        vec_c, st_c = count_ds(LabeledGraph.all_u(g), audit=DsAudit(strict=True))
+        assert vec_c == vec_s
+        assert st_c.branchings > 0 and st_c.separator_recomputes >= 1
 
     def test_explicit_separation(self):
         rng = random.Random(9)
@@ -277,11 +282,54 @@ class TestTextFormat:
 
     def test_degree3_must_stay_u(self):
         txt = format_labeled_graph(LabeledGraph.all_u(Graph.complete(4)))
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             parse_labeled_graph(txt + "label 0 C\n")
 
+    def test_count_ds_rejects_degree_four(self):
+        star = LabeledGraph.all_u(Graph(range(5), [(0, i) for i in range(1, 5)]))
+        with pytest.raises(ValueError):
+            count_ds(star)
 
-# -- the former list-based chain DPs, kept as the oracle for the CountVector ones
+
+# -- the former chain and core counters, on lists, kept as oracles for ds_dp
+
+
+def _needs(lab: str) -> bool:
+    return lab != C
+
+
+def _chains_of(g: Graph, cores: set[int]) -> list[tuple[int, int | None, list[int]]]:
+    """(core_a, core_b, internals) for each degree-<=2 run of a connected
+    subcubic graph; core_b is None for a pendant run."""
+    chains: list[tuple[int, int | None, list[int]]] = []
+    seen_internal: set[int] = set()
+    seen_core_edge: set[tuple[int, int]] = set()
+    for a in sorted(cores):
+        for w in g.neighbors(a):
+            if w in cores:
+                key = (min(a, w), max(a, w))
+                if key not in seen_core_edge:
+                    seen_core_edge.add(key)
+                    chains.append((a, w, []))
+                continue
+            if w in seen_internal:
+                continue
+            run = [w]
+            seen_internal.add(w)
+            prev, cur = a, w
+            stop: int | None = None
+            while True:
+                nxts = [u for u in g.neighbors(cur) if u != prev]
+                if not nxts:
+                    break  # pendant end
+                prev, cur = cur, nxts[0]
+                if cur in cores:
+                    stop = cur
+                    break
+                run.append(cur)
+                seen_internal.add(cur)
+            chains.append((a, stop, run))
+    return chains
 
 
 def list_chain_table(
@@ -525,20 +573,36 @@ def exact(vecs: dict) -> dict:
     return {k: tuple(v.counts if isinstance(v, CountVector) else v) for k, v in vecs.items()}
 
 
+def as_list(vec: CountVector) -> list[int]:
+    return list(vec.counts)
+
+
 class TestChainDpOracle:
+    """ds_dp against the former chain, cycle and core counters."""
+
     @settings(max_examples=150, deadline=None)
     @given(labeled_chains())
     def test_chain_table_every_end_pair(self, case):
+        # attachments a and b labeled C, either taken or not: the chain's
+        # table for each pair of memberships, shifted by the pair's size
         lg, seq = case
-        for m_a in (None, 0, 1):
-            for m_b in (None, 0, 1):
-                want = list_chain_table(lg, seq, m_a, m_b)
-                if m_a is None:  # nothing reads the first bit; it is kept at 0
-                    merged: dict = {}
-                    for (_, cp), cnt in want.items():
-                        merged[(0, cp)] = _list_add_into(merged.get((0, cp)), cnt)
-                    want = merged
-                assert exact(_chain_table(lg, seq, m_a, m_b)) == exact(want)
+        a, b = len(seq), len(seq) + 1
+        for ends in ((), (a,), (b,), (a, b)):
+            g = lg.graph.copy()
+            label = dict(lg.label)
+            for e in ends:
+                g.add_vertex(e)
+                g.add_edge(e, seq[0] if e == a else seq[-1])
+                label[e] = C
+            want: list[int] = []
+            for m_a in ((0, 1) if a in ends else (None,)):
+                for m_b in ((0, 1) if b in ends else (None,)):
+                    for cnt in list_chain_table(lg, seq, m_a, m_b).values():
+                        shift = (m_a or 0) + (m_b or 0)
+                        want = _list_add_into(want, [0] * shift + cnt)
+            order = [a][:a in ends] + seq + [b][:b in ends]
+            got = ds_dp(LabeledGraph(g, label), path_decomposition(g, order))
+            assert got == CountVector(want)
 
     @settings(max_examples=150, deadline=None)
     @given(labeled_chains())
@@ -547,18 +611,59 @@ class TestChainDpOracle:
         total: list[int] = []
         for cnt in list_chain_table(lg, seq, None, None).values():
             total = _list_add_into(total, cnt)
-        assert _path_count(lg, seq).counts == tuple(total)
+        decomp = path_decomposition(lg.graph, seq)
+        assert decomp.width == min(1, len(seq) - 1)
+        assert as_list(ds_dp(lg, decomp)) == total
 
     @settings(max_examples=150, deadline=None)
     @given(labeled_chains(min_n=3))
     def test_cycle_count(self, case):
         lg, seq = case
-        assert _cycle_count(lg, seq).counts == list_cycle_count(lg, seq).counts
+        lg.graph.add_edge(seq[-1], seq[0])
+        decomp = path_decomposition(lg.graph, _linear_order(lg.graph))
+        assert decomp.width == 2
+        assert ds_dp(lg, decomp).counts == list_cycle_count(lg, seq).counts
 
     @settings(max_examples=100, deadline=None)
     @given(labeled_cores())
     def test_core_count(self, lg):
-        assert _core_count(lg).counts == list_core_count(lg).counts
+        decomp = nice_path_decomposition(lg.graph)
+        assert ds_dp(lg, decomp).counts == list_core_count(lg).counts
+
+
+class TestDsDp:
+    @settings(max_examples=200, deadline=None)
+    @given(labeled_subcubic(max_n=12, min_n=0), st.randoms(use_true_random=False))
+    def test_matches_brute_domset(self, lg, rng):
+        # possibly disconnected; any vertex order gives a valid decomposition
+        want = brute_domset(lg)
+        order = lg.graph.vertices()
+        rng.shuffle(order)
+        for decomp in (nice_path_decomposition(lg.graph), path_decomposition(lg.graph, order)):
+            assert ds_dp(lg, decomp) == want
+
+    @pytest.mark.parametrize("make", [Graph.path, Graph.cycle], ids=["path", "cycle"])
+    def test_linear_order_width_on_shuffled_ids(self, make):
+        rng = random.Random(4)
+        g = make(40)
+        ids = list(range(1000, 1040))
+        rng.shuffle(ids)
+        h = Graph(ids, [(ids[u], ids[v]) for u, v in g.edges()])
+        both = Graph(ids + [5, 6, 7], h.edges() + [(5, 6)])  # plus an edge and an isolated vertex
+        for graph in (h, both):
+            order = _linear_order(graph)
+            assert sorted(order) == graph.vertices()
+            assert path_decomposition(graph, order).width == (1 if make is Graph.path else 2)
+
+
+class TestCrossEngine:
+    @pytest.mark.parametrize("n", [26, 32])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_count_ds_matches_set_cover_route(self, n, seed):
+        g = gen_random_cubic(n, seed)
+        vec, stats = count_ds(LabeledGraph.all_u(g))
+        assert vec == sc_count(ds_to_sc(g))[0]
+        assert vec.to_list(n)[n] == 1
 
 
 class TestDominationPolynomialRecurrence:

@@ -4,8 +4,8 @@
 and one per way a drag-path run can end.  The engine tests pin count
 vectors and full stats of both #DS routes on seeded cubic graphs and on
 cubic graphs with subdivided edges, and check that attaching an audit
-changes neither.  The set-cover pins run the separator ladder with the
-path-decomposition terminal switched off (``PD_WIDTH_CAP`` = -1), and
+changes neither.  The pins run the separator ladders with both
+path-decomposition terminals switched off (``PD_WIDTH_CAP`` = -1), and
 once more at the shipped cap.
 """
 
@@ -109,43 +109,45 @@ def pinned_graph(n: int, seed: int, k: int) -> Graph:
     return subdivided(n, seed, k) if k else gen_random_cubic(n, seed)
 
 
-# (n, seed, subdivided edges) -> (counts, count_ds stats, sc_count stats),
-# recorded before the engines shared apply_move.  Between them the runs
-# make every move but rotate-pair (covered by TestApplyMove).
+# (n, seed, subdivided edges) -> (counts, count_ds stats, sc_count stats)
+# with the path-decomposition terminals off.  The counts and the sc_count
+# stats were recorded before the engines shared apply_move, the count_ds
+# stats when ds_dp became its only terminal.  Between them the runs make
+# every move but rotate-pair (covered by TestApplyMove).
 PINNED = {
     (24, 0, 0): (
         (0, 0, 0, 0, 0, 0, 1, 79, 3162, 32864, 158572, 452198, 863323, 1187035, 1230545,
          990499, 630451, 320355, 130180, 42030, 10602, 2024, 276, 24, 1),
-        {'branchings': 34, 'leaves': 69, 'dp_calls': 69, 'enum_calls': 0, 'max_depth': 8,
-         'separator_recomputes': 1},
+        {'branchings': 1903, 'leaves': 10410, 'dp_calls': 10410, 'max_depth': 21,
+         'separator_recomputes': 1783},
         {'branchings': 820, 'annotations': 9492, 'dp_calls': 2138, 'splits': 655,
          'leaves': 2138, 'max_depth': 55, 'separator_recomputes': 334}),
     (24, 2, 0): (
         (0, 0, 0, 0, 0, 0, 0, 158, 4577, 40667, 180456, 489622, 905997, 1221101, 1250044,
          998534, 632794, 320816, 130235, 42033, 10602, 2024, 276, 24, 1),
-        {'branchings': 34, 'leaves': 69, 'dp_calls': 69, 'enum_calls': 0, 'max_depth': 6,
-         'separator_recomputes': 1},
+        {'branchings': 6094, 'leaves': 32322, 'dp_calls': 32238, 'max_depth': 21,
+         'separator_recomputes': 4534},
         {'branchings': 899, 'annotations': 9552, 'dp_calls': 2484, 'splits': 846,
          'leaves': 2484, 'max_depth': 49, 'separator_recomputes': 406}),
     (24, 3, 0): (
         (0, 0, 0, 0, 0, 0, 0, 85, 2825, 29153, 144782, 425014, 829710, 1158786, 1213773,
          983381, 628319, 319924, 130127, 42027, 10602, 2024, 276, 24, 1),
-        {'branchings': 13, 'leaves': 27, 'dp_calls': 27, 'enum_calls': 0, 'max_depth': 5,
-         'separator_recomputes': 1},
+        {'branchings': 1336, 'leaves': 7074, 'dp_calls': 7074, 'max_depth': 17,
+         'separator_recomputes': 1216},
         {'branchings': 935, 'annotations': 10880, 'dp_calls': 2650, 'splits': 811,
          'leaves': 2650, 'max_depth': 50, 'separator_recomputes': 390}),
     (18, 1, 5): (
         (0, 0, 0, 0, 0, 0, 0, 80, 2159, 19042, 84548, 226220, 404867, 517913, 494423,
          362058, 206637, 92495, 32373, 8737, 1766, 253, 23, 1),
-        {'branchings': 4, 'leaves': 9, 'dp_calls': 9, 'enum_calls': 0, 'max_depth': 5,
-         'separator_recomputes': 1},
+        {'branchings': 1138, 'leaves': 5571, 'dp_calls': 5571, 'max_depth': 18,
+         'separator_recomputes': 1018},
         {'branchings': 405, 'annotations': 4514, 'dp_calls': 1098, 'splits': 379,
          'leaves': 1098, 'max_depth': 47, 'separator_recomputes': 185}),
     (20, 2, 3): (
         (0, 0, 0, 0, 0, 0, 0, 76, 2438, 23061, 102296, 266827, 462574, 573661, 532834,
          381360, 213729, 94367, 32712, 8775, 1768, 253, 23, 1),
-        {'branchings': 11, 'leaves': 23, 'dp_calls': 23, 'enum_calls': 0, 'max_depth': 5,
-         'separator_recomputes': 1},
+        {'branchings': 433, 'leaves': 1558, 'dp_calls': 1558, 'max_depth': 13,
+         'separator_recomputes': 316},
         {'branchings': 536, 'annotations': 4742, 'dp_calls': 1674, 'splits': 582,
          'leaves': 1674, 'max_depth': 43, 'separator_recomputes': 291}),
 }
@@ -167,6 +169,23 @@ PINNED_AT_CAP = {
 }
 
 
+# count_ds stats at the shipped PD_WIDTH_CAP: each pinned graph has a nice
+# path decomposition of width <= 8 and is counted by one DP
+DS_AT_CAP = {'branchings': 0, 'leaves': 1, 'dp_calls': 1, 'max_depth': 0,
+             'separator_recomputes': 0}
+# a cubic graph of width 9, wider than the cap: one separator, one branch,
+# and three DPs; its counts came from the former core counters (25,150
+# branchings)
+WIDE_48 = (
+    (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 25, 5770, 355669, 9584100, 143524500,
+     1360852527, 8877235259, 42233589338, 153028601756, 436602948209, 1006847025368,
+     1916302105883, 3061170278722, 4160565620922, 4864860405644, 4937960472902,
+     4382609390439, 3420789035315, 2358627668252, 1441281772074, 782225045547,
+     377468539402, 161958094594, 61718590325, 20840428043, 6212320500, 1625985449,
+     370904386, 72996680, 12226180, 1710192, 194532, 17296, 1128, 48, 1),
+    {'branchings': 1, 'leaves': 3, 'dp_calls': 3, 'max_depth': 2, 'separator_recomputes': 1})
+
+
 class TestEnginesPinned:
     @pytest.mark.parametrize("key", sorted(PINNED))
     def test_count_ds_and_sc_count(self, key, ladder):
@@ -177,6 +196,15 @@ class TestEnginesPinned:
         vec, stats = sc_count(ds_to_sc(g))
         assert vec.counts == counts and asdict(stats) == sc_stats
 
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_count_ds_at_width_cap(self, key):
+        vec, stats = count_ds(LabeledGraph.all_u(pinned_graph(*key)))
+        assert vec.counts == PINNED[key][0] and asdict(stats) == DS_AT_CAP
+
+    def test_count_ds_wider_than_cap(self):
+        vec, stats = count_ds(LabeledGraph.all_u(gen_random_cubic(48, 1)))
+        assert (vec.counts, asdict(stats)) == WIDE_48
+
     @pytest.mark.parametrize("key", sorted(PINNED_AT_CAP))
     def test_sc_count_at_width_cap(self, key):
         vec, stats = sc_count(ds_to_sc(pinned_graph(*key)))
@@ -185,7 +213,7 @@ class TestEnginesPinned:
 
 class TestAuditIsPassive:
     @pytest.mark.parametrize("key", [(18, 1, 5), (20, 2, 3)])
-    def test_count_ds(self, key):
+    def test_count_ds(self, key, ladder):
         lg = LabeledGraph.all_u(pinned_graph(*key))
         audit = DsAudit(strict=True)
         assert count_ds(lg, audit=audit) == count_ds(lg)
