@@ -3,9 +3,12 @@ max-degree outer loop for instances of degree ≥ 4.
 
 The subcubic engine maintains a separation (L,S,R) alongside the
 instance.  Degree ≤ 2 vertices are folded away first; when the separator
-empties, the engine splits components, brute-forces constant-size
-instances, or recomputes a separator; otherwise the next pivot comes
-from the shared separator-case ladder.
+empties, the engine splits components or recomputes a separator;
+otherwise the next pivot comes from the shared separator-case ladder.
+A piece that would branch is solved outright instead when a nice path
+decomposition keeps its max-plus sweep within r^(width+1) ≤
+3^(PD_WIDTH_CAP+1) states, the #DS sweep's bound; under the separator
+policy the max-degree outer loop makes the same check.
 
 Ownership: a ``_rec_cubic`` call owns and consumes its instance and
 separation, and so does ``_rec_general`` with its instance.  Steps that
@@ -22,6 +25,7 @@ the baseline the adversarial trace analysis applies to.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .csp import (
     CspInstance,
@@ -35,23 +39,29 @@ from .csp import (
 from .graph import Graph, connected_components
 from .measures import csp_eta, csp_mu
 from .policy import MOVES, PivotAction, apply_move, deg3_side_counts, separator_case
-from .separator import Separation, separate_cubic, trivial_separation, verify_separation
+from .separator import (
+    PD_WIDTH_CAP,
+    PathDecomposition,
+    Separation,
+    nice_path_decomposition,
+    separate_cubic,
+    trivial_separation,
+    verify_separation,
+)
 from .weights import CspWeights
 
-BRUTE_LIMIT = 8
 MU_REL_SLACK = 1e-9
 
 _HARD_KINDS = frozenset({
     "reduce0", "reduceI", "reduceII", "drag-R", "drag-L", "rotate",
-    "branch", "brute", "leaf",
+    "branch", "terminal", "leaf",
 })
 
 
 @dataclass
 class SolveStats:
     branchings: int = 0
-    leaves: int = 0  # assignments examined at terminal nodes
-    tree_leaves: int = 0  # terminal nodes themselves; a brute-forced piece counts once
+    leaves: int = 0  # terminal nodes: empty instances and swept pieces
     max_depth: int = 0
     separator_recomputes: int = 0
     measure_trace: list[float] | None = None
@@ -163,52 +173,96 @@ def select_pivot(inst: CspInstance, sep: Separation) -> PivotAction:
     return separator_case(inst.graph, sep)
 
 
-def _brute_best(inst: CspInstance) -> tuple[int, dict[int, int]]:
-    """Exhaustive optimum.  Colours are enumerated in ascending order over
-    sorted vertices and only a strictly better score replaces the best, so
-    the witness is the lexicographically smallest optimum.
+def _brute_best(inst: CspInstance, decomp: PathDecomposition) -> tuple[int, dict[int, int]]:
+    """Optimum and witness of inst by one max-plus sweep over `decomp`, a
+    nice path decomposition of inst.graph, with up to r^(width+1) states.
+    (The name is the exhaustive terminal's that this sweep replaced: the
+    benchmark's tracer wraps ``smc.csp_solve:_brute_best`` by name.)
 
-    Each vertex's colour gains are tabulated once per call, for every
-    colouring of its earlier neighbours; the last vertex takes its best
-    colour from a table instead of a further level of enumeration.
+    The state is the colouring of the bag, kept as a flat list of best
+    partial scores indexed in base r, one digit per bag vertex in the
+    order they were introduced.  Introducing v adds the top digit: state
+    (s, c) gains s_v[v][c] plus the ``edge_rows`` entries of v's bag
+    neighbours at their colours in s.  Every edge lies in some bag, so
+    each is scored exactly once, when its later endpoint comes in.
+    Forgetting v keeps the max over v's colour and stores the argmax, one
+    byte per remaining state; a closing empty bag forgets what the last
+    bag holds.  The witness is traced back through the stored argmaxes,
+    and ties go to the smallest colour at each forget.
     """
-    vs = inst.graph.vertices()
-    if not vs:
-        return inst.s_nil, {}
     r = inst.r
-    pos = {v: i for i, v in enumerate(vs)}
     adj = inst.graph.neighbor_sets()
-    earlier: list[list[int]] = []  # positions of each vertex's earlier neighbours
-    tables: list[list] = []  # tables[i][code]: gain of each colour of vs[i]
-    for i, v in enumerate(vs):
-        nb = sorted(pos[u] for u in adj[v] if pos[u] < i)
-        table = [inst.s_v[v]]
-        for j in nb:  # code = earlier neighbours' colours in base r, in nb order
-            rows = inst.edge_rows(vs[j], v)
-            table = [[a + b for a, b in zip(gains, row)] for gains in table for row in rows]
-        earlier.append(nb)
-        tables.append(table)
-    last = len(vs) - 1
-    tops = [(max(g), g.index(max(g))) for g in tables[last]]
-    col = [0] * len(vs)
-    best: list = [None, col]  # score, colour vector
+    digits: list[int] = []  # bag vertices, lowest digit first
+    scores = [0]
+    # per step: (v, r^k, None) when v comes in onto k digits, and
+    # (v, r^p, argmax) when v leaves from digit p
+    trail: list[tuple[int, int, bytearray | None]] = []
+    prev: frozenset[int] = frozenset()
+    for bag in [*decomp.bags, frozenset()]:
+        for v in prev - bag:
+            b = r ** digits.index(v)
+            digits.remove(v)
+            scores, arg = _forget_digit(scores, r, b)
+            trail.append((v, b, arg))
+        for v in bag - prev:
+            size = len(scores)
+            nbrs = [(r ** digits.index(u), inst.edge_rows(u, v)) for u in adj[v] if u in digits]
+            grown: list[int] = []
+            for c, gain in enumerate(inst.s_v[v]):
+                block = [x + gain for x in scores]
+                for b, rows in nbrs:  # row[c] of u's colour, repeated along digit b
+                    col = [x for row in rows for x in (row[c],) * b] * (size // (b * r))
+                    block = list(map(add, block, col))
+                grown += block
+            scores = grown
+            digits.append(v)
+            trail.append((v, size, None))
+        prev = bag
+    asg: dict[int, int] = {}
+    t = 0
+    for v, b, arg in reversed(trail):
+        if arg is None:  # undo an introduce: drop the top digit
+            t %= b
+        else:  # undo a forget: put v's colour back in as digit b
+            c = asg[v] = arg[t]
+            t += (t // b) * b * (r - 1) + c * b
+    return inst.s_nil + scores[0], asg
 
-    def go(i: int, acc: int) -> None:
-        code = 0
-        for j in earlier[i]:
-            code = code * r + col[j]
-        if i == last:
-            top, c = tops[code]
-            if best[0] is None or acc + top > best[0]:
-                col[i] = c
-                best[0], best[1] = acc + top, list(col)
-            return
-        for c, gain in enumerate(tables[i][code]):
-            col[i] = c
-            go(i + 1, acc + gain)
 
-    go(0, inst.s_nil)
-    return best[0], dict(zip(vs, best[1]))
+def _forget_digit(scores: list[int], r: int, b: int) -> tuple[list[int], bytearray]:
+    """Max over the base-r digit of weight b, and for each remaining state
+    the smallest colour attaining it.
+
+    The states sharing every other digit lie b apart, so the work runs
+    either over the len/(b·r) runs of b adjacent states or over the b
+    interleaved runs of stride b·r, whichever are fewer.
+    """
+    step = b * r
+    runs = len(scores) // step
+    out = [0] * (len(scores) // r)
+    arg = bytearray(len(out))
+    if b >= runs:
+        pieces = [([slice(i * step + c * b, i * step + c * b + b) for c in range(r)],
+                   slice(i * b, i * b + b)) for i in range(runs)]
+    else:
+        pieces = [([slice(j + c * b, None, step) for c in range(r)], slice(j, None, b))
+                  for j in range(b)]
+    for src, dst in pieces:
+        cols = [scores[s] for s in src]
+        top = list(map(max, *cols))
+        out[dst] = top
+        arg[dst] = bytes(map(tuple.index, zip(*cols), top))
+    return out, arg
+
+
+def _narrow_best(inst: CspInstance, env: _Env) -> tuple[int, dict[int, int]] | None:
+    """The sweep's optimum of inst when its nice path decomposition keeps
+    the sweep within r^(width+1) ≤ 3^(PD_WIDTH_CAP+1) states, else None."""
+    decomp = nice_path_decomposition(inst.graph)
+    if inst.r ** (decomp.width + 1) > 3 ** (PD_WIDTH_CAP + 1):
+        return None
+    env.stats.leaves += 1
+    return _brute_best(inst, decomp)
 
 
 def _sub_separation(sep: Separation, comp: set[int]) -> Separation:
@@ -235,7 +289,6 @@ def _rec_cubic(inst: CspInstance, sep: Separation, env: _Env,
             assert verify_separation(g, sep), "separation invalid at recursive call"
         if g.n == 0:
             stats.leaves += 1
-            stats.tree_leaves += 1
             if audit is not None:
                 audit.record("leaf", inst.r, (g, sep), [])
             score, asg = inst.s_nil, {}
@@ -260,13 +313,6 @@ def _rec_cubic(inst: CspInstance, sep: Separation, env: _Env,
                     s, a = _rec_cubic(ci, cs, env, depth + 1)
                     score += s
                     asg.update(a)
-                break
-            if g.n <= BRUTE_LIMIT:
-                stats.leaves += inst.r ** g.n
-                stats.tree_leaves += 1
-                if audit is not None:
-                    _trace(env, audit.record("brute", inst.r, (g, sep), []))
-                score, asg = _brute_best(inst)
                 break
             if g.n != resep_n:
                 sep2 = separate_cubic(g, seed=env.seed)
@@ -325,6 +371,14 @@ def _best(children, solve_child) -> tuple[int, dict[int, int]]:
 
 def _branch_cubic(inst: CspInstance, sep: Separation, y: int, env: _Env,
                   depth: int, kind: str, note: str = "") -> tuple[int, dict[int, int]]:
+    """Branch on y, unless inst is narrow enough for the sweep.  Both the
+    ladder's branches and stalls come here, never the S=∅ root, which
+    separates first."""
+    best = _narrow_best(inst, env)
+    if best is not None:
+        if env.audit is not None:
+            _trace(env, env.audit.record("terminal", inst.r, (inst.graph, sep), []))
+        return best
     children = reduceIII(inst, y)
     env.stats.branchings += 1
     seps = [_drop(sep, y) for _ in children]
@@ -349,14 +403,15 @@ def _trace(env: _Env, mu: float | None):
 def _rec_general(inst: CspInstance, env: _Env,
                  depth: int) -> tuple[int, dict[int, int]]:
     """Max-degree outer loop; consumes inst.  Reductions 0/I/II run in
-    place as in ``_rec_cubic``; each still counts one level of depth."""
+    place as in ``_rec_cubic``; each still counts one level of depth.
+    Under the separator policy a narrow piece is swept instead of
+    branched on; the local policy always branches."""
     g = inst.graph
     fills = []
     while True:
         env.stats.max_depth = max(env.stats.max_depth, depth)
         if g.n == 0:
             env.stats.leaves += 1
-            env.stats.tree_leaves += 1
             score, asg = inst.s_nil, {}
             break
         act = _simplify_action(g, None)
@@ -364,9 +419,14 @@ def _rec_general(inst: CspInstance, env: _Env,
             fills.append(_IN_PLACE[act.kind](inst, act.vertex))
             depth += 1
             continue
-        if env.policy == "separator" and g.max_degree() <= 3:
-            score, asg = _rec_cubic(inst, trivial_separation(g.vertices()), env, depth)
-            break
+        if env.policy == "separator":
+            if g.max_degree() <= 3:
+                score, asg = _rec_cubic(inst, trivial_separation(g.vertices()), env, depth)
+                break
+            best = _narrow_best(inst, env)
+            if best is not None:
+                score, asg = best
+                break
         dmax = g.max_degree()
         y = min(v for v in g.vertices() if g.degree(v) == dmax)
         children = reduceIII(inst, y)
@@ -384,7 +444,8 @@ def solve(inst: CspInstance, policy: str = "separator",
     """Exact optimum, witnessing assignment, and run counters.
 
     The witness is deterministic (ties broken toward lexicographically
-    small assignments at each combination point) and always satisfies
+    small assignments where branches combine, and toward the smallest
+    colour at each forget of the sweep) and always satisfies
     evaluate(inst, witness) = score.
     """
     if policy not in ("separator", "local"):

@@ -1,27 +1,29 @@
 """Engine tests: exact optima with witnesses, pivot selection, policies,
-stats counters, and the runtime measure audit."""
+stats counters, and the runtime measure audit.  The separator ladder is
+tested with the sweep terminal switched off (the ``ladder`` fixture),
+since at the shipped width cap the cubic test graphs are swept at their
+first branch."""
 
 import random
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from strategies import csp_instances
 
 from smc.csp import encode_maxcut, evaluate, zero_instance
-from smc.csp_solve import (
-    BRUTE_LIMIT,
-    CspAudit,
-    _brute_best,
-    select_pivot,
-    solve,
-)
+from smc.csp_solve import CspAudit, _brute_best, select_pivot, solve
 from smc.generators import csp_on_graph, gen_random_cubic
 from smc.graph import Graph
 from smc.oracles import brute_max2csp
 from smc.policy import PivotAction
-from smc.separator import Separation, trivial_separation
+from smc.separator import (
+    Separation,
+    nice_path_decomposition,
+    path_decomposition,
+    trivial_separation,
+)
 from smc.weights import CspWeights
 
 
@@ -84,8 +86,20 @@ def spider(legs: int, length: int) -> Graph:
     return g
 
 
+def grid(rows: int, cols: int) -> Graph:
+    g = Graph(range(rows * cols))
+    for i in range(rows):
+        for j in range(cols):
+            v = i * cols + j
+            if j + 1 < cols:
+                g.add_edge(v, v + 1)
+            if i + 1 < rows:
+                g.add_edge(v, v + cols)
+    return g
+
+
 def exhaustive_best(inst):
-    """Reference terminal: plain depth-first enumeration, ascending colours
+    """Reference optimum: plain depth-first enumeration, ascending colours
     over sorted vertices, strict improvement only, so the witness is the
     lexicographically smallest optimum."""
     vs = inst.graph.vertices()
@@ -114,15 +128,39 @@ def exhaustive_best(inst):
     return best_score, best_asg
 
 
+@st.composite
+def sweep_cases(draw):
+    """A Max 2-CSP instance on a possibly disconnected graph of n ≤ 8 and
+    degree ≤ 5, with one of its nice path decompositions: the greedy one
+    or the one along a random vertex order."""
+    inst = draw(st.one_of(csp_instances(max_n=8, rs=(2, 3, 4), lo=0, hi=0),
+                          csp_instances(max_n=8, rs=(2, 3, 4), lo=-1, hi=1),
+                          csp_instances(max_n=8, rs=(2, 3, 4), lo=-3, hi=3)))
+    g = inst.graph
+    for u, v in g.edges():
+        if g.degree(u) > 5 or g.degree(v) > 5:
+            g.remove_edge(u, v)
+            del inst.s_e[(u, v)]
+    if draw(st.booleans()):
+        return inst, nice_path_decomposition(g)
+    return inst, path_decomposition(g, draw(st.permutations(g.vertices())))
+
+
 class TestBruteTerminal:
-    @settings(max_examples=150, deadline=None)
-    @given(st.one_of(csp_instances(max_n=8, rs=(2, 3, 4), lo=0, hi=0),
-                     csp_instances(max_n=8, rs=(2, 3, 4), lo=-1, hi=1)))
-    def test_matches_exhaustive_score_and_witness(self, inst):
-        if inst.graph.n == 0:
-            assert _brute_best(inst) == (inst.s_nil, {})
-            return
-        assert _brute_best(inst) == exhaustive_best(inst)
+    """``_brute_best`` is the max-plus path-decomposition sweep."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_cases())
+    def test_matches_exhaustive_score_and_witness(self, case):
+        inst, decomp = case
+        score, witness = _brute_best(inst, decomp)
+        assert score == exhaustive_best(inst)[0]
+        assert evaluate(inst, witness) == score
+
+    def test_ties_go_to_the_smallest_colour(self):
+        inst = zero_instance(3, Graph.path(3))
+        score, witness = _brute_best(inst, nice_path_decomposition(inst.graph))
+        assert (score, witness) == (0, {0: 0, 1: 0, 2: 0})
 
 
 class TestDepth:
@@ -147,7 +185,7 @@ class TestSolveExamples:
         assert evaluate(inst, sol.assignment) == 4
         assert stats.leaves >= 1
 
-    def test_petersen_maxcut(self):
+    def test_petersen_maxcut(self, ladder):
         inst = encode_maxcut(petersen())
         sol, stats = solve(inst)
         assert sol.score == 12
@@ -172,13 +210,14 @@ class TestSolveExamples:
         center = sol.assignment[0]
         assert all(sol.assignment[leaf] != center for leaf in range(1, 6))
 
-    def test_component_split_beats_connected_brute(self):
+    def test_component_split_gets_one_terminal_per_piece(self):
         split_sol, split_stats = solve(encode_maxcut(two_k4()))
         conn_sol, conn_stats = solve(encode_maxcut(hypercube3()))
         assert split_sol.score == 8
         assert conn_sol.score == 12  # Q₃ is bipartite
-        # two K4 brutes (2·2⁴) versus one 8-vertex brute (2⁸)
-        assert split_stats.leaves < conn_stats.leaves
+        # each K4 is swept on its own; Q₃ is one sweep
+        assert (split_stats.leaves, split_stats.branchings) == (2, 0)
+        assert (conn_stats.leaves, conn_stats.branchings) == (1, 0)
 
     def test_empty_instance(self):
         inst = zero_instance(2, Graph())
@@ -201,8 +240,9 @@ class TestSolveProperties:
         assert evaluate(inst, sol.assignment) == sol.score
 
     @given(inst=csp_instances(max_n=6))
-    @settings(max_examples=40, deadline=None)
-    def test_policies_agree_on_score(self, inst):
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_policies_agree_on_score(self, ladder, inst):
         sep_sol, _ = solve(inst, policy="separator")
         loc_sol, _ = solve(inst, policy="local")
         assert sep_sol.score == loc_sol.score
@@ -273,7 +313,7 @@ class TestSelectPivot:
 
 
 class TestAudit:
-    def test_random_cubic_runs_clean(self):
+    def test_random_cubic_runs_clean(self, ladder):
         rng = random.Random(20260814)
         for t in range(6):
             g = random_cubic(16, rng)
@@ -284,6 +324,15 @@ class TestAudit:
             assert audit.violations == []
             assert all(e.eta_ok for e in audit.entries if e.hard)
             assert stats.measure_trace, "audit runs collect the μ trace"
+
+    def test_terminal_is_one_hard_entry(self):
+        inst = csp_on_graph(gen_random_cubic(24, 0), 2, 0)
+        audit = CspAudit(strict=True)
+        _, stats = solve(inst, audit=audit)
+        terminals = [e for e in audit.entries if e.kind == "terminal"]
+        assert len(terminals) == stats.leaves == 1
+        assert terminals[0].hard and terminals[0].mu_parent is not None
+        assert terminals[0].mu_children == () == terminals[0].eta_children
 
     def test_strict_mode_raises(self):
         g = Graph.complete(4)
@@ -316,7 +365,7 @@ class TestAudit:
 
 class TestAuditIsPassive:
     @pytest.mark.parametrize("r,n", [(2, 24), (3, 16)])
-    def test_same_solution_and_stats(self, r, n):
+    def test_same_solution_and_stats(self, r, n, ladder):
         for seed in range(3):
             inst = csp_on_graph(gen_random_cubic(n, seed), r, seed)
             before = inst.copy()
@@ -331,12 +380,12 @@ class TestAuditIsPassive:
 
 
 class TestStats:
-    def test_connected_brute_leaf_count(self):
+    def test_connected_terminal_count(self):
         inst = encode_maxcut(hypercube3())
         _, stats = solve(inst)
-        assert stats.leaves == 2 ** 8
+        assert stats.leaves == 1
         assert stats.branchings == 0
-        assert stats.separator_recomputes == 0
+        assert stats.separator_recomputes == 1
 
     def test_local_policy_skips_separators(self):
         inst = encode_maxcut(petersen())
@@ -344,5 +393,47 @@ class TestStats:
         assert sol.score == 12
         assert stats.separator_recomputes == 0
 
-    def test_brute_limit_is_modest(self):
-        assert 4 <= BRUTE_LIMIT <= 10
+
+def _cubic_cases():
+    return [(r, n, seed) for r, ns in ((2, (24, 44)), (3, (16, 28)))
+            for n in ns for seed in range(3)]
+
+
+class TestWidthCap:
+    """At the shipped cap the benchmark's cubic sizes are swept at their
+    first branch; the ladder and the local policy find the same optima."""
+
+    @pytest.mark.parametrize("r,n", [(2, 44), (3, 28)])
+    def test_no_branchings_at_benchmark_sizes(self, r, n):
+        for seed in range(3):
+            inst = csp_on_graph(gen_random_cubic(n, seed), r, seed)
+            sol, stats = solve(inst, seed=seed)
+            assert (stats.branchings, stats.leaves) == (0, 1)
+            assert stats.separator_recomputes == 1
+            assert evaluate(inst, sol.assignment) == sol.score
+
+    @pytest.mark.parametrize("r,n,seed", _cubic_cases())
+    def test_cap_ladder_and_local_agree(self, r, n, seed, monkeypatch):
+        inst = csp_on_graph(gen_random_cubic(n, seed), r, seed)
+        at_cap, _ = solve(inst, seed=seed)
+        local, _ = solve(inst, policy="local", seed=seed)
+        monkeypatch.setattr("smc.csp_solve.PD_WIDTH_CAP", -1)
+        on_ladder, ladder_stats = solve(inst, seed=seed)
+        assert at_cap.score == on_ladder.score == local.score
+        assert ladder_stats.branchings > 0
+        for sol in (at_cap, on_ladder, local):
+            assert evaluate(inst, sol.assignment) == sol.score
+
+    def test_grid_of_degree_four(self):
+        # 4×30: too wide to brute-force, degree 4, bipartite, pathwidth 4;
+        # the local policy needs about 4^(k/2) branchings on 4×k, so it is
+        # checked on 4×10
+        for cols, policies in ((10, ("separator", "local")), (30, ("separator",))):
+            g = grid(4, cols)
+            inst = encode_maxcut(g)
+            for policy in policies:
+                sol, stats = solve(inst, policy=policy)
+                assert sol.score == g.m
+                assert evaluate(inst, sol.assignment) == g.m
+                if policy == "separator":
+                    assert stats.branchings == 0
