@@ -3,7 +3,7 @@
 Results go to stdout, statistics/audit diagnostics go to stderr (as
 ``stat,<name>,<value>`` CSV-ready lines), so pipelines compose.  Exit
 codes: 0 success, 1 solver or guard error, 2 input/argument parse error.
-Every invocation is deterministic for a fixed seed.
+Every invocation is deterministic; ``gen`` alone takes a ``--seed``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from smc.generators import (
 )
 from smc.graph import Graph, format_graph, parse_graph
 from smc.oracles import brute_domset, brute_max2csp, brute_setcover
-from smc.separator import nice_path_decomposition, separate_balanced_by_measure, separate_cubic
+from smc.separator import nice_path_decomposition, separate_cubic
 from smc.setcover import ScAudit, ds_to_sc, parse_sc, sc_count
 from smc.weights import CspWeights, ScWeights, parse_csp_weights, parse_sc_weights
 
@@ -50,7 +50,6 @@ class InputError(Exception):
 class RunConfig:
     subcommand: str
     input: str | None = None  # path; None or "-" reads stdin
-    seed: int = 0
     audit: bool = False
     stats: bool = False
     policy: str = "separator"
@@ -119,7 +118,7 @@ def _run_csp(cfg: RunConfig, inst) -> int:
     if cfg.weights is not None and not cfg.audit:
         raise InputError("--weights needs --audit-measure")
     audit = CspAudit(weights=_load_weights(cfg, "csp")) if cfg.audit else None
-    sol, stats = solve(inst, policy=cfg.policy, audit=audit, seed=cfg.seed)
+    sol, stats = solve(inst, policy=cfg.policy, audit=audit)
     order = inst.graph.vertices()
     if cfg.json_out:
         _emit_json(
@@ -168,8 +167,6 @@ def _print_counts(cfg: RunConfig, vec, n_top: int, stats=None) -> None:
 def cmd_count_ds(cfg: RunConfig, args) -> int:
     if args.policy is not None and not args.subcubic:
         raise InputError("--policy needs --subcubic")
-    if args.seed is not None and not args.subcubic:
-        raise InputError("--seed needs --subcubic")
     if cfg.weights is not None and args.subcubic:
         raise InputError("--weights does not apply to --subcubic")
     lg = _parse_input(cfg, parse_labeled_graph)
@@ -177,7 +174,7 @@ def cmd_count_ds(cfg: RunConfig, args) -> int:
         if lg.graph.max_degree() > 3:
             raise InputError(f"--subcubic needs max degree <= 3, got {lg.graph.max_degree()}")
         audit = DsAudit() if cfg.audit else None
-        vec, stats = count_ds(lg, policy=cfg.policy, audit=audit, seed=cfg.seed)
+        vec, stats = count_ds(lg, policy=cfg.policy, audit=audit)
         _print_counts(cfg, vec, lg.graph.n, stats)
         _emit_stats(cfg, stats)
         if audit is not None:
@@ -210,12 +207,8 @@ def cmd_count_sc(cfg: RunConfig, args) -> int:
 
 def cmd_separate(cfg: RunConfig, args) -> int:
     g = _parse_input(cfg, parse_graph)
-    if g.max_degree() <= 3:
-        sep = separate_cubic(g, seed=cfg.seed)
-    else:
-        sep = separate_balanced_by_measure(g, lambda v: 1, 1, nice_path_decomposition(g))
-    sides = {name: sorted(getattr(sep, attr)) for name, attr in
-             (("left", "left"), ("sep", "sep"), ("right", "right"))}
+    sep = separate_cubic(g, nice_path_decomposition(g))
+    sides = {name: sorted(getattr(sep, name)) for name in ("left", "sep", "right")}
     if cfg.json_out:
         _emit_json(sides)
     else:
@@ -244,11 +237,11 @@ def cmd_gen(cfg: RunConfig, args) -> int:
         elif fam == "g5":
             out = format_graph(gen_g5(_require(args.n, "--n")))
         elif fam == "cubic":
-            out = format_graph(gen_random_cubic(_require(args.n, "--n"), cfg.seed))
+            out = format_graph(gen_random_cubic(_require(args.n, "--n"), args.seed or 0))
         else:  # csp
             n = _require(args.n, "--n")
             m = _require(args.m, "--m")
-            out = format_csp(gen_random_csp(n, m, args.r, cfg.seed))
+            out = format_csp(gen_random_csp(n, m, args.r, args.seed or 0))
     except ValueError as e:
         raise InputError(str(e)) from e
     sys.stdout.write(out)
@@ -384,7 +377,6 @@ _HANDLERS = {
 
 _FLAGS = {
     "--input": dict(help="input file (default: stdin)"),
-    "--seed": dict(type=int, help="64-bit seed (default 0)"),
     "--policy": dict(choices=("separator", "local"),
                      help="branching policy (default: separator)"),
     "--weights": dict(help="weights file overriding the published table"),
@@ -427,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(subs.add_parser("count-sc", help="set-cover counts by size"),
                "--input", "--weights", "--audit-measure", "--stats", "--json")
     _add_flags(subs.add_parser("separate", help="balanced separation of a graph"),
-               "--input", "--seed", "--stats", "--json")
+               "--input", "--stats", "--json")
 
     gen = subs.add_parser("gen", help="emit a family or random instance")
     gen.add_argument("family", choices=("g3", "g4", "g5", "cubic", "csp"))
@@ -436,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n4", type=int)
     gen.add_argument("--m", type=int)
     gen.add_argument("--r", type=int, default=2)
-    _add_flags(gen, "--seed")
+    gen.add_argument("--seed", type=int, help="64-bit seed (default 0)")
 
     tr = subs.add_parser("trace-lb", help="adversarial trace on a family")
     tr.add_argument("--family", choices=("g3", "g4", "g5"), required=True)
@@ -464,7 +456,6 @@ def main(argv: list[str] | None = None) -> int:
     cfg = RunConfig(
         subcommand=args.subcommand,
         input=getattr(args, "input", None),
-        seed=getattr(args, "seed", None) or 0,
         audit=getattr(args, "audit", False),
         stats=getattr(args, "stats", False),
         policy=getattr(args, "policy", None) or "separator",

@@ -3,10 +3,11 @@ max-degree outer loop for instances of degree ≥ 4.
 
 The subcubic engine maintains a separation (L,S,R) alongside the
 instance.  Degree ≤ 2 vertices are folded away first; when the separator
-empties, the engine splits components or recomputes a separator;
-otherwise the next pivot comes from the shared separator-case ladder.
-A piece that would branch is solved outright instead when a nice path
-decomposition keeps its max-plus sweep within r^(width+1) ≤
+empties, the engine splits components or re-separates by sweeping a nice
+path decomposition's bags; otherwise the next pivot comes from the shared
+separator-case ladder.  A piece that would branch is solved outright
+instead when its decomposition (the re-separation's, if no reduction has
+changed the graph since) keeps the max-plus sweep within r^(width+1) ≤
 3^(PD_WIDTH_CAP+1) states, the #DS sweep's bound; under the separator
 policy the max-degree outer loop makes the same check.
 
@@ -136,7 +137,6 @@ class _Env:
     policy: str
     stats: SolveStats
     audit: CspAudit | None
-    seed: int
 
 
 def _asg_key(asg: dict[int, int]) -> tuple:
@@ -255,10 +255,10 @@ def _forget_digit(scores: list[int], r: int, b: int) -> tuple[list[int], bytearr
     return out, arg
 
 
-def _narrow_best(inst: CspInstance, env: _Env) -> tuple[int, dict[int, int]] | None:
-    """The sweep's optimum of inst when its nice path decomposition keeps
-    the sweep within r^(width+1) ≤ 3^(PD_WIDTH_CAP+1) states, else None."""
-    decomp = nice_path_decomposition(inst.graph)
+def _narrow_best(inst: CspInstance, env: _Env,
+                 decomp: PathDecomposition) -> tuple[int, dict[int, int]] | None:
+    """The sweep's optimum of inst over `decomp`, a nice path decomposition of
+    inst.graph, if it has r^(width+1) ≤ 3^(PD_WIDTH_CAP+1) states, else None."""
     if inst.r ** (decomp.width + 1) > 3 ** (PD_WIDTH_CAP + 1):
         return None
     env.stats.leaves += 1
@@ -274,15 +274,18 @@ _IN_PLACE = {"reduce0": reduce0_inplace, "reduceI": reduceI_inplace,
 
 
 def _rec_cubic(inst: CspInstance, sep: Separation, env: _Env,
-               depth: int, resep_n: int = -1) -> tuple[int, dict[int, int]]:
+               depth: int) -> tuple[int, dict[int, int]]:
     """Optimum and witness of inst under the separation sep; consumes both.
 
     Reductions, drags, rotations and re-separations run in place; their
     fills are applied in reverse on the way out.  Only a branch, a stall,
     a split or a terminal recurses.  Each step counts one level of depth.
+    A branch or stall reuses the re-separation's decomposition while no
+    reduction has changed the graph since.
     """
     stats, audit, g = env.stats, env.audit, inst.graph
     fills = []
+    decomp = None  # swept by the last re-separation; None once a reduction changes g
     while True:
         stats.max_depth = max(stats.max_depth, depth)
         if audit is not None:
@@ -314,20 +317,21 @@ def _rec_cubic(inst: CspInstance, sep: Separation, env: _Env,
                     score += s
                     asg.update(a)
                 break
-            if g.n != resep_n:
-                sep2 = separate_cubic(g, seed=env.seed)
+            if decomp is None:
+                decomp = nice_path_decomposition(g)
+                sep2 = separate_cubic(g, decomp)
                 stats.separator_recomputes += 1
                 if audit is not None:
                     _trace(env, audit.record("reseparate", inst.r, (g, sep), [(g, sep2)],
                                              eta_exempt=True))
-                sep, resep_n, depth = sep2, g.n, depth + 1
+                sep, depth = sep2, depth + 1
                 continue
             # Separating this graph already led back here with nothing removed
             # (the case ladder consumed the whole separator), so separating
             # again would repeat the cycle.  Branch on one vertex to shrink the
             # graph; outside the analyzed cases, hence a soft step.
             y = min(v for v in g.vertices() if g.degree(v) == g.max_degree())
-            score, asg = _branch_cubic(inst, sep, y, env, depth, "stall",
+            score, asg = _branch_cubic(inst, sep, y, env, depth, decomp, "stall",
                                        "re-separation made no progress")
             break
         if act is None:
@@ -335,7 +339,7 @@ def _rec_cubic(inst: CspInstance, sep: Separation, env: _Env,
 
         kind, y = act.kind, act.vertex
         if kind == "branch":
-            score, asg = _branch_cubic(inst, sep, y, env, depth, "branch")
+            score, asg = _branch_cubic(inst, sep, y, env, depth, decomp, "branch")
             break
         if audit is not None:
             parent = (g if kind in MOVES else g.copy(), sep.copy())
@@ -344,7 +348,7 @@ def _rec_cubic(inst: CspInstance, sep: Separation, env: _Env,
         else:
             fills.append(_IN_PLACE[kind](inst, y))
             sep.discard(y)
-            resep_n = -1
+            decomp = None
             if act.partner is not None:  # reduceII's separator repair
                 sep.right.remove(act.partner)
                 sep.sep.add(act.partner)
@@ -370,11 +374,12 @@ def _best(children, solve_child) -> tuple[int, dict[int, int]]:
 
 
 def _branch_cubic(inst: CspInstance, sep: Separation, y: int, env: _Env,
-                  depth: int, kind: str, note: str = "") -> tuple[int, dict[int, int]]:
+                  depth: int, decomp: PathDecomposition | None, kind: str,
+                  note: str = "") -> tuple[int, dict[int, int]]:
     """Branch on y, unless inst is narrow enough for the sweep.  Both the
     ladder's branches and stalls come here, never the S=∅ root, which
-    separates first."""
-    best = _narrow_best(inst, env)
+    separates first.  `decomp` is inst's decomposition if one is known."""
+    best = _narrow_best(inst, env, decomp or nice_path_decomposition(inst.graph))
     if best is not None:
         if env.audit is not None:
             _trace(env, env.audit.record("terminal", inst.r, (inst.graph, sep), []))
@@ -423,7 +428,7 @@ def _rec_general(inst: CspInstance, env: _Env,
             if g.max_degree() <= 3:
                 score, asg = _rec_cubic(inst, trivial_separation(g.vertices()), env, depth)
                 break
-            best = _narrow_best(inst, env)
+            best = _narrow_best(inst, env, nice_path_decomposition(g))
             if best is not None:
                 score, asg = best
                 break
@@ -439,8 +444,7 @@ def _rec_general(inst: CspInstance, env: _Env,
 
 
 def solve(inst: CspInstance, policy: str = "separator",
-          audit: CspAudit | None = None,
-          seed: int = 0) -> tuple[CspSolution, SolveStats]:
+          audit: CspAudit | None = None) -> tuple[CspSolution, SolveStats]:
     """Exact optimum, witnessing assignment, and run counters.
 
     The witness is deterministic (ties broken toward lexicographically
@@ -451,7 +455,7 @@ def solve(inst: CspInstance, policy: str = "separator",
     if policy not in ("separator", "local"):
         raise ValueError(f"unknown policy {policy!r}")
     stats = SolveStats(measure_trace=[] if audit is not None else None)
-    env = _Env(policy, stats, audit, seed)
+    env = _Env(policy, stats, audit)
     inst = inst.copy()  # the engines consume their instance
     if policy == "separator" and inst.graph.max_degree() <= 3:
         sep = trivial_separation(inst.graph.vertices())

@@ -302,7 +302,6 @@ class DsAudit:
 class _Env:
     stats: DsStats
     audit: DsAudit | None
-    seed: int
 
 
 def _sub_labeled(lg: LabeledGraph, comp: list[int]) -> LabeledGraph:
@@ -316,68 +315,74 @@ def _project(sep: Separation, child: LabeledGraph) -> Separation:
     return Separation(sep.left & keep, sep.sep & keep, sep.right & keep)
 
 
-def _terminal(lg: LabeledGraph, env: _Env) -> CountVector | None:
-    """Count a connected component outright by ``ds_dp``, or None when it
-    must branch.  Max degree <= 2 is always counted, along its walk order;
-    anything else when its nice path decomposition has width at most
-    PD_WIDTH_CAP."""
+def _terminal(lg: LabeledGraph, env: _Env) -> tuple[CountVector | None, PathDecomposition]:
+    """(count, decomposition) of a connected component: counted by
+    ``ds_dp`` when it has max degree <= 2 (along its walk order) or a nice
+    path decomposition of width at most PD_WIDTH_CAP, else (None, that
+    wider decomposition), which the caller separates from."""
     g = lg.graph
     if g.max_degree() <= 2:
         decomp = path_decomposition(g, _linear_order(g))
     else:
         decomp = nice_path_decomposition(g)
         if decomp.width > PD_WIDTH_CAP:
-            return None
+            return None, decomp
     env.stats.dp_calls += 1
-    return ds_dp(lg, decomp)
+    return ds_dp(lg, decomp), decomp
 
 
-def _rec(lg: LabeledGraph, sep: Separation, env: _Env, depth: int, resep_n: int = -1) -> CountVector:
-    env.stats.max_depth = max(env.stats.max_depth, depth)
-    g = lg.graph
-    audit = env.audit
-    if audit is not None:
-        assert verify_separation(g, sep), "separation invalid at recursive call"
-        lg.check()
-    if g.n == 0:
-        env.stats.leaves += 1
-        vec = CountVector.one()
+def _rec(lg: LabeledGraph, sep: Separation, env: _Env, depth: int) -> CountVector:
+    """Count of lg under the separation sep; consumes sep.  Moves and the
+    re-separation, which sweeps ``_terminal``'s wide decomposition, leave
+    the graph as it is and loop in place, one level of depth each."""
+    stats, audit, g = env.stats, env.audit, lg.graph
+    decomp, resep = None, False  # decomp is set once g is connected and wide
+    while True:
+        stats.max_depth = max(stats.max_depth, depth)
         if audit is not None:
-            audit.check_return("leaf", 0, vec)
-        return vec
-    l3, r3 = deg3_side_counts(g, sep)
-    if l3 > r3:
-        sep.swap()
-    comps = connected_components(g)
-    if len(comps) > 1:
-        vec = CountVector.one()
-        for comp in comps:
-            sub = _sub_labeled(lg, comp)
-            vec = vec.convolve(_rec(sub, _project(sep, sub), env, depth + 1))
-        if audit is not None:
-            audit.check_return("split", g.n, vec)
-        return vec
-    vec = _terminal(lg, env)
-    if vec is not None:
-        env.stats.leaves += 1
-        if audit is not None:
-            audit.check_return("dp", g.n, vec)
-        return vec
-    if not sep.sep:
-        if g.n != resep_n:
-            sep2 = separate_cubic(g, seed=env.seed)
-            env.stats.separator_recomputes += 1
-            return _rec(lg, sep2, env, depth + 1, resep_n=g.n)
-        # the case ladder consumed the whole separator without deleting
-        # anything, so re-separating would reproduce the cycle; branch
-        # once on a concrete vertex to shrink the graph instead
-        y = min(v for v in g.vertices() if g.degree(v) == 3)
-        return _branch(lg, y, sep, env, depth, "stall")
-    act = select_pivot_ds(lg, sep)
-    if act.kind == "branch":
-        return _branch(lg, act.vertex, sep, env, depth, "branch")
-    apply_move(sep, act, g.neighbor_sets().__getitem__)
-    return _rec(lg, sep, env, depth + 1, resep_n=resep_n)
+            assert verify_separation(g, sep), "separation invalid at recursive call"
+            lg.check()
+        if g.n == 0:
+            stats.leaves += 1
+            vec = CountVector.one()
+            if audit is not None:
+                audit.check_return("leaf", 0, vec)
+            return vec
+        l3, r3 = deg3_side_counts(g, sep)
+        if l3 > r3:
+            sep.swap()
+        if decomp is None:
+            comps = connected_components(g)
+            if len(comps) > 1:
+                vec = CountVector.one()
+                for comp in comps:
+                    sub = _sub_labeled(lg, comp)
+                    vec = vec.convolve(_rec(sub, _project(sep, sub), env, depth + 1))
+                if audit is not None:
+                    audit.check_return("split", g.n, vec)
+                return vec
+            vec, decomp = _terminal(lg, env)
+            if vec is not None:
+                stats.leaves += 1
+                if audit is not None:
+                    audit.check_return("dp", g.n, vec)
+                return vec
+        if not sep.sep:
+            if not resep:
+                sep, resep = separate_cubic(g, decomp), True
+                stats.separator_recomputes += 1
+                depth += 1
+                continue
+            # the case ladder consumed the whole separator without deleting
+            # anything, so re-separating would reproduce the cycle; branch
+            # once on a concrete vertex to shrink the graph instead
+            y = min(v for v in g.vertices() if g.degree(v) == 3)
+            return _branch(lg, y, sep, env, depth, "stall")
+        act = select_pivot_ds(lg, sep)
+        if act.kind == "branch":
+            return _branch(lg, act.vertex, sep, env, depth, "branch")
+        apply_move(sep, act, g.neighbor_sets().__getitem__)
+        depth += 1
 
 
 def _branch(lg: LabeledGraph, y: int, sep: Separation, env: _Env, depth: int, kind: str) -> CountVector:
@@ -434,7 +439,6 @@ def count_ds(
     sep: Separation | None = None,
     policy: str = "separator",
     audit: DsAudit | None = None,
-    seed: int = 0,
 ) -> tuple[CountVector, DsStats]:
     """Count dominating sets of every size; returns (vector, counters).
 
@@ -451,7 +455,7 @@ def count_ds(
     lg = lg.copy()
     lg.check()
     stats = DsStats()
-    env = _Env(stats, audit, seed)
+    env = _Env(stats, audit)
     if policy == "separator":
         start = trivial_separation(lg.graph.vertices()) if sep is None else sep.copy()
         vec = _rec(lg, start, env, 0)

@@ -1,10 +1,12 @@
 """Balanced separations (L,S,R) of bounded-degree graphs.
 
-Two routes:
-  * ``separate_cubic``: bisection heuristic + vertex cover of the cut, for
-    max-degree-3 graphs (the branching solvers' workhorse);
-  * ``separate_balanced_by_measure``: bag sweep over a nice path
-    decomposition, balancing an arbitrary per-vertex weight up to a cap B.
+One algorithm: a path decomposition of width w has a bag that is a
+balanced separator of at most w + 1 vertices, so a sweep over the bags
+of a nice path decomposition stops at the first bag that balances the
+forgotten vertices against the unseen ones.  Every engine separates
+this way, from the decomposition its terminal check builds anyway:
+``separate_balanced_by_measure`` balances a per-vertex weight up to a
+cap, and ``separate_cubic`` is the unit-weight case.
 
 Separator quality is heuristic; validity never is.  Every produced
 separation passes ``verify_separation``; callers decide whether the
@@ -13,8 +15,7 @@ achieved balance/size is good enough.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -66,173 +67,6 @@ def verify_separation(g: Graph, s: Separation) -> bool:
     return not any(
         u in s.right for v in s.left for u in g.neighbors(v)
     )
-
-
-# -- bisection ------------------------------------------------------------------
-
-
-@dataclass
-class Bisection:
-    a: list[int]
-    b: list[int]
-    cut: int
-
-
-def _cut_size(g: Graph, in_a: dict[int, bool]) -> int:
-    return sum(1 for u, v in g.edges() if in_a[u] != in_a[v])
-
-
-def _refine(g: Graph, in_a: dict[int, bool]) -> None:
-    """Hill-climb on A/B swaps (size-preserving) until no swap helps.
-
-    Each round makes the swap of largest gain d[x] + d[y] - 2·[xy ∈ E],
-    d = external - internal degree, ties to the smallest x, then y.  x's
-    best partner is the first non-neighbour in the highest d-bucket of B
-    holding one, or one of x's own neighbours at a penalty of 2.
-    """
-    adj = g.neighbor_sets()
-    vs = g.vertices()
-    while True:
-        d = {v: 2 * sum(1 for u in adj[v] if in_a[u] != in_a[v]) - len(adj[v])
-             for v in vs}
-        buckets: dict[int, list[int]] = {}  # d value -> ascending B vertices
-        for y in vs:
-            if not in_a[y]:
-                buckets.setdefault(d[y], []).append(y)
-        levels = sorted(buckets, reverse=True)
-        best_gain, best_pair = 0, None
-        for x in vs:
-            if not in_a[x]:
-                continue
-            near = adj[x]
-            cands = [(d[y] - 2, -y) for y in near if not in_a[y]]
-            for level in levels:
-                y = next((y for y in buckets[level] if y not in near), None)
-                if y is not None:
-                    cands.append((level, -y))
-                    break
-            if cands:
-                top, neg_y = max(cands)
-                if d[x] + top > best_gain:
-                    best_gain, best_pair = d[x] + top, (x, -neg_y)
-        if best_pair is None:
-            return
-        x, y = best_pair
-        in_a[x], in_a[y] = False, True
-
-
-def _bfs_order(g: Graph, start: int) -> list[int]:
-    order, seen, frontier = [start], {start}, [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in g.neighbors(v):
-                if u not in seen:
-                    seen.add(u)
-                    order.append(u)
-                    nxt.append(u)
-        frontier = nxt
-    return order
-
-
-def bisect_heuristic(g: Graph, seed: int = 0, starts: int = 8) -> Bisection:
-    """Split V into halves (sizes differing by ≤ 1) with a small edge cut.
-
-    Multi-start local search: one BFS-ball start (exact on cycles) plus
-    seeded random starts, each refined by swap hill-climbing.  Fully
-    deterministic for a given seed.
-    """
-    vs = g.vertices()
-    n = len(vs)
-    if n == 0:
-        return Bisection([], [], 0)
-    half = (n + 1) // 2
-    rng = random.Random(seed)
-
-    candidates: list[list[int]] = []
-    bfs = []
-    for comp_start in vs:  # BFS order covering all components
-        if comp_start not in bfs:
-            bfs.extend(_bfs_order(g, comp_start))
-    candidates.append(bfs)
-    for _ in range(max(0, starts - 1)):
-        order = list(vs)
-        rng.shuffle(order)
-        candidates.append(order)
-
-    best: Bisection | None = None
-    for order in candidates:
-        in_a = {v: False for v in vs}
-        for v in order[:half]:
-            in_a[v] = True
-        _refine(g, in_a)
-        cut = _cut_size(g, in_a)
-        if best is None or cut < best.cut:
-            best = Bisection(
-                sorted(v for v in vs if in_a[v]),
-                sorted(v for v in vs if not in_a[v]),
-                cut,
-            )
-    return best
-
-
-# -- cubic separation -------------------------------------------------------------
-
-
-def separate_cubic(g: Graph, seed: int = 0) -> Separation:
-    """Separation of a max-degree-3 graph from a bisection's cut cover.
-
-    S = greedy vertex cover of the cut edges; sides rebalanced so that
-    |L|, |R| ≤ ⌈(|V|-|S|)/2⌉.  Smaller side returned as left.
-    """
-    if g.max_degree() > 3:
-        raise ValueError("separate_cubic requires max degree <= 3")
-    if g.n == 0:
-        return Separation(set(), set(), set())
-    bis = bisect_heuristic(g, seed=seed)
-    side_a = set(bis.a)
-    uncovered = {(u, v) for u, v in g.edges() if (u in side_a) != (v in side_a)}
-    sep: set[int] = set()
-    left = set(bis.a)
-    right = set(bis.b)
-    while uncovered:
-        cover_count: dict[int, int] = {}
-        for u, v in uncovered:
-            cover_count[u] = cover_count.get(u, 0) + 1
-            cover_count[v] = cover_count.get(v, 0) + 1
-        # most cut edges covered; ties: side with more vertices left, then
-        # smallest id (keeps the sides from being eaten one-sidedly when the
-        # cut is a matching)
-        best = min(
-            cover_count,
-            key=lambda v: (
-                -cover_count[v],
-                -len(left if v in side_a else right),
-                v,
-            ),
-        )
-        sep.add(best)
-        (left if best in side_a else right).discard(best)
-        uncovered = {e for e in uncovered if best not in e}
-    while max(len(left), len(right)) > -(-(g.n - len(sep)) // 2):
-        # The cap is at least the side average, so entering the loop forces
-        # |big| >= |small| + 2; absorbing keeps |small| < |big|, so
-        # (max side, |S|) decreases lexicographically and the loop halts.
-        big, small = (left, right) if len(left) > len(right) else (right, left)
-        absorbable = [s for s in sep if all(u not in big for u in g.neighbors(s))]
-        if absorbable:
-            s_abs = min(absorbable)
-            sep.discard(s_abs)
-            small.add(s_abs)
-        else:
-            moved = min(big)
-            big.discard(moved)
-            sep.add(moved)
-    if len(right) < len(left):
-        left, right = right, left
-    s = Separation(left, sep, right)
-    assert verify_separation(g, s)
-    return s
 
 
 # -- path decompositions -----------------------------------------------------------
@@ -370,27 +204,41 @@ def separate_balanced_by_measure(
     cap: Fraction,
     decomp: PathDecomposition,
 ) -> Separation:
-    """Bag-sweep separation with |μ_r(L) - μ_r(R)| ≤ cap.
+    """Bag-sweep separation with |μ_r(L) - μ_r(R)| ≤ cap from `decomp`, a
+    nice path decomposition of g that the caller builds and may use for
+    other work too.  Needs max degree ≤ 6 and 0 ≤ weight ≤ cap per vertex."""
+    return _sweep(g, {v: Fraction(weight(v)) for v in g.vertices()}, cap, decomp)
 
-    `decomp` is a nice path decomposition of g, which the caller builds
-    (``nice_path_decomposition``) and may use for other work too.
-    Requires max degree ≤ 6 and per-vertex weight ≤ cap (the sweep's
-    balance argument needs both).  First balanced bag wins.  L is the set
-    of forgotten vertices; μ_L and μ_S are kept as running sums.
-    """
+
+def separate_cubic(g: Graph, decomp: PathDecomposition) -> Separation:
+    """The unit-weight sweep (weight 1, cap 1), for max degree ≤ 6:
+    |L| ≤ |R| ≤ |L| + 1.
+
+    The name stays for the benchmark: ``perfbench/tracer.py`` wraps
+    ``smc.separator:separate_cubic``, and its test
+    ``test_tracer_rebinds_every_importer_and_restores`` needs ``smc.cli``
+    and ``smc.csp_solve`` to import it and ``csp-cubic`` seed 5 to call
+    it.  Neither public name calls the other: one span per separation."""
+    return _sweep(g, dict.fromkeys(g.vertices(), 1), 1, decomp)
+
+
+def _sweep(g: Graph, w: dict[int, Fraction | int], cap: Fraction | int,
+           decomp: PathDecomposition) -> Separation:
+    """The first bag S of `decomp` with |μ(L) - μ(R)| ≤ cap, where L is
+    the forgotten vertices (μ_L, μ_S kept as running sums); the lighter
+    side is returned as L."""
     if g.max_degree() > 6:
-        raise ValueError("separate_balanced_by_measure requires max degree <= 6")
+        raise ValueError("the bag sweep requires max degree <= 6")
     vs = g.vertices()
     if not vs:
         return Separation(set(), set(), set())
-    w = {v: Fraction(weight(v)) for v in vs}
     if any(wv < 0 for wv in w.values()):
         raise ValueError("weights must be nonnegative")
     bad = [v for v in vs if w[v] > cap]
     if bad:
         raise ValueError(f"per-vertex weight exceeds cap at {bad[:3]}")
     total = sum(w.values())
-    mu_l = mu_s = Fraction(0)
+    mu_l = mu_s = 0
     forgotten: list[int] = []
     prev: frozenset[int] = frozenset()
     for bag in decomp.bags:

@@ -22,6 +22,7 @@ from smc.separator import (
     Separation,
     nice_path_decomposition,
     path_decomposition,
+    separate_cubic,
     trivial_separation,
 )
 from smc.weights import CspWeights
@@ -249,8 +250,8 @@ class TestSolveProperties:
 
     def test_deterministic(self):
         inst = encode_maxcut(petersen())
-        a = solve(inst, seed=3)
-        b = solve(inst, seed=3)
+        a = solve(inst)
+        b = solve(inst)
         assert a[0] == b[0]
         assert (a[1].branchings, a[1].leaves, a[1].separator_recomputes) == (
             b[1].branchings, b[1].leaves, b[1].separator_recomputes)
@@ -315,11 +316,11 @@ class TestSelectPivot:
 class TestAudit:
     def test_random_cubic_runs_clean(self, ladder):
         rng = random.Random(20260814)
-        for t in range(6):
+        for _ in range(6):
             g = random_cubic(16, rng)
             inst = encode_maxcut(g)
             audit = CspAudit()
-            sol, stats = solve(inst, audit=audit, seed=t)
+            sol, stats = solve(inst, audit=audit)
             assert sol.score == brute_max2csp(inst).score
             assert audit.violations == []
             assert all(e.eta_ok for e in audit.entries if e.hard)
@@ -369,8 +370,8 @@ class TestAuditIsPassive:
         for seed in range(3):
             inst = csp_on_graph(gen_random_cubic(n, seed), r, seed)
             before = inst.copy()
-            plain, plain_stats = solve(inst, seed=seed)
-            audited, audited_stats = solve(inst, audit=CspAudit(), seed=seed)
+            plain, plain_stats = solve(inst)
+            audited, audited_stats = solve(inst, audit=CspAudit())
             assert inst == before, "solve must not consume the caller's instance"
             assert audited == plain
             assert audited_stats.measure_trace
@@ -407,18 +408,42 @@ class TestWidthCap:
     def test_no_branchings_at_benchmark_sizes(self, r, n):
         for seed in range(3):
             inst = csp_on_graph(gen_random_cubic(n, seed), r, seed)
-            sol, stats = solve(inst, seed=seed)
+            sol, stats = solve(inst)
             assert (stats.branchings, stats.leaves) == (0, 1)
             assert stats.separator_recomputes == 1
             assert evaluate(inst, sol.assignment) == sol.score
 
+    @pytest.mark.parametrize("r,n", [(2, 44), (3, 28)])
+    def test_one_decomposition_separates_and_sweeps(self, r, n, monkeypatch):
+        # the root separates by sweeping a decomposition, and the first
+        # branch sweeps the same one: no reduction has changed the graph
+        built, seps = [], []
+
+        def decompose(g):
+            built.append(nice_path_decomposition(g))
+            return built[-1]
+
+        def separate(g, decomp):
+            sep = separate_cubic(g, decomp)
+            seps.append(frozenset(sep.sep))  # the engine moves sep in place
+            return sep
+
+        monkeypatch.setattr("smc.csp_solve.nice_path_decomposition", decompose)
+        monkeypatch.setattr("smc.csp_solve.separate_cubic", separate)
+        for seed in range(3):
+            built.clear()
+            seps.clear()
+            solve(csp_on_graph(gen_random_cubic(n, seed), r, seed))
+            assert len(built) == len(seps) == 1
+            assert seps[0] in built[0].bags
+
     @pytest.mark.parametrize("r,n,seed", _cubic_cases())
     def test_cap_ladder_and_local_agree(self, r, n, seed, monkeypatch):
         inst = csp_on_graph(gen_random_cubic(n, seed), r, seed)
-        at_cap, _ = solve(inst, seed=seed)
-        local, _ = solve(inst, policy="local", seed=seed)
+        at_cap, _ = solve(inst)
+        local, _ = solve(inst, policy="local")
         monkeypatch.setattr("smc.csp_solve.PD_WIDTH_CAP", -1)
-        on_ladder, ladder_stats = solve(inst, seed=seed)
+        on_ladder, ladder_stats = solve(inst)
         assert at_cap.score == on_ladder.score == local.score
         assert ladder_stats.branchings > 0
         for sol in (at_cap, on_ladder, local):

@@ -23,6 +23,7 @@ from smc.domset import (
     DsAudit,
     LabeledGraph,
     _linear_order,
+    _terminal,
     branch3,
     count_ds,
     ds_dp,
@@ -203,10 +204,14 @@ class TestOracleEquivalence:
 
 class TestPivotSharing:
     def test_matches_csp_selection_on_cubic(self):
+        # relabelling the vertices moves the greedy layout, so the sweep's
+        # separations vary from trial to trial
         rng = random.Random(0)
-        for trial in range(60):
+        for _ in range(60):
             g = random_cubic(rng.choice([8, 10, 12, 14]), rng)
-            sep = separate_cubic(g, seed=trial)
+            ids = rng.sample(range(100), g.n)
+            g = Graph((ids[v] for v in g.vertices()), ((ids[u], ids[v]) for u, v in g.edges()))
+            sep = separate_cubic(g, nice_path_decomposition(g))
             a = select_pivot_ds(LabeledGraph.all_u(g), sep)
             b = select_pivot(encode_maxcut(g), sep)
             assert a == b
@@ -255,11 +260,39 @@ class TestEngine:
         assert vec_c == vec_s
         assert st_c.branchings > 0 and st_c.separator_recomputes >= 1
 
+    def test_moves_and_reseparation_reuse_the_wide_decomposition(self, monkeypatch):
+        # separator moves and re-separations leave the graph as it is: the
+        # terminal check sees each graph once, and every separation sweeps
+        # the decomposition that check built last
+        checked, built, swept = [], [], []
+
+        def terminal(lg, env):
+            checked.append(lg)
+            return _terminal(lg, env)
+
+        def decompose(g):
+            built.append(nice_path_decomposition(g))
+            return built[-1]
+
+        def separate(g, decomp):
+            swept.append(decomp is built[-1])
+            return separate_cubic(g, decomp)
+
+        monkeypatch.setattr("smc.domset._terminal", terminal)
+        monkeypatch.setattr("smc.domset.nice_path_decomposition", decompose)
+        monkeypatch.setattr("smc.domset.separate_cubic", separate)
+        monkeypatch.setattr("smc.domset.PD_WIDTH_CAP", 3)
+        g = random_cubic(22, random.Random(3))
+        vec, stats = count_ds(LabeledGraph.all_u(g))
+        assert vec == count_ds(LabeledGraph.all_u(g), policy="local")[0]
+        assert len({id(lg) for lg in checked}) == len(checked)
+        assert len(swept) == stats.separator_recomputes > 0 and all(swept)
+
     def test_explicit_separation(self):
         rng = random.Random(9)
         g = random_cubic(16, rng)
         lg = LabeledGraph.all_u(g)
-        v1, _ = count_ds(lg, sep=separate_cubic(g, seed=5), audit=DsAudit(strict=True))
+        v1, _ = count_ds(lg, sep=separate_cubic(g, nice_path_decomposition(g)), audit=DsAudit(strict=True))
         v2, _ = count_ds(lg)
         assert v1 == v2
 

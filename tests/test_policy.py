@@ -112,42 +112,42 @@ def pinned_graph(n: int, seed: int, k: int) -> Graph:
 # (n, seed, subdivided edges) -> (counts, count_ds stats, sc_count stats)
 # with the path-decomposition terminals off.  The counts and the sc_count
 # stats were recorded before the engines shared apply_move, the count_ds
-# stats when ds_dp became its only terminal.  Between them the runs make
-# every move but rotate-pair (covered by TestApplyMove).
+# stats when count_ds began to separate by the bag sweep.  Between them
+# the runs make every move but rotate-pair (covered by TestApplyMove).
 PINNED = {
     (24, 0, 0): (
         (0, 0, 0, 0, 0, 0, 1, 79, 3162, 32864, 158572, 452198, 863323, 1187035, 1230545,
          990499, 630451, 320355, 130180, 42030, 10602, 2024, 276, 24, 1),
-        {'branchings': 1903, 'leaves': 10410, 'dp_calls': 10410, 'max_depth': 21,
-         'separator_recomputes': 1783},
+        {'branchings': 2308, 'leaves': 10796, 'dp_calls': 10796, 'max_depth': 20,
+         'separator_recomputes': 1621},
         {'branchings': 820, 'annotations': 9492, 'dp_calls': 2138, 'splits': 655,
          'leaves': 2138, 'max_depth': 55, 'separator_recomputes': 334}),
     (24, 2, 0): (
         (0, 0, 0, 0, 0, 0, 0, 158, 4577, 40667, 180456, 489622, 905997, 1221101, 1250044,
          998534, 632794, 320816, 130235, 42033, 10602, 2024, 276, 24, 1),
-        {'branchings': 6094, 'leaves': 32322, 'dp_calls': 32238, 'max_depth': 21,
-         'separator_recomputes': 4534},
+        {'branchings': 2710, 'leaves': 15054, 'dp_calls': 14892, 'max_depth': 18,
+         'separator_recomputes': 1456},
         {'branchings': 899, 'annotations': 9552, 'dp_calls': 2484, 'splits': 846,
          'leaves': 2484, 'max_depth': 49, 'separator_recomputes': 406}),
     (24, 3, 0): (
         (0, 0, 0, 0, 0, 0, 0, 85, 2825, 29153, 144782, 425014, 829710, 1158786, 1213773,
          983381, 628319, 319924, 130127, 42027, 10602, 2024, 276, 24, 1),
-        {'branchings': 1336, 'leaves': 7074, 'dp_calls': 7074, 'max_depth': 17,
-         'separator_recomputes': 1216},
+        {'branchings': 1174, 'leaves': 4536, 'dp_calls': 4536, 'max_depth': 21,
+         'separator_recomputes': 1012},
         {'branchings': 935, 'annotations': 10880, 'dp_calls': 2650, 'splits': 811,
          'leaves': 2650, 'max_depth': 50, 'separator_recomputes': 390}),
     (18, 1, 5): (
         (0, 0, 0, 0, 0, 0, 0, 80, 2159, 19042, 84548, 226220, 404867, 517913, 494423,
          362058, 206637, 92495, 32373, 8737, 1766, 253, 23, 1),
-        {'branchings': 1138, 'leaves': 5571, 'dp_calls': 5571, 'max_depth': 18,
-         'separator_recomputes': 1018},
+        {'branchings': 634, 'leaves': 3105, 'dp_calls': 3069, 'max_depth': 16,
+         'separator_recomputes': 352},
         {'branchings': 405, 'annotations': 4514, 'dp_calls': 1098, 'splits': 379,
          'leaves': 1098, 'max_depth': 47, 'separator_recomputes': 185}),
     (20, 2, 3): (
         (0, 0, 0, 0, 0, 0, 0, 76, 2438, 23061, 102296, 266827, 462574, 573661, 532834,
          381360, 213729, 94367, 32712, 8775, 1768, 253, 23, 1),
-        {'branchings': 433, 'leaves': 1558, 'dp_calls': 1558, 'max_depth': 13,
-         'separator_recomputes': 316},
+        {'branchings': 382, 'leaves': 1740, 'dp_calls': 1740, 'max_depth': 14,
+         'separator_recomputes': 136},
         {'branchings': 536, 'annotations': 4742, 'dp_calls': 1674, 'splits': 582,
          'leaves': 1674, 'max_depth': 43, 'separator_recomputes': 291}),
 }

@@ -8,13 +8,11 @@ from strategies import graphs
 
 from smc.generators import gen_random_cubic
 from smc.graph import Graph
-from smc.oracles import brute_min_bisection, brute_pathwidth
+from smc.oracles import brute_pathwidth
 from smc.separator import (
     PathDecomposition,
     Separation,
     _greedy_layout,
-    _refine,
-    bisect_heuristic,
     nice_path_decomposition,
     separate_balanced_by_measure,
     separate_cubic,
@@ -121,37 +119,6 @@ def reference_sweep(g: Graph, w: dict[int, Fraction], cap: Fraction) -> Separati
     raise AssertionError("bag sweep found no balanced separation")
 
 
-def reference_refine(g: Graph, in_a: dict[int, bool]) -> None:
-    """Swap hill-climb scanning every A x B pair in id order each round."""
-    vs = g.vertices()
-    while True:
-        d = {}
-        for v in vs:
-            ext = sum(1 for u in g.neighbors(v) if in_a[u] != in_a[v])
-            d[v] = 2 * ext - g.degree(v)
-        best_gain, best_pair = 0, None
-        for x in vs:
-            if not in_a[x]:
-                continue
-            for y in vs:
-                if in_a[y]:
-                    continue
-                gain = d[x] + d[y] - 2 * (1 if g.has_edge(x, y) else 0)
-                if gain > best_gain:
-                    best_gain, best_pair = gain, (x, y)
-        if best_pair is None:
-            return
-        x, y = best_pair
-        in_a[x], in_a[y] = False, True
-
-
-@st.composite
-def split_graphs(draw):
-    """A graph and an arbitrary A/B split of its vertices."""
-    g = draw(graphs(max_n=30, max_degree=draw(st.sampled_from([3, 6]))))
-    return g, {v: draw(st.booleans()) for v in g.vertices()}
-
-
 def relabeled(g: Graph, seed: int) -> Graph:
     ids = random.Random(seed).sample(range(10 * g.n + 10), g.n)
     return Graph(
@@ -188,52 +155,8 @@ class TestVerify:
             verify_separation(g, Separation({0}, set(), set()))
 
 
-class TestBisection:
-    def test_k4(self):
-        assert bisect_heuristic(Graph.complete(4)).cut == 4
-
-    @pytest.mark.parametrize("n", [6, 8, 10, 12, 14, 16])
-    def test_even_cycles_exact(self, n):
-        assert bisect_heuristic(Graph.cycle(n)).cut == 2
-
-    def test_near_optimal_on_petersen(self):
-        exact = brute_min_bisection(petersen())
-        assert bisect_heuristic(petersen()).cut <= exact + 2
-
-    def test_deterministic(self):
-        g = petersen()
-        a = bisect_heuristic(g, seed=7)
-        b = bisect_heuristic(g, seed=7)
-        assert (a.a, a.b, a.cut) == (b.a, b.b, b.cut)
-
-    def test_empty(self):
-        assert bisect_heuristic(Graph()).cut == 0
-
-    @settings(max_examples=150, deadline=None)
-    @given(split_graphs())
-    def test_refine_matches_pair_scan(self, case):
-        g, in_a = case
-        want = dict(in_a)
-        reference_refine(g, want)
-        _refine(g, in_a)
-        assert in_a == want
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_refine_matches_pair_scan_on_relabelled_cubic(self, seed):
-        g = relabeled(gen_random_cubic(40, seed), seed)
-        rng = random.Random(seed)
-        in_a = {v: rng.random() < 0.5 for v in g.vertices()}
-        want = dict(in_a)
-        reference_refine(g, want)
-        _refine(g, in_a)
-        assert in_a == want
-
-    @settings(max_examples=40)
-    @given(graphs(max_n=12))
-    def test_halves(self, g):
-        bis = bisect_heuristic(g)
-        assert abs(len(bis.a) - len(bis.b)) <= 1
-        assert sorted(bis.a + bis.b) == g.vertices()
+def unit_sweep(g: Graph) -> Separation:
+    return separate_cubic(g, nice_path_decomposition(g))
 
 
 class TestSeparateCubic:
@@ -241,31 +164,49 @@ class TestSeparateCubic:
         # complete graph: any valid separation has an empty side, and the
         # side-balance bound then forces |S| = 3
         g = Graph.complete(4)
-        s = separate_cubic(g)
+        s = unit_sweep(g)
         assert verify_separation(g, s)
         assert len(s.sep) == 3
 
     def test_c6(self):
+        # the first balanced bag wins, not the smallest: the 2-2-2 bag of
+        # test_c6_sweep_reaches_222 comes later in the sweep
         g = Graph.cycle(6)
-        s = separate_cubic(g)
-        assert len(s.sep) == 2
+        s = unit_sweep(g)
+        assert (s.left, s.sep, s.right) == ({1}, {0, 2, 3}, {4, 5})
 
     def test_empty(self):
-        s = separate_cubic(Graph())
+        s = unit_sweep(Graph())
         assert (s.left, s.sep, s.right) == (set(), set(), set())
 
     def test_degree_guard(self):
+        # the sweep's balance argument holds up to max degree 6
+        assert verify_separation(Graph.complete(5), unit_sweep(Graph.complete(5)))
         with pytest.raises(ValueError):
-            separate_cubic(Graph.complete(5))
+            unit_sweep(Graph.complete(8))
 
     @settings(max_examples=60)
     @given(graphs(max_n=40, max_degree=3))
     def test_valid_and_balanced(self, g):
-        s = separate_cubic(g)
+        s = unit_sweep(g)
         assert verify_separation(g, s)
         bound = -(-(g.n - len(s.sep)) // 2)
         assert len(s.left) <= bound and len(s.right) <= bound
         assert len(s.left) <= len(s.right)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(max_n=40, max_degree=3))
+    def test_matches_reference_sweep(self, g):
+        s = unit_sweep(g)
+        ref = reference_sweep(g, dict.fromkeys(g.vertices(), Fraction(1)), Fraction(1))
+        assert (s.left, s.sep, s.right) == (ref.left, ref.sep, ref.right)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_sweep_on_relabelled_cubic(self, seed):
+        g = relabeled(gen_random_cubic(40, seed), seed)
+        s = unit_sweep(g)
+        ref = reference_sweep(g, dict.fromkeys(g.vertices(), Fraction(1)), Fraction(1))
+        assert (s.left, s.sep, s.right) == (ref.left, ref.sep, ref.right)
 
 
 class TestPathDecomposition:
