@@ -96,8 +96,7 @@ def _load_weights(cfg: RunConfig, kind: str):
 def _emit_stats(cfg: RunConfig, stats) -> None:
     if cfg.stats:
         for key, val in asdict(stats).items():
-            if key != "measure_trace":
-                _diag(f"stat,{key},{val}")
+            _diag(f"stat,{key},{val}")
 
 
 def _emit_json(payload: dict) -> None:

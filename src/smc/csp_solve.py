@@ -2,14 +2,16 @@
 max-degree outer loop for instances of degree ≥ 4.
 
 The subcubic engine maintains a separation (L,S,R) alongside the
-instance.  Degree ≤ 2 vertices are folded away first; when the separator
-empties, the engine splits components or re-separates by sweeping a nice
-path decomposition's bags; otherwise the next pivot comes from the shared
-separator-case ladder.  A piece that would branch is solved outright
-instead when its decomposition (the re-separation's, if no reduction has
-changed the graph since) keeps the max-plus sweep within r^(width+1) ≤
-3^(PD_WIDTH_CAP+1) states, the #DS sweep's bound; under the separator
-policy the max-degree outer loop makes the same check.
+instance.  Degree ≤ 2 vertices are folded away first.  When the separator
+empties, a disconnected graph splits into components; a connected one
+builds a nice path decomposition and re-separates by sweeping its bags.
+Before any ladder move, the piece is solved outright instead when the
+max-plus sweep over that decomposition keeps within r^(width+1) ≤
+3^(PD_WIDTH_CAP+1) states, the #DS sweep's bound.  Otherwise the next
+pivot comes from the shared separator-case ladder.  A branch after a
+reduction has changed the graph makes the same width check on a fresh
+decomposition, and so does the max-degree outer loop under the separator
+policy.
 
 Ownership: a ``_rec_cubic`` call owns and consumes its instance and
 separation, and so does ``_rec_general`` with its instance.  Steps that
@@ -39,7 +41,7 @@ from .csp import (
 )
 from .graph import Graph, connected_components
 from .measures import csp_eta, csp_mu
-from .policy import MOVES, PivotAction, apply_move, deg3_side_counts, separator_case
+from .policy import MOVES, PivotAction, Stats, apply_move, deg3_side_counts, separator_case
 from .separator import (
     PD_WIDTH_CAP,
     PathDecomposition,
@@ -57,15 +59,6 @@ _HARD_KINDS = frozenset({
     "reduce0", "reduceI", "reduceII", "drag-R", "drag-L", "rotate",
     "branch", "terminal", "leaf",
 })
-
-
-@dataclass
-class SolveStats:
-    branchings: int = 0
-    leaves: int = 0  # terminal nodes: empty instances and swept pieces
-    max_depth: int = 0
-    separator_recomputes: int = 0
-    measure_trace: list[float] | None = None
 
 
 @dataclass
@@ -108,7 +101,7 @@ class CspAudit:
     def record(self, kind: str, r: int,
                parent: tuple[Graph, Separation],
                children: list[tuple[Graph, Separation]],
-               eta_exempt: bool = False, note: str = "") -> float | None:
+               eta_exempt: bool = False, note: str = "") -> None:
         hard = kind in _HARD_KINDS
         gp, sp = parent
         subcubic = gp.max_degree() <= 3 and all(
@@ -129,13 +122,12 @@ class CspAudit:
         self.entries.append(entry)
         if self.strict and hard and not entry.ok:
             raise AssertionError(f"measure audit violation at {kind}: {entry}")
-        return mu_p
 
 
 @dataclass
 class _Env:
     policy: str
-    stats: SolveStats
+    stats: Stats
     audit: CspAudit | None
 
 
@@ -262,6 +254,7 @@ def _narrow_best(inst: CspInstance, env: _Env,
     if inst.r ** (decomp.width + 1) > 3 ** (PD_WIDTH_CAP + 1):
         return None
     env.stats.leaves += 1
+    env.stats.dp_calls += 1
     return _brute_best(inst, decomp)
 
 
@@ -279,9 +272,11 @@ def _rec_cubic(inst: CspInstance, sep: Separation, env: _Env,
 
     Reductions, drags, rotations and re-separations run in place; their
     fills are applied in reverse on the way out.  Only a branch, a stall,
-    a split or a terminal recurses.  Each step counts one level of depth.
-    A branch or stall reuses the re-separation's decomposition while no
-    reduction has changed the graph since.
+    a split or a terminal recurses.  Each step the loop goes on from
+    counts one level of depth.
+    The re-separation's decomposition is kept until a reduction changes
+    the graph; a branch or stall while it is kept skips the width check,
+    which that decomposition already failed.
     """
     stats, audit, g = env.stats, env.audit, inst.graph
     fills = []
@@ -305,12 +300,12 @@ def _rec_cubic(inst: CspInstance, sep: Separation, env: _Env,
         if act is None and not sep.sep:
             comps = connected_components(g)
             if len(comps) > 1:
+                stats.splits += 1
                 children = [(restrict(inst, comp), _sub_separation(sep, set(comp)))
                             for comp in comps]
                 if audit is not None:
-                    _trace(env, audit.record("split", inst.r, (g, sep),
-                                             [(ci.graph, cs) for ci, cs in children],
-                                             eta_exempt=True))
+                    audit.record("split", inst.r, (g, sep),
+                                 [(ci.graph, cs) for ci, cs in children], eta_exempt=True)
                 score, asg = inst.s_nil, {}
                 for ci, cs in children:
                     s, a = _rec_cubic(ci, cs, env, depth + 1)
@@ -322,8 +317,14 @@ def _rec_cubic(inst: CspInstance, sep: Separation, env: _Env,
                 sep2 = separate_cubic(g, decomp)
                 stats.separator_recomputes += 1
                 if audit is not None:
-                    _trace(env, audit.record("reseparate", inst.r, (g, sep), [(g, sep2)],
-                                             eta_exempt=True))
+                    audit.record("reseparate", inst.r, (g, sep), [(g, sep2)], eta_exempt=True)
+                # narrow, the piece is swept before any ladder move
+                best = _narrow_best(inst, env, decomp)
+                if best is not None:
+                    if audit is not None:
+                        audit.record("terminal", inst.r, (g, sep2), [])
+                    score, asg = best
+                    break
                 sep, depth = sep2, depth + 1
                 continue
             # Separating this graph already led back here with nothing removed
@@ -353,7 +354,7 @@ def _rec_cubic(inst: CspInstance, sep: Separation, env: _Env,
                 sep.right.remove(act.partner)
                 sep.sep.add(act.partner)
         if audit is not None:
-            _trace(env, audit.record(kind, inst.r, parent, [(g, sep)]))
+            audit.record(kind, inst.r, parent, [(g, sep)])
         depth += 1
     for fill in reversed(fills):
         fill(asg)
@@ -376,21 +377,23 @@ def _best(children, solve_child) -> tuple[int, dict[int, int]]:
 def _branch_cubic(inst: CspInstance, sep: Separation, y: int, env: _Env,
                   depth: int, decomp: PathDecomposition | None, kind: str,
                   note: str = "") -> tuple[int, dict[int, int]]:
-    """Branch on y, unless inst is narrow enough for the sweep.  Both the
-    ladder's branches and stalls come here, never the S=∅ root, which
-    separates first.  `decomp` is inst's decomposition if one is known."""
-    best = _narrow_best(inst, env, decomp or nice_path_decomposition(inst.graph))
-    if best is not None:
-        if env.audit is not None:
-            _trace(env, env.audit.record("terminal", inst.r, (inst.graph, sep), []))
-        return best
+    """Branch on y, the ladder's pivot or a stall's.  `decomp` is the last
+    re-separation's decomposition of inst, which was found too wide for
+    the sweep when it was built; without one, inst is swept instead when
+    narrow."""
+    if decomp is None:
+        best = _narrow_best(inst, env, nice_path_decomposition(inst.graph))
+        if best is not None:
+            if env.audit is not None:
+                env.audit.record("terminal", inst.r, (inst.graph, sep), [])
+            return best
     children = reduceIII(inst, y)
     env.stats.branchings += 1
+    env.stats.stalls += kind == "stall"
     seps = [_drop(sep, y) for _ in children]
     if env.audit is not None:
-        _trace(env, env.audit.record(
-            kind, inst.r, (inst.graph, sep),
-            [(ci.graph, s2) for (ci, _), s2 in zip(children, seps)], note=note))
+        env.audit.record(kind, inst.r, (inst.graph, sep),
+                         [(ci.graph, s2) for (ci, _), s2 in zip(children, seps)], note=note)
     return _best(children, lambda i, child: _rec_cubic(child, seps[i], env, depth + 1))
 
 
@@ -398,11 +401,6 @@ def _drop(sep: Separation, y: int) -> Separation:
     out = sep.copy()
     out.discard(y)
     return out
-
-
-def _trace(env: _Env, mu: float | None):
-    if env.stats.measure_trace is not None and mu is not None:
-        env.stats.measure_trace.append(mu)
 
 
 def _rec_general(inst: CspInstance, env: _Env,
@@ -444,7 +442,7 @@ def _rec_general(inst: CspInstance, env: _Env,
 
 
 def solve(inst: CspInstance, policy: str = "separator",
-          audit: CspAudit | None = None) -> tuple[CspSolution, SolveStats]:
+          audit: CspAudit | None = None) -> tuple[CspSolution, Stats]:
     """Exact optimum, witnessing assignment, and run counters.
 
     The witness is deterministic (ties broken toward lexicographically
@@ -454,7 +452,7 @@ def solve(inst: CspInstance, policy: str = "separator",
     """
     if policy not in ("separator", "local"):
         raise ValueError(f"unknown policy {policy!r}")
-    stats = SolveStats(measure_trace=[] if audit is not None else None)
+    stats = Stats()
     env = _Env(policy, stats, audit)
     inst = inst.copy()  # the engines consume their instance
     if policy == "separator" and inst.graph.max_degree() <= 3:

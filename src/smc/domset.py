@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .counts import CountVector, add_into
 from .graph import Graph, connected_components, induced_subgraph, parse_graph
-from .policy import PivotAction, apply_move, deg3_side_counts, separator_case
+from .policy import PivotAction, Stats, apply_move, deg3_side_counts, separator_case
 from .separator import (
     PD_WIDTH_CAP,
     PathDecomposition,
@@ -250,15 +250,6 @@ def select_pivot_ds(lg: LabeledGraph, sep: Separation) -> PivotAction:
 
 
 @dataclass
-class DsStats:
-    branchings: int = 0
-    leaves: int = 0
-    dp_calls: int = 0
-    max_depth: int = 0
-    separator_recomputes: int = 0
-
-
-@dataclass
 class DsAuditEntry:
     kind: str
     n: int
@@ -300,7 +291,7 @@ class DsAudit:
 
 @dataclass
 class _Env:
-    stats: DsStats
+    stats: Stats
     audit: DsAudit | None
 
 
@@ -354,6 +345,7 @@ def _rec(lg: LabeledGraph, sep: Separation, env: _Env, depth: int) -> CountVecto
         if decomp is None:
             comps = connected_components(g)
             if len(comps) > 1:
+                stats.splits += 1
                 vec = CountVector.one()
                 for comp in comps:
                     sub = _sub_labeled(lg, comp)
@@ -388,6 +380,7 @@ def _rec(lg: LabeledGraph, sep: Separation, env: _Env, depth: int) -> CountVecto
 def _branch(lg: LabeledGraph, y: int, sep: Separation, env: _Env, depth: int, kind: str) -> CountVector:
     g_in, g_opt, g_forb = branch3(lg, y)
     env.stats.branchings += 1
+    env.stats.stalls += kind == "stall"
     audit = env.audit
     vec_in = _rec(g_in, _project(sep, g_in), env, depth + 1)
     vec_opt = _rec(g_opt, _project(sep, g_opt), env, depth + 1)
@@ -439,7 +432,7 @@ def count_ds(
     sep: Separation | None = None,
     policy: str = "separator",
     audit: DsAudit | None = None,
-) -> tuple[CountVector, DsStats]:
+) -> tuple[CountVector, Stats]:
     """Count dominating sets of every size; returns (vector, counters).
 
     Entry k of the vector is the exact number of vertex sets of size k
@@ -454,7 +447,7 @@ def count_ds(
         raise ValueError(f"count_ds needs max degree <= 3, got {lg.graph.max_degree()}")
     lg = lg.copy()
     lg.check()
-    stats = DsStats()
+    stats = Stats()
     env = _Env(stats, audit)
     if policy == "separator":
         start = trivial_separation(lg.graph.vertices()) if sep is None else sep.copy()

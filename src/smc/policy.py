@@ -2,7 +2,8 @@
 ladder that picks the next action, and ``apply_move``, which makes the
 non-branching moves on a separation in place.  The engines choose their
 moves (``separator_case``, ``select_pivot_ds``, the set-cover gap
-ladder); only here are moves carried out.
+ladder); only here are moves carried out.  ``Stats`` holds the run
+counters of all three engines.
 
 Given a separation (L,S,R) of a 3-regular graph, ``separator_case``
 classifies the separator vertices by where their neighbors live and
@@ -26,6 +27,20 @@ from typing import Callable, Collection
 
 from .graph import Graph
 from .separator import Separation
+
+
+@dataclass
+class Stats:
+    """Run counters of all three engines; each counts the fields that
+    apply to it (only set cover annotates)."""
+    branchings: int = 0  # stall branches included
+    stalls: int = 0  # the ladder drained S and nothing was removed since
+    leaves: int = 0  # empty instances and terminal DPs
+    dp_calls: int = 0
+    annotations: int = 0
+    splits: int = 0  # nodes whose graph fell into components
+    max_depth: int = 0
+    separator_recomputes: int = 0
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,16 @@ snapshots.
 The engine's one terminal, ``sc_dp``, sweeps a nice path decomposition of
 the active part; pieces wider than ``PD_WIDTH_CAP`` are branched on.
 
-Ownership: an engine call owns and consumes its instance.  Annotations
-and separator moves mutate it in place; branches and component splits
-build fresh children.  ``sc_count`` copies the caller's instance once.
+Ownership: an engine call owns and consumes its instance.  Annotations,
+separator moves and the re-separation change it in place inside one
+loop; only branches and component splits build fresh children and
+recurse, so an instance that reduces without branching needs no
+recursion.  ``sc_count`` copies the caller's instance once.
+
+The stall rule is the other engines': the decomposition that the last
+re-separation swept stays current until an annotation changes the active
+graph, and a separator the ladder drains while it is current is a stall,
+which branches instead of re-separating.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from fractions import Fraction
 from .counts import CountVector, add_into
 from .graph import Graph, connected_components, induced_subgraph
 from .measures import sc_mu3, sc_mu3_parts, sc_mu4, sc_progress, sc_side_weights
-from .policy import PivotAction, apply_move
+from .policy import PivotAction, Stats, apply_move
 from .separator import (
     PD_WIDTH_CAP,
     PathDecomposition,
@@ -305,17 +312,6 @@ def sc_dp(inst: ScIncidence, decomp: PathDecomposition) -> CountVector:
 
 
 @dataclass
-class ScStats:
-    branchings: int = 0
-    annotations: int = 0
-    dp_calls: int = 0
-    splits: int = 0
-    leaves: int = 0
-    max_depth: int = 0
-    separator_recomputes: int = 0
-
-
-@dataclass
 class ScAuditEntry:
     kind: str
     hard: bool
@@ -445,7 +441,7 @@ class ScAudit:
 @dataclass
 class _ScEnv:
     weights: ScWeights
-    stats: ScStats
+    stats: Stats
     audit: ScAudit | None
 
 
@@ -487,7 +483,7 @@ def _find_duplicate(inst: ScIncidence) -> int | None:
 
 
 def sc_count(inst: ScIncidence, weights: ScWeights | None = None,
-             audit: ScAudit | None = None) -> tuple[CountVector, ScStats]:
+             audit: ScAudit | None = None) -> tuple[CountVector, Stats]:
     """Count set covers of every cardinality (duplicate sets distinct).
 
     A node that would branch in the general phase or re-separate is
@@ -498,125 +494,118 @@ def sc_count(inst: ScIncidence, weights: ScWeights | None = None,
     """
     work = inst.copy()
     work.check()
-    env = _ScEnv(weights or ScWeights.published(), ScStats(), audit)
-    vec = _sc(work, env, 0, -1, None)
+    env = _ScEnv(weights or ScWeights.published(), Stats(), audit)
+    vec = _sc(work, env, 0, None)
     return vec, env.stats
 
 
-def _sc(inst: ScIncidence, env: _ScEnv, depth: int, resep_n: int,
-        frozen: Fraction | None, connected: bool = False) -> CountVector:
-    """One engine node.  `connected` marks a node whose parent was an
-    annotation or a separator move: those leave the incidence graph as it
-    was, nonempty and connected, so the leaf and split checks are skipped."""
-    st, aud = env.stats, env.audit
-    st.max_depth = max(st.max_depth, depth)
-    if aud is not None:
-        inst.check()
-    g = inst.incidence
-
-    if not connected:
-        if not g.vertices():
-            st.leaves += 1
-            if aud:
-                aud.record("leaf", inst, [])
-            return CountVector.one()
-
-        comps = connected_components(g)
-        if len(comps) > 1:
-            st.splits += 1
-            children = [_component(inst, comp) for comp in comps]
-            if aud:
-                aud.record("split", inst, children, note=f"{len(comps)} parts")
-            vec = CountVector.one()
-            for child in children:
-                vec = vec.convolve(_sc(child, env, depth + 1, -1, None))
-            return vec
-
-    # annotate a degree <= 1 vertex, else a duplicate degree-2 one; the
-    # parent is snapshotted only for the audit, which measures both
-    low = [v for v in inst.active_vertices() if inst.active_degree(v) <= 1]
-    v = min(low) if low else _find_duplicate(inst)
-    if v is not None:
-        parent = inst.copy() if aud else None
-        inst.annotation_log.append(Annotation(v, tuple(inst.active_neighbors(v))))
-        inst.annotated.add(v)
-        inst.sep.discard(v)
-        st.annotations += 1
-        if aud:
-            aud.record("annotate", parent, [inst],
-                       note=f"v={v}" if low else f"dup v={v}", frozen_arg=frozen)
-        return _sc(inst, env, depth + 1, -1, frozen, connected=True)
-
-    d_set = max((inst.active_degree(v) for v in inst.active_vertices()
-                 if inst.is_set(v)), default=0)
-    d_elt = max((inst.active_degree(v) for v in inst.active_vertices()
-                 if not inst.is_set(v)), default=0)
-
-    # One decomposition per node about to branch in the general phase or to
-    # re-separate: narrow, the node is counted; wide, re-separation sweeps it.
-    ag = decomp = None
-    chains = max(d_set, d_elt) <= 2
-    if not inst.sep.sep or chains:
-        ag = inst.active_graph()
-        decomp = nice_path_decomposition(ag)
-        if decomp.width <= PD_WIDTH_CAP or chains:
-            st.dp_calls += 1
-            st.leaves += 1
-            if aud:
-                aud.record("dp", inst, [], frozen_arg=frozen)
-            return sc_dp(inst, decomp)
-
-    if d_set <= 3 and d_elt <= 3:
-        if frozen is None:
-            frozen = sc_mu3_parts(inst, env.weights)[1]
-            if aud:
-                aud.record_handover(inst)
-        return _sc3(inst, env, depth, resep_n, frozen, ag, decomp)
-
-    # general phase: branch on a maximum-degree set or element
-    st.branchings += 1
-    if d_set > d_elt:
-        s = min(v for v in inst.active_vertices()
-                if inst.is_set(v) and inst.active_degree(v) == d_set)
-        take = _without(inst, {s} | set(g.neighbors(s)), reset_sep=True)
-        disc = _without(inst, {s}, reset_sep=True)
-        if aud:
-            aud.record("branch-set", inst, [take, disc], note=f"s={s}")
-        return (_sc(take, env, depth + 1, -1, None).shift(1)
-                + _sc(disc, env, depth + 1, -1, None))
-    e = min(v for v in inst.active_vertices()
-            if not inst.is_set(v) and inst.active_degree(v) == d_elt)
-    opt = _without(inst, {e}, reset_sep=True)
-    forb = _without(inst, {e} | set(g.neighbors(e)), reset_sep=True)
-    if aud:
-        aud.record("branch-elt", inst, [opt, forb], note=f"e={e}")
-    return (_sc(opt, env, depth + 1, -1, None)
-            - _sc(forb, env, depth + 1, -1, None))
-
-
-def _sc3(inst: ScIncidence, env: _ScEnv, depth: int, resep_n: int, frozen: Fraction,
-         ag: Graph | None, decomp: PathDecomposition | None) -> CountVector:
-    """Subcubic ladder; every action recurses through the outer engine.
-    With S empty it re-separates by sweeping `decomp`, the bags of `ag`."""
+def _sc(inst: ScIncidence, env: _ScEnv, depth: int,
+        frozen: Fraction | None) -> CountVector:
+    """Count of inst; consumes it.  Annotations, separator moves and the
+    re-separation leave the incidence graph as it is, nonempty and
+    connected, and loop in place; annotations and moves cost one level of
+    depth each.  Only branches and component splits recurse."""
     st, aud, w = env.stats, env.audit, env.weights
     g = inst.incidence
-
-    if not inst.sep.sep:
-        n_act = len(inst.active_vertices())
-        if n_act == resep_n:
-            return _stall(inst, env, depth)
-        mu_l, mu_s, mu_r = sc_side_weights(inst, w)
-        arg_old = max(mu_l, mu_r) + mu_s
-        inst.sep = separate_balanced_by_measure(
-            ag, lambda v: w.wright(ag.degree(v)), w.B, decomp)
-        st.separator_recomputes += 1
-        resep_n = n_act
-        mu_l, mu_s, mu_r = sc_side_weights(inst, w)
-        frozen = max(mu_l, mu_r) + mu_s
+    st.max_depth = max(st.max_depth, depth)
+    if not g.vertices():
+        st.leaves += 1
         if aud:
-            aud.record_reseparation(inst, arg_old, frozen)
+            aud.record("leaf", inst, [])
+        return CountVector.one()
+    comps = connected_components(g)
+    if len(comps) > 1:
+        st.splits += 1
+        children = [_component(inst, comp) for comp in comps]
+        if aud:
+            aud.record("split", inst, children, note=f"{len(comps)} parts")
+        vec = CountVector.one()
+        for child in children:
+            vec = vec.convolve(_sc(child, env, depth + 1, None))
+        return vec
 
-    mu_l, mu_s, mu_r = sc_side_weights(inst, w)
+    resep = False  # the last re-separation's graph is still the active one
+    while True:
+        st.max_depth = max(st.max_depth, depth)
+        if aud is not None:
+            inst.check()
+        # annotate a degree <= 1 vertex, else a duplicate degree-2 one; the
+        # parent is snapshotted only for the audit, which measures both
+        low = [v for v in inst.active_vertices() if inst.active_degree(v) <= 1]
+        v = min(low) if low else _find_duplicate(inst)
+        if v is not None:
+            parent = inst.copy() if aud else None
+            inst.annotation_log.append(Annotation(v, tuple(inst.active_neighbors(v))))
+            inst.annotated.add(v)
+            inst.sep.discard(v)
+            st.annotations += 1
+            if aud:
+                aud.record("annotate", parent, [inst],
+                           note=f"v={v}" if low else f"dup v={v}", frozen_arg=frozen)
+            resep, depth = False, depth + 1
+            continue
+
+        if not inst.sep.sep and resep:
+            return _stall(inst, env, depth)
+
+        d_set = max((inst.active_degree(v) for v in inst.active_vertices()
+                     if inst.is_set(v)), default=0)
+        d_elt = max((inst.active_degree(v) for v in inst.active_vertices()
+                     if not inst.is_set(v)), default=0)
+        # One decomposition per node about to branch in the general phase or
+        # to re-separate: narrow, the node is counted; wide, re-separation
+        # sweeps it.
+        chains = max(d_set, d_elt) <= 2
+        if not inst.sep.sep or chains:
+            ag = inst.active_graph()
+            decomp = nice_path_decomposition(ag)
+            if decomp.width <= PD_WIDTH_CAP or chains:
+                st.dp_calls += 1
+                st.leaves += 1
+                if aud:
+                    aud.record("dp", inst, [], frozen_arg=frozen)
+                return sc_dp(inst, decomp)
+
+        if max(d_set, d_elt) > 3:
+            # general phase: branch on a maximum-degree set or element
+            on_set = d_set > d_elt
+            d = d_set if on_set else d_elt
+            v = min(u for u in inst.active_vertices()
+                    if inst.is_set(u) == on_set and inst.active_degree(u) == d)
+            return _branch(inst, env, depth, "branch", v, None)
+
+        if frozen is None:
+            frozen = sc_mu3_parts(inst, w)[1]
+            if aud:
+                aud.record_handover(inst)
+        if not inst.sep.sep:
+            mu_l, mu_s, mu_r = sc_side_weights(inst, w)
+            arg_old = max(mu_l, mu_r) + mu_s
+            inst.sep = separate_balanced_by_measure(
+                ag, lambda v: w.wright(ag.degree(v)), w.B, decomp)
+            st.separator_recomputes += 1
+            resep = True
+            mu_l, mu_s, mu_r = sc_side_weights(inst, w)
+            frozen = max(mu_l, mu_r) + mu_s
+            if aud:
+                aud.record_reseparation(inst, arg_old, frozen)
+
+        act = _ladder_move(inst, w)
+        if act.kind == "branch":
+            return _branch(inst, env, depth, "branch3", act.vertex, frozen)
+        parent = inst.copy() if aud else None
+        adj = g.neighbor_sets()
+        apply_move(inst.sep, act, lambda u: adj[u] - inst.annotated)
+        if aud:
+            aud.record(act.kind, parent, [inst], frozen_arg=frozen)
+        depth += 1
+
+
+def _ladder_move(inst: ScIncidence, w: ScWeights) -> PivotAction:
+    """Next subcubic ladder step on inst's nonempty separator, with the
+    lighter side made L: a separator move, or a branch on the first
+    separator element, else on the first separator set."""
+    mu_l, _, mu_r = sc_side_weights(inst, w)
     if mu_l > mu_r:
         inst.sep.swap()
         mu_l, mu_r = mu_r, mu_l
@@ -628,27 +617,18 @@ def _sc3(inst: ScIncidence, env: _ScEnv, depth: int, resep_n: int, frozen: Fract
         return [u for u in inst.active_neighbors(v)
                 if sep.side_of(u) == side]
 
-    def move(kind: str, v: int, partner: int | None = None) -> CountVector:
-        parent = inst.copy() if aud else None
-        adj = g.neighbor_sets()
-        apply_move(sep, PivotAction(kind, v, partner),
-                   lambda u: adj[u] - inst.annotated)
-        if aud:
-            aud.record(kind, parent, [inst], frozen_arg=frozen)
-        return _sc(inst, env, depth + 1, resep_n, frozen, connected=True)
-
     for s in s_sorted:
         if not side_nbrs(s, "L"):
-            return move("drag-R", s)
+            return PivotAction("drag-R", s)
         if not side_nbrs(s, "R"):
-            return move("drag-L", s)
+            return PivotAction("drag-L", s)
 
     deg2 = [s for s in s_sorted if inst.active_degree(s) == 2]
     if deg2:
         # every S vertex now has a neighbor on each side, so a degree-2
         # one has exactly one per side; near balance its chain in the light
         # side L goes to R with it, otherwise its chain in R goes to L
-        return move("drag-path-R" if gap <= 2 * w.B else "drag-path-L", deg2[0])
+        return PivotAction("drag-path-R" if gap <= 2 * w.B else "drag-path-L", deg2[0])
 
     if gap > w.B:
         # S is all degree 3 now: two L-neighbours leave one R-neighbour r
@@ -656,49 +636,40 @@ def _sc3(inst: ScIncidence, env: _ScEnv, depth: int, resep_n: int, frozen: Fract
                  if len(side_nbrs(s, "L")) == 2]
         for s, r in two_l:
             if inst.active_degree(r) == 3:
-                return move("rotate", s, r)
+                return PivotAction("rotate", s, r)
         for s, r in two_l:  # every r has degree 2 here
             if next(u for u in inst.active_neighbors(r) if u != s) in sep.sep:
-                return move("rotate-pair", s, r)
+                return PivotAction("rotate-pair", s, r)
 
-    st.branchings += 1
     elts = [s for s in s_sorted if not inst.is_set(s)]
-    if elts:
-        e = elts[0]
-        opt = _without(inst, {e})
-        forb = _without(inst, {e} | set(g.neighbors(e)))
-        if aud:
-            aud.record("branch3-elt", inst, [opt, forb], note=f"e={e}",
-                       frozen_arg=frozen)
-        return (_sc(opt, env, depth + 1, -1, frozen)
-                - _sc(forb, env, depth + 1, -1, frozen))
-    s = s_sorted[0]
-    disc = _without(inst, {s})
-    take = _without(inst, {s} | set(g.neighbors(s)))
-    if aud:
-        aud.record("branch3-set", inst, [disc, take], note=f"s={s}",
-                   frozen_arg=frozen)
-    return (_sc(disc, env, depth + 1, -1, frozen)
-            + _sc(take, env, depth + 1, -1, frozen).shift(1))
+    return PivotAction("branch", elts[0] if elts else s_sorted[0])
 
 
 def _stall(inst: ScIncidence, env: _ScEnv, depth: int) -> CountVector:
-    """Drags emptied a fresh separator without touching the graph; break
-    the loop by branching on the smallest degree-3 active vertex."""
-    st, aud = env.stats, env.audit
-    g = inst.incidence
-    st.branchings += 1
+    """The ladder drained the separator that the last re-separation swept,
+    and no annotation has changed the graph since, so re-separating would
+    repeat the cycle: branch on the smallest degree-3 active vertex."""
+    env.stats.stalls += 1
     v = min(u for u in inst.active_vertices() if inst.active_degree(u) == 3)
-    if inst.is_set(v):
-        disc = _without(inst, {v}, reset_sep=True)
-        take = _without(inst, {v} | set(g.neighbors(v)), reset_sep=True)
-        if aud:
-            aud.record("stall-set", inst, [disc, take], note=f"s={v}")
-        return (_sc(disc, env, depth + 1, -1, None)
-                + _sc(take, env, depth + 1, -1, None).shift(1))
-    opt = _without(inst, {v}, reset_sep=True)
-    forb = _without(inst, {v} | set(g.neighbors(v)), reset_sep=True)
-    if aud:
-        aud.record("stall-elt", inst, [opt, forb], note=f"e={v}")
-    return (_sc(opt, env, depth + 1, -1, None)
-            - _sc(forb, env, depth + 1, -1, None))
+    return _branch(inst, env, depth, "stall", v, None)
+
+
+def _branch(inst: ScIncidence, env: _ScEnv, depth: int, kind: str, v: int,
+            frozen: Fraction | None) -> CountVector:
+    """Two-way branch on v, audited as `kind`-set or `kind`-elt: a set is
+    discarded or taken, an element made optional or forbidden (its sets
+    deleted).  A ladder branch passes its frozen log argument on and its
+    children keep the separation; with `frozen` None, the general phase
+    and stalls, each child starts from the trivial separation."""
+    env.stats.branchings += 1
+    is_set = inst.is_set(v)
+    # (discard, take) for a set, (optional, forbidden) for an element
+    first = _without(inst, {v}, reset_sep=frozen is None)
+    second = _without(inst, {v} | set(inst.incidence.neighbors(v)),
+                      reset_sep=frozen is None)
+    if env.audit:
+        env.audit.record(f"{kind}-{'set' if is_set else 'elt'}", inst, [first, second],
+                         note=f"{'s' if is_set else 'e'}={v}", frozen_arg=frozen)
+    a = _sc(first, env, depth + 1, frozen)
+    b = _sc(second, env, depth + 1, frozen)
+    return a + b.shift(1) if is_set else a - b

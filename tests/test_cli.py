@@ -119,6 +119,24 @@ class TestCounting:
         assert code == 0
         assert out == "counts 0 0 1\n"
 
+    def test_count_sc_one_large_set(self):
+        # 1501 annotations and no branch: the engine loops, it does not
+        # recurse once per annotation
+        assert sys.getrecursionlimit() <= 1000
+        text = "setcover 1500 1\nset 0 " + " ".join(map(str, range(1500))) + "\n"
+        code, out, _ = run(["count-sc"], text)
+        assert code == 0 and out == "counts 0 1\n"
+
+    @pytest.mark.parametrize("argv,text", [
+        (["maxcut"], K4), (["count-ds"], K4), (["count-ds", "--subcubic"], K4),
+        (["count-sc"], SC_SAMPLE)], ids=["maxcut", "count-ds", "count-ds-subcubic", "count-sc"])
+    def test_json_stats_share_one_schema(self, argv, text):
+        code, out, _ = run([*argv, "--json"], text)
+        assert code == 0
+        assert sorted(json.loads(out)["stats"]) == sorted(
+            ["branchings", "stalls", "leaves", "dp_calls", "annotations", "splits",
+             "max_depth", "separator_recomputes"])
+
     def test_count_sc_audit_clean(self):
         _, text, _ = run(["gen", "g3", "--n", "12"])
         code, out, err = run(["count-ds", "--audit-measure", "--stats"], text)

@@ -112,43 +112,50 @@ def pinned_graph(n: int, seed: int, k: int) -> Graph:
 # (n, seed, subdivided edges) -> (counts, count_ds stats, sc_count stats)
 # with the path-decomposition terminals off.  The counts and the sc_count
 # stats were recorded before the engines shared apply_move, the count_ds
-# stats when count_ds began to separate by the bag sweep.  Between them
-# the runs make every move but rotate-pair (covered by TestApplyMove).
+# stats when count_ds began to separate by the bag sweep, and each
+# engine's stalls (and the count_ds splits) when the engines took one
+# Stats.  Between them the runs make every move but rotate-pair (covered
+# by TestApplyMove).
 PINNED = {
     (24, 0, 0): (
         (0, 0, 0, 0, 0, 0, 1, 79, 3162, 32864, 158572, 452198, 863323, 1187035, 1230545,
          990499, 630451, 320355, 130180, 42030, 10602, 2024, 276, 24, 1),
-        {'branchings': 2308, 'leaves': 10796, 'dp_calls': 10796, 'max_depth': 20,
+        {'branchings': 2308, 'stalls': 567, 'leaves': 10796, 'dp_calls': 10796,
+         'annotations': 0, 'splits': 4666, 'max_depth': 20,
          'separator_recomputes': 1621},
-        {'branchings': 820, 'annotations': 9492, 'dp_calls': 2138, 'splits': 655,
+        {'branchings': 820, 'stalls': 243, 'annotations': 9492, 'dp_calls': 2138, 'splits': 655,
          'leaves': 2138, 'max_depth': 55, 'separator_recomputes': 334}),
     (24, 2, 0): (
         (0, 0, 0, 0, 0, 0, 0, 158, 4577, 40667, 180456, 489622, 905997, 1221101, 1250044,
          998534, 632794, 320816, 130235, 42033, 10602, 2024, 276, 24, 1),
-        {'branchings': 2710, 'leaves': 15054, 'dp_calls': 14892, 'max_depth': 18,
+        {'branchings': 2710, 'stalls': 72, 'leaves': 15054, 'dp_calls': 14892,
+         'annotations': 0, 'splits': 5958, 'max_depth': 18,
          'separator_recomputes': 1456},
-        {'branchings': 899, 'annotations': 9552, 'dp_calls': 2484, 'splits': 846,
+        {'branchings': 899, 'stalls': 322, 'annotations': 9552, 'dp_calls': 2484, 'splits': 846,
          'leaves': 2484, 'max_depth': 49, 'separator_recomputes': 406}),
     (24, 3, 0): (
         (0, 0, 0, 0, 0, 0, 0, 85, 2825, 29153, 144782, 425014, 829710, 1158786, 1213773,
          983381, 628319, 319924, 130127, 42027, 10602, 2024, 276, 24, 1),
-        {'branchings': 1174, 'leaves': 4536, 'dp_calls': 4536, 'max_depth': 21,
+        {'branchings': 1174, 'stalls': 768, 'leaves': 4536, 'dp_calls': 4536,
+         'annotations': 0, 'splits': 2187, 'max_depth': 21,
          'separator_recomputes': 1012},
-        {'branchings': 935, 'annotations': 10880, 'dp_calls': 2650, 'splits': 811,
+        {'branchings': 935, 'stalls': 301, 'annotations': 10880, 'dp_calls': 2650, 'splits': 811,
          'leaves': 2650, 'max_depth': 50, 'separator_recomputes': 390}),
     (18, 1, 5): (
         (0, 0, 0, 0, 0, 0, 0, 80, 2159, 19042, 84548, 226220, 404867, 517913, 494423,
          362058, 206637, 92495, 32373, 8737, 1766, 253, 23, 1),
-        {'branchings': 634, 'leaves': 3105, 'dp_calls': 3069, 'max_depth': 16,
+        {'branchings': 634, 'stalls': 189, 'leaves': 3105, 'dp_calls': 3069,
+         'annotations': 0, 'splits': 1683, 'max_depth': 16,
          'separator_recomputes': 352},
-        {'branchings': 405, 'annotations': 4514, 'dp_calls': 1098, 'splits': 379,
+        {'branchings': 405, 'stalls': 154, 'annotations': 4514, 'dp_calls': 1098, 'splits': 379,
          'leaves': 1098, 'max_depth': 47, 'separator_recomputes': 185}),
     (20, 2, 3): (
         (0, 0, 0, 0, 0, 0, 0, 76, 2438, 23061, 102296, 266827, 462574, 573661, 532834,
          381360, 213729, 94367, 32712, 8775, 1768, 253, 23, 1),
-        {'branchings': 382, 'leaves': 1740, 'dp_calls': 1740, 'max_depth': 14,
+        {'branchings': 382, 'stalls': 0, 'leaves': 1740, 'dp_calls': 1740,
+         'annotations': 0, 'splits': 702, 'max_depth': 14,
          'separator_recomputes': 136},
-        {'branchings': 536, 'annotations': 4742, 'dp_calls': 1674, 'splits': 582,
+        {'branchings': 536, 'stalls': 252, 'annotations': 4742, 'dp_calls': 1674, 'splits': 582,
          'leaves': 1674, 'max_depth': 43, 'separator_recomputes': 291}),
 }
 
@@ -156,23 +163,23 @@ PINNED = {
 # sc_count stats at the shipped PD_WIDTH_CAP, where narrow pieces are
 # counted by the path-decomposition DP instead of the ladder
 PINNED_AT_CAP = {
-    (24, 0, 0): {'branchings': 7, 'annotations': 8, 'dp_calls': 8, 'splits': 0,
+    (24, 0, 0): {'branchings': 7, 'stalls': 0, 'annotations': 8, 'dp_calls': 8, 'splits': 0,
                  'leaves': 8, 'max_depth': 6, 'separator_recomputes': 0},
-    (24, 2, 0): {'branchings': 4, 'annotations': 4, 'dp_calls': 5, 'splits': 0,
+    (24, 2, 0): {'branchings': 4, 'stalls': 0, 'annotations': 4, 'dp_calls': 5, 'splits': 0,
                  'leaves': 5, 'max_depth': 4, 'separator_recomputes': 0},
-    (24, 3, 0): {'branchings': 13, 'annotations': 10, 'dp_calls': 14, 'splits': 0,
+    (24, 3, 0): {'branchings': 13, 'stalls': 0, 'annotations': 10, 'dp_calls': 14, 'splits': 0,
                  'leaves': 14, 'max_depth': 8, 'separator_recomputes': 0},
-    (18, 1, 5): {'branchings': 1, 'annotations': 1, 'dp_calls': 2, 'splits': 0,
+    (18, 1, 5): {'branchings': 1, 'stalls': 0, 'annotations': 1, 'dp_calls': 2, 'splits': 0,
                  'leaves': 2, 'max_depth': 2, 'separator_recomputes': 0},
-    (20, 2, 3): {'branchings': 0, 'annotations': 0, 'dp_calls': 1, 'splits': 0,
+    (20, 2, 3): {'branchings': 0, 'stalls': 0, 'annotations': 0, 'dp_calls': 1, 'splits': 0,
                  'leaves': 1, 'max_depth': 0, 'separator_recomputes': 0},
 }
 
 
 # count_ds stats at the shipped PD_WIDTH_CAP: each pinned graph has a nice
 # path decomposition of width <= 8 and is counted by one DP
-DS_AT_CAP = {'branchings': 0, 'leaves': 1, 'dp_calls': 1, 'max_depth': 0,
-             'separator_recomputes': 0}
+DS_AT_CAP = {'branchings': 0, 'stalls': 0, 'leaves': 1, 'dp_calls': 1, 'annotations': 0,
+             'splits': 0, 'max_depth': 0, 'separator_recomputes': 0}
 # a cubic graph of width 9, wider than the cap: one separator, one branch,
 # and three DPs; its counts came from the former core counters (25,150
 # branchings)
@@ -183,7 +190,8 @@ WIDE_48 = (
      4382609390439, 3420789035315, 2358627668252, 1441281772074, 782225045547,
      377468539402, 161958094594, 61718590325, 20840428043, 6212320500, 1625985449,
      370904386, 72996680, 12226180, 1710192, 194532, 17296, 1128, 48, 1),
-    {'branchings': 1, 'leaves': 3, 'dp_calls': 3, 'max_depth': 2, 'separator_recomputes': 1})
+    {'branchings': 1, 'stalls': 0, 'leaves': 3, 'dp_calls': 3, 'annotations': 0, 'splits': 0,
+     'max_depth': 2, 'separator_recomputes': 1})
 
 
 class TestEnginesPinned:

@@ -171,6 +171,11 @@ class TestCountExamples:
         assert vec == one_k4.convolve(one_k4)
         assert stats.splits >= 1
 
+    def test_one_large_set_annotates_without_branching(self):
+        vec, stats = sc_count(inst_from_sets([set(range(1500))], 1500))
+        assert vec.to_list(1) == [0, 1]
+        assert (stats.annotations, stats.branchings) == (1501, 0)
+
     def test_duplicate_sets_merge(self):
         # 4-cycle incidence: two identical sets {0,1}; either covers U
         vec, _ = sc_count(inst_from_sets([{0, 1}, {0, 1}], 2))
