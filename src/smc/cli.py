@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from smc.audit import check_csp, check_sc, exponent_csp, exponent_sc, format_report
 from smc.csp import (
@@ -21,10 +21,9 @@ from smc.csp import (
     parse_csp,
     parse_dimacs_2cnf,
 )
-from smc.csp_solve import CspAudit, solve
-from smc.domset import DsAudit, count_ds, parse_labeled_graph
+from smc.csp_solve import solve
+from smc.domset import count_ds, parse_labeled_graph
 from smc.generators import (
-    csp_on_graph,
     expected_branchings,
     gen_g3,
     gen_g4,
@@ -33,10 +32,11 @@ from smc.generators import (
     gen_random_cubic,
     trace_lower_bound,
 )
-from smc.graph import Graph, format_graph, parse_graph
+from smc.graph import format_graph, parse_graph
+from smc.measures import Audit
 from smc.oracles import brute_domset, brute_max2csp, brute_setcover
 from smc.separator import nice_path_decomposition, separate_cubic
-from smc.setcover import ScAudit, ds_to_sc, parse_sc, sc_count
+from smc.setcover import ds_to_sc, parse_sc, sc_count
 from smc.weights import CspWeights, ScWeights, parse_csp_weights, parse_sc_weights
 
 U_LABEL = "U"
@@ -46,175 +46,142 @@ class InputError(Exception):
     """Unreadable or unparsable input (exit code 2)."""
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    input: str | None = None  # path; None or "-" reads stdin
-    audit: bool = False
-    stats: bool = False
-    policy: str = "separator"
-    weights: str | None = None
-    json_out: bool = False
-
-
 def _diag(line: str) -> None:
     print(line, file=sys.stderr)
 
 
-def _read_text(cfg: RunConfig) -> str:
-    if cfg.input in (None, "-"):
+def _read_text(args) -> str:
+    if args.input in (None, "-"):
         return sys.stdin.read()
     try:
-        with open(cfg.input) as fh:
+        with open(args.input) as fh:
             return fh.read()
     except OSError as e:
         raise InputError(str(e)) from e
 
 
-def _parse_input(cfg: RunConfig, parser_fn):
-    text = _read_text(cfg)
+def _parse_input(args, parser_fn):
+    text = _read_text(args)
     try:
         return parser_fn(text)
     except ValueError as e:
         raise InputError(str(e)) from e
 
 
-def _load_weights(cfg: RunConfig, kind: str):
+def _load_weights(args, kind: str):
     if kind == "csp":
         default, parser_fn = CspWeights.published(), parse_csp_weights
     else:
         default, parser_fn = ScWeights.published(), parse_sc_weights
-    if cfg.weights is None:
+    if args.weights is None:
         return default
     try:
-        with open(cfg.weights) as fh:
+        with open(args.weights) as fh:
             return parser_fn(fh.read())
     except (OSError, ValueError) as e:
         raise InputError(f"weights: {e}") from e
-
-
-def _emit_stats(cfg: RunConfig, stats) -> None:
-    if cfg.stats:
-        for key, val in asdict(stats).items():
-            _diag(f"stat,{key},{val}")
 
 
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _emit_audit(cfg: RunConfig, audit, violations) -> None:
-    _diag(f"stat,audit_entries,{len(audit.entries)}")
-    _diag(f"stat,audit_violations,{len(violations)}")
-    for entry in violations:
-        _diag(f"audit-violation,{entry}")
+def _print_result(args, result: dict, stats=None) -> None:
+    """One JSON object under --json, with the run's stats when given; else
+    one line per entry, its name and then its value or values."""
+    if args.json_out:
+        _emit_json(result if stats is None else {**result, "stats": asdict(stats)})
+        return
+    for key, val in result.items():
+        print(f"{key} " + (" ".join(map(str, val)) if isinstance(val, list) else str(val)))
+
+
+def _report(args, result: dict, stats, audit: Audit | None) -> int:
+    """Print a solver's result, then its stat lines (--stats) and its audit
+    summary (--audit-measure) on stderr."""
+    _print_result(args, result, stats)
+    if args.stats:
+        for key, val in asdict(stats).items():
+            _diag(f"stat,{key},{val}")
+    if audit is not None:
+        _diag(f"stat,audit_entries,{len(audit.entries)}")
+        _diag(f"stat,audit_violations,{len(audit.violations)}")
+        for entry in audit.violations:
+            _diag(f"audit-violation,{entry}")
+    return 0
 
 
 # -- solving -------------------------------------------------------------------
 
 
-def _run_csp(cfg: RunConfig, inst) -> int:
-    if cfg.weights is not None and not cfg.audit:
+def _run_csp(args, inst) -> int:
+    if args.weights is not None and not args.audit:
         raise InputError("--weights needs --audit-measure")
-    audit = CspAudit(weights=_load_weights(cfg, "csp")) if cfg.audit else None
-    sol, stats = solve(inst, policy=cfg.policy, audit=audit)
+    if args.audit and args.policy == "local":
+        raise InputError("--audit-measure needs the separator policy")
+    audit = Audit() if args.audit else None
+    sol, stats = solve(inst, policy=args.policy or "separator", audit=audit,
+                       weights=_load_weights(args, "csp"))
     order = inst.graph.vertices()
-    if cfg.json_out:
-        _emit_json(
-            {
-                "score": sol.score,
-                "assignment": [sol.assignment[v] for v in order],
-                "stats": asdict(stats),
-            }
-        )
-    else:
-        print(f"score {sol.score}")
-        print("assignment " + " ".join(str(sol.assignment[v]) for v in order))
-    _emit_stats(cfg, stats)
-    if audit is not None:
-        _emit_audit(cfg, audit, audit.violations)
-    return 0
+    return _report(args, {"score": sol.score,
+                          "assignment": [sol.assignment[v] for v in order]}, stats, audit)
 
 
-def cmd_solve_csp(cfg: RunConfig, args) -> int:
-    return _run_csp(cfg, _parse_input(cfg, parse_csp))
+def cmd_solve_csp(args) -> int:
+    return _run_csp(args, _parse_input(args, parse_csp))
 
 
-def cmd_maxcut(cfg: RunConfig, args) -> int:
-    return _run_csp(cfg, encode_maxcut(_parse_input(cfg, parse_graph)))
+def cmd_maxcut(args) -> int:
+    return _run_csp(args, encode_maxcut(_parse_input(args, parse_graph)))
 
 
-def cmd_max2sat(cfg: RunConfig, args) -> int:
-    n_vars, clauses = _parse_input(cfg, parse_dimacs_2cnf)
-    return _run_csp(cfg, encode_max2sat(n_vars, clauses))
+def cmd_max2sat(args) -> int:
+    n_vars, clauses = _parse_input(args, parse_dimacs_2cnf)
+    return _run_csp(args, encode_max2sat(n_vars, clauses))
 
 
 # -- counting ------------------------------------------------------------------
 
 
-def _print_counts(cfg: RunConfig, vec, n_top: int, stats=None) -> None:
-    counts = vec.to_list(n_top)
-    if cfg.json_out:
-        payload = {"counts": counts}
-        if stats is not None:
-            payload["stats"] = asdict(stats)
-        _emit_json(payload)
-    else:
-        print("counts " + " ".join(str(c) for c in counts))
-
-
-def cmd_count_ds(cfg: RunConfig, args) -> int:
+def cmd_count_ds(args) -> int:
     if args.policy is not None and not args.subcubic:
         raise InputError("--policy needs --subcubic")
-    if cfg.weights is not None and args.subcubic:
+    if args.weights is not None and args.subcubic:
         raise InputError("--weights does not apply to --subcubic")
-    lg = _parse_input(cfg, parse_labeled_graph)
+    lg = _parse_input(args, parse_labeled_graph)
+    audit = Audit() if args.audit else None
     if args.subcubic:
         if lg.graph.max_degree() > 3:
             raise InputError(f"--subcubic needs max degree <= 3, got {lg.graph.max_degree()}")
-        audit = DsAudit() if cfg.audit else None
-        vec, stats = count_ds(lg, policy=cfg.policy, audit=audit)
-        _print_counts(cfg, vec, lg.graph.n, stats)
-        _emit_stats(cfg, stats)
-        if audit is not None:
-            _emit_audit(cfg, audit, audit.violations)
-        return 0
-    if any(lab != U_LABEL for lab in lg.label.values()):
+        vec, stats = count_ds(lg, policy=args.policy or "separator", audit=audit)
+    elif any(lab != U_LABEL for lab in lg.label.values()):
         raise InputError("labels other than U need --subcubic")
-    audit = ScAudit(weights=_load_weights(cfg, "sc")) if cfg.audit else None
-    vec, stats = sc_count(ds_to_sc(lg.graph), _load_weights(cfg, "sc"), audit)
-    _print_counts(cfg, vec, lg.graph.n, stats)
-    _emit_stats(cfg, stats)
-    if audit is not None:
-        _emit_audit(cfg, audit, audit.violations)
-    return 0
+    else:
+        vec, stats = sc_count(ds_to_sc(lg.graph), _load_weights(args, "sc"), audit)
+    return _report(args, {"counts": vec.to_list(lg.graph.n)}, stats, audit)
 
 
-def cmd_count_sc(cfg: RunConfig, args) -> int:
-    inst = _parse_input(cfg, parse_sc)
-    audit = ScAudit(weights=_load_weights(cfg, "sc")) if cfg.audit else None
-    vec, stats = sc_count(inst, _load_weights(cfg, "sc"), audit)
-    _print_counts(cfg, vec, len(inst.set_ids), stats)
-    _emit_stats(cfg, stats)
-    if audit is not None:
-        _emit_audit(cfg, audit, audit.violations)
-    return 0
+def cmd_count_sc(args) -> int:
+    inst = _parse_input(args, parse_sc)
+    audit = Audit() if args.audit else None
+    vec, stats = sc_count(inst, _load_weights(args, "sc"), audit)
+    return _report(args, {"counts": vec.to_list(len(inst.set_ids))}, stats, audit)
 
 
 # -- separations ---------------------------------------------------------------
 
 
-def cmd_separate(cfg: RunConfig, args) -> int:
-    g = _parse_input(cfg, parse_graph)
+def cmd_separate(args) -> int:
+    g = _parse_input(args, parse_graph)
     sep = separate_cubic(g, nice_path_decomposition(g))
     sides = {name: sorted(getattr(sep, name)) for name in ("left", "sep", "right")}
-    if cfg.json_out:
+    if args.json_out:
         _emit_json(sides)
     else:
         for name in ("left", "sep", "right"):
             print(name + ("" if not sides[name] else
                           " " + " ".join(map(str, sides[name]))))
-    if cfg.stats:
+    if args.stats:
         for name in ("left", "sep", "right"):
             _diag(f"stat,{name}_size,{len(sides[name])}")
     return 0
@@ -223,7 +190,7 @@ def cmd_separate(cfg: RunConfig, args) -> int:
 # -- generation ----------------------------------------------------------------
 
 
-def cmd_gen(cfg: RunConfig, args) -> int:
+def cmd_gen(args) -> int:
     fam = args.family
     if args.seed is not None and fam not in ("cubic", "csp"):
         raise InputError(f"--seed does not apply to the fixed family {fam}")
@@ -262,7 +229,7 @@ def _g4_params(args) -> tuple[int, int]:
     return n // 2, n // 2
 
 
-def cmd_trace_lb(cfg: RunConfig, args) -> int:
+def cmd_trace_lb(args) -> int:
     fam = args.family
     try:
         if fam == "g3":
@@ -282,7 +249,7 @@ def cmd_trace_lb(cfg: RunConfig, args) -> int:
     for t in trace.guard_failures:
         step = trace.steps[t]
         _diag(f"guard-failure,step={t},pivot={step.pivot},degree={step.degree}")
-    if cfg.json_out:
+    if args.json_out:
         _emit_json(
             {
                 "branchings": trace.reduction3_count,
@@ -296,7 +263,7 @@ def cmd_trace_lb(cfg: RunConfig, args) -> int:
             f"branchings={trace.reduction3_count} expected={expected} "
             f"match={'true' if match else 'false'}"
         )
-    if cfg.stats:
+    if args.stats:
         for t, step in enumerate(trace.steps):
             _diag(f"stat,step{t},pivot={step.pivot} degree={step.degree} "
                   f"order={step.order_after}")
@@ -306,24 +273,24 @@ def cmd_trace_lb(cfg: RunConfig, args) -> int:
 # -- auditing ------------------------------------------------------------------
 
 
-def cmd_audit_measure(cfg: RunConfig, args) -> int:
+def cmd_audit_measure(args) -> int:
     if args.system == "csp":
-        w = _load_weights(cfg, "csp")
+        w = _load_weights(args, "csp")
         report = check_csp(w)
         numbers = exponent_csp(w) if report.feasible else None
     else:
-        w = _load_weights(cfg, "sc")
+        w = _load_weights(args, "sc")
         report = check_sc(w)
         numbers = exponent_sc(w) if report.feasible else None
     sys.stderr.write(format_report(report))
     if numbers is None:
-        if cfg.json_out:
+        if args.json_out:
             _emit_json({"feasible": False})
         else:
             print("feasible=false")
         return 0
     exponent, base = numbers
-    if cfg.json_out:
+    if args.json_out:
         _emit_json(
             {"feasible": True, "exponent": float(exponent), "base": round(base, 4)}
         )
@@ -335,25 +302,18 @@ def cmd_audit_measure(cfg: RunConfig, args) -> int:
 # -- oracles -------------------------------------------------------------------
 
 
-def cmd_oracle(cfg: RunConfig, args) -> int:
+def cmd_oracle(args) -> int:
     if args.problem == "csp":
-        inst = _parse_input(cfg, parse_csp)
+        inst = _parse_input(args, parse_csp)
         sol = brute_max2csp(inst)
-        order = inst.graph.vertices()
-        if cfg.json_out:
-            _emit_json(
-                {"score": sol.score,
-                 "assignment": [sol.assignment[v] for v in order]}
-            )
-        else:
-            print(f"score {sol.score}")
-            print("assignment " + " ".join(str(sol.assignment[v]) for v in order))
+        _print_result(args, {"score": sol.score,
+                             "assignment": [sol.assignment[v] for v in inst.graph.vertices()]})
     elif args.problem == "ds":
-        lg = _parse_input(cfg, parse_labeled_graph)
-        _print_counts(cfg, brute_domset(lg), lg.graph.n)
+        lg = _parse_input(args, parse_labeled_graph)
+        _print_result(args, {"counts": brute_domset(lg).to_list(lg.graph.n)})
     else:
-        inst = _parse_input(cfg, parse_sc)
-        _print_counts(cfg, brute_setcover(inst), len(inst.set_ids))
+        inst = _parse_input(args, parse_sc)
+        _print_result(args, {"counts": brute_setcover(inst).to_list(len(inst.set_ids))})
     return 0
 
 
@@ -452,17 +412,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        input=getattr(args, "input", None),
-        audit=getattr(args, "audit", False),
-        stats=getattr(args, "stats", False),
-        policy=getattr(args, "policy", None) or "separator",
-        weights=getattr(args, "weights", None),
-        json_out=getattr(args, "json_out", False),
-    )
     try:
-        return _HANDLERS[cfg.subcommand](cfg, args)
+        return _HANDLERS[args.subcommand](args)
     except InputError as e:
         _diag(f"error: {e}")
         return 2

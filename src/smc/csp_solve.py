@@ -40,7 +40,7 @@ from .csp import (
     restrict,
 )
 from .graph import Graph, connected_components
-from .measures import csp_eta, csp_mu
+from .measures import Audit, csp_snapshot
 from .policy import MOVES, PivotAction, Stats, apply_move, deg3_side_counts, separator_case
 from .separator import (
     PD_WIDTH_CAP,
@@ -53,82 +53,16 @@ from .separator import (
 )
 from .weights import CspWeights
 
-MU_REL_SLACK = 1e-9
-
-_HARD_KINDS = frozenset({
-    "reduce0", "reduceI", "reduceII", "drag-R", "drag-L", "rotate",
-    "branch", "terminal", "leaf",
-})
-
-
-@dataclass
-class AuditEntry:
-    kind: str
-    hard: bool
-    mu_ok: bool
-    eta_ok: bool
-    mu_parent: float | None
-    mu_children: tuple[float, ...]
-    eta_parent: int
-    eta_children: tuple[int, ...]
-    note: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.mu_ok and self.eta_ok
-
-
-class CspAudit:
-    """Per-step measure bookkeeping for the subcubic engine.
-
-    Hard steps must satisfy Σ_j r^{μ(I_j)} ≤ r^{μ(I)} (relative slack
-    1e-9) and drop η by at least 1; component splits and re-separations
-    are recorded with the same numbers but only logged, since the
-    analysis bounds them by separator quality, not by the weight system.
-    Steps on graphs of degree ≥ 4 carry no μ (the measure is defined for
-    the subcubic phase only).
-    """
-
-    def __init__(self, weights: CspWeights | None = None, strict: bool = False):
-        self.weights = weights or CspWeights.published()
-        self.strict = strict
-        self.entries: list[AuditEntry] = []
-
-    @property
-    def violations(self) -> list[AuditEntry]:
-        return [e for e in self.entries if e.hard and not e.ok]
-
-    def record(self, kind: str, r: int,
-               parent: tuple[Graph, Separation],
-               children: list[tuple[Graph, Separation]],
-               eta_exempt: bool = False, note: str = "") -> None:
-        hard = kind in _HARD_KINDS
-        gp, sp = parent
-        subcubic = gp.max_degree() <= 3 and all(
-            gc.max_degree() <= 3 for gc, _ in children)
-        mu_p = mu_cs = None
-        mu_ok = True
-        if subcubic:
-            mu_p = float(csp_mu(gp, sp, self.weights))
-            mu_cs = tuple(float(csp_mu(gc, sc, self.weights))
-                          for gc, sc in children)
-            mu_ok = (sum(r ** m for m in mu_cs)
-                     <= (r ** mu_p) * (1.0 + MU_REL_SLACK))
-        eta_p = csp_eta(gp, sp)
-        eta_cs = tuple(csp_eta(gc, sc) for gc, sc in children)
-        eta_ok = eta_exempt or all(e <= eta_p - 1 for e in eta_cs)
-        entry = AuditEntry(kind, hard, mu_ok, eta_ok, mu_p, mu_cs or (),
-                           eta_p, eta_cs, note)
-        self.entries.append(entry)
-        if self.strict and hard and not entry.ok:
-            raise AssertionError(f"measure audit violation at {kind}: {entry}")
-
 
 @dataclass
 class _Env:
     policy: str
     stats: Stats
-    audit: CspAudit | None
+    audit: Audit | None
+    weights: CspWeights
+
+    def snap(self, g: Graph, sep: Separation) -> dict:
+        return csp_snapshot(g, sep, self.weights)
 
 
 def _asg_key(asg: dict[int, int]) -> tuple:
@@ -258,10 +192,6 @@ def _narrow_best(inst: CspInstance, env: _Env,
     return _brute_best(inst, decomp)
 
 
-def _sub_separation(sep: Separation, comp: set[int]) -> Separation:
-    return Separation(sep.left & comp, sep.sep & comp, sep.right & comp)
-
-
 _IN_PLACE = {"reduce0": reduce0_inplace, "reduceI": reduceI_inplace,
              "reduceII": reduceII_inplace}
 
@@ -288,7 +218,7 @@ def _rec_cubic(inst: CspInstance, sep: Separation, env: _Env,
         if g.n == 0:
             stats.leaves += 1
             if audit is not None:
-                audit.record("leaf", inst.r, (g, sep), [])
+                audit.step("leaf", inst.r, env.snap(g, sep), [])
             score, asg = inst.s_nil, {}
             break
 
@@ -301,11 +231,10 @@ def _rec_cubic(inst: CspInstance, sep: Separation, env: _Env,
             comps = connected_components(g)
             if len(comps) > 1:
                 stats.splits += 1
-                children = [(restrict(inst, comp), _sub_separation(sep, set(comp)))
-                            for comp in comps]
+                children = [(restrict(inst, comp), sep.restrict(comp)) for comp in comps]
                 if audit is not None:
-                    audit.record("split", inst.r, (g, sep),
-                                 [(ci.graph, cs) for ci, cs in children], eta_exempt=True)
+                    audit.step("split", inst.r, env.snap(g, sep),
+                               [env.snap(ci.graph, cs) for ci, cs in children], hard=False)
                 score, asg = inst.s_nil, {}
                 for ci, cs in children:
                     s, a = _rec_cubic(ci, cs, env, depth + 1)
@@ -317,12 +246,13 @@ def _rec_cubic(inst: CspInstance, sep: Separation, env: _Env,
                 sep2 = separate_cubic(g, decomp)
                 stats.separator_recomputes += 1
                 if audit is not None:
-                    audit.record("reseparate", inst.r, (g, sep), [(g, sep2)], eta_exempt=True)
+                    audit.step("reseparate", inst.r, env.snap(g, sep), [env.snap(g, sep2)],
+                               hard=False)
                 # narrow, the piece is swept before any ladder move
                 best = _narrow_best(inst, env, decomp)
                 if best is not None:
                     if audit is not None:
-                        audit.record("terminal", inst.r, (g, sep2), [])
+                        audit.step("terminal", inst.r, env.snap(g, sep2), [])
                     score, asg = best
                     break
                 sep, depth = sep2, depth + 1
@@ -343,7 +273,7 @@ def _rec_cubic(inst: CspInstance, sep: Separation, env: _Env,
             score, asg = _branch_cubic(inst, sep, y, env, depth, decomp, "branch")
             break
         if audit is not None:
-            parent = (g if kind in MOVES else g.copy(), sep.copy())
+            before = env.snap(g, sep)
         if kind in MOVES:
             apply_move(sep, act, g.neighbor_sets().__getitem__)
         else:
@@ -354,7 +284,7 @@ def _rec_cubic(inst: CspInstance, sep: Separation, env: _Env,
                 sep.right.remove(act.partner)
                 sep.sep.add(act.partner)
         if audit is not None:
-            audit.record(kind, inst.r, parent, [(g, sep)])
+            audit.step(kind, inst.r, before, [env.snap(g, sep)], falls=("eta",))
         depth += 1
     for fill in reversed(fills):
         fill(asg)
@@ -385,22 +315,17 @@ def _branch_cubic(inst: CspInstance, sep: Separation, y: int, env: _Env,
         best = _narrow_best(inst, env, nice_path_decomposition(inst.graph))
         if best is not None:
             if env.audit is not None:
-                env.audit.record("terminal", inst.r, (inst.graph, sep), [])
+                env.audit.step("terminal", inst.r, env.snap(inst.graph, sep), [])
             return best
     children = reduceIII(inst, y)
     env.stats.branchings += 1
     env.stats.stalls += kind == "stall"
-    seps = [_drop(sep, y) for _ in children]
+    seps = [sep.restrict(ci.graph.vertices()) for ci, _ in children]
     if env.audit is not None:
-        env.audit.record(kind, inst.r, (inst.graph, sep),
-                         [(ci.graph, s2) for (ci, _), s2 in zip(children, seps)], note=note)
+        env.audit.step(kind, inst.r, env.snap(inst.graph, sep),
+                       [env.snap(ci.graph, s2) for (ci, _), s2 in zip(children, seps)],
+                       falls=("eta",), hard=kind == "branch", note=note)
     return _best(children, lambda i, child: _rec_cubic(child, seps[i], env, depth + 1))
-
-
-def _drop(sep: Separation, y: int) -> Separation:
-    out = sep.copy()
-    out.discard(y)
-    return out
 
 
 def _rec_general(inst: CspInstance, env: _Env,
@@ -441,19 +366,26 @@ def _rec_general(inst: CspInstance, env: _Env,
     return score, asg
 
 
-def solve(inst: CspInstance, policy: str = "separator",
-          audit: CspAudit | None = None) -> tuple[CspSolution, Stats]:
+def solve(inst: CspInstance, policy: str = "separator", audit: Audit | None = None,
+          weights: CspWeights | None = None) -> tuple[CspSolution, Stats]:
     """Exact optimum, witnessing assignment, and run counters.
 
     The witness is deterministic (ties broken toward lexicographically
     small assignments where branches combine, and toward the smallest
     colour at each forget of the sweep) and always satisfies
     evaluate(inst, witness) = score.
+
+    An audit records every step of the subcubic engine, measured with
+    `weights` (the published table by default); the local policy runs
+    no step it could audit.  Hard steps must satisfy Σ_j r^μ(I_j) ≤
+    r^μ(I) and drop η by at least 1; splits, re-separations and stalls
+    are recorded with the same numbers but only logged, since the
+    analysis bounds them by separator quality, not by the weights.
     """
     if policy not in ("separator", "local"):
         raise ValueError(f"unknown policy {policy!r}")
     stats = Stats()
-    env = _Env(policy, stats, audit)
+    env = _Env(policy, stats, audit, weights or CspWeights.published())
     inst = inst.copy()  # the engines consume their instance
     if policy == "separator" and inst.graph.max_degree() <= 3:
         sep = trivial_separation(inst.graph.vertices())

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from .counts import CountVector, add_into
 from .graph import Graph, connected_components, induced_subgraph, parse_graph
+from .measures import Audit
 from .policy import PivotAction, Stats, apply_move, deg3_side_counts, separator_case
 from .separator import (
     PD_WIDTH_CAP,
@@ -250,60 +251,26 @@ def select_pivot_ds(lg: LabeledGraph, sep: Separation) -> PivotAction:
 
 
 @dataclass
-class DsAuditEntry:
-    kind: str
-    n: int
-    nonneg_ok: bool
-    sum_ok: bool
-    note: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.nonneg_ok and self.sum_ok
-
-
-class DsAudit:
-    """Counting invariants checked whenever the engine produces a vector.
-
-    The branch recombination subtracts the forbidden child, so a bug
-    would typically show up as a negative entry or an impossible total;
-    audit mode asserts entrywise nonnegativity, no mass above index n,
-    and total <= 2^n at every vector-producing return.
-    """
-
-    def __init__(self, strict: bool = False):
-        self.strict = strict
-        self.entries: list[DsAuditEntry] = []
-
-    @property
-    def violations(self) -> list[DsAuditEntry]:
-        return [e for e in self.entries if not e.ok]
-
-    def check_return(self, kind: str, n: int, vec: CountVector, note: str = "") -> None:
-        nonneg = vec.is_nonnegative()
-        fits = not any(vec.counts[n + 1 :])
-        sum_ok = fits and vec.total() <= 2**n
-        entry = DsAuditEntry(kind, n, nonneg, sum_ok, note)
-        self.entries.append(entry)
-        if self.strict and not entry.ok:
-            raise AssertionError(f"count audit violation at {kind}: {entry}")
-
-
-@dataclass
 class _Env:
     stats: Stats
-    audit: DsAudit | None
+    audit: Audit | None
+
+
+def _checked(env: _Env, kind: str, n: int, vec: CountVector) -> CountVector:
+    """vec, recorded with the audit's count checks: the branch recombination
+    subtracts the forbidden child, so a bug would typically show up as a
+    negative entry ("nonneg") or as mass above index n or a total above
+    2^n ("sum")."""
+    if env.audit is not None:
+        fits = not any(vec.counts[n + 1:]) and vec.total() <= 2**n
+        env.audit.add(kind, True, {"nonneg": vec.is_nonnegative(), "sum": fits}, {"n": n})
+    return vec
 
 
 def _sub_labeled(lg: LabeledGraph, comp: list[int]) -> LabeledGraph:
     return LabeledGraph(
         induced_subgraph(lg.graph, comp), {v: lg.label[v] for v in comp}
     )
-
-
-def _project(sep: Separation, child: LabeledGraph) -> Separation:
-    keep = set(child.graph.vertices())
-    return Separation(sep.left & keep, sep.sep & keep, sep.right & keep)
 
 
 def _terminal(lg: LabeledGraph, env: _Env) -> tuple[CountVector | None, PathDecomposition]:
@@ -335,10 +302,7 @@ def _rec(lg: LabeledGraph, sep: Separation, env: _Env, depth: int) -> CountVecto
             lg.check()
         if g.n == 0:
             stats.leaves += 1
-            vec = CountVector.one()
-            if audit is not None:
-                audit.check_return("leaf", 0, vec)
-            return vec
+            return _checked(env, "leaf", 0, CountVector.one())
         l3, r3 = deg3_side_counts(g, sep)
         if l3 > r3:
             sep.swap()
@@ -348,17 +312,13 @@ def _rec(lg: LabeledGraph, sep: Separation, env: _Env, depth: int) -> CountVecto
                 stats.splits += 1
                 vec = CountVector.one()
                 for comp in comps:
-                    sub = _sub_labeled(lg, comp)
-                    vec = vec.convolve(_rec(sub, _project(sep, sub), env, depth + 1))
-                if audit is not None:
-                    audit.check_return("split", g.n, vec)
-                return vec
+                    vec = vec.convolve(_rec(_sub_labeled(lg, comp), sep.restrict(comp), env,
+                                            depth + 1))
+                return _checked(env, "split", g.n, vec)
             vec, decomp = _terminal(lg, env)
             if vec is not None:
                 stats.leaves += 1
-                if audit is not None:
-                    audit.check_return("dp", g.n, vec)
-                return vec
+                return _checked(env, "dp", g.n, vec)
         if not sep.sep:
             if not resep:
                 sep, resep = separate_cubic(g, decomp), True
@@ -378,17 +338,11 @@ def _rec(lg: LabeledGraph, sep: Separation, env: _Env, depth: int) -> CountVecto
 
 
 def _branch(lg: LabeledGraph, y: int, sep: Separation, env: _Env, depth: int, kind: str) -> CountVector:
-    g_in, g_opt, g_forb = branch3(lg, y)
     env.stats.branchings += 1
     env.stats.stalls += kind == "stall"
-    audit = env.audit
-    vec_in = _rec(g_in, _project(sep, g_in), env, depth + 1)
-    vec_opt = _rec(g_opt, _project(sep, g_opt), env, depth + 1)
-    vec_forb = _rec(g_forb, _project(sep, g_forb), env, depth + 1)
-    vec = vec_in.shift(1) + vec_opt - vec_forb
-    if audit is not None:
-        audit.check_return(kind, lg.graph.n, vec)
-    return vec
+    vec_in, vec_opt, vec_forb = [_rec(child, sep.restrict(child.graph.vertices()), env, depth + 1)
+                                 for child in branch3(lg, y)]
+    return _checked(env, kind, lg.graph.n, vec_in.shift(1) + vec_opt - vec_forb)
 
 
 def _rec_local(lg: LabeledGraph, env: _Env, depth: int) -> CountVector:
@@ -398,15 +352,11 @@ def _rec_local(lg: LabeledGraph, env: _Env, depth: int) -> CountVector:
     pivot-policy comparison runs against."""
     env.stats.max_depth = max(env.stats.max_depth, depth)
     g = lg.graph
-    audit = env.audit
-    if audit is not None:
+    if env.audit is not None:
         lg.check()
     if g.n == 0:
         env.stats.leaves += 1
-        vec = CountVector.one()
-        if audit is not None:
-            audit.check_return("leaf", 0, vec)
-        return vec
+        return _checked(env, "leaf", 0, CountVector.one())
     deg3 = [v for v in g.vertices() if g.degree(v) == 3]
     if deg3:
         g_in, g_opt, g_forb = branch3(lg, deg3[0])
@@ -416,30 +366,22 @@ def _rec_local(lg: LabeledGraph, env: _Env, depth: int) -> CountVector:
             + _rec_local(g_opt, env, depth + 1)
             - _rec_local(g_forb, env, depth + 1)
         )
-        if audit is not None:
-            audit.check_return("branch", g.n, vec)
-        return vec
+        return _checked(env, "branch", g.n, vec)
     env.stats.leaves += 1
     env.stats.dp_calls += 1
-    vec = ds_dp(lg, path_decomposition(g, _linear_order(g)))
-    if audit is not None:
-        audit.check_return("flat", g.n, vec)
-    return vec
+    return _checked(env, "flat", g.n, ds_dp(lg, path_decomposition(g, _linear_order(g))))
 
 
-def count_ds(
-    lg: LabeledGraph,
-    sep: Separation | None = None,
-    policy: str = "separator",
-    audit: DsAudit | None = None,
-) -> tuple[CountVector, Stats]:
+def count_ds(lg: LabeledGraph, policy: str = "separator",
+             audit: Audit | None = None) -> tuple[CountVector, Stats]:
     """Count dominating sets of every size; returns (vector, counters).
 
     Entry k of the vector is the exact number of vertex sets of size k
     that satisfy every label: U and N vertices dominated, N vertices
-    excluded.  The default policy drives branching by separators
-    (sep = None starts from the trivial all-R separation and computes a
-    real one on demand); policy "local" is the separator-free baseline.
+    excluded.  The default policy drives branching by separators (it
+    starts from the trivial all-R separation and computes a real one on
+    demand); policy "local" is the separator-free baseline.  An audit
+    records the count checks of every vector the engine returns.
     """
     if policy not in ("separator", "local"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -450,8 +392,7 @@ def count_ds(
     stats = Stats()
     env = _Env(stats, audit)
     if policy == "separator":
-        start = trivial_separation(lg.graph.vertices()) if sep is None else sep.copy()
-        vec = _rec(lg, start, env, 0)
+        vec = _rec(lg, trivial_separation(lg.graph.vertices()), env, 0)
     else:
         vec = _rec_local(lg, env, 0)
     return vec, stats

@@ -1,8 +1,10 @@
-"""Branching measures and potentials used by the runtime audits.
+"""Branching measures and potentials, and the runtime audit of all three
+engines.
 
 Everything here is pure bookkeeping: the solvers never consult a measure
-to make a decision, they only report (separation, instance) snapshots to
-the audit layer, which evaluates these functions.
+to make a decision.  With an ``Audit`` attached, an engine takes a
+snapshot of the numbers (μ, η, progress, side weights, active count)
+before each step and of each child after it, and hands both to the audit.
 
 Logarithms are evaluated from exact rational inputs at 30 significant
 decimal digits and returned as exact ``Fraction`` snapshots of that
@@ -12,8 +14,10 @@ evaluation, so measure values are deterministic across platforms.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from typing import Callable
 
 from .graph import Graph
 from .separator import Separation
@@ -83,6 +87,10 @@ def csp_mu(g: Graph, sep: Separation, w: CspWeights) -> Fraction:
 def csp_eta(g: Graph, sep: Separation) -> int:
     """η = 3|S| + 2|R| + |L| + 2|E|; strictly decreases at every solver step."""
     return 3 * len(sep.sep) + 2 * len(sep.right) + len(sep.left) + 2 * g.m
+
+
+def csp_snapshot(g: Graph, sep: Separation, w: CspWeights) -> dict:
+    return {"mu": float(csp_mu(g, sep, w)), "eta": csp_eta(g, sep)}
 
 
 # -- counting set cover measures ---------------------------------------------------
@@ -157,3 +165,99 @@ def sc_progress(inst, w: ScWeights) -> Fraction:
     mu_l, _, mu_r = sc_side_weights(inst, w)
     wr2 = w.wright(2)
     return (s2 + s_total) * mu_all / wr2 + abs(mu_r - mu_l) / wr2
+
+
+def sc_snapshots(parent, w: ScWeights, frozen_arg: Fraction | None = None,
+                 ladder: bool = False) -> Callable[[object], dict]:
+    """Snapshots for a step from `parent`, all in parent's phase: μ₃ while
+    no active degree exceeds 3, μ₄ otherwise, and the active count; on a
+    separator-ladder step also the progress potential and the side
+    weights (μ_r(L), μ_r(R)).  Within the subcubic phase μ₃'s log
+    argument stays frozen_arg, its value at the last re-separation, and
+    eq:sep pays for its growth."""
+    subcubic = max((parent.active_degree(v) for v in parent.active_vertices()),
+                   default=0) <= 3
+
+    def snap(inst) -> dict:
+        mu = sc_mu3(inst, w, frozen_arg) if subcubic else sc_mu4(inst, w)
+        out = {"mu": float(mu), "active": len(inst.active_vertices())}
+        if ladder:
+            mu_l, _, mu_r = sc_side_weights(inst, w)
+            out.update(progress=sc_progress(inst, w), sides=(mu_l, mu_r))
+        return out
+
+    return snap
+
+
+# -- the audit -----------------------------------------------------------------
+
+MU_REL_SLACK = 1e-9
+# Checks that strict mode enforces on every step, hard or not.
+ENFORCED = ("balance", "shrink")
+
+
+@dataclass
+class AuditEntry:
+    """One audited step: each named check and whether it held, and the
+    numbers the checks compared, a snapshot number as (before the step,
+    one per child after it)."""
+    kind: str
+    hard: bool
+    checks: dict[str, bool]
+    numbers: dict[str, object]
+    note: str = ""
+
+    @property
+    def ok(self) -> bool:
+        # "balance" is only logged: the drag rules trade it against the
+        # literal μ bookkeeping
+        return all(held for name, held in self.checks.items() if name != "balance")
+
+
+class Audit:
+    """Per-step bookkeeping of the three engines.  A hard step that fails
+    a check is a violation, and strict mode raises at it; steps whose
+    quality rests on the separator (splits, re-separations, stalls) are
+    recorded with the same numbers but are soft."""
+
+    def __init__(self, strict: bool = False):
+        self.strict = strict
+        self.entries: list[AuditEntry] = []
+
+    @property
+    def violations(self) -> list[AuditEntry]:
+        return [e for e in self.entries if e.hard and not e.ok]
+
+    def add(self, kind: str, hard: bool, checks: dict[str, bool],
+            numbers: dict[str, object], note: str = "") -> None:
+        entry = AuditEntry(kind, hard, checks, numbers, note)
+        self.entries.append(entry)
+        if self.strict and (hard and not entry.ok
+                            or not all(checks.get(name, True) for name in ENFORCED)):
+            raise AssertionError(f"audit violation at {kind}: {entry}")
+
+    def step(self, kind: str, base: int, before: dict, after: list[dict],
+             falls: tuple[str, ...] = (), cap: Fraction | None = None,
+             hard: bool = True, note: str = "") -> None:
+        """Record a step from the snapshot taken before it and those of its
+        children after it (none at a terminal).  The checks:
+
+            mu        Σ base^μ(child) ≤ base^μ(before), relative slack 1e-9
+            <falls>   each potential named in falls drops by ≥ 1 per child
+            balance   with a cap, when the side weights differ by more than
+                      cap, each child loses at least as much weight from
+                      the heavy side as from the light one
+        """
+        # divided through by base^μ(before), which overflows a float past μ ≈ 1024
+        checks = {"mu": sum(base ** (a["mu"] - before["mu"]) for a in after)
+                  <= 1.0 + MU_REL_SLACK}
+        for name in falls:
+            checks[name] = all(a[name] <= before[name] - 1 for a in after)
+        if cap is not None:
+            pl, pr = before["sides"]
+            checks["balance"] = abs(pr - pl) <= cap or all(
+                pr - cr >= pl - cl if pr >= pl else pl - cl >= pr - cr
+                for cl, cr in (a["sides"] for a in after))
+        numbers = {name: (val, tuple(a[name] for a in after))
+                   for name, val in before.items() if name != "sides"}
+        self.add(kind, hard, checks, numbers, note)

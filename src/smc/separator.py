@@ -51,6 +51,11 @@ class Separation:
     def swap(self) -> None:
         self.left, self.right = self.right, self.left
 
+    def restrict(self, keep: Iterable[int]) -> "Separation":
+        """The separation that this one induces on the vertices in keep."""
+        return Separation(self.left.intersection(keep), self.sep.intersection(keep),
+                          self.right.intersection(keep))
+
 
 def trivial_separation(vertices: Iterable[int]) -> Separation:
     """(∅, ∅, V): everything on the right, so μ_r(L) ≤ μ_r(R) trivially."""
@@ -153,12 +158,14 @@ def _greedy_layout(adj: dict[int, tuple[int, ...]], first: int) -> tuple[list[in
 # bag holds at most PD_WIDTH_CAP + 1 vertices, so a set-cover sweep has at
 # most 2^9 states and a #DS sweep at most 3^9.
 PD_WIDTH_CAP = 8
+# The greedy layout starts from each of this many smallest ids.
+PD_STARTS = 16
 
 
-def nice_path_decomposition(g: Graph, starts: int = 16) -> PathDecomposition:
+def nice_path_decomposition(g: Graph) -> PathDecomposition:
     """Greedy-layout path decomposition, nicified (consecutive bags differ by 1).
 
-    Multi-start over the `starts` smallest ids as forced first vertex; each
+    Multi-start over the PD_STARTS smallest ids as forced first vertex; each
     start runs ``_greedy_layout`` (key and cost there) on one shared
     adjacency snapshot, and the smallest width wins, ties to the earliest
     start.  ``path_decomposition`` turns the winning order into bags.
@@ -167,7 +174,7 @@ def nice_path_decomposition(g: Graph, starts: int = 16) -> PathDecomposition:
     if not vs:
         return PathDecomposition([])
     adj = {v: g.neighbors(v) for v in vs}
-    order, _ = min((_greedy_layout(adj, first) for first in vs[:starts]), key=lambda ow: ow[1])
+    order, _ = min((_greedy_layout(adj, first) for first in vs[:PD_STARTS]), key=lambda ow: ow[1])
     return path_decomposition(g, order)
 
 

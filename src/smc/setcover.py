@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .counts import CountVector, add_into
 from .graph import Graph, connected_components, induced_subgraph
-from .measures import sc_mu3, sc_mu3_parts, sc_mu4, sc_progress, sc_side_weights
+from .measures import Audit, sc_mu3, sc_mu3_parts, sc_mu4, sc_side_weights, sc_snapshots
 from .policy import PivotAction, Stats, apply_move
 from .separator import (
     PD_WIDTH_CAP,
@@ -42,8 +42,6 @@ from .separator import (
     verify_separation,
 )
 from .weights import ScWeights
-
-MU_REL_SLACK = 1e-9
 
 
 @dataclass
@@ -312,137 +310,10 @@ def sc_dp(inst: ScIncidence, decomp: PathDecomposition) -> CountVector:
 
 
 @dataclass
-class ScAuditEntry:
-    kind: str
-    hard: bool
-    mu_ok: bool
-    step_ok: bool
-    mu_parent: float | None
-    mu_children: tuple[float, ...]
-    note: str = ""
-    # "more progress on the heavy side" whenever the imbalance exceeds B
-    # before the step; tracked separately from ok because the drag rules
-    # themselves trade it against the literal mu bookkeeping.
-    balance_ok: bool = True
-
-    @property
-    def ok(self) -> bool:
-        return self.mu_ok and self.step_ok
-
-
-# Hard steps carry the full obligation: sum_j 2^mu(I_j) <= 2^mu(I) with
-# mu = mu4 while some active degree is >= 4 and mu = mu3 in the subcubic
-# phase, plus the per-call progress drop.  Splits, re-separations, the
-# mu3 <= mu4 handover and stall branches are recorded but only logged:
-# their quality rests on the separator, not on the weight system.
-_SC_HARD = frozenset({
-    "annotate", "branch-set", "branch-elt",
-    "drag-R", "drag-L", "drag-path-R", "drag-path-L",
-    "rotate", "rotate-pair", "branch3-set", "branch3-elt",
-    "dp", "leaf",
-})
-
-# Subcubic ladder steps must also drop the progress potential by >= 1.
-_SC_LADDER = frozenset({
-    "drag-R", "drag-L", "drag-path-R", "drag-path-L",
-    "rotate", "rotate-pair", "branch3-set", "branch3-elt",
-})
-
-
-def _max_active_degree(inst: ScIncidence) -> int:
-    return max((inst.active_degree(v) for v in inst.active_vertices()),
-               default=0)
-
-
-class ScAudit:
-    """Per-step measure bookkeeping for the set-cover engine."""
-
-    def __init__(self, weights: ScWeights | None = None, strict: bool = False):
-        self.weights = weights or ScWeights.published()
-        self.strict = strict
-        self.entries: list[ScAuditEntry] = []
-
-    @property
-    def violations(self) -> list[ScAuditEntry]:
-        return [e for e in self.entries if e.hard and not e.ok]
-
-    @property
-    def balance_violations(self) -> list[ScAuditEntry]:
-        return [e for e in self.entries if not e.balance_ok]
-
-    def record(self, kind: str, parent: ScIncidence,
-               children: list[ScIncidence], note: str = "",
-               frozen_arg: Fraction | None = None) -> None:
-        w = self.weights
-        hard = kind in _SC_HARD
-        subcubic = _max_active_degree(parent) <= 3
-        if subcubic:
-            # within a phase the log argument stays frozen at its value
-            # from the last re-separation; eq:sep pays for its growth
-            def measure(i):
-                return sc_mu3(i, w, frozen_arg=frozen_arg)
-        else:
-            def measure(i):
-                return sc_mu4(i, w)
-        mu_p = float(measure(parent))
-        mu_cs = tuple(float(measure(c)) for c in children)
-        mu_ok = (sum(2.0 ** m for m in mu_cs)
-                 <= (2.0 ** mu_p) * (1.0 + MU_REL_SLACK))
-        step_ok = True
-        balance_ok = True
-        if kind in _SC_LADDER:
-            limit = sc_progress(parent, w) - 1
-            step_ok = all(sc_progress(c, w) <= limit for c in children)
-            # separator-phase steps can move weight toward the heavy side;
-            # sides are exact Fractions and physically aligned parent/child
-            pl, _, pr = sc_side_weights(parent, w)
-            if abs(pr - pl) > w.B:
-                for c in children:
-                    cl, _, cr = sc_side_weights(c, w)
-                    heavy, light = ((pr - cr, pl - cl) if pr >= pl
-                                    else (pl - cl, pr - cr))
-                    if heavy < light:
-                        balance_ok = False
-        elif kind in ("annotate", "branch-set", "branch-elt"):
-            limit = len(parent.active_vertices()) - 1
-            step_ok = all(len(c.active_vertices()) <= limit for c in children)
-        entry = ScAuditEntry(kind, hard, mu_ok, step_ok, mu_p, mu_cs, note,
-                             balance_ok)
-        self.entries.append(entry)
-        if self.strict and hard and not entry.ok:
-            raise AssertionError(f"measure audit violation at {kind}: {entry}")
-        if self.strict and not balance_ok:
-            raise AssertionError(f"balance condition violated at {kind}: {entry}")
-
-    def record_handover(self, inst: ScIncidence) -> None:
-        """Lemma-style handover: entering the subcubic engine should not
-        raise the measure (can fail on tiny instances where the additive
-        log term dominates; logged, never hard)."""
-        w = self.weights
-        m4, m3 = float(sc_mu4(inst, w)), float(sc_mu3(inst, w))
-        self.entries.append(ScAuditEntry(
-            "handover", False, m3 <= m4 + 1e-9, True, m4, (m3,),
-            note=f"mu3={m3:.6f} mu4={m4:.6f}"))
-
-    def record_reseparation(self, inst: ScIncidence, arg_old: Fraction,
-                            arg_new: Fraction) -> None:
-        """(mu_r + mu_s) of the worked side must shrink by 1+eps for the
-        log-term amortization; heuristic separators may miss, so this is
-        logged and asserted only under strict."""
-        ok = arg_new * (1 + self.weights.eps) <= arg_old or arg_old == 0
-        self.entries.append(ScAuditEntry(
-            "reseparate", False, ok, True, None, (),
-            note=f"arg {float(arg_old):.6f} -> {float(arg_new):.6f}"))
-        if self.strict and not ok:
-            raise AssertionError(
-                f"re-separation shrink below 1+eps: {arg_old} -> {arg_new}")
-
-
-@dataclass
 class _ScEnv:
     weights: ScWeights
     stats: Stats
-    audit: ScAudit | None
+    audit: Audit | None
 
 
 def _component(inst: ScIncidence, comp: list[int]) -> ScIncidence:
@@ -483,14 +354,23 @@ def _find_duplicate(inst: ScIncidence) -> int | None:
 
 
 def sc_count(inst: ScIncidence, weights: ScWeights | None = None,
-             audit: ScAudit | None = None) -> tuple[CountVector, Stats]:
+             audit: Audit | None = None) -> tuple[CountVector, Stats]:
     """Count set covers of every cardinality (duplicate sets distinct).
 
     A node that would branch in the general phase or re-separate is
     counted by ``sc_dp`` when its path decomposition has width at most
     ``PD_WIDTH_CAP``, as is every piece of maximum degree 2.  Wider pieces
     branch on sets/elements of degree >= 4 until the incidence graph is
-    subcubic, then follow the separator ladder.
+    subcubic, then follow the separator ladder.  `weights` (the published
+    table by default) set the separator balance, and the audit measures
+    with them.
+
+    Audit: hard steps must satisfy Σ_j 2^μ(I_j) ≤ 2^μ(I), with μ = μ₄
+    while some active degree is ≥ 4 and μ = μ₃ in the subcubic phase, and
+    drop a potential by 1: the active count at annotations and general
+    branches, the progress potential on the separator ladder.  Splits,
+    the μ₃ ≤ μ₄ handover, re-separations and stall branches are logged
+    only: their quality rests on the separator, not on the weights.
     """
     work = inst.copy()
     work.check()
@@ -511,14 +391,16 @@ def _sc(inst: ScIncidence, env: _ScEnv, depth: int,
     if not g.vertices():
         st.leaves += 1
         if aud:
-            aud.record("leaf", inst, [])
+            aud.step("leaf", 2, sc_snapshots(inst, w)(inst), [])
         return CountVector.one()
     comps = connected_components(g)
     if len(comps) > 1:
         st.splits += 1
         children = [_component(inst, comp) for comp in comps]
         if aud:
-            aud.record("split", inst, children, note=f"{len(comps)} parts")
+            snap = sc_snapshots(inst, w)
+            aud.step("split", 2, snap(inst), [snap(c) for c in children], hard=False,
+                     note=f"{len(comps)} parts")
         vec = CountVector.one()
         for child in children:
             vec = vec.convolve(_sc(child, env, depth + 1, None))
@@ -529,19 +411,20 @@ def _sc(inst: ScIncidence, env: _ScEnv, depth: int,
         st.max_depth = max(st.max_depth, depth)
         if aud is not None:
             inst.check()
-        # annotate a degree <= 1 vertex, else a duplicate degree-2 one; the
-        # parent is snapshotted only for the audit, which measures both
+        # annotate a degree <= 1 vertex, else a duplicate degree-2 one
         low = [v for v in inst.active_vertices() if inst.active_degree(v) <= 1]
         v = min(low) if low else _find_duplicate(inst)
         if v is not None:
-            parent = inst.copy() if aud else None
+            if aud:
+                snap = sc_snapshots(inst, w, frozen)
+                before = snap(inst)
             inst.annotation_log.append(Annotation(v, tuple(inst.active_neighbors(v))))
             inst.annotated.add(v)
             inst.sep.discard(v)
             st.annotations += 1
             if aud:
-                aud.record("annotate", parent, [inst],
-                           note=f"v={v}" if low else f"dup v={v}", frozen_arg=frozen)
+                aud.step("annotate", 2, before, [snap(inst)], falls=("active",),
+                         note=f"v={v}" if low else f"dup v={v}")
             resep, depth = False, depth + 1
             continue
 
@@ -563,7 +446,7 @@ def _sc(inst: ScIncidence, env: _ScEnv, depth: int,
                 st.dp_calls += 1
                 st.leaves += 1
                 if aud:
-                    aud.record("dp", inst, [], frozen_arg=frozen)
+                    aud.step("dp", 2, sc_snapshots(inst, w, frozen)(inst), [])
                 return sc_dp(inst, decomp)
 
         if max(d_set, d_elt) > 3:
@@ -576,28 +459,33 @@ def _sc(inst: ScIncidence, env: _ScEnv, depth: int,
 
         if frozen is None:
             frozen = sc_mu3_parts(inst, w)[1]
-            if aud:
-                aud.record_handover(inst)
+            if aud:  # entering the subcubic engine should not raise the measure
+                m4, m3 = float(sc_mu4(inst, w)), float(sc_mu3(inst, w))
+                aud.add("handover", False, {"mu": m3 <= m4 + 1e-9}, {"mu": (m4, (m3,))},
+                        note=f"mu3={m3:.6f} mu4={m4:.6f}")
         if not inst.sep.sep:
-            mu_l, mu_s, mu_r = sc_side_weights(inst, w)
-            arg_old = max(mu_l, mu_r) + mu_s
+            arg_old = sc_mu3_parts(inst, w)[1] if aud else None
             inst.sep = separate_balanced_by_measure(
                 ag, lambda v: w.wright(ag.degree(v)), w.B, decomp)
             st.separator_recomputes += 1
             resep = True
-            mu_l, mu_s, mu_r = sc_side_weights(inst, w)
-            frozen = max(mu_l, mu_r) + mu_s
-            if aud:
-                aud.record_reseparation(inst, arg_old, frozen)
+            frozen = sc_mu3_parts(inst, w)[1]
+            if aud:  # the log term's amortization needs μ_r + μ_s to shrink by 1+ε
+                aud.add("reseparate", False,
+                        {"shrink": frozen * (1 + w.eps) <= arg_old or arg_old == 0},
+                        {"arg": (float(arg_old), (float(frozen),))},
+                        note=f"arg {float(arg_old):.6f} -> {float(frozen):.6f}")
 
         act = _ladder_move(inst, w)
         if act.kind == "branch":
             return _branch(inst, env, depth, "branch3", act.vertex, frozen)
-        parent = inst.copy() if aud else None
+        if aud:
+            snap = sc_snapshots(inst, w, frozen, ladder=True)
+            before = snap(inst)
         adj = g.neighbor_sets()
         apply_move(inst.sep, act, lambda u: adj[u] - inst.annotated)
         if aud:
-            aud.record(act.kind, parent, [inst], frozen_arg=frozen)
+            aud.step(act.kind, 2, before, [snap(inst)], falls=("progress",), cap=w.B)
         depth += 1
 
 
@@ -668,8 +556,13 @@ def _branch(inst: ScIncidence, env: _ScEnv, depth: int, kind: str, v: int,
     second = _without(inst, {v} | set(inst.incidence.neighbors(v)),
                       reset_sep=frozen is None)
     if env.audit:
-        env.audit.record(f"{kind}-{'set' if is_set else 'elt'}", inst, [first, second],
-                         note=f"{'s' if is_set else 'e'}={v}", frozen_arg=frozen)
+        ladder = kind == "branch3"
+        snap = sc_snapshots(inst, env.weights, frozen, ladder)
+        env.audit.step(f"{kind}-{'set' if is_set else 'elt'}", 2, snap(inst),
+                       [snap(first), snap(second)],
+                       falls={"branch": ("active",), "branch3": ("progress",)}.get(kind, ()),
+                       cap=env.weights.B if ladder else None, hard=kind != "stall",
+                       note=f"{'s' if is_set else 'e'}={v}")
     a = _sc(first, env, depth + 1, frozen)
     b = _sc(second, env, depth + 1, frozen)
     return a + b.shift(1) if is_set else a - b

@@ -143,6 +143,13 @@ class TestCounting:
         assert code == 0
         assert "stat,audit_violations,0" in err
 
+    def test_count_sc_audit_past_float_range(self):
+        # μ₃ of this chain's incidence graph exceeds 1024, where 2^μ is no float
+        text = format_graph(Graph.path(150))
+        code, out, err = run(["count-ds", "--audit-measure"], text)
+        assert code == 0 and out == run(["count-ds"], text)[1]
+        assert "stat,audit_violations,0" in err
+
     def test_oracle_subcommands_agree(self):
         _, text, _ = run(["gen", "g3", "--n", "8"])
         _, fast, _ = run(["count-ds"], text)
@@ -321,6 +328,18 @@ class TestExitCodes:
         code, out, _ = run(["count-ds", "--subcubic", "--policy", "local"], K4)
         assert code == 0
         assert out == run(["count-ds"], K4)[1]
+
+    @pytest.mark.parametrize("cmd", ["maxcut", "solve-csp", "max2sat"])
+    def test_csp_audit_needs_separator_policy(self, cmd):
+        # the Max 2-CSP measure audit follows the separator engine, so the
+        # local policy would run with nothing audited
+        text = {"solve-csp": run(["gen", "csp", "--n", "4", "--m", "3"])[1],
+                "max2sat": "p cnf 2 1\n1 2 0\n"}.get(cmd, K4)
+        code, out, err = run([cmd, "--policy", "local", "--audit-measure"], text)
+        assert code == 2 and out == "" and "--audit-measure" in err
+        code, _, err = run(["count-ds", "--subcubic", "--policy", "local",
+                            "--audit-measure", "--stats"], K4)
+        assert code == 0 and "stat,audit_entries,0" not in err
 
     @pytest.mark.parametrize("argv", [
         ["count-ds", "--subcubic"],

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from strategies import csp_instances
 
 from smc.csp import encode_maxcut, evaluate, zero_instance
-from smc.csp_solve import CspAudit, _brute_best, select_pivot, solve
+from smc.csp_solve import _brute_best, select_pivot, solve
 from smc.generators import csp_on_graph, gen_random_cubic
 from smc.graph import Graph
+from smc.measures import Audit, csp_snapshot
 from smc.oracles import brute_max2csp
 from smc.policy import PivotAction
 from smc.separator import (
@@ -319,49 +320,52 @@ class TestAudit:
         for _ in range(6):
             g = random_cubic(16, rng)
             inst = encode_maxcut(g)
-            audit = CspAudit()
+            audit = Audit()
             sol, _ = solve(inst, audit=audit)
             assert sol.score == brute_max2csp(inst).score
             assert audit.violations == []
-            assert all(e.eta_ok for e in audit.entries if e.hard)
-            assert any(e.mu_parent is not None for e in audit.entries), \
-                "audit runs record μ"
+            assert all(e.checks.get("eta", True) for e in audit.entries if e.hard)
+            assert all("mu" in e.numbers for e in audit.entries), "audit runs record μ"
 
     def test_terminal_is_one_hard_entry(self):
         inst = csp_on_graph(gen_random_cubic(24, 0), 2, 0)
-        audit = CspAudit(strict=True)
+        audit = Audit(strict=True)
         _, stats = solve(inst, audit=audit)
         terminals = [e for e in audit.entries if e.kind == "terminal"]
         assert len(terminals) == stats.leaves == 1
-        assert terminals[0].hard and terminals[0].mu_parent is not None
-        assert terminals[0].mu_children == () == terminals[0].eta_children
+        assert terminals[0].hard and terminals[0].numbers["mu"][0] > 0
+        assert terminals[0].numbers["mu"][1] == () == terminals[0].numbers["eta"][1]
 
     def test_strict_mode_raises(self):
         g = Graph.complete(4)
         parent = Separation(left=set(), sep={0, 1, 2}, right={3})
         child = Separation(left=set(), sep={0, 1, 2, 3}, right=set())
-        audit = CspAudit(strict=True)
+        audit = Audit(strict=True)
+        w = CspWeights.published()
         with pytest.raises(AssertionError):
             # growing the separator raises η: not a legal step
-            audit.record("drag-R", 2, (g, parent), [(g, child)])
+            audit.step("drag-R", 2, csp_snapshot(g, parent, w), [csp_snapshot(g, child, w)],
+                       falls=("eta",))
 
     def test_nonstrict_mode_collects(self):
         g = Graph.complete(4)
         parent = Separation(left=set(), sep={0, 1, 2}, right={3})
         child = Separation(left=set(), sep={0, 1, 2, 3}, right=set())
-        audit = CspAudit()
-        audit.record("drag-R", 2, (g, parent), [(g, child)])
+        audit = Audit()
+        w = CspWeights.published()
+        audit.step("drag-R", 2, csp_snapshot(g, parent, w), [csp_snapshot(g, child, w)],
+                   falls=("eta",))
         assert len(audit.violations) == 1
-        assert not audit.violations[0].eta_ok
+        assert not audit.violations[0].checks["eta"]
 
     def test_soft_steps_never_violate(self):
         g = Graph.complete(4)
         sep = trivial_separation(g.vertices())
-        audit = CspAudit(strict=True)
+        audit = Audit(strict=True)
+        w = CspWeights.published()
         # re-separation may raise η and μ freely: logged, not checked
-        audit.record("reseparate", 2,
-                     (g, sep), [(g, Separation(set(), {0, 1, 2}, {3}))],
-                     eta_exempt=True)
+        audit.step("reseparate", 2, csp_snapshot(g, sep, w),
+                   [csp_snapshot(g, Separation(set(), {0, 1, 2}, {3}), w)], hard=False)
         assert audit.violations == []
 
 
@@ -372,7 +376,7 @@ class TestAuditIsPassive:
             inst = csp_on_graph(gen_random_cubic(n, seed), r, seed)
             before = inst.copy()
             plain, plain_stats = solve(inst)
-            audited, audited_stats = solve(inst, audit=CspAudit())
+            audited, audited_stats = solve(inst, audit=Audit())
             assert inst == before, "solve must not consume the caller's instance"
             assert audited == plain
             assert asdict(audited_stats) == asdict(plain_stats)

@@ -20,7 +20,6 @@ from smc.domset import (
     C,
     N,
     U,
-    DsAudit,
     LabeledGraph,
     _linear_order,
     _terminal,
@@ -33,6 +32,7 @@ from smc.domset import (
 )
 from smc.generators import gen_random_cubic
 from smc.graph import Graph, connected_components, format_graph, induced_subgraph
+from smc.measures import Audit
 from smc.oracles import brute_domset
 from smc.separator import nice_path_decomposition, path_decomposition, separate_cubic
 from smc.setcover import ds_to_sc, sc_count
@@ -157,7 +157,7 @@ class TestTerminalShapes:
         want = brute_domset(LabeledGraph.all_u(g))
         for policy in BOTH:
             vec, _ = count_ds(
-                LabeledGraph.all_u(g), policy=policy, audit=DsAudit(strict=True)
+                LabeledGraph.all_u(g), policy=policy, audit=Audit(strict=True)
             )
             assert vec == want
 
@@ -173,7 +173,7 @@ class TestTerminalShapes:
                     for v in g.vertices()
                 }
                 lg = LabeledGraph(g, label)
-                vec, stats = count_ds(lg, audit=DsAudit(strict=True))
+                vec, stats = count_ds(lg, audit=Audit(strict=True))
                 assert vec == brute_domset(lg)
                 assert stats.branchings == 0  # one DP counts the whole component
 
@@ -198,7 +198,7 @@ class TestOracleEquivalence:
     def test_both_policies_match_brute(self, lg):
         want = brute_domset(lg)
         for policy in BOTH:
-            vec, _ = count_ds(lg, policy=policy, audit=DsAudit(strict=True))
+            vec, _ = count_ds(lg, policy=policy, audit=Audit(strict=True))
             assert vec == want
 
 
@@ -234,7 +234,7 @@ class TestEngine:
         es = sorted(g.edges())
         rng.shuffle(es)
         h = subdivide(g, es[:4])  # with the DP terminal off: must branch
-        audit = DsAudit(strict=True)
+        audit = Audit(strict=True)
         vec_s, st_s = count_ds(LabeledGraph.all_u(h), audit=audit)
         vec_l, st_l = count_ds(LabeledGraph.all_u(h), policy="local")
         assert vec_s == vec_l
@@ -245,7 +245,7 @@ class TestEngine:
     def test_cubic_dp_terminal(self, monkeypatch):
         rng = random.Random(3)
         g = random_cubic(22, rng)
-        audit = DsAudit(strict=True)
+        audit = Audit(strict=True)
         vec_s, st_s = count_ds(LabeledGraph.all_u(g), audit=audit)
         vec_l, _ = count_ds(LabeledGraph.all_u(g), policy="local")
         assert vec_s == vec_l
@@ -256,7 +256,7 @@ class TestEngine:
         # below the component's width the engine separates and branches
         # until the pieces fit, and the count does not change
         monkeypatch.setattr("smc.domset.PD_WIDTH_CAP", 3)
-        vec_c, st_c = count_ds(LabeledGraph.all_u(g), audit=DsAudit(strict=True))
+        vec_c, st_c = count_ds(LabeledGraph.all_u(g), audit=Audit(strict=True))
         assert vec_c == vec_s
         assert st_c.branchings > 0 and st_c.separator_recomputes >= 1
 
@@ -287,14 +287,6 @@ class TestEngine:
         assert vec == count_ds(LabeledGraph.all_u(g), policy="local")[0]
         assert len({id(lg) for lg in checked}) == len(checked)
         assert len(swept) == stats.separator_recomputes > 0 and all(swept)
-
-    def test_explicit_separation(self):
-        rng = random.Random(9)
-        g = random_cubic(16, rng)
-        lg = LabeledGraph.all_u(g)
-        v1, _ = count_ds(lg, sep=separate_cubic(g, nice_path_decomposition(g)), audit=DsAudit(strict=True))
-        v2, _ = count_ds(lg)
-        assert v1 == v2
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):

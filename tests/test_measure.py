@@ -17,6 +17,7 @@ from smc.audit import (
 )
 from smc.graph import Graph
 from smc.measures import (
+    Audit,
     csp_eta,
     csp_mu,
     csp_side_counts,
@@ -171,6 +172,36 @@ class TestScMeasures:
         inst = ds_to_sc(Graph.complete(3))
         w = ScWeights.published()
         assert sc_progress(inst, w) == w.B / w.w_right[2]
+
+
+class TestAudit:
+    def test_measure_past_float_range(self):
+        # 2^1500 overflows a float; the check divides by 2^μ(before) first
+        audit = Audit(strict=True)
+        audit.step("drag-R", 2, {"mu": 1500.0}, [{"mu": 1499.5}])
+        audit.step("drag-R", 2, {"mu": 1500.0}, [{"mu": 1499.0}, {"mu": 1499.0}])
+        assert [e.checks for e in audit.entries] == [{"mu": True}] * 2
+        audit.strict = False
+        audit.step("drag-R", 2, {"mu": 1500.0}, [{"mu": 1499.5}, {"mu": 1499.5}])
+        assert len(audit.violations) == 1
+
+    def test_balance_is_logged_beside_ok(self):
+        audit = Audit()
+        # the heavy side R keeps its weight while L loses some
+        audit.step("drag-R", 2, {"mu": 1.0, "sides": (F(2), F(5))},
+                   [{"mu": 1.0, "sides": (F(1), F(5))}], cap=F(1))
+        entry, = audit.entries
+        assert entry.checks["balance"] is False and entry.ok
+        assert "sides" not in entry.numbers and audit.violations == []
+        with pytest.raises(AssertionError):
+            Audit(strict=True).step("drag-R", 2, {"mu": 1.0, "sides": (F(2), F(5))},
+                                    [{"mu": 1.0, "sides": (F(1), F(5))}], cap=F(1))
+
+    def test_strict_enforces_shrink_on_a_soft_step(self):
+        audit = Audit(strict=True)
+        audit.add("handover", False, {"mu": False}, {})
+        with pytest.raises(AssertionError):
+            audit.add("reseparate", False, {"shrink": False}, {})
 
 
 class TestCheckCsp:

@@ -14,12 +14,13 @@ from dataclasses import asdict
 
 import pytest
 
-from smc.domset import DsAudit, LabeledGraph, count_ds
+from smc.domset import LabeledGraph, count_ds
 from smc.generators import gen_random_cubic
 from smc.graph import Graph
+from smc.measures import Audit
 from smc.policy import PivotAction, apply_move
 from smc.separator import Separation, verify_separation
-from smc.setcover import ScAudit, ds_to_sc, sc_count
+from smc.setcover import ds_to_sc, sc_count
 
 
 def moved(g: Graph, sep: Separation, kind: str, s: int, partner=None,
@@ -223,14 +224,14 @@ class TestAuditIsPassive:
     @pytest.mark.parametrize("key", [(18, 1, 5), (20, 2, 3)])
     def test_count_ds(self, key, ladder):
         lg = LabeledGraph.all_u(pinned_graph(*key))
-        audit = DsAudit(strict=True)
+        audit = Audit(strict=True)
         assert count_ds(lg, audit=audit) == count_ds(lg)
         assert audit.entries
 
     @pytest.mark.parametrize("key", [(12, 0, 0), (14, 1, 0), (12, 0, 2)])
     def test_sc_count(self, key, ladder):
         inst = ds_to_sc(pinned_graph(*key))
-        audit = ScAudit()
+        audit = Audit()
         assert sc_count(inst, audit=audit) == sc_count(inst)
         assert any(e.kind == "annotate" for e in audit.entries)
         assert any(e.kind.startswith("drag") for e in audit.entries)

@@ -16,11 +16,11 @@ from smc.counts import CountVector
 from smc.domset import LabeledGraph
 from smc.graph import Graph
 from smc.oracles import brute_domset, brute_setcover
+from smc.measures import Audit
 from smc.separator import nice_path_decomposition, trivial_separation
 from smc.setcover import (
     PD_WIDTH_CAP,
     Annotation,
-    ScAudit,
     ScIncidence,
     _find_duplicate,
     ds_to_sc,
@@ -288,12 +288,12 @@ class TestAudit:
                     for v in range(u + 1, n):
                         if rng.random() < 0.3:
                             g.add_edge(u, v)
-                audit = ScAudit()
+                audit = Audit()
                 sc_count(ds_to_sc(g), audit=audit)
                 assert not audit.violations
 
     def test_ladder_entry_kinds(self, ladder):
-        audit = ScAudit()
+        audit = Audit()
         sc_count(ds_to_sc(random_cubic(16, random.Random(2))), audit=audit)
         kinds = {e.kind for e in audit.entries}
         assert "handover" in kinds  # degree-4 incidence enters subcubic phase
@@ -306,21 +306,23 @@ class TestAudit:
     def test_balance_flags_are_logged_not_hard(self, ladder):
         # drag-R moves weight into the heavy side whenever the separator
         # vertex has no left neighbor; that trips the balance field only
-        audit = ScAudit()
+        audit = Audit()
         sc_count(ds_to_sc(random_cubic(18, random.Random(9))), audit=audit)
         assert all(e.ok for e in audit.violations) or not audit.violations
-        for e in audit.balance_violations:
-            assert e.mu_ok  # the literal measure check still held
+        for e in audit.entries:
+            if not e.checks.get("balance", True):
+                assert e.checks["mu"]  # the literal measure check still held
 
     def test_strict_mode_clean_on_max_degree_two(self):
         inst = inst_from_sets([{0, 1}, {1, 2}, {2, 3}], 4)
-        vec, _ = sc_count(inst, audit=ScAudit(strict=True))
+        vec, _ = sc_count(inst, audit=Audit(strict=True))
         assert vec == brute_setcover(inst)
 
     def test_progress_checked_on_ladder_steps(self, ladder):
-        audit = ScAudit()
+        audit = Audit()
         sc_count(ds_to_sc(random_cubic(14, random.Random(7))), audit=audit)
-        assert all(e.step_ok for e in audit.entries if e.hard)
+        assert all(e.checks.get("progress", True) and e.checks.get("active", True)
+                   for e in audit.entries if e.hard)
 
 
 class TestDeterminism:
