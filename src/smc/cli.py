@@ -173,6 +173,8 @@ def cmd_count_sc(args) -> int:
 
 def cmd_separate(args) -> int:
     g = _parse_input(args, parse_graph)
+    if g.max_degree() > 6:
+        raise InputError(f"separate needs max degree <= 6, got {g.max_degree()}")
     sep = separate_cubic(g, nice_path_decomposition(g))
     sides = {name: sorted(getattr(sep, name)) for name in ("left", "sep", "right")}
     if args.json_out:
@@ -190,10 +192,17 @@ def cmd_separate(args) -> int:
 # -- generation ----------------------------------------------------------------
 
 
+def _check_family_flags(args, fam: str) -> None:
+    """InputError for a generator flag that `fam` does not read (all read --n)."""
+    reads = {"g4": ("n3", "n4"), "cubic": ("seed",), "csp": ("m", "r", "seed")}.get(fam, ())
+    for name in ("n3", "n4", "m", "r", "seed"):
+        if getattr(args, name, None) is not None and name not in reads:
+            raise InputError(f"--{name} does not apply to the family {fam}")
+
+
 def cmd_gen(args) -> int:
     fam = args.family
-    if args.seed is not None and fam not in ("cubic", "csp"):
-        raise InputError(f"--seed does not apply to the fixed family {fam}")
+    _check_family_flags(args, fam)
     try:
         if fam == "g3":
             out = format_graph(gen_g3(_require(args.n, "--n")))
@@ -207,7 +216,8 @@ def cmd_gen(args) -> int:
         else:  # csp
             n = _require(args.n, "--n")
             m = _require(args.m, "--m")
-            out = format_csp(gen_random_csp(n, m, args.r, args.seed or 0))
+            out = format_csp(gen_random_csp(n, m, 2 if args.r is None else args.r,
+                                            args.seed or 0))
     except ValueError as e:
         raise InputError(str(e)) from e
     sys.stdout.write(out)
@@ -231,6 +241,7 @@ def _g4_params(args) -> tuple[int, int]:
 
 def cmd_trace_lb(args) -> int:
     fam = args.family
+    _check_family_flags(args, fam)
     try:
         if fam == "g3":
             params: tuple[int, ...] = (_require(args.n, "--n"),)
@@ -386,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n3", type=int)
     gen.add_argument("--n4", type=int)
     gen.add_argument("--m", type=int)
-    gen.add_argument("--r", type=int, default=2)
+    gen.add_argument("--r", type=int, help="colours (csp; default 2)")
     gen.add_argument("--seed", type=int, help="64-bit seed (default 0)")
 
     tr = subs.add_parser("trace-lb", help="adversarial trace on a family")

@@ -207,6 +207,10 @@ class TestSeparate:
         sep = Separation(sides["left"], sides["sep"], sides["right"])
         assert verify_separation(parse_graph(text), sep)
 
+    def test_degree_above_six_is_an_input_error(self):
+        code, out, err = run(["separate"], format_graph(Graph.complete(8)))
+        assert code == 2 and out == "" and "max degree <= 6" in err
+
     def test_degree_four_uses_bag_sweep(self):
         _, text, _ = run(["gen", "g4", "--n3", "8", "--n4", "4"])
         code, out, _ = run(["separate"], text)
@@ -386,10 +390,14 @@ class TestExitCodes:
         ["maxcut", "--seed", "5"],
         ["count-ds", "--subcubic", "--seed", "5"],
         ["separate", "--seed", "5"],
+        ["gen", "g3", "--n", "8", "--m", "7"],
+        ["gen", "cubic", "--n", "8", "--r", "5"],
+        ["gen", "csp", "--n", "4", "--m", "3", "--n3", "2"],
+        ["trace-lb", "--family", "g3", "--n", "8", "--n4", "3"],
     ])
     def test_shared_flag_rejected_where_ignored(self, argv):
-        flag = next(a for a in argv if a in ("--seed", "--audit-measure", "--stats",
-                                             "--input", "--json"))
+        flag = [a for a in argv if a in ("--seed", "--audit-measure", "--stats", "--input",
+                                         "--json", "--m", "--r", "--n3", "--n4")][-1]
         code, out, err = run(argv, SC_SAMPLE if argv[0] == "count-sc" else K4)
         assert code == 2 and out == "" and flag in err
 

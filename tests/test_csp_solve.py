@@ -390,6 +390,11 @@ class TestStats:
         assert stats.branchings == 0
         assert stats.separator_recomputes == 1
 
+    def test_local_policy_takes_no_audit(self):
+        # the local policy runs no step the audit could record
+        with pytest.raises(ValueError):
+            solve(encode_maxcut(petersen()), policy="local", audit=Audit())
+
     def test_local_policy_skips_separators(self):
         inst = encode_maxcut(petersen())
         sol, stats = solve(inst, policy="local")
