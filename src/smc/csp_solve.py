@@ -1,18 +1,23 @@
-"""Exact Max 2-CSP solving: the subcubic engine, a node of the shared
-loop ``policy.run``, and the plain max-degree outer loop before it.
+"""Exact Max 2-CSP solving: separator-driven branching plus the plain
+max-degree outer loop for instances of degree ≥ 4.
 
-The subcubic node folds degree ≤ 2 vertices away in place (reductions
-0/I/II), takes its pivots from the shared separator-case ladder, branches
-on a vertex's r colours, and solves a piece outright by a max-plus sweep
-over its path decomposition when that keeps within r^(width+1) ≤
-3^(PD_WIDTH_CAP+1) states, the #DS sweep's bound.  The outer loop reduces
-and branches on a maximum-degree vertex until the instance is subcubic;
-under the separator policy it sweeps a narrow piece too.
+The subcubic engine maintains a separation (L,S,R) alongside the
+instance.  Degree ≤ 2 vertices are folded away first.  When the separator
+empties, a disconnected graph splits into components; a connected one
+builds a nice path decomposition and re-separates by sweeping its bags.
+Before any ladder move, the piece is solved outright instead when the
+max-plus sweep over that decomposition keeps within r^(width+1) ≤
+3^(PD_WIDTH_CAP+1) states, the #DS sweep's bound.  Otherwise the next
+pivot comes from the shared separator-case ladder.  A branch after a
+reduction has changed the graph makes the same width check on a fresh
+decomposition, and so does the max-degree outer loop under the separator
+policy.
 
-Ownership: ``run`` and ``_rec_general`` consume their instance, whose
-reductions run in place and whose fills complete the witness on the way
-out.  ``solve`` copies the caller's instance once; ``reduceIII`` children
-and ``restrict`` pieces are fresh.
+Ownership: a ``_rec_cubic`` call owns and consumes its instance and
+separation, and so does ``_rec_general`` with its instance.  Steps that
+do not branch mutate them in place inside one loop, so recursion depth
+is branching depth.  ``solve`` copies the caller's instance once;
+``reduceIII`` children and ``restrict`` pieces are fresh.
 
 Scores are exact (arbitrary-precision) integers throughout, so
 "overflow" cannot silently wrap.  Policy "local" disables all separator
@@ -22,6 +27,7 @@ the baseline the adversarial trace analysis applies to.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from operator import add
 
 from .csp import (
@@ -33,9 +39,9 @@ from .csp import (
     reduceIII,
     restrict,
 )
-from .graph import Graph
+from .graph import Graph, connected_components
 from .measures import Audit, csp_snapshot
-from .policy import Node, PivotAction, Stats, run, separator_case
+from .policy import MOVES, PivotAction, Stats, apply_move, deg3_side_counts, separator_case
 from .separator import (
     PD_WIDTH_CAP,
     PathDecomposition,
@@ -46,6 +52,17 @@ from .separator import (
     verify_separation,
 )
 from .weights import CspWeights
+
+
+@dataclass
+class _Env:
+    policy: str
+    stats: Stats
+    audit: Audit | None
+    weights: CspWeights
+
+    def snap(self, g: Graph, sep: Separation) -> dict:
+        return csp_snapshot(g, sep, self.weights)
 
 
 def _asg_key(asg: dict[int, int]) -> tuple:
@@ -164,14 +181,14 @@ def _forget_digit(scores: list[int], r: int, b: int) -> tuple[list[int], bytearr
     return out, arg
 
 
-def _narrow_best(inst: CspInstance, stats: Stats,
+def _narrow_best(inst: CspInstance, env: _Env,
                  decomp: PathDecomposition) -> tuple[int, dict[int, int]] | None:
     """The sweep's optimum of inst over `decomp`, a nice path decomposition of
     inst.graph, if it has r^(width+1) ≤ 3^(PD_WIDTH_CAP+1) states, else None."""
     if inst.r ** (decomp.width + 1) > 3 ** (PD_WIDTH_CAP + 1):
         return None
-    stats.leaves += 1
-    stats.dp_calls += 1
+    env.stats.leaves += 1
+    env.stats.dp_calls += 1
     return _brute_best(inst, decomp)
 
 
@@ -179,95 +196,97 @@ _IN_PLACE = {"reduce0": reduce0_inplace, "reduceI": reduceI_inplace,
              "reduceII": reduceII_inplace}
 
 
-class _Node(Node):
-    """A subcubic instance and its separation, for ``policy.run``.
-    Reductions 0/I/II are its simplification; ``_run`` completes the
-    witness with their fills."""
+def _rec_cubic(inst: CspInstance, sep: Separation, env: _Env,
+               depth: int) -> tuple[int, dict[int, int]]:
+    """Optimum and witness of inst under the separation sep; consumes both.
 
-    def __init__(self, inst: CspInstance, sep: Separation, stats: Stats,
-                 audit: Audit | None, weights: CspWeights):
-        self.inst, self.graph, self.sep = inst, inst.graph, sep
-        self.stats, self.audit, self.weights = stats, audit, weights
-        self.fills = []
+    Reductions, drags, rotations and re-separations run in place; their
+    fills are applied in reverse on the way out.  Only a branch, a stall,
+    a split or a terminal recurses.  Each step the loop goes on from
+    counts one level of depth.
+    The re-separation's decomposition is kept until a reduction changes
+    the graph; a branch or stall while it is kept skips the width check,
+    which that decomposition already failed.
+    """
+    stats, audit, g = env.stats, env.audit, inst.graph
+    fills = []
+    decomp = None  # swept by the last re-separation; None once a reduction changes g
+    while True:
+        stats.max_depth = max(stats.max_depth, depth)
+        if audit is not None:
+            assert verify_separation(g, sep), "separation invalid at recursive call"
+        if g.n == 0:
+            stats.leaves += 1
+            if audit is not None:
+                audit.step("leaf", inst.r, env.snap(g, sep), [])
+            score, asg = inst.s_nil, {}
+            break
 
-    def _child(self, inst: CspInstance, sep: Separation) -> "_Node":
-        return _Node(inst, sep, self.stats, self.audit, self.weights)
+        l3, r3 = deg3_side_counts(g, sep)
+        if l3 > r3:
+            sep.swap()
 
-    def _snap(self) -> dict | None:
-        return self.audit and csp_snapshot(self.graph, self.sep, self.weights)
-
-    def _log(self, kind: str, before: dict, after: list["_Node"] | None = None, **kw) -> None:
-        """Audit a step from `before` to this node, or to the nodes `after`."""
-        if self.audit is not None:
-            after = [self] if after is None else after
-            self.audit.step(kind, self.inst.r, before, [c._snap() for c in after], **kw)
-
-    def leaf(self):
-        if self.audit is not None:
-            assert verify_separation(self.graph, self.sep), "separation invalid at recursive call"
-        if self.graph.n:
-            return None
-        self._log("leaf", self._snap(), [])
-        return self.inst.s_nil, {}
-
-    def split(self, parts, depth):
-        children = [self._child(restrict(self.inst, comp), self.sep.restrict(comp))
-                    for comp in parts]
-        self._log("split", self._snap(), children, hard=False)
-        score, asg = self.inst.s_nil, {}
-        for child in children:
-            s, a = _run(child, depth)
-            score += s
-            asg.update(a)
-        return score, asg
-
-    def simplify(self) -> bool:
-        act = _simplify_action(self.graph, self.sep)
+        act = _simplify_action(g, sep)
+        if act is None and not sep.sep:
+            comps = connected_components(g)
+            if len(comps) > 1:
+                stats.splits += 1
+                children = [(restrict(inst, comp), sep.restrict(comp)) for comp in comps]
+                if audit is not None:
+                    audit.step("split", inst.r, env.snap(g, sep),
+                               [env.snap(ci.graph, cs) for ci, cs in children], hard=False)
+                score, asg = inst.s_nil, {}
+                for ci, cs in children:
+                    s, a = _rec_cubic(ci, cs, env, depth + 1)
+                    score += s
+                    asg.update(a)
+                break
+            if decomp is None:
+                decomp = nice_path_decomposition(g)
+                sep2 = separate_cubic(g, decomp)
+                stats.separator_recomputes += 1
+                if audit is not None:
+                    audit.step("reseparate", inst.r, env.snap(g, sep), [env.snap(g, sep2)],
+                               hard=False)
+                # narrow, the piece is swept before any ladder move
+                best = _narrow_best(inst, env, decomp)
+                if best is not None:
+                    if audit is not None:
+                        audit.step("terminal", inst.r, env.snap(g, sep2), [])
+                    score, asg = best
+                    break
+                sep, depth = sep2, depth + 1
+                continue
+            # Separating this graph already led back here with nothing removed
+            # (the case ladder consumed the whole separator), so separating
+            # again would repeat the cycle.  Branch on one vertex to shrink the
+            # graph; outside the analyzed cases, hence a soft step.
+            y = min(v for v in g.vertices() if g.degree(v) == g.max_degree())
+            score, asg = _branch_cubic(inst, sep, y, env, depth, decomp, "stall",
+                                       "re-separation made no progress")
+            break
         if act is None:
-            return False
-        before = self._snap()
-        self.fills.append(_IN_PLACE[act.kind](self.inst, act.vertex))
-        self.sep.discard(act.vertex)
-        if act.partner is not None:  # reduceII's separator repair
-            self.sep.right.remove(act.partner)
-            self.sep.sep.add(act.partner)
-        self._log(act.kind, before, falls=("eta",))
-        return True
+            act = separator_case(g, sep)
 
-    def decompose(self) -> PathDecomposition:
-        return nice_path_decomposition(self.graph)
-
-    def separate(self, decomp: PathDecomposition) -> None:
-        before = self._snap()
-        self.sep = separate_cubic(self.graph, decomp)
-        self._log("reseparate", before, hard=False)
-
-    def sweep(self, decomp: PathDecomposition):
-        best = _narrow_best(self.inst, self.stats, decomp)
-        if best is not None:
-            self._log("terminal", self._snap(), [])
-        return best
-
-    def pivot(self) -> PivotAction:
-        return select_pivot(self.inst, self.sep)
-
-    def move(self, act: PivotAction) -> None:
-        before = self._snap()
-        super().move(act)
-        self._log(act.kind, before, falls=("eta",))
-
-    def branch(self, y: int, kind: str, depth: int):
-        children = reduceIII(self.inst, y)
-        nodes = [self._child(ci, self.sep.restrict(ci.graph.vertices())) for ci, _ in children]
-        self._log(kind, self._snap(), nodes, falls=("eta",), hard=kind == "branch",
-                  note="re-separation made no progress" if kind == "stall" else "")
-        return _best(children, lambda i, child: _run(nodes[i], depth))
-
-
-def _run(node: _Node, depth: int) -> tuple[int, dict[int, int]]:
-    """``policy.run`` on node, the witness completed by its reductions' fills."""
-    score, asg = run(node, depth)
-    for fill in reversed(node.fills):
+        kind, y = act.kind, act.vertex
+        if kind == "branch":
+            score, asg = _branch_cubic(inst, sep, y, env, depth, decomp, "branch")
+            break
+        if audit is not None:
+            before = env.snap(g, sep)
+        if kind in MOVES:
+            apply_move(sep, act, g.neighbor_sets().__getitem__)
+        else:
+            fills.append(_IN_PLACE[kind](inst, y))
+            sep.discard(y)
+            decomp = None
+            if act.partner is not None:  # reduceII's separator repair
+                sep.right.remove(act.partner)
+                sep.sep.add(act.partner)
+        if audit is not None:
+            audit.step(kind, inst.r, before, [env.snap(g, sep)], falls=("eta",))
+        depth += 1
+    for fill in reversed(fills):
         fill(asg)
     return score, asg
 
@@ -285,19 +304,42 @@ def _best(children, solve_child) -> tuple[int, dict[int, int]]:
     return best
 
 
-def _rec_general(inst: CspInstance, stats: Stats, cubic,
+def _branch_cubic(inst: CspInstance, sep: Separation, y: int, env: _Env,
+                  depth: int, decomp: PathDecomposition | None, kind: str,
+                  note: str = "") -> tuple[int, dict[int, int]]:
+    """Branch on y, the ladder's pivot or a stall's.  `decomp` is the last
+    re-separation's decomposition of inst, which was found too wide for
+    the sweep when it was built; without one, inst is swept instead when
+    narrow."""
+    if decomp is None:
+        best = _narrow_best(inst, env, nice_path_decomposition(inst.graph))
+        if best is not None:
+            if env.audit is not None:
+                env.audit.step("terminal", inst.r, env.snap(inst.graph, sep), [])
+            return best
+    children = reduceIII(inst, y)
+    env.stats.branchings += 1
+    env.stats.stalls += kind == "stall"
+    seps = [sep.restrict(ci.graph.vertices()) for ci, _ in children]
+    if env.audit is not None:
+        env.audit.step(kind, inst.r, env.snap(inst.graph, sep),
+                       [env.snap(ci.graph, s2) for (ci, _), s2 in zip(children, seps)],
+                       falls=("eta",), hard=kind == "branch", note=note)
+    return _best(children, lambda i, child: _rec_cubic(child, seps[i], env, depth + 1))
+
+
+def _rec_general(inst: CspInstance, env: _Env,
                  depth: int) -> tuple[int, dict[int, int]]:
     """Max-degree outer loop; consumes inst.  Reductions 0/I/II run in
-    place, one level of depth each.  Under the separator policy,
-    `cubic(inst, depth)` takes over once inst is subcubic, and a narrow
-    piece is swept instead of branched on; under the local policy
-    `cubic` is None and the loop always branches."""
+    place as in ``_rec_cubic``; each still counts one level of depth.
+    Under the separator policy a narrow piece is swept instead of
+    branched on; the local policy always branches."""
     g = inst.graph
     fills = []
     while True:
-        stats.max_depth = max(stats.max_depth, depth)
+        env.stats.max_depth = max(env.stats.max_depth, depth)
         if g.n == 0:
-            stats.leaves += 1
+            env.stats.leaves += 1
             score, asg = inst.s_nil, {}
             break
         act = _simplify_action(g, None)
@@ -305,19 +347,19 @@ def _rec_general(inst: CspInstance, stats: Stats, cubic,
             fills.append(_IN_PLACE[act.kind](inst, act.vertex))
             depth += 1
             continue
-        if cubic is not None:
+        if env.policy == "separator":
             if g.max_degree() <= 3:
-                score, asg = cubic(inst, depth)
+                score, asg = _rec_cubic(inst, trivial_separation(g.vertices()), env, depth)
                 break
-            best = _narrow_best(inst, stats, nice_path_decomposition(g))
+            best = _narrow_best(inst, env, nice_path_decomposition(g))
             if best is not None:
                 score, asg = best
                 break
         dmax = g.max_degree()
         y = min(v for v in g.vertices() if g.degree(v) == dmax)
         children = reduceIII(inst, y)
-        stats.branchings += 1
-        score, asg = _best(children, lambda i, child: _rec_general(child, stats, cubic, depth + 1))
+        env.stats.branchings += 1
+        score, asg = _best(children, lambda i, child: _rec_general(child, env, depth + 1))
         break
     for fill in reversed(fills):
         fill(asg)
@@ -346,16 +388,12 @@ def solve(inst: CspInstance, policy: str = "separator", audit: Audit | None = No
     if policy == "local" and audit is not None:
         raise ValueError("the local policy records no step: an audit needs the separator policy")
     stats = Stats()
-    weights = weights or CspWeights.published()
-
-    def cubic(sub: CspInstance, depth: int) -> tuple[int, dict[int, int]]:
-        return _run(_Node(sub, trivial_separation(sub.graph.vertices()), stats, audit, weights),
-                    depth)
-
+    env = _Env(policy, stats, audit, weights or CspWeights.published())
     inst = inst.copy()  # the engines consume their instance
     if policy == "separator" and inst.graph.max_degree() <= 3:
-        score, asg = cubic(inst, 0)
+        sep = trivial_separation(inst.graph.vertices())
+        score, asg = _rec_cubic(inst, sep, env, 0)
     else:
-        score, asg = _rec_general(inst, stats, cubic if policy == "separator" else None, 0)
+        score, asg = _rec_general(inst, env, 0)
     assert stats.leaves >= 1 and stats.branchings >= 0
     return CspSolution(score, asg), stats

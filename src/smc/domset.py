@@ -7,15 +7,15 @@ three-way branching below only ever fires on degree-3 vertices, and the
 relabelings it performs keep the invariant.
 
 The result of a count is a cardinality-indexed vector: entry k = number
-of valid dominating sets of size exactly k.  The counter is a node of the
-shared loop ``policy.run``: it branches three ways on a degree-3 vertex
-(in / optional / forbidden) and recombines by inclusion-exclusion;
-degree <= 2 vertices are never branched on.  Its one terminal,
-``ds_dp``, sweeps a path decomposition with three states per bag vertex:
-a piece of max degree <= 2 is counted along its walk order, and a piece
-whose nice path decomposition has width at most ``PD_WIDTH_CAP`` over
-that decomposition.  Branch pivots come from the same separator-case
-ladder the Max 2-CSP solver uses.
+of valid dominating sets of size exactly k.  The counter branches
+three ways on a degree-3 vertex (in / optional / forbidden) and
+recombines by inclusion-exclusion; degree <= 2 vertices are never
+branched on.  Its one terminal, ``ds_dp``, sweeps a path decomposition
+with three states per bag vertex: a connected component is counted
+outright when it has max degree <= 2 (walked as a path or cycle) or a
+nice path decomposition of width at most ``PD_WIDTH_CAP``.  Branch
+pivots come from the same separator-case ladder the Max 2-CSP solver
+uses.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .counts import CountVector, add_into
-from .graph import Graph, induced_subgraph, parse_graph
+from .graph import Graph, connected_components, induced_subgraph, parse_graph
 from .measures import Audit
-from .policy import Node, PivotAction, Stats, deg3_side_counts, run, separator_case
+from .policy import PivotAction, Stats, apply_move, deg3_side_counts, separator_case
 from .separator import (
     PD_WIDTH_CAP,
     PathDecomposition,
@@ -250,102 +250,126 @@ def select_pivot_ds(lg: LabeledGraph, sep: Separation) -> PivotAction:
 # -- counting engine -----------------------------------------------------------
 
 
-def _checked(audit: Audit | None, kind: str, n: int, vec: CountVector) -> CountVector:
+@dataclass
+class _Env:
+    stats: Stats
+    audit: Audit | None
+
+
+def _checked(env: _Env, kind: str, n: int, vec: CountVector) -> CountVector:
     """vec, recorded with the audit's count checks: the branch recombination
     subtracts the forbidden child, so a bug would typically show up as a
     negative entry ("nonneg") or as mass above index n or a total above
     2^n ("sum")."""
-    if audit is not None:
+    if env.audit is not None:
         fits = not any(vec.counts[n + 1:]) and vec.total() <= 2**n
-        audit.add(kind, True, {"nonneg": vec.is_nonnegative(), "sum": fits}, {"n": n})
+        env.audit.add(kind, True, {"nonneg": vec.is_nonnegative(), "sum": fits}, {"n": n})
     return vec
 
 
-def _terminal(node: "_Node", decomp: PathDecomposition) -> CountVector | None:
-    """Count of node's graph by ``ds_dp`` over `decomp`, a path
-    decomposition of it, when the graph has max degree <= 2 or `decomp`
-    has width at most PD_WIDTH_CAP; else None."""
-    g = node.lg.graph
-    if decomp.width > PD_WIDTH_CAP and g.max_degree() > 2:
-        return None
-    node.stats.leaves += 1
-    node.stats.dp_calls += 1
-    return _checked(node.audit, "dp", g.n, ds_dp(node.lg, decomp))
+def _sub_labeled(lg: LabeledGraph, comp: list[int]) -> LabeledGraph:
+    return LabeledGraph(
+        induced_subgraph(lg.graph, comp), {v: lg.label[v] for v in comp}
+    )
 
 
-class _Node(Node):
-    """A labeled subcubic graph and its separation, for ``policy.run``.
-    #DS has no simplification: every step but a branch keeps the graph."""
-
-    def __init__(self, lg: LabeledGraph, sep: Separation, stats: Stats, audit: Audit | None):
-        self.lg, self.graph, self.sep, self.stats, self.audit = lg, lg.graph, sep, stats, audit
-
-    def leaf(self):
-        if self.audit is not None:
-            assert verify_separation(self.graph, self.sep), "separation invalid at recursive call"
-            self.lg.check()
-        return None if self.graph.n else _checked(self.audit, "leaf", 0, CountVector.one())
-
-    def split(self, parts, depth):
-        vec = CountVector.one()
-        for comp in parts:
-            sub = LabeledGraph(induced_subgraph(self.graph, comp),
-                               {v: self.lg.label[v] for v in comp})
-            child = _Node(sub, self.sep.restrict(comp), self.stats, self.audit)
-            vec = vec.convolve(run(child, depth))
-        return _checked(self.audit, "split", self.graph.n, vec)
-
-    def direct(self, depth: int):
-        g = self.graph  # a piece of max degree <= 2 is counted along its walk order
-        if g.max_degree() <= 2:
-            return _terminal(self, path_decomposition(g, _linear_order(g)))
-        return None
-
-    def decompose(self) -> PathDecomposition:
-        return nice_path_decomposition(self.graph)
-
-    def separate(self, decomp: PathDecomposition) -> None:
-        self.sep = separate_cubic(self.graph, decomp)
-
-    def sweep(self, decomp: PathDecomposition):
-        return _terminal(self, decomp)
-
-    def pivot(self) -> PivotAction:
-        return select_pivot_ds(self.lg, self.sep)
-
-    def branch(self, y: int, kind: str, depth: int):
-        vec_in, vec_opt, vec_forb = [
-            run(_Node(child, self.sep.restrict(child.graph.vertices()), self.stats, self.audit),
-                depth)
-            for child in branch3(self.lg, y)]
-        return _checked(self.audit, kind, self.graph.n, vec_in.shift(1) + vec_opt - vec_forb)
+def _terminal(lg: LabeledGraph, env: _Env) -> tuple[CountVector | None, PathDecomposition]:
+    """(count, decomposition) of a connected component: counted by
+    ``ds_dp`` when it has max degree <= 2 (along its walk order) or a nice
+    path decomposition of width at most PD_WIDTH_CAP, else (None, that
+    wider decomposition), which the caller separates from."""
+    g = lg.graph
+    if g.max_degree() <= 2:
+        decomp = path_decomposition(g, _linear_order(g))
+    else:
+        decomp = nice_path_decomposition(g)
+        if decomp.width > PD_WIDTH_CAP:
+            return None, decomp
+    env.stats.dp_calls += 1
+    return ds_dp(lg, decomp), decomp
 
 
-def _rec_local(lg: LabeledGraph, stats: Stats, audit: Audit | None, depth: int) -> CountVector:
+def _rec(lg: LabeledGraph, sep: Separation, env: _Env, depth: int) -> CountVector:
+    """Count of lg under the separation sep; consumes sep.  Moves and the
+    re-separation, which sweeps ``_terminal``'s wide decomposition, leave
+    the graph as it is and loop in place, one level of depth each."""
+    stats, audit, g = env.stats, env.audit, lg.graph
+    decomp, resep = None, False  # decomp is set once g is connected and wide
+    while True:
+        stats.max_depth = max(stats.max_depth, depth)
+        if audit is not None:
+            assert verify_separation(g, sep), "separation invalid at recursive call"
+            lg.check()
+        if g.n == 0:
+            stats.leaves += 1
+            return _checked(env, "leaf", 0, CountVector.one())
+        l3, r3 = deg3_side_counts(g, sep)
+        if l3 > r3:
+            sep.swap()
+        if decomp is None:
+            comps = connected_components(g)
+            if len(comps) > 1:
+                stats.splits += 1
+                vec = CountVector.one()
+                for comp in comps:
+                    vec = vec.convolve(_rec(_sub_labeled(lg, comp), sep.restrict(comp), env,
+                                            depth + 1))
+                return _checked(env, "split", g.n, vec)
+            vec, decomp = _terminal(lg, env)
+            if vec is not None:
+                stats.leaves += 1
+                return _checked(env, "dp", g.n, vec)
+        if not sep.sep:
+            if not resep:
+                sep, resep = separate_cubic(g, decomp), True
+                stats.separator_recomputes += 1
+                depth += 1
+                continue
+            # the case ladder consumed the whole separator without deleting
+            # anything, so re-separating would reproduce the cycle; branch
+            # once on a concrete vertex to shrink the graph instead
+            y = min(v for v in g.vertices() if g.degree(v) == 3)
+            return _branch(lg, y, sep, env, depth, "stall")
+        act = select_pivot_ds(lg, sep)
+        if act.kind == "branch":
+            return _branch(lg, act.vertex, sep, env, depth, "branch")
+        apply_move(sep, act, g.neighbor_sets().__getitem__)
+        depth += 1
+
+
+def _branch(lg: LabeledGraph, y: int, sep: Separation, env: _Env, depth: int, kind: str) -> CountVector:
+    env.stats.branchings += 1
+    env.stats.stalls += kind == "stall"
+    vec_in, vec_opt, vec_forb = [_rec(child, sep.restrict(child.graph.vertices()), env, depth + 1)
+                                 for child in branch3(lg, y)]
+    return _checked(env, kind, lg.graph.n, vec_in.shift(1) + vec_opt - vec_forb)
+
+
+def _rec_local(lg: LabeledGraph, env: _Env, depth: int) -> CountVector:
     """Branch on the smallest-id degree-3 vertex until none is left, then
     sweep up what remains (paths, cycles, isolated vertices).  No
     separators, no component splits while branching: the baseline the
     pivot-policy comparison runs against."""
-    stats.max_depth = max(stats.max_depth, depth)
+    env.stats.max_depth = max(env.stats.max_depth, depth)
     g = lg.graph
-    if audit is not None:
+    if env.audit is not None:
         lg.check()
     if g.n == 0:
-        stats.leaves += 1
-        return _checked(audit, "leaf", 0, CountVector.one())
+        env.stats.leaves += 1
+        return _checked(env, "leaf", 0, CountVector.one())
     deg3 = [v for v in g.vertices() if g.degree(v) == 3]
     if deg3:
         g_in, g_opt, g_forb = branch3(lg, deg3[0])
-        stats.branchings += 1
+        env.stats.branchings += 1
         vec = (
-            _rec_local(g_in, stats, audit, depth + 1).shift(1)
-            + _rec_local(g_opt, stats, audit, depth + 1)
-            - _rec_local(g_forb, stats, audit, depth + 1)
+            _rec_local(g_in, env, depth + 1).shift(1)
+            + _rec_local(g_opt, env, depth + 1)
+            - _rec_local(g_forb, env, depth + 1)
         )
-        return _checked(audit, "branch", g.n, vec)
-    stats.leaves += 1
-    stats.dp_calls += 1
-    return _checked(audit, "flat", g.n, ds_dp(lg, path_decomposition(g, _linear_order(g))))
+        return _checked(env, "branch", g.n, vec)
+    env.stats.leaves += 1
+    env.stats.dp_calls += 1
+    return _checked(env, "flat", g.n, ds_dp(lg, path_decomposition(g, _linear_order(g))))
 
 
 def count_ds(lg: LabeledGraph, policy: str = "separator",
@@ -366,8 +390,9 @@ def count_ds(lg: LabeledGraph, policy: str = "separator",
     lg = lg.copy()
     lg.check()
     stats = Stats()
+    env = _Env(stats, audit)
     if policy == "separator":
-        vec = run(_Node(lg, trivial_separation(lg.graph.vertices()), stats, audit), 0)
+        vec = _rec(lg, trivial_separation(lg.graph.vertices()), env, 0)
     else:
-        vec = _rec_local(lg, stats, audit, 0)
+        vec = _rec_local(lg, env, 0)
     return vec, stats

@@ -1,11 +1,9 @@
-"""The separator ladder shared by the three engines: ``run``, the one
-loop that steps every subcubic node of the Max 2-CSP, #DS and set-cover
-engines; the case ladder that picks the next pivot; ``apply_move``, which
-makes the non-branching moves on a separation in place; and ``Stats``,
-the run counters of all three.
-
-``run`` owns the order of the steps and the bookkeeping they share; an
-engine's ``Node`` applies the engine's own rules and keeps its audit.
+"""Separator state machine shared by the subcubic engines: the case
+ladder that picks the next action, and ``apply_move``, which makes the
+non-branching moves on a separation in place.  The engines choose their
+moves (``separator_case``, ``select_pivot_ds``, the set-cover gap
+ladder); only here are moves carried out.  ``Stats`` holds the run
+counters of all three engines.
 
 Given a separation (L,S,R) of a 3-regular graph, ``separator_case``
 classifies the separator vertices by where their neighbors live and
@@ -27,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Collection
 
-from .graph import Graph, connected_components
+from .graph import Graph
 from .separator import Separation
 
 
@@ -144,109 +142,3 @@ def apply_move(sep: Separation, act: PivotAction,
     if kind in ("rotate", "rotate-pair"):
         sep.right.remove(act.partner)
         (sep.sep if kind == "rotate" else sep.left).add(act.partner)
-
-
-class Node:
-    """One node of ``run``: an engine's instance, which the loop consumes,
-    with its ``graph``, its separation ``sep`` and the run's ``stats``.
-    The engine supplies the steps ``run`` names, keeps its own audit
-    records and overrides the defaults below where its rules differ."""
-
-    graph: Graph
-    sep: Separation
-    stats: Stats
-    separation_depth = 1  # set cover's re-separation is part of the ladder step after it
-
-    def orient(self) -> None:
-        """Keep |L₃| ≤ |R₃|."""
-        l3, r3 = deg3_side_counts(self.graph, self.sep)
-        if l3 > r3:
-            self.sep.swap()
-
-    def simplify(self) -> bool:
-        """Make one in-place simplification; False when none applies."""
-        return False
-
-    def direct(self, depth: int):
-        """The answer when the engine settles the node off the ladder."""
-        return None
-
-    def move(self, act: PivotAction) -> None:
-        apply_move(self.sep, act, self.graph.neighbor_sets().__getitem__)
-
-    def stall(self, depth: int):
-        g = self.graph
-        return self.branch(min(v for v in g.vertices() if g.degree(v) == 3), "stall", depth)
-
-
-def run(node: Node, depth: int):
-    """The answer of `node`.  Each pass takes the first step that applies:
-
-      1. an empty instance is a leaf (``leaf`` also asserts the node's
-         invariants when it keeps an audit);
-      2. at node entry, a disconnected graph splits into its components
-         (no simplification disconnects a graph, so none is needed later);
-      3. one in-place simplification;
-      4. the engine settles the node off the ladder (``direct``);
-      5. at S = ∅ the node builds a decomposition, re-separates from it in
-         place, and then sweeps a narrow piece over it (``sweep`` answers
-         None when too wide);
-      6. S draining again while that decomposition is current (no
-         simplification since) would repeat the cycle, so the node stalls:
-         it branches on a degree-3 vertex instead;
-      7. otherwise the ladder's pivot is a move, made in place, or a
-         branch, width-tested first when no decomposition is current.
-
-    Steps that do not branch loop in place, one level of depth each, so
-    recursion depth is branching depth.  Step 5 separates before it sweeps
-    so that a narrow root still gets the separator the benchmark's tracer
-    test reads; moving the sweep above the separation tests the width
-    first.
-    """
-    stats = node.stats
-    decomp = None  # the last re-separation's, current until a simplification
-    entry = True
-    while True:
-        stats.max_depth = max(stats.max_depth, depth)
-        answer = node.leaf()
-        if answer is not None:
-            stats.leaves += 1
-            break
-        node.orient()
-        if entry:
-            entry, parts = False, connected_components(node.graph)
-            if len(parts) > 1:
-                stats.splits += 1
-                answer = node.split(parts, depth + 1)
-                break
-        if node.simplify():
-            decomp, depth = None, depth + 1
-            continue
-        answer = node.direct(depth + 1)
-        if answer is not None:
-            break
-        if not node.sep.sep and decomp is not None:
-            stats.branchings += 1
-            stats.stalls += 1
-            answer = node.stall(depth + 1)
-            break
-        if not node.sep.sep:
-            decomp = node.decompose()
-            node.separate(decomp)
-            stats.separator_recomputes += 1
-            answer = node.sweep(decomp)
-            if answer is not None:
-                break
-            depth += node.separation_depth
-            continue
-        act = node.pivot()
-        if act.kind != "branch":
-            node.move(act)
-            depth += 1
-            continue
-        answer = None if decomp is not None else node.sweep(node.decompose())
-        if answer is None:
-            stats.branchings += 1
-            answer = node.branch(act.vertex, "branch", depth + 1)
-        break
-    return answer

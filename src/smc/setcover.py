@@ -11,11 +11,16 @@ snapshots.
 The engine's one terminal, ``sc_dp``, sweeps a nice path decomposition of
 the active part; pieces wider than ``PD_WIDTH_CAP`` are branched on.
 
-Every node runs on the shared loop ``policy.run``, which consumes its
-instance: annotation is the node's in-place simplification, the general
-phase (degree >= 4) is settled off the ladder, and the subcubic phase
-follows the set-cover gap ladder.  ``sc_count`` copies the caller's
-instance once.
+Ownership: an engine call owns and consumes its instance.  Annotations,
+separator moves and the re-separation change it in place inside one
+loop; only branches and component splits build fresh children and
+recurse, so an instance that reduces without branching needs no
+recursion.  ``sc_count`` copies the caller's instance once.
+
+The stall rule is the other engines': the decomposition that the last
+re-separation swept stays current until an annotation changes the active
+graph, and a separator the ladder drains while it is current is a stall,
+which branches instead of re-separating.
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .counts import CountVector, add_into
-from .graph import Graph, induced_subgraph
+from .graph import Graph, connected_components, induced_subgraph
 from .measures import Audit, sc_mu3, sc_mu3_parts, sc_mu4, sc_side_weights, sc_snapshots
-from .policy import Node, PivotAction, Stats, apply_move, run
+from .policy import PivotAction, Stats, apply_move
 from .separator import (
     PD_WIDTH_CAP,
     PathDecomposition,
@@ -304,6 +309,24 @@ def sc_dp(inst: ScIncidence, decomp: PathDecomposition) -> CountVector:
 # -- engine ------------------------------------------------------------------
 
 
+@dataclass
+class _ScEnv:
+    weights: ScWeights
+    stats: Stats
+    audit: Audit | None
+
+
+def _component(inst: ScIncidence, comp: list[int]) -> ScIncidence:
+    keep = set(comp)
+    return ScIncidence(
+        induced_subgraph(inst.incidence, keep),
+        set(inst.set_ids) & keep,
+        set(inst.annotated) & keep,
+        trivial_separation(keep - inst.annotated),
+        [a for a in inst.annotation_log if a.vertex in keep],
+    )
+
+
 def _without(inst: ScIncidence, doomed: set[int],
              reset_sep: bool = False) -> ScIncidence:
     child = inst.copy()
@@ -334,13 +357,13 @@ def sc_count(inst: ScIncidence, weights: ScWeights | None = None,
              audit: Audit | None = None) -> tuple[CountVector, Stats]:
     """Count set covers of every cardinality (duplicate sets distinct).
 
-    A node about to branch in the general phase or to enter the subcubic
-    phase is counted by ``sc_dp`` when its path decomposition has width at
-    most ``PD_WIDTH_CAP``, as is every piece of maximum degree 2.  Wider
-    pieces branch on sets/elements of degree >= 4 until the incidence
-    graph is subcubic, then follow the separator ladder of ``policy.run``.
-    `weights` (the published table by default) set the separator balance,
-    and the audit measures with them.
+    A node that would branch in the general phase or re-separate is
+    counted by ``sc_dp`` when its path decomposition has width at most
+    ``PD_WIDTH_CAP``, as is every piece of maximum degree 2.  Wider pieces
+    branch on sets/elements of degree >= 4 until the incidence graph is
+    subcubic, then follow the separator ladder.  `weights` (the published
+    table by default) set the separator balance, and the audit measures
+    with them.
 
     Audit: hard steps must satisfy Σ_j 2^μ(I_j) ≤ 2^μ(I), with μ = μ₄
     while some active degree is ≥ 4 and μ = μ₃ in the subcubic phase, and
@@ -351,167 +374,119 @@ def sc_count(inst: ScIncidence, weights: ScWeights | None = None,
     """
     work = inst.copy()
     work.check()
-    stats = Stats()
-    vec = run(_Node(work, stats, audit, weights or ScWeights.published(), None), 0)
-    return vec, stats
+    env = _ScEnv(weights or ScWeights.published(), Stats(), audit)
+    vec = _sc(work, env, 0, None)
+    return vec, env.stats
 
 
-class _Node(Node):
-    """An instance for ``policy.run``: its graph is the incidence graph and
-    its separation ``inst.sep``.  Annotation is its simplification.
-    `frozen` is μ₃'s log argument, fixed at the handover to the subcubic
-    phase and at each re-separation; None before the handover."""
-
-    separation_depth = 0
-
-    def __init__(self, inst: ScIncidence, stats: Stats, audit: Audit | None,
-                 weights: ScWeights, frozen: Fraction | None):
-        self.inst, self.graph, self.sep = inst, inst.incidence, inst.sep
-        self.stats, self.audit, self.weights, self.frozen = stats, audit, weights, frozen
-        self.decomp = None  # built for the handover's width test
-
-    def child(self, inst: ScIncidence, frozen: Fraction | None) -> "_Node":
-        return _Node(inst, self.stats, self.audit, self.weights, frozen)
-
-    def _snaps(self, frozen: Fraction | None = None, ladder: bool = False):
-        """A snapshot function for a step from this node; None without an audit."""
-        return self.audit and sc_snapshots(self.inst, self.weights, frozen, ladder)
-
-    def leaf(self):
-        if self.audit:
-            self.inst.check()
-        if self.graph.n:
-            return None
-        if self.audit:
-            self.audit.step("leaf", 2, self._snaps()(self.inst), [])
+def _sc(inst: ScIncidence, env: _ScEnv, depth: int,
+        frozen: Fraction | None) -> CountVector:
+    """Count of inst; consumes it.  Annotations, separator moves and the
+    re-separation leave the incidence graph as it is, nonempty and
+    connected, and loop in place; annotations and moves cost one level of
+    depth each.  Only branches and component splits recurse."""
+    st, aud, w = env.stats, env.audit, env.weights
+    g = inst.incidence
+    st.max_depth = max(st.max_depth, depth)
+    if not g.vertices():
+        st.leaves += 1
+        if aud:
+            aud.step("leaf", 2, sc_snapshots(inst, w)(inst), [])
         return CountVector.one()
-
-    def orient(self) -> None:
-        """The ladder orients by side weight (``_ladder_move``)."""
-
-    def split(self, parts, depth):
-        everything = set(self.graph.vertices())
-        children = [_without(self.inst, everything.difference(comp), reset_sep=True)
-                    for comp in parts]
-        snap = self._snaps()
-        if snap:
-            self.audit.step("split", 2, snap(self.inst), [snap(c) for c in children],
-                            hard=False, note=f"{len(parts)} parts")
+    comps = connected_components(g)
+    if len(comps) > 1:
+        st.splits += 1
+        children = [_component(inst, comp) for comp in comps]
+        if aud:
+            snap = sc_snapshots(inst, w)
+            aud.step("split", 2, snap(inst), [snap(c) for c in children], hard=False,
+                     note=f"{len(comps)} parts")
         vec = CountVector.one()
         for child in children:
-            vec = vec.convolve(run(self.child(child, None), depth))
+            vec = vec.convolve(_sc(child, env, depth + 1, None))
         return vec
 
-    def simplify(self) -> bool:
-        """Annotate a degree <= 1 vertex, else a duplicate degree-2 one."""
-        inst = self.inst
+    resep = False  # the last re-separation's graph is still the active one
+    while True:
+        st.max_depth = max(st.max_depth, depth)
+        if aud is not None:
+            inst.check()
+        # annotate a degree <= 1 vertex, else a duplicate degree-2 one
         low = [v for v in inst.active_vertices() if inst.active_degree(v) <= 1]
         v = min(low) if low else _find_duplicate(inst)
-        if v is None:
-            return False
-        snap = self._snaps(self.frozen)
-        before = snap and snap(inst)
-        inst.annotation_log.append(Annotation(v, tuple(inst.active_neighbors(v))))
-        inst.annotated.add(v)
-        inst.sep.discard(v)
-        self.stats.annotations += 1
-        if snap:
-            self.audit.step("annotate", 2, before, [snap(inst)], falls=("active",),
-                            note=f"v={v}" if low else f"dup v={v}")
-        return True
+        if v is not None:
+            if aud:
+                snap = sc_snapshots(inst, w, frozen)
+                before = snap(inst)
+            inst.annotation_log.append(Annotation(v, tuple(inst.active_neighbors(v))))
+            inst.annotated.add(v)
+            inst.sep.discard(v)
+            st.annotations += 1
+            if aud:
+                aud.step("annotate", 2, before, [snap(inst)], falls=("active",),
+                         note=f"v={v}" if low else f"dup v={v}")
+            resep, depth = False, depth + 1
+            continue
 
-    def direct(self, depth: int):
-        """A piece of max degree 2 is counted outright.  Before the handover
-        the general phase runs: at S = ∅ a narrow piece is counted, and a
-        maximum-degree set or element of degree >= 4 is branched on."""
-        inst, w, aud = self.inst, self.weights, self.audit
-        degree = {v: inst.active_degree(v) for v in inst.active_vertices()}
-        d = max(degree.values(), default=0)
-        if d <= 2 or (self.frozen is None and not self.sep.sep):
-            self.decomp = self.decompose()
-            answer = self.sweep(self.decomp, d <= 2)
-            if answer is not None:
-                return answer
-        if d > 3:  # on a maximum-degree vertex, elements before sets, smallest id first
-            self.stats.branchings += 1
-            return self.branch(min(degree, key=lambda u: (-degree[u], inst.is_set(u), u)),
-                               "branch", depth)
-        if self.frozen is None:
-            self.frozen = sc_mu3_parts(inst, w)[1]
+        if not inst.sep.sep and resep:
+            return _stall(inst, env, depth)
+
+        d_set = max((inst.active_degree(v) for v in inst.active_vertices()
+                     if inst.is_set(v)), default=0)
+        d_elt = max((inst.active_degree(v) for v in inst.active_vertices()
+                     if not inst.is_set(v)), default=0)
+        # One decomposition per node about to branch in the general phase or
+        # to re-separate: narrow, the node is counted; wide, re-separation
+        # sweeps it.
+        chains = max(d_set, d_elt) <= 2
+        if not inst.sep.sep or chains:
+            ag = inst.active_graph()
+            decomp = nice_path_decomposition(ag)
+            if decomp.width <= PD_WIDTH_CAP or chains:
+                st.dp_calls += 1
+                st.leaves += 1
+                if aud:
+                    aud.step("dp", 2, sc_snapshots(inst, w, frozen)(inst), [])
+                return sc_dp(inst, decomp)
+
+        if max(d_set, d_elt) > 3:
+            # general phase: branch on a maximum-degree set or element
+            on_set = d_set > d_elt
+            d = d_set if on_set else d_elt
+            v = min(u for u in inst.active_vertices()
+                    if inst.is_set(u) == on_set and inst.active_degree(u) == d)
+            return _branch(inst, env, depth, "branch", v, None)
+
+        if frozen is None:
+            frozen = sc_mu3_parts(inst, w)[1]
             if aud:  # entering the subcubic engine should not raise the measure
                 m4, m3 = float(sc_mu4(inst, w)), float(sc_mu3(inst, w))
                 aud.add("handover", False, {"mu": m3 <= m4 + 1e-9}, {"mu": (m4, (m3,))},
                         note=f"mu3={m3:.6f} mu4={m4:.6f}")
-        return None
+        if not inst.sep.sep:
+            arg_old = sc_mu3_parts(inst, w)[1] if aud else None
+            inst.sep = separate_balanced_by_measure(
+                ag, lambda v: w.wright(ag.degree(v)), w.B, decomp)
+            st.separator_recomputes += 1
+            resep = True
+            frozen = sc_mu3_parts(inst, w)[1]
+            if aud:  # the log term's amortization needs μ_r + μ_s to shrink by 1+ε
+                aud.add("reseparate", False,
+                        {"shrink": frozen * (1 + w.eps) <= arg_old or arg_old == 0},
+                        {"arg": (float(arg_old), (float(frozen),))},
+                        note=f"arg {float(arg_old):.6f} -> {float(frozen):.6f}")
 
-    def decompose(self) -> PathDecomposition:
-        decomp, self.decomp = self.decomp, None  # reuse the handover's
-        if decomp is None:
-            self.active = self.inst.active_graph()
-            decomp = nice_path_decomposition(self.active)
-        return decomp
-
-    def separate(self, decomp: PathDecomposition) -> None:
-        inst, w, ag = self.inst, self.weights, self.active
-        arg_old = sc_mu3_parts(inst, w)[1] if self.audit else None
-        self.sep = inst.sep = separate_balanced_by_measure(
-            ag, lambda v: w.wright(ag.degree(v)), w.B, decomp)
-        self.frozen = sc_mu3_parts(inst, w)[1]
-        if self.audit:  # the log term's amortization needs μ_r + μ_s to shrink by 1+ε
-            self.audit.add("reseparate", False,
-                           {"shrink": self.frozen * (1 + w.eps) <= arg_old or arg_old == 0},
-                           {"arg": (float(arg_old), (float(self.frozen),))},
-                           note=f"arg {float(arg_old):.6f} -> {float(self.frozen):.6f}")
-
-    def sweep(self, decomp: PathDecomposition, chains: bool = False):
-        if decomp.width > PD_WIDTH_CAP and not chains:
-            return None
-        self.stats.dp_calls += 1
-        self.stats.leaves += 1
-        if self.audit:
-            self.audit.step("dp", 2, self._snaps(self.frozen)(self.inst), [])
-        return sc_dp(self.inst, decomp)
-
-    def pivot(self) -> PivotAction:
-        return _ladder_move(self.inst, self.weights)
-
-    def move(self, act: PivotAction) -> None:
-        inst, snap = self.inst, self._snaps(self.frozen, ladder=True)
-        before = snap and snap(inst)
-        adj = self.graph.neighbor_sets()
-        apply_move(self.sep, act, lambda u: adj[u] - inst.annotated)
-        if snap:
-            self.audit.step(act.kind, 2, before, [snap(inst)], falls=("progress",),
-                            cap=self.weights.B)
-
-    def branch(self, v: int, kind: str, depth: int):
-        """Two-way branch on v, audited as `kind`-set or `kind`-elt: a set
-        is discarded or taken, an element made optional or forbidden (its
-        sets deleted).  A ladder branch, audited as branch3, passes the
-        frozen log argument on and its children keep the separation; the
-        children of a general-phase branch or a stall start from the
-        trivial separation."""
-        inst, w = self.inst, self.weights
-        frozen = self.frozen if kind == "branch" else None
-        kind = "branch3" if frozen is not None else kind
-        is_set = inst.is_set(v)
-        # (discard, take) for a set, (optional, forbidden) for an element
-        first = _without(inst, {v}, reset_sep=frozen is None)
-        second = _without(inst, {v} | set(self.graph.neighbors(v)), reset_sep=frozen is None)
-        ladder = kind == "branch3"
-        snap = self._snaps(frozen, ladder)
-        if snap:
-            self.audit.step(f"{kind}-{'set' if is_set else 'elt'}", 2, snap(inst),
-                            [snap(first), snap(second)],
-                            falls={"branch": ("active",), "branch3": ("progress",)}.get(kind, ()),
-                            cap=w.B if ladder else None, hard=kind != "stall",
-                            note=f"{'s' if is_set else 'e'}={v}")
-        a = run(self.child(first, frozen), depth)
-        b = run(self.child(second, frozen), depth)
-        return a + b.shift(1) if is_set else a - b
-
-    def stall(self, depth: int):
-        return _stall(self, depth)
+        act = _ladder_move(inst, w)
+        if act.kind == "branch":
+            return _branch(inst, env, depth, "branch3", act.vertex, frozen)
+        if aud:
+            snap = sc_snapshots(inst, w, frozen, ladder=True)
+            before = snap(inst)
+        adj = g.neighbor_sets()
+        apply_move(inst.sep, act, lambda u: adj[u] - inst.annotated)
+        if aud:
+            aud.step(act.kind, 2, before, [snap(inst)], falls=("progress",), cap=w.B)
+        depth += 1
 
 
 def _ladder_move(inst: ScIncidence, w: ScWeights) -> PivotAction:
@@ -558,10 +533,36 @@ def _ladder_move(inst: ScIncidence, w: ScWeights) -> PivotAction:
     return PivotAction("branch", elts[0] if elts else s_sorted[0])
 
 
-def _stall(node: _Node, depth: int) -> CountVector:
+def _stall(inst: ScIncidence, env: _ScEnv, depth: int) -> CountVector:
     """The ladder drained the separator that the last re-separation swept,
     and no annotation has changed the graph since, so re-separating would
     repeat the cycle: branch on the smallest degree-3 active vertex."""
-    inst = node.inst
-    return node.branch(min(u for u in inst.active_vertices() if inst.active_degree(u) == 3),
-                       "stall", depth)
+    env.stats.stalls += 1
+    v = min(u for u in inst.active_vertices() if inst.active_degree(u) == 3)
+    return _branch(inst, env, depth, "stall", v, None)
+
+
+def _branch(inst: ScIncidence, env: _ScEnv, depth: int, kind: str, v: int,
+            frozen: Fraction | None) -> CountVector:
+    """Two-way branch on v, audited as `kind`-set or `kind`-elt: a set is
+    discarded or taken, an element made optional or forbidden (its sets
+    deleted).  A ladder branch passes its frozen log argument on and its
+    children keep the separation; with `frozen` None, the general phase
+    and stalls, each child starts from the trivial separation."""
+    env.stats.branchings += 1
+    is_set = inst.is_set(v)
+    # (discard, take) for a set, (optional, forbidden) for an element
+    first = _without(inst, {v}, reset_sep=frozen is None)
+    second = _without(inst, {v} | set(inst.incidence.neighbors(v)),
+                      reset_sep=frozen is None)
+    if env.audit:
+        ladder = kind == "branch3"
+        snap = sc_snapshots(inst, env.weights, frozen, ladder)
+        env.audit.step(f"{kind}-{'set' if is_set else 'elt'}", 2, snap(inst),
+                       [snap(first), snap(second)],
+                       falls={"branch": ("active",), "branch3": ("progress",)}.get(kind, ()),
+                       cap=env.weights.B if ladder else None, hard=kind != "stall",
+                       note=f"{'s' if is_set else 'e'}={v}")
+    a = _sc(first, env, depth + 1, frozen)
+    b = _sc(second, env, depth + 1, frozen)
+    return a + b.shift(1) if is_set else a - b

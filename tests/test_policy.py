@@ -1,14 +1,13 @@
-"""The shared separator moves and loop, and the engines that route
-through them.
+"""The shared separator moves, and the engines that route through them.
 
 ``apply_move`` is checked on hand-built separations, one per move kind
-and one per way a drag-path run can end, and the loop's stall rule on a
-scripted node.  The engine tests pin count
+and one per way a drag-path run can end.  The engine tests pin count
 vectors and full stats of both #DS routes on seeded cubic graphs and on
 cubic graphs with subdivided edges, and check that attaching an audit
 changes neither.  The pins run the separator ladders with both
 path-decomposition terminals switched off (``PD_WIDTH_CAP`` = -1), and
-once more at the shipped cap.
+once more at the shipped cap, where one more set-cover pin reaches the
+subcubic ladder.
 """
 
 import random
@@ -20,9 +19,9 @@ from smc.domset import LabeledGraph, count_ds
 from smc.generators import gen_random_cubic
 from smc.graph import Graph
 from smc.measures import Audit
-from smc.policy import Node, PivotAction, Stats, apply_move, run
+from smc.policy import PivotAction, apply_move
 from smc.separator import Separation, trivial_separation, verify_separation
-from smc.setcover import ds_to_sc, sc_count
+from smc.setcover import ScIncidence, ds_to_sc, sc_count
 
 
 def moved(g: Graph, sep: Separation, kind: str, s: int, partner=None,
@@ -93,64 +92,6 @@ class TestApplyMove:
         with pytest.raises(ValueError):
             apply_move(sep, PivotAction("branch", 1), Graph.path(3).neighbor_sets().__getitem__)
         assert sides(sep) == ({0}, {1}, {2})
-
-
-class ScriptedNode(Node):
-    """K4 with a scripted ladder: separating puts vertex 0 into S, every
-    pivot drags it to R, and after the i-th drag `after_drag[i]`
-    simplifications become available.  Nothing is ever swept, and a
-    branch answers with its kind."""
-
-    def __init__(self, after_drag):
-        self.graph, self.sep, self.stats = Graph.complete(4), trivial_separation(range(4)), Stats()
-        self.after_drag, self.pending, self.log = list(after_drag), 0, []
-
-    def leaf(self):
-        return None
-
-    def simplify(self):
-        if not self.pending:
-            return False
-        self.pending -= 1
-        self.log.append("simplify")
-        return True
-
-    def decompose(self):
-        return "decomposition"
-
-    def separate(self, decomp):
-        self.log.append("separate")
-        self.sep = Separation(set(), {0}, {1, 2, 3})
-
-    def sweep(self, decomp):
-        return None
-
-    def pivot(self):
-        return PivotAction("drag-R", 0)
-
-    def move(self, act):
-        super().move(act)
-        self.log.append(act.kind)
-        self.pending = self.after_drag.pop(0) if self.after_drag else 0
-
-    def branch(self, v, kind, depth):
-        self.log.append(f"{kind} {v}")
-        return kind
-
-
-class TestStallRule:
-    def test_second_drain_without_simplification_stalls(self):
-        node = ScriptedNode([])
-        assert run(node, 0) == "stall"
-        assert node.log == ["separate", "drag-R", "stall 0"]
-        assert (node.stats.separator_recomputes, node.stats.stalls,
-                node.stats.branchings) == (1, 1, 1)
-
-    def test_simplification_between_drains_reseparates(self):
-        node = ScriptedNode([1])
-        assert run(node, 0) == "stall"
-        assert node.log == ["separate", "drag-R", "simplify", "separate", "drag-R", "stall 0"]
-        assert (node.stats.separator_recomputes, node.stats.stalls) == (2, 1)
 
 
 def subdivided(n: int, seed: int, k: int) -> Graph:
@@ -237,15 +178,35 @@ PINNED_AT_CAP = {
 }
 
 
+def total_domination(g: Graph) -> ScIncidence:
+    """Total dominating sets of g as set covers: element v lies in the set
+    of each neighbour of v, so a cubic g gives a cubic incidence graph."""
+    n = g.n
+    inc = Graph(range(2 * n))
+    for u, v in g.edges():
+        inc.add_edge(u, n + v)
+        inc.add_edge(v, n + u)
+    return ScIncidence(inc, set(range(n, 2 * n)), sep=trivial_separation(range(2 * n)))
+
+
+# total dominating sets of gen_random_cubic(22, 1) at the shipped
+# PD_WIDTH_CAP: wider than the cap, the instance enters the subcubic ladder
+# at once; a narrow piece is counted where S empties, before any
+# re-separation, and a ladder branch is taken without a width test
+TOTAL_22 = (
+    (0, 0, 0, 0, 0, 0, 0, 0, 9, 543, 6126, 28733, 73679, 118204, 128162, 98419, 55034,
+     22702, 6901, 1518, 231, 22, 1),
+    {'branchings': 95, 'stalls': 0, 'leaves': 195, 'dp_calls': 195, 'annotations': 983,
+     'splits': 70, 'max_depth': 42, 'separator_recomputes': 1})
+
+
 # count_ds stats at the shipped PD_WIDTH_CAP: each pinned graph has a nice
-# path decomposition of width <= 8, separates from it once and is counted by
-# one DP over it
+# path decomposition of width <= 8 and is counted by one DP
 DS_AT_CAP = {'branchings': 0, 'stalls': 0, 'leaves': 1, 'dp_calls': 1, 'annotations': 0,
-             'splits': 0, 'max_depth': 0, 'separator_recomputes': 1}
+             'splits': 0, 'max_depth': 0, 'separator_recomputes': 0}
 # a cubic graph of width 9, wider than the cap: one separator, one branch,
-# and three DPs: each child moves along the ladder to its first branch
-# pivot, whose width test finds it narrow; its counts came from the former
-# core counters (25,150 branchings)
+# and three DPs; its counts came from the former core counters (25,150
+# branchings)
 WIDE_48 = (
     (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 25, 5770, 355669, 9584100, 143524500,
      1360852527, 8877235259, 42233589338, 153028601756, 436602948209, 1006847025368,
@@ -254,7 +215,7 @@ WIDE_48 = (
      377468539402, 161958094594, 61718590325, 20840428043, 6212320500, 1625985449,
      370904386, 72996680, 12226180, 1710192, 194532, 17296, 1128, 48, 1),
     {'branchings': 1, 'stalls': 0, 'leaves': 3, 'dp_calls': 3, 'annotations': 0, 'splits': 0,
-     'max_depth': 5, 'separator_recomputes': 1})
+     'max_depth': 2, 'separator_recomputes': 1})
 
 
 class TestEnginesPinned:
@@ -280,6 +241,10 @@ class TestEnginesPinned:
     def test_sc_count_at_width_cap(self, key):
         vec, stats = sc_count(ds_to_sc(pinned_graph(*key)))
         assert vec.counts == PINNED[key][0] and asdict(stats) == PINNED_AT_CAP[key]
+
+    def test_sc_count_on_the_ladder_at_width_cap(self):
+        vec, stats = sc_count(total_domination(gen_random_cubic(22, 1)))
+        assert (vec.counts, asdict(stats)) == TOTAL_22
 
 
 class TestAuditIsPassive:
