@@ -273,28 +273,29 @@ def _sub_labeled(lg: LabeledGraph, comp: list[int]) -> LabeledGraph:
     )
 
 
-def _terminal(lg: LabeledGraph, env: _Env) -> tuple[CountVector | None, PathDecomposition]:
-    """(count, decomposition) of a connected component: counted by
-    ``ds_dp`` when it has max degree <= 2 (along its walk order) or a nice
-    path decomposition of width at most PD_WIDTH_CAP, else (None, that
-    wider decomposition), which the caller separates from."""
+def _terminal(lg: LabeledGraph, decomp: PathDecomposition | None,
+              env: _Env) -> CountVector | None:
+    """Count of a connected component by ``ds_dp``: along its walk order
+    when it has max degree <= 2, else over `decomp`, a nice path
+    decomposition of it, when that is at most PD_WIDTH_CAP wide; None
+    when it is wider."""
     g = lg.graph
     if g.max_degree() <= 2:
         decomp = path_decomposition(g, _linear_order(g))
-    else:
-        decomp = nice_path_decomposition(g)
-        if decomp.width > PD_WIDTH_CAP:
-            return None, decomp
+    elif decomp.width > PD_WIDTH_CAP:
+        return None
     env.stats.dp_calls += 1
-    return ds_dp(lg, decomp), decomp
+    return ds_dp(lg, decomp)
 
 
 def _rec(lg: LabeledGraph, sep: Separation, env: _Env, depth: int) -> CountVector:
     """Count of lg under the separation sep; consumes sep.  Moves and the
-    re-separation, which sweeps ``_terminal``'s wide decomposition, leave
-    the graph as it is and loop in place, one level of depth each."""
+    re-separation leave the graph as it is and loop in place, one level of
+    depth each.  A component is counted outright when it has max degree
+    <= 2, when the decomposition it separates from is narrow, or when it
+    is narrow at a branch without a current decomposition."""
     stats, audit, g = env.stats, env.audit, lg.graph
-    decomp, resep = None, False  # decomp is set once g is connected and wide
+    decomp, entry = None, True  # decomp is the last re-separation's
     while True:
         stats.max_depth = max(stats.max_depth, depth)
         if audit is not None:
@@ -306,8 +307,8 @@ def _rec(lg: LabeledGraph, sep: Separation, env: _Env, depth: int) -> CountVecto
         l3, r3 = deg3_side_counts(g, sep)
         if l3 > r3:
             sep.swap()
-        if decomp is None:
-            comps = connected_components(g)
+        if entry:
+            entry, comps = False, connected_components(g)
             if len(comps) > 1:
                 stats.splits += 1
                 vec = CountVector.one()
@@ -315,23 +316,31 @@ def _rec(lg: LabeledGraph, sep: Separation, env: _Env, depth: int) -> CountVecto
                     vec = vec.convolve(_rec(_sub_labeled(lg, comp), sep.restrict(comp), env,
                                             depth + 1))
                 return _checked(env, "split", g.n, vec)
-            vec, decomp = _terminal(lg, env)
-            if vec is not None:
-                stats.leaves += 1
-                return _checked(env, "dp", g.n, vec)
-        if not sep.sep:
-            if not resep:
-                sep, resep = separate_cubic(g, decomp), True
-                stats.separator_recomputes += 1
+        vec = _terminal(lg, None, env) if g.max_degree() <= 2 else None
+        if not sep.sep and vec is None:
+            if decomp is not None:
+                # the case ladder consumed the whole separator without
+                # deleting anything, so re-separating would reproduce the
+                # cycle; branch once on a concrete vertex to shrink the graph
+                y = min(v for v in g.vertices() if g.degree(v) == 3)
+                return _branch(lg, y, sep, env, depth, "stall")
+            decomp = nice_path_decomposition(g)
+            sep = separate_cubic(g, decomp)
+            stats.separator_recomputes += 1
+            vec = _terminal(lg, decomp, env)
+            if vec is None:
                 depth += 1
                 continue
-            # the case ladder consumed the whole separator without deleting
-            # anything, so re-separating would reproduce the cycle; branch
-            # once on a concrete vertex to shrink the graph instead
-            y = min(v for v in g.vertices() if g.degree(v) == 3)
-            return _branch(lg, y, sep, env, depth, "stall")
+        if vec is not None:
+            stats.leaves += 1
+            return _checked(env, "dp", g.n, vec)
         act = select_pivot_ds(lg, sep)
         if act.kind == "branch":
+            if decomp is None:
+                vec = _terminal(lg, nice_path_decomposition(g), env)
+                if vec is not None:
+                    stats.leaves += 1
+                    return _checked(env, "dp", g.n, vec)
             return _branch(lg, act.vertex, sep, env, depth, "branch")
         apply_move(sep, act, g.neighbor_sets().__getitem__)
         depth += 1

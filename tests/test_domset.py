@@ -250,7 +250,7 @@ class TestEngine:
         vec_l, _ = count_ds(LabeledGraph.all_u(g), policy="local")
         assert vec_s == vec_l
         assert nice_path_decomposition(g).width <= 8
-        assert (st_s.branchings, st_s.dp_calls, st_s.separator_recomputes) == (0, 1, 0)
+        assert (st_s.branchings, st_s.dp_calls, st_s.separator_recomputes) == (0, 1, 1)
         assert [e.kind for e in audit.entries] == ["dp"]
         assert vec_s.to_list(22)[22] == 1  # V dominates V
         # below the component's width the engine separates and branches
@@ -266,9 +266,9 @@ class TestEngine:
         # the decomposition that check built last
         checked, built, swept = [], [], []
 
-        def terminal(lg, env):
+        def terminal(lg, decomp, env):
             checked.append(lg)
-            return _terminal(lg, env)
+            return _terminal(lg, decomp, env)
 
         def decompose(g):
             built.append(nice_path_decomposition(g))

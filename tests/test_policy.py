@@ -201,12 +201,14 @@ TOTAL_22 = (
 
 
 # count_ds stats at the shipped PD_WIDTH_CAP: each pinned graph has a nice
-# path decomposition of width <= 8 and is counted by one DP
+# path decomposition of width <= 8, separates from it once and is counted
+# by one DP over it
 DS_AT_CAP = {'branchings': 0, 'stalls': 0, 'leaves': 1, 'dp_calls': 1, 'annotations': 0,
-             'splits': 0, 'max_depth': 0, 'separator_recomputes': 0}
+             'splits': 0, 'max_depth': 0, 'separator_recomputes': 1}
 # a cubic graph of width 9, wider than the cap: one separator, one branch,
-# and three DPs; its counts came from the former core counters (25,150
-# branchings)
+# and three DPs: each child moves along the ladder to its first branch
+# pivot, whose width test finds it narrow; its counts came from the former
+# core counters (25,150 branchings)
 WIDE_48 = (
     (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 25, 5770, 355669, 9584100, 143524500,
      1360852527, 8877235259, 42233589338, 153028601756, 436602948209, 1006847025368,
@@ -215,7 +217,7 @@ WIDE_48 = (
      377468539402, 161958094594, 61718590325, 20840428043, 6212320500, 1625985449,
      370904386, 72996680, 12226180, 1710192, 194532, 17296, 1128, 48, 1),
     {'branchings': 1, 'stalls': 0, 'leaves': 3, 'dp_calls': 3, 'annotations': 0, 'splits': 0,
-     'max_depth': 2, 'separator_recomputes': 1})
+     'max_depth': 5, 'separator_recomputes': 1})
 
 
 class TestEnginesPinned:
