@@ -478,6 +478,14 @@ def _sc(inst: ScIncidence, env: _ScEnv, depth: int,
 
         act = _ladder_move(inst, w)
         if act.kind == "branch":
+            if not resep:  # no current decomposition: narrow, the node is counted
+                decomp = nice_path_decomposition(inst.active_graph())
+                if decomp.width <= PD_WIDTH_CAP:
+                    st.dp_calls += 1
+                    st.leaves += 1
+                    if aud:
+                        aud.step("dp", 2, sc_snapshots(inst, w, frozen)(inst), [])
+                    return sc_dp(inst, decomp)
             return _branch(inst, env, depth, "branch3", act.vertex, frozen)
         if aud:
             snap = sc_snapshots(inst, w, frozen, ladder=True)

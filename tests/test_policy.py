@@ -192,12 +192,13 @@ def total_domination(g: Graph) -> ScIncidence:
 # total dominating sets of gen_random_cubic(22, 1) at the shipped
 # PD_WIDTH_CAP: wider than the cap, the instance enters the subcubic ladder
 # at once; a narrow piece is counted where S empties, before any
-# re-separation, and a ladder branch is taken without a width test
+# re-separation, and a ladder branch made without a current decomposition
+# is width-tested first: both children of the one branch are narrow
 TOTAL_22 = (
     (0, 0, 0, 0, 0, 0, 0, 0, 9, 543, 6126, 28733, 73679, 118204, 128162, 98419, 55034,
      22702, 6901, 1518, 231, 22, 1),
-    {'branchings': 95, 'stalls': 0, 'leaves': 195, 'dp_calls': 195, 'annotations': 983,
-     'splits': 70, 'max_depth': 42, 'separator_recomputes': 1})
+    {'branchings': 1, 'stalls': 0, 'leaves': 2, 'dp_calls': 2, 'annotations': 0,
+     'splits': 0, 'max_depth': 3, 'separator_recomputes': 1})
 
 
 # count_ds stats at the shipped PD_WIDTH_CAP: each pinned graph has a nice
