@@ -435,11 +435,10 @@ def _sc(inst: ScIncidence, env: _ScEnv, depth: int,
                      if inst.is_set(v)), default=0)
         d_elt = max((inst.active_degree(v) for v in inst.active_vertices()
                      if not inst.is_set(v)), default=0)
-        # One decomposition per node about to branch in the general phase or
-        # to re-separate: narrow, the node is counted; wide, re-separation
-        # sweeps it.
+        # One decomposition per node about to branch in the general phase:
+        # narrow, the node is counted.  Pieces of max degree 2 always are.
         chains = max(d_set, d_elt) <= 2
-        if not inst.sep.sep or chains:
+        if max(d_set, d_elt) > 3 or chains:
             ag = inst.active_graph()
             decomp = nice_path_decomposition(ag)
             if decomp.width <= PD_WIDTH_CAP or chains:
@@ -464,6 +463,8 @@ def _sc(inst: ScIncidence, env: _ScEnv, depth: int,
                 aud.add("handover", False, {"mu": m3 <= m4 + 1e-9}, {"mu": (m4, (m3,))},
                         note=f"mu3={m3:.6f} mu4={m4:.6f}")
         if not inst.sep.sep:
+            ag = inst.active_graph()
+            decomp = nice_path_decomposition(ag)
             arg_old = sc_mu3_parts(inst, w)[1] if aud else None
             inst.sep = separate_balanced_by_measure(
                 ag, lambda v: w.wright(ag.degree(v)), w.B, decomp)
@@ -475,6 +476,12 @@ def _sc(inst: ScIncidence, env: _ScEnv, depth: int,
                         {"shrink": frozen * (1 + w.eps) <= arg_old or arg_old == 0},
                         {"arg": (float(arg_old), (float(frozen),))},
                         note=f"arg {float(arg_old):.6f} -> {float(frozen):.6f}")
+            if decomp.width <= PD_WIDTH_CAP:  # narrow, the node is counted
+                st.dp_calls += 1
+                st.leaves += 1
+                if aud:
+                    aud.step("dp", 2, sc_snapshots(inst, w, frozen)(inst), [])
+                return sc_dp(inst, decomp)
 
         act = _ladder_move(inst, w)
         if act.kind == "branch":

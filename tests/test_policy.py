@@ -191,9 +191,9 @@ def total_domination(g: Graph) -> ScIncidence:
 
 # total dominating sets of gen_random_cubic(22, 1) at the shipped
 # PD_WIDTH_CAP: wider than the cap, the instance enters the subcubic ladder
-# at once; a narrow piece is counted where S empties, before any
-# re-separation, and a ladder branch made without a current decomposition
-# is width-tested first: both children of the one branch are narrow
+# at once; a piece is width-tested where S empties, after its
+# re-separation, and at a ladder branch made without a current
+# decomposition: both children of the one branch are narrow
 TOTAL_22 = (
     (0, 0, 0, 0, 0, 0, 0, 0, 9, 543, 6126, 28733, 73679, 118204, 128162, 98419, 55034,
      22702, 6901, 1518, 231, 22, 1),
