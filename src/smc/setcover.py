@@ -383,8 +383,8 @@ def _sc(inst: ScIncidence, env: _ScEnv, depth: int,
         frozen: Fraction | None) -> CountVector:
     """Count of inst; consumes it.  Annotations, separator moves and the
     re-separation leave the incidence graph as it is, nonempty and
-    connected, and loop in place; annotations and moves cost one level of
-    depth each.  Only branches and component splits recurse."""
+    connected, and loop in place, one level of depth each.  Only branches
+    and component splits recurse."""
     st, aud, w = env.stats, env.audit, env.weights
     g = inst.incidence
     st.max_depth = max(st.max_depth, depth)
@@ -482,6 +482,8 @@ def _sc(inst: ScIncidence, env: _ScEnv, depth: int,
                 if aud:
                     aud.step("dp", 2, sc_snapshots(inst, w, frozen)(inst), [])
                 return sc_dp(inst, decomp)
+            depth += 1
+            continue
 
         act = _ladder_move(inst, w)
         if act.kind == "branch":
