@@ -211,6 +211,7 @@ def _rec_cubic(inst: CspInstance, sep: Separation, env: _Env,
     stats, audit, g = env.stats, env.audit, inst.graph
     fills = []
     decomp = None  # swept by the last re-separation; None once a reduction changes g
+    entry = True
     while True:
         stats.max_depth = max(stats.max_depth, depth)
         if audit is not None:
@@ -226,9 +227,8 @@ def _rec_cubic(inst: CspInstance, sep: Separation, env: _Env,
         if l3 > r3:
             sep.swap()
 
-        act = _simplify_action(g, sep)
-        if act is None and not sep.sep:
-            comps = connected_components(g)
+        if entry:  # no reduction disconnects a graph
+            entry, comps = False, connected_components(g)
             if len(comps) > 1:
                 stats.splits += 1
                 children = [(restrict(inst, comp), sep.restrict(comp)) for comp in comps]
@@ -241,6 +241,8 @@ def _rec_cubic(inst: CspInstance, sep: Separation, env: _Env,
                     score += s
                     asg.update(a)
                 break
+        act = _simplify_action(g, sep)
+        if act is None and not sep.sep:
             if decomp is None:
                 decomp = nice_path_decomposition(g)
                 sep2 = separate_cubic(g, decomp)
