@@ -411,6 +411,10 @@ def _sc(inst: ScIncidence, env: _ScEnv, depth: int,
         st.max_depth = max(st.max_depth, depth)
         if aud is not None:
             inst.check()
+        if inst.sep.sep:  # the lighter side is L; only the ladder reads the sides
+            mu_l, _, mu_r = sc_side_weights(inst, w)
+            if mu_l > mu_r:
+                inst.sep.swap()
         # annotate a degree <= 1 vertex, else a duplicate degree-2 one
         low = [v for v in inst.active_vertices() if inst.active_degree(v) <= 1]
         v = min(low) if low else _find_duplicate(inst)
@@ -507,13 +511,10 @@ def _sc(inst: ScIncidence, env: _ScEnv, depth: int,
 
 
 def _ladder_move(inst: ScIncidence, w: ScWeights) -> PivotAction:
-    """Next subcubic ladder step on inst's nonempty separator, with the
-    lighter side made L: a separator move, or a branch on the first
+    """Next subcubic ladder step on inst's nonempty separator, whose
+    lighter side is L: a separator move, or a branch on the first
     separator element, else on the first separator set."""
     mu_l, _, mu_r = sc_side_weights(inst, w)
-    if mu_l > mu_r:
-        inst.sep.swap()
-        mu_l, mu_r = mu_r, mu_l
     gap = mu_r - mu_l
     sep = inst.sep
     s_sorted = sorted(sep.sep)
