@@ -1,23 +1,20 @@
-"""Exact Max 2-CSP solving: separator-driven branching plus the plain
-max-degree outer loop for instances of degree ≥ 4.
+"""Exact Max 2-CSP solving: the subcubic engine, a node of the shared
+loop ``policy.run``, and the plain max-degree outer loop before it.
 
-The subcubic engine maintains a separation (L,S,R) alongside the
-instance.  Degree ≤ 2 vertices are folded away first.  When the separator
-empties, a disconnected graph splits into components; a connected one
-builds a nice path decomposition and re-separates by sweeping its bags.
-Before any ladder move, the piece is solved outright instead when the
-max-plus sweep over that decomposition keeps within r^(width+1) ≤
-3^(PD_WIDTH_CAP+1) states, the #DS sweep's bound.  Otherwise the next
-pivot comes from the shared separator-case ladder.  A branch after a
-reduction has changed the graph makes the same width check on a fresh
-decomposition, and so does the max-degree outer loop under the separator
-policy.
+The subcubic node folds degree ≤ 2 vertices away in place (reductions
+0/I/II), takes its pivots from the shared separator-case ladder and
+branches on a vertex's r colours.  A piece is solved outright by a
+max-plus sweep over its path decomposition when that keeps within
+r^(width+1) ≤ 3^(PD_WIDTH_CAP+1) states, the #DS sweep's bound.  The
+outer loop reduces and branches on a maximum-degree vertex until the
+instance is subcubic; under the separator policy it sweeps a narrow
+piece too.
 
-Ownership: a ``_rec_cubic`` call owns and consumes its instance and
-separation, and so does ``_rec_general`` with its instance.  Steps that
-do not branch mutate them in place inside one loop, so recursion depth
-is branching depth.  ``solve`` copies the caller's instance once;
-``reduceIII`` children and ``restrict`` pieces are fresh.
+Ownership: ``policy.run`` consumes a node's instance and separation, and
+``_rec_general`` its instance; both reduce in place and complete the
+witness with the reductions' fills on the way out.  ``solve`` copies the
+caller's instance once; ``reduceIII`` children and ``restrict`` pieces
+are fresh.
 
 Scores are exact (arbitrary-precision) integers throughout, so
 "overflow" cannot silently wrap.  Policy "local" disables all separator
@@ -27,7 +24,6 @@ the baseline the adversarial trace analysis applies to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 
 from .csp import (
@@ -39,9 +35,9 @@ from .csp import (
     reduceIII,
     restrict,
 )
-from .graph import Graph, connected_components
+from .graph import Graph
 from .measures import Audit, csp_snapshot
-from .policy import MOVES, PivotAction, Stats, apply_move, deg3_side_counts, separator_case
+from .policy import Node, PivotAction, Stats, run
 from .separator import (
     PD_WIDTH_CAP,
     PathDecomposition,
@@ -49,27 +45,15 @@ from .separator import (
     nice_path_decomposition,
     separate_cubic,
     trivial_separation,
-    verify_separation,
 )
 from .weights import CspWeights
 
 
-@dataclass
-class _Env:
-    policy: str
-    stats: Stats
-    audit: Audit | None
-    weights: CspWeights
-
-    def snap(self, g: Graph, sep: Separation) -> dict:
-        return csp_snapshot(g, sep, self.weights)
-
-
-def _asg_key(asg: dict[int, int]) -> tuple:
-    return tuple(sorted(asg.items()))
-
-
 def _simplify_action(g: Graph, sep: Separation | None) -> PivotAction | None:
+    """The reduction of a lowest-degree, then smallest-id, vertex of degree
+    ≤ 2; None when there is none.  A degree-2 separator vertex with one
+    endpoint in L and one in R carries its R-endpoint as the separator
+    repair."""
     adj = g.neighbor_sets()
     low = min(((len(nbrs), v) for v, nbrs in adj.items() if len(nbrs) <= 2),
               default=None)
@@ -82,21 +66,6 @@ def _simplify_action(g: Graph, sep: Separation | None) -> PivotAction | None:
         if {sep.side_of(a), sep.side_of(b)} == {"L", "R"}:
             partner = a if a in sep.right else b
     return PivotAction(("reduce0", "reduceI", "reduceII")[deg], y, partner)
-
-
-def select_pivot(inst: CspInstance, sep: Separation) -> PivotAction:
-    """Next action for the subcubic engine, excluding the S=∅ stage.
-
-    Degree ≤ 2 simplifications come first (smallest id, lowest degree
-    first); a degree-2 separator vertex with one endpoint in L and one in
-    R carries its R-endpoint as the separator repair.  On a 3-regular
-    graph the separator-case ladder decides; an empty separator is the
-    caller's signal to re-separate.
-    """
-    act = _simplify_action(inst.graph, sep)
-    if act is not None:
-        return act
-    return separator_case(inst.graph, sep)
 
 
 def _brute_best(inst: CspInstance, decomp: PathDecomposition) -> tuple[int, dict[int, int]]:
@@ -181,14 +150,14 @@ def _forget_digit(scores: list[int], r: int, b: int) -> tuple[list[int], bytearr
     return out, arg
 
 
-def _narrow_best(inst: CspInstance, env: _Env,
+def _narrow_best(inst: CspInstance, stats: Stats,
                  decomp: PathDecomposition) -> tuple[int, dict[int, int]] | None:
     """The sweep's optimum of inst over `decomp`, a nice path decomposition of
     inst.graph, if it has r^(width+1) ≤ 3^(PD_WIDTH_CAP+1) states, else None."""
     if inst.r ** (decomp.width + 1) > 3 ** (PD_WIDTH_CAP + 1):
         return None
-    env.stats.leaves += 1
-    env.stats.dp_calls += 1
+    stats.leaves += 1
+    stats.dp_calls += 1
     return _brute_best(inst, decomp)
 
 
@@ -196,99 +165,80 @@ _IN_PLACE = {"reduce0": reduce0_inplace, "reduceI": reduceI_inplace,
              "reduceII": reduceII_inplace}
 
 
-def _rec_cubic(inst: CspInstance, sep: Separation, env: _Env,
-               depth: int) -> tuple[int, dict[int, int]]:
-    """Optimum and witness of inst under the separation sep; consumes both.
+class _Node(Node):
+    """A subcubic instance and its separation, for ``policy.run``, which
+    consumes both.  Reductions 0/I/II are its simplification, made in
+    place; ``_run`` completes the witness with their fills."""
 
-    Reductions, drags, rotations and re-separations run in place; their
-    fills are applied in reverse on the way out.  Only a branch, a stall,
-    a split or a terminal recurses.  Each step the loop goes on from
-    counts one level of depth.
-    The re-separation's decomposition is kept until a reduction changes
-    the graph; a branch or stall while it is kept skips the width check,
-    which that decomposition already failed.
-    """
-    stats, audit, g = env.stats, env.audit, inst.graph
-    fills = []
-    decomp = None  # swept by the last re-separation; None once a reduction changes g
-    entry = True
-    while True:
-        stats.max_depth = max(stats.max_depth, depth)
-        if audit is not None:
-            assert verify_separation(g, sep), "separation invalid at recursive call"
-        if g.n == 0:
-            stats.leaves += 1
-            if audit is not None:
-                audit.step("leaf", inst.r, env.snap(g, sep), [])
-            score, asg = inst.s_nil, {}
-            break
+    def __init__(self, inst: CspInstance, sep: Separation, stats: Stats,
+                 audit: Audit | None, weights: CspWeights):
+        self.inst, self.graph, self.sep, self.fills = inst, inst.graph, sep, []
+        self.stats, self.audit, self.weights = stats, audit, weights
 
-        l3, r3 = deg3_side_counts(g, sep)
-        if l3 > r3:
-            sep.swap()
+    def _snap(self) -> dict | None:
+        return None if self.audit is None else csp_snapshot(self.graph, self.sep, self.weights)
 
-        if entry:  # no reduction disconnects a graph
-            entry, comps = False, connected_components(g)
-            if len(comps) > 1:
-                stats.splits += 1
-                children = [(restrict(inst, comp), sep.restrict(comp)) for comp in comps]
-                if audit is not None:
-                    audit.step("split", inst.r, env.snap(g, sep),
-                               [env.snap(ci.graph, cs) for ci, cs in children], hard=False)
-                score, asg = inst.s_nil, {}
-                for ci, cs in children:
-                    s, a = _rec_cubic(ci, cs, env, depth + 1)
-                    score += s
-                    asg.update(a)
-                break
-        act = _simplify_action(g, sep)
-        if act is None and not sep.sep:
-            if decomp is None:
-                decomp = nice_path_decomposition(g)
-                sep2 = separate_cubic(g, decomp)
-                stats.separator_recomputes += 1
-                if audit is not None:
-                    audit.step("reseparate", inst.r, env.snap(g, sep), [env.snap(g, sep2)],
-                               hard=False)
-                # narrow, the piece is swept before any ladder move
-                best = _narrow_best(inst, env, decomp)
-                if best is not None:
-                    if audit is not None:
-                        audit.step("terminal", inst.r, env.snap(g, sep2), [])
-                    score, asg = best
-                    break
-                sep, depth = sep2, depth + 1
-                continue
-            # Separating this graph already led back here with nothing removed
-            # (the case ladder consumed the whole separator), so separating
-            # again would repeat the cycle.  Branch on one vertex to shrink the
-            # graph; outside the analyzed cases, hence a soft step.
-            y = min(v for v in g.vertices() if g.degree(v) == g.max_degree())
-            score, asg = _branch_cubic(inst, sep, y, env, depth, decomp, "stall",
-                                       "re-separation made no progress")
-            break
+    def _log(self, kind: str, before: dict | None, after: list | None = None, **kw) -> None:
+        """Audit a step from `before` to this node, or to the nodes `after`."""
+        if self.audit is not None:
+            after = [self] if after is None else after
+            self.audit.step(kind, self.inst.r, before, [c._snap() for c in after], **kw)
+
+    def leaf(self):
+        self._log("leaf", self._snap(), [])
+        return self.inst.s_nil, {}
+
+    def split(self, parts, depth):
+        children = [_Node(restrict(self.inst, comp), self.sep.restrict(comp), self.stats,
+                          self.audit, self.weights) for comp in parts]
+        self._log("split", self._snap(), children, hard=False)
+        answers = [_run(child, depth) for child in children]
+        return (self.inst.s_nil + sum(s for s, _ in answers),
+                {v: c for _, a in answers for v, c in a.items()})
+
+    def simplify(self) -> bool:
+        act = _simplify_action(self.graph, self.sep)
         if act is None:
-            act = separator_case(g, sep)
+            return False
+        before = self._snap()
+        self.fills.append(_IN_PLACE[act.kind](self.inst, act.vertex))
+        self.sep.discard(act.vertex)
+        if act.partner is not None:  # reduceII's separator repair
+            self.sep.right.remove(act.partner)
+            self.sep.sep.add(act.partner)
+        self._log(act.kind, before, falls=("eta",))
+        return True
 
-        kind, y = act.kind, act.vertex
-        if kind == "branch":
-            score, asg = _branch_cubic(inst, sep, y, env, depth, decomp, "branch")
-            break
-        if audit is not None:
-            before = env.snap(g, sep)
-        if kind in MOVES:
-            apply_move(sep, act, g.neighbor_sets().__getitem__)
-        else:
-            fills.append(_IN_PLACE[kind](inst, y))
-            sep.discard(y)
-            decomp = None
-            if act.partner is not None:  # reduceII's separator repair
-                sep.right.remove(act.partner)
-                sep.sep.add(act.partner)
-        if audit is not None:
-            audit.step(kind, inst.r, before, [env.snap(g, sep)], falls=("eta",))
-        depth += 1
-    for fill in reversed(fills):
+    def separate(self) -> PathDecomposition:
+        decomp, before = nice_path_decomposition(self.graph), self._snap()
+        self.sep = separate_cubic(self.graph, decomp)
+        self._log("reseparate", before, hard=False)
+        return decomp
+
+    def sweep(self, decomp: PathDecomposition):
+        best = _narrow_best(self.inst, self.stats, decomp)
+        if best is not None:
+            self._log("terminal", self._snap(), [])
+        return best
+
+    def move(self, act: PivotAction) -> None:
+        before = self._snap()
+        super().move(act)
+        self._log(act.kind, before, falls=("eta",))
+
+    def branch(self, y: int, kind: str, depth: int):
+        children = reduceIII(self.inst, y)
+        nodes = [_Node(ci, self.sep.restrict(ci.graph.vertices()), self.stats, self.audit,
+                       self.weights) for ci, _ in children]
+        self._log(kind, self._snap(), nodes, falls=("eta",), hard=kind == "branch",
+                  note="re-separation made no progress" if kind == "stall" else "")
+        return _best(children, lambda i, child: _run(nodes[i], depth))
+
+
+def _run(node: _Node, depth: int) -> tuple[int, dict[int, int]]:
+    """``policy.run`` on node, the witness completed by its reductions' fills."""
+    score, asg = run(node, depth)
+    for fill in reversed(node.fills):
         fill(asg)
     return score, asg
 
@@ -301,47 +251,24 @@ def _best(children, solve_child) -> tuple[int, dict[int, int]]:
         s, a = solve_child(i, child)
         full = ext(a)
         if (best is None or s > best[0]
-                or (s == best[0] and _asg_key(full) < _asg_key(best[1]))):
+                or (s == best[0] and sorted(full.items()) < sorted(best[1].items()))):
             best = (s, full)
     return best
 
 
-def _branch_cubic(inst: CspInstance, sep: Separation, y: int, env: _Env,
-                  depth: int, decomp: PathDecomposition | None, kind: str,
-                  note: str = "") -> tuple[int, dict[int, int]]:
-    """Branch on y, the ladder's pivot or a stall's.  `decomp` is the last
-    re-separation's decomposition of inst, which was found too wide for
-    the sweep when it was built; without one, inst is swept instead when
-    narrow."""
-    if decomp is None:
-        best = _narrow_best(inst, env, nice_path_decomposition(inst.graph))
-        if best is not None:
-            if env.audit is not None:
-                env.audit.step("terminal", inst.r, env.snap(inst.graph, sep), [])
-            return best
-    children = reduceIII(inst, y)
-    env.stats.branchings += 1
-    env.stats.stalls += kind == "stall"
-    seps = [sep.restrict(ci.graph.vertices()) for ci, _ in children]
-    if env.audit is not None:
-        env.audit.step(kind, inst.r, env.snap(inst.graph, sep),
-                       [env.snap(ci.graph, s2) for (ci, _), s2 in zip(children, seps)],
-                       falls=("eta",), hard=kind == "branch", note=note)
-    return _best(children, lambda i, child: _rec_cubic(child, seps[i], env, depth + 1))
-
-
-def _rec_general(inst: CspInstance, env: _Env,
-                 depth: int) -> tuple[int, dict[int, int]]:
+def _rec_general(inst: CspInstance, stats: Stats, depth: int,
+                 cubic=None) -> tuple[int, dict[int, int]]:
     """Max-degree outer loop; consumes inst.  Reductions 0/I/II run in
-    place as in ``_rec_cubic``; each still counts one level of depth.
-    Under the separator policy a narrow piece is swept instead of
-    branched on; the local policy always branches."""
+    place, one level of depth each.  Under the separator policy,
+    `cubic(inst, depth)` takes over once inst is subcubic, and a narrow
+    piece is swept instead of branched on; under the local policy `cubic`
+    is None and the loop always branches."""
     g = inst.graph
     fills = []
     while True:
-        env.stats.max_depth = max(env.stats.max_depth, depth)
+        stats.max_depth = max(stats.max_depth, depth)
         if g.n == 0:
-            env.stats.leaves += 1
+            stats.leaves += 1
             score, asg = inst.s_nil, {}
             break
         act = _simplify_action(g, None)
@@ -349,19 +276,19 @@ def _rec_general(inst: CspInstance, env: _Env,
             fills.append(_IN_PLACE[act.kind](inst, act.vertex))
             depth += 1
             continue
-        if env.policy == "separator":
+        if cubic is not None:
             if g.max_degree() <= 3:
-                score, asg = _rec_cubic(inst, trivial_separation(g.vertices()), env, depth)
+                score, asg = cubic(inst, depth)
                 break
-            best = _narrow_best(inst, env, nice_path_decomposition(g))
+            best = _narrow_best(inst, stats, nice_path_decomposition(g))
             if best is not None:
                 score, asg = best
                 break
         dmax = g.max_degree()
         y = min(v for v in g.vertices() if g.degree(v) == dmax)
         children = reduceIII(inst, y)
-        env.stats.branchings += 1
-        score, asg = _best(children, lambda i, child: _rec_general(child, env, depth + 1))
+        stats.branchings += 1
+        score, asg = _best(children, lambda i, child: _rec_general(child, stats, depth + 1, cubic))
         break
     for fill in reversed(fills):
         fill(asg)
@@ -389,13 +316,18 @@ def solve(inst: CspInstance, policy: str = "separator", audit: Audit | None = No
         raise ValueError(f"unknown policy {policy!r}")
     if policy == "local" and audit is not None:
         raise ValueError("the local policy records no step: an audit needs the separator policy")
-    stats = Stats()
-    env = _Env(policy, stats, audit, weights or CspWeights.published())
+    stats, weights = Stats(), weights or CspWeights.published()
     inst = inst.copy()  # the engines consume their instance
-    if policy == "separator" and inst.graph.max_degree() <= 3:
+
+    def cubic(inst: CspInstance, depth: int) -> tuple[int, dict[int, int]]:
         sep = trivial_separation(inst.graph.vertices())
-        score, asg = _rec_cubic(inst, sep, env, 0)
+        return _run(_Node(inst, sep, stats, audit, weights), depth)
+
+    if policy == "local":
+        score, asg = _rec_general(inst, stats, 0)
+    elif inst.graph.max_degree() <= 3:
+        score, asg = cubic(inst, 0)
     else:
-        score, asg = _rec_general(inst, env, 0)
+        score, asg = _rec_general(inst, stats, 0, cubic)
     assert stats.leaves >= 1 and stats.branchings >= 0
     return CspSolution(score, asg), stats

@@ -13,9 +13,11 @@ recombines by inclusion-exclusion; degree <= 2 vertices are never
 branched on.  Its one terminal, ``ds_dp``, sweeps a path decomposition
 with three states per bag vertex: a connected component is counted
 outright when it has max degree <= 2 (walked as a path or cycle) or a
-nice path decomposition of width at most ``PD_WIDTH_CAP``.  Branch
+nice path decomposition of width at most ``PD_WIDTH_CAP``.  Under the
+separator policy each component is a node of the shared loop
+``policy.run``, which consumes the node's separation, and its branch
 pivots come from the same separator-case ladder the Max 2-CSP solver
-uses.
+uses; branch children and components are fresh copies.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .counts import CountVector, add_into
-from .graph import Graph, connected_components, induced_subgraph, parse_graph
+from .graph import Graph, induced_subgraph, parse_graph
 from .measures import Audit
-from .policy import PivotAction, Stats, apply_move, deg3_side_counts, separator_case
+from .policy import Node, PivotAction, Stats, deg3_side_counts, run, separator_case
 from .separator import (
     PD_WIDTH_CAP,
     PathDecomposition,
@@ -34,7 +36,6 @@ from .separator import (
     path_decomposition,
     separate_cubic,
     trivial_separation,
-    verify_separation,
 )
 
 U, N, C = "U", "N", "C"
@@ -250,31 +251,18 @@ def select_pivot_ds(lg: LabeledGraph, sep: Separation) -> PivotAction:
 # -- counting engine -----------------------------------------------------------
 
 
-@dataclass
-class _Env:
-    stats: Stats
-    audit: Audit | None
-
-
-def _checked(env: _Env, kind: str, n: int, vec: CountVector) -> CountVector:
+def _checked(audit: Audit | None, kind: str, n: int, vec: CountVector) -> CountVector:
     """vec, recorded with the audit's count checks: the branch recombination
     subtracts the forbidden child, so a bug would typically show up as a
     negative entry ("nonneg") or as mass above index n or a total above
     2^n ("sum")."""
-    if env.audit is not None:
+    if audit is not None:
         fits = not any(vec.counts[n + 1:]) and vec.total() <= 2**n
-        env.audit.add(kind, True, {"nonneg": vec.is_nonnegative(), "sum": fits}, {"n": n})
+        audit.add(kind, True, {"nonneg": vec.is_nonnegative(), "sum": fits}, {"n": n})
     return vec
 
 
-def _sub_labeled(lg: LabeledGraph, comp: list[int]) -> LabeledGraph:
-    return LabeledGraph(
-        induced_subgraph(lg.graph, comp), {v: lg.label[v] for v in comp}
-    )
-
-
-def _terminal(lg: LabeledGraph, decomp: PathDecomposition | None,
-              env: _Env) -> CountVector | None:
+def _terminal(lg: LabeledGraph, decomp: PathDecomposition | None) -> CountVector | None:
     """Count of a connected component by ``ds_dp``: along its walk order
     when it has max degree <= 2, else over `decomp`, a nice path
     decomposition of it, when that is at most PD_WIDTH_CAP wide; None
@@ -284,101 +272,83 @@ def _terminal(lg: LabeledGraph, decomp: PathDecomposition | None,
         decomp = path_decomposition(g, _linear_order(g))
     elif decomp.width > PD_WIDTH_CAP:
         return None
-    env.stats.dp_calls += 1
     return ds_dp(lg, decomp)
 
 
-def _rec(lg: LabeledGraph, sep: Separation, env: _Env, depth: int) -> CountVector:
-    """Count of lg under the separation sep; consumes sep.  Moves and the
-    re-separation leave the graph as it is and loop in place, one level of
-    depth each.  A component is counted outright when it has max degree
-    <= 2, when the decomposition it separates from is narrow, or when it
-    is narrow at a branch without a current decomposition."""
-    stats, audit, g = env.stats, env.audit, lg.graph
-    decomp, entry = None, True  # decomp is the last re-separation's
-    while True:
-        stats.max_depth = max(stats.max_depth, depth)
-        if audit is not None:
-            assert verify_separation(g, sep), "separation invalid at recursive call"
-            lg.check()
-        if g.n == 0:
-            stats.leaves += 1
-            return _checked(env, "leaf", 0, CountVector.one())
-        l3, r3 = deg3_side_counts(g, sep)
-        if l3 > r3:
-            sep.swap()
-        if entry:
-            entry, comps = False, connected_components(g)
-            if len(comps) > 1:
-                stats.splits += 1
-                vec = CountVector.one()
-                for comp in comps:
-                    vec = vec.convolve(_rec(_sub_labeled(lg, comp), sep.restrict(comp), env,
-                                            depth + 1))
-                return _checked(env, "split", g.n, vec)
-        vec = _terminal(lg, None, env) if g.max_degree() <= 2 else None
-        if not sep.sep and vec is None:
-            if decomp is not None:
-                # the case ladder consumed the whole separator without
-                # deleting anything, so re-separating would reproduce the
-                # cycle; branch once on a concrete vertex to shrink the graph
-                y = min(v for v in g.vertices() if g.degree(v) == 3)
-                return _branch(lg, y, sep, env, depth, "stall")
-            decomp = nice_path_decomposition(g)
-            sep = separate_cubic(g, decomp)
-            stats.separator_recomputes += 1
-            vec = _terminal(lg, decomp, env)
-            if vec is None:
-                depth += 1
-                continue
-        if vec is not None:
-            stats.leaves += 1
-            return _checked(env, "dp", g.n, vec)
-        act = select_pivot_ds(lg, sep)
-        if act.kind == "branch":
-            if decomp is None:
-                vec = _terminal(lg, nice_path_decomposition(g), env)
-                if vec is not None:
-                    stats.leaves += 1
-                    return _checked(env, "dp", g.n, vec)
-            return _branch(lg, act.vertex, sep, env, depth, "branch")
-        apply_move(sep, act, g.neighbor_sets().__getitem__)
-        depth += 1
+class _Node(Node):
+    """A labeled subcubic graph and its separation, for ``policy.run``,
+    which consumes both.  Nothing simplifies it; off the ladder, a piece
+    of max degree <= 2 is counted along its walk."""
+
+    def __init__(self, lg: LabeledGraph, sep: Separation, stats: Stats, audit: Audit | None):
+        self.lg, self.graph, self.sep, self.stats, self.audit = lg, lg.graph, sep, stats, audit
+
+    def _child(self, lg: LabeledGraph) -> "_Node":
+        return _Node(lg, self.sep.restrict(lg.graph.vertices()), self.stats, self.audit)
+
+    def check(self) -> None:
+        super().check()
+        self.lg.check()
+
+    def leaf(self) -> CountVector:
+        return _checked(self.audit, "leaf", 0, CountVector.one())
+
+    def split(self, parts, depth) -> CountVector:
+        vec, lg = CountVector.one(), self.lg
+        for comp in parts:
+            sub = LabeledGraph(induced_subgraph(lg.graph, comp), {v: lg.label[v] for v in comp})
+            vec = vec.convolve(run(self._child(sub), depth))
+        return _checked(self.audit, "split", self.graph.n, vec)
+
+    def direct(self, depth) -> CountVector | None:
+        return self.sweep(None) if self.graph.max_degree() <= 2 else None
+
+    def separate(self) -> PathDecomposition:
+        decomp = nice_path_decomposition(self.graph)
+        self.sep = separate_cubic(self.graph, decomp)
+        return decomp
+
+    def sweep(self, decomp) -> CountVector | None:
+        vec = _terminal(self.lg, decomp)
+        if vec is None:
+            return None
+        self.stats.leaves += 1
+        self.stats.dp_calls += 1
+        return _checked(self.audit, "dp", self.graph.n, vec)
+
+    def pivot(self) -> PivotAction:
+        return select_pivot_ds(self.lg, self.sep)
+
+    def branch(self, y, kind, depth) -> CountVector:
+        vec_in, vec_opt, vec_forb = [run(self._child(c), depth) for c in branch3(self.lg, y)]
+        return _checked(self.audit, kind, self.graph.n, vec_in.shift(1) + vec_opt - vec_forb)
 
 
-def _branch(lg: LabeledGraph, y: int, sep: Separation, env: _Env, depth: int, kind: str) -> CountVector:
-    env.stats.branchings += 1
-    env.stats.stalls += kind == "stall"
-    vec_in, vec_opt, vec_forb = [_rec(child, sep.restrict(child.graph.vertices()), env, depth + 1)
-                                 for child in branch3(lg, y)]
-    return _checked(env, kind, lg.graph.n, vec_in.shift(1) + vec_opt - vec_forb)
-
-
-def _rec_local(lg: LabeledGraph, env: _Env, depth: int) -> CountVector:
+def _rec_local(lg: LabeledGraph, stats: Stats, audit: Audit | None, depth: int) -> CountVector:
     """Branch on the smallest-id degree-3 vertex until none is left, then
     sweep up what remains (paths, cycles, isolated vertices).  No
     separators, no component splits while branching: the baseline the
     pivot-policy comparison runs against."""
-    env.stats.max_depth = max(env.stats.max_depth, depth)
+    stats.max_depth = max(stats.max_depth, depth)
     g = lg.graph
-    if env.audit is not None:
+    if audit is not None:
         lg.check()
     if g.n == 0:
-        env.stats.leaves += 1
-        return _checked(env, "leaf", 0, CountVector.one())
+        stats.leaves += 1
+        return _checked(audit, "leaf", 0, CountVector.one())
     deg3 = [v for v in g.vertices() if g.degree(v) == 3]
     if deg3:
         g_in, g_opt, g_forb = branch3(lg, deg3[0])
-        env.stats.branchings += 1
+        stats.branchings += 1
         vec = (
-            _rec_local(g_in, env, depth + 1).shift(1)
-            + _rec_local(g_opt, env, depth + 1)
-            - _rec_local(g_forb, env, depth + 1)
+            _rec_local(g_in, stats, audit, depth + 1).shift(1)
+            + _rec_local(g_opt, stats, audit, depth + 1)
+            - _rec_local(g_forb, stats, audit, depth + 1)
         )
-        return _checked(env, "branch", g.n, vec)
-    env.stats.leaves += 1
-    env.stats.dp_calls += 1
-    return _checked(env, "flat", g.n, ds_dp(lg, path_decomposition(g, _linear_order(g))))
+        return _checked(audit, "branch", g.n, vec)
+    stats.leaves += 1
+    stats.dp_calls += 1
+    return _checked(audit, "flat", g.n, ds_dp(lg, path_decomposition(g, _linear_order(g))))
 
 
 def count_ds(lg: LabeledGraph, policy: str = "separator",
@@ -399,9 +369,8 @@ def count_ds(lg: LabeledGraph, policy: str = "separator",
     lg = lg.copy()
     lg.check()
     stats = Stats()
-    env = _Env(stats, audit)
     if policy == "separator":
-        vec = _rec(lg, trivial_separation(lg.graph.vertices()), env, 0)
+        vec = run(_Node(lg, trivial_separation(lg.graph.vertices()), stats, audit), 0)
     else:
-        vec = _rec_local(lg, env, 0)
+        vec = _rec_local(lg, stats, audit, 0)
     return vec, stats

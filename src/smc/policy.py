@@ -1,9 +1,9 @@
-"""Separator state machine shared by the subcubic engines: the case
-ladder that picks the next action, and ``apply_move``, which makes the
-non-branching moves on a separation in place.  The engines choose their
-moves (``separator_case``, ``select_pivot_ds``, the set-cover gap
-ladder); only here are moves carried out.  ``Stats`` holds the run
-counters of all three engines.
+"""The separator ladder of the three engines: ``run``, the one loop that
+steps every subcubic node of the Max 2-CSP, #DS and set-cover engines, in
+the order that it owns; the case ladder that picks the next pivot;
+``apply_move``, which makes the non-branching moves on a separation in
+place; and ``Stats``, the run counters of all three.  An engine's ``Node``
+applies the engine's own rules at each step and keeps its audit records.
 
 Given a separation (L,S,R) of a 3-regular graph, ``separator_case``
 classifies the separator vertices by where their neighbors live and
@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Collection
 
-from .graph import Graph
-from .separator import Separation
+from .graph import Graph, connected_components
+from .separator import PathDecomposition, Separation, nice_path_decomposition, verify_separation
 
 
 @dataclass
@@ -90,25 +90,21 @@ def separator_case(g: Graph, sep: Separation) -> PivotAction:
     raise AssertionError("separator case ladder is exhaustive on cubic graphs")
 
 
-MOVES = frozenset({"drag-R", "drag-L", "drag-path-R", "drag-path-L",
-                   "rotate", "rotate-pair"})
-
-
-def _run(sep: Separation, s: int, side: str,
-         nbrs: Callable[[int], Collection[int]]) -> tuple[list[int], int | None]:
+def _walk(sep: Separation, s: int, side: str,
+          nbrs: Callable[[int], Collection[int]]) -> tuple[list[int], int | None]:
     """s and its degree-<=2 run into `side`, and the S or degree-3 vertex
     that ends it; None when the run dies out at a degree-1 vertex, which
     then belongs to the run.  L and R are not adjacent, so past s the run
     stays in `side`."""
-    run, prev = [s], s
+    path, prev = [s], s
     cur = next(u for u in nbrs(s) if sep.side_of(u) == side)
     while cur not in sep.sep and len(nbrs(cur)) < 3:
-        run.append(cur)
+        path.append(cur)
         ahead = [u for u in nbrs(cur) if u != prev]
         if not ahead:
-            return run, None
+            return path, None
         prev, cur = cur, ahead[0]
-    return run, cur
+    return path, cur
 
 
 def apply_move(sep: Separation, act: PivotAction,
@@ -124,13 +120,13 @@ def apply_move(sep: Separation, act: PivotAction,
     nbrs(v) gives v's current neighbours; only drag-path reads it.
     """
     kind, s = act.kind, act.vertex
-    if kind not in MOVES:
+    if kind not in ("drag-R", "drag-L", "drag-path-R", "drag-path-L", "rotate", "rotate-pair"):
         raise ValueError(f"not a separator move: {kind}")
     if kind in ("drag-path-R", "drag-path-L"):
         to_right = kind == "drag-path-R"
         dest, walked = (sep.right, sep.left) if to_right else (sep.left, sep.right)
-        run, stop = _run(sep, s, "L" if to_right else "R", nbrs)
-        for v in run:
+        path, stop = _walk(sep, s, "L" if to_right else "R", nbrs)
+        for v in path:
             sep.discard(v)
             dest.add(v)
         if stop is not None and stop not in sep.sep:
@@ -142,3 +138,105 @@ def apply_move(sep: Separation, act: PivotAction,
     if kind in ("rotate", "rotate-pair"):
         sep.right.remove(act.partner)
         (sep.sep if kind == "rotate" else sep.left).add(act.partner)
+
+
+class Node:
+    """One node of ``run``: an engine's instance with its ``graph`` and its
+    separation ``sep``, both consumed by the loop, and the run's ``stats``
+    and ``audit``.  An engine supplies ``leaf``, ``split``, ``separate``,
+    ``sweep`` and ``branch``; the defaults below are the cubic ladder's
+    rules, which an engine overrides where its own differ."""
+
+    def check(self) -> None:
+        """Assert the node's invariants; called only under an audit."""
+        assert verify_separation(self.graph, self.sep), "separation invalid at recursive call"
+
+    def orient(self) -> None:
+        """Make the lighter side L: the one with fewer degree-3 vertices."""
+        l3, r3 = deg3_side_counts(self.graph, self.sep)
+        if l3 > r3:
+            self.sep.swap()
+
+    def simplify(self) -> bool:
+        """Make one in-place simplification; False when none applies."""
+        return False
+
+    def direct(self, depth: int):
+        """The answer, when the engine settles the node off the ladder."""
+        return None
+
+    def decompose(self) -> PathDecomposition:
+        return nice_path_decomposition(self.graph)
+
+    def pivot(self) -> PivotAction:
+        return separator_case(self.graph, self.sep)
+
+    def move(self, act: PivotAction) -> None:
+        apply_move(self.sep, act, self.graph.neighbor_sets().__getitem__)
+
+    def stall(self) -> int:
+        """The vertex a stall branches on: the smallest of degree 3."""
+        return min(v for v in self.graph.vertices() if self.graph.degree(v) == 3)
+
+
+def run(node: Node, depth: int):
+    """The answer of `node`.  Each pass orients the separation and takes
+    the first step that applies:
+
+      1. an empty instance is a leaf;
+      2. at node entry, a disconnected graph splits into its components
+         (no simplification disconnects one);
+      3. one in-place simplification;
+      4. the engine settles the node off the ladder (``direct``);
+      5. at S = ∅, a stall when nothing was simplified since the last
+         re-separation: separating again would repeat the cycle, so the
+         node branches on one vertex, outside the analysed cases.  Else a
+         fresh decomposition, a separation from it and a sweep over it,
+         which answers None when the piece is too wide;
+      6. the ladder's pivot: a move, made in place, or a branch, which
+         is width-tested first unless a current decomposition failed it.
+
+    Steps that do not branch loop in place, one level of depth each.
+    Step 5 separates before it sweeps, as the benchmark's tracer test
+    needs of a narrow ``csp-cubic`` solve.
+    """
+    stats, decomp, entry = node.stats, None, True  # decomp: the last re-separation's
+    while True:
+        stats.max_depth = max(stats.max_depth, depth)
+        if node.audit is not None:
+            node.check()
+        if not node.graph.n:
+            stats.leaves += 1
+            return node.leaf()
+        node.orient()
+        if entry:
+            entry, parts = False, connected_components(node.graph)
+            if len(parts) > 1:
+                stats.splits += 1
+                return node.split(parts, depth + 1)
+        if node.simplify():
+            decomp, depth = None, depth + 1
+            continue
+        answer = node.direct(depth + 1)
+        if answer is not None:
+            return answer
+        if not node.sep.sep:
+            if decomp is not None:
+                stats.branchings += 1
+                stats.stalls += 1
+                return node.branch(node.stall(), "stall", depth + 1)
+            decomp = node.separate()
+            stats.separator_recomputes += 1
+            answer = node.sweep(decomp)
+            if answer is not None:
+                return answer
+        else:
+            act = node.pivot()
+            if act.kind == "branch":
+                answer = None if decomp is not None else node.sweep(node.decompose())
+                if answer is None:
+                    stats.branchings += 1
+                    answer = node.branch(act.vertex, "branch", depth + 1)
+                return answer
+            node.move(act)
+        depth += 1

@@ -11,16 +11,12 @@ snapshots.
 The engine's one terminal, ``sc_dp``, sweeps a nice path decomposition of
 the active part; pieces wider than ``PD_WIDTH_CAP`` are branched on.
 
-Ownership: an engine call owns and consumes its instance.  Annotations,
-separator moves and the re-separation change it in place inside one
-loop; only branches and component splits build fresh children and
+Ownership: each node of the shared loop ``policy.run`` owns and consumes
+its instance.  Annotations, separator moves and the re-separation change
+it in place; only branches and component splits build fresh children and
 recurse, so an instance that reduces without branching needs no
-recursion.  ``sc_count`` copies the caller's instance once.
-
-The stall rule is the other engines': the decomposition that the last
-re-separation swept stays current until an annotation changes the active
-graph, and a separator the ladder drains while it is current is a stall,
-which branches instead of re-separating.
+recursion.  ``sc_count`` copies the caller's instance once.  The step
+order and the stall rule are the loop's, as in the other two engines.
 """
 
 from __future__ import annotations
@@ -29,9 +25,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .counts import CountVector, add_into
-from .graph import Graph, connected_components, induced_subgraph
+from .graph import Graph, induced_subgraph
 from .measures import Audit, sc_mu3, sc_mu3_parts, sc_mu4, sc_side_weights, sc_snapshots
-from .policy import PivotAction, Stats, apply_move
+from .policy import Node, PivotAction, Stats, apply_move, run
 from .separator import (
     PD_WIDTH_CAP,
     PathDecomposition,
@@ -252,13 +248,12 @@ def sc_dp(inst: ScIncidence, decomp: PathDecomposition) -> CountVector:
                      and nbrs_now(u) == set(targets)]
             assert cands, f"duplicate-annotated {v} lost its twin"
             tw = min(cands)
-            ta, tb = pairs[tw]
             if inst.is_set(v):
                 # slot semantics: covers iff at least one of the pair taken
-                pairs[tw] = (ta.convolve(va + vb) + tb.convolve(va),
-                             tb.convolve(vb))
+                pairs[tw] = _fold_set_under(pairs[tw], va, vb)
             else:
                 # both elements need the same outside cover unless satisfied
+                ta, tb = pairs[tw]
                 sat = ta.convolve(va)
                 both = (ta + tb).convolve(va + vb)
                 pairs[tw] = (sat, both - sat)
@@ -309,13 +304,6 @@ def sc_dp(inst: ScIncidence, decomp: PathDecomposition) -> CountVector:
 # -- engine ------------------------------------------------------------------
 
 
-@dataclass
-class _ScEnv:
-    weights: ScWeights
-    stats: Stats
-    audit: Audit | None
-
-
 def _component(inst: ScIncidence, comp: list[int]) -> ScIncidence:
     keep = set(comp)
     return ScIncidence(
@@ -357,9 +345,10 @@ def sc_count(inst: ScIncidence, weights: ScWeights | None = None,
              audit: Audit | None = None) -> tuple[CountVector, Stats]:
     """Count set covers of every cardinality (duplicate sets distinct).
 
-    A node that would branch in the general phase or re-separate is
-    counted by ``sc_dp`` when its path decomposition has width at most
-    ``PD_WIDTH_CAP``, as is every piece of maximum degree 2.  Wider pieces
+    ``sc_dp`` counts a piece of maximum degree 2, and a node whose path
+    decomposition has width at most ``PD_WIDTH_CAP`` where it would
+    branch in the general phase, where it re-separates, and where it
+    branches on the ladder with no current decomposition.  Wider pieces
     branch on sets/elements of degree >= 4 until the incidence graph is
     subcubic, then follow the separator ladder.  `weights` (the published
     table by default) set the separator balance, and the audit measures
@@ -374,213 +363,195 @@ def sc_count(inst: ScIncidence, weights: ScWeights | None = None,
     """
     work = inst.copy()
     work.check()
-    env = _ScEnv(weights or ScWeights.published(), Stats(), audit)
-    vec = _sc(work, env, 0, None)
-    return vec, env.stats
+    stats = Stats()
+    return run(_Node(work, weights or ScWeights.published(), stats, audit), 0), stats
 
 
-def _sc(inst: ScIncidence, env: _ScEnv, depth: int,
-        frozen: Fraction | None) -> CountVector:
-    """Count of inst; consumes it.  Annotations, separator moves and the
-    re-separation leave the incidence graph as it is, nonempty and
-    connected, and loop in place, one level of depth each.  Only branches
-    and component splits recurse."""
-    st, aud, w = env.stats, env.audit, env.weights
-    g = inst.incidence
-    st.max_depth = max(st.max_depth, depth)
-    if not g.vertices():
-        st.leaves += 1
-        if aud:
-            aud.step("leaf", 2, sc_snapshots(inst, w)(inst), [])
+class _Node(Node):
+    """A set-cover instance for ``policy.run``: the loop splits its
+    incidence graph and moves ``inst.sep``, the separation of its active
+    part.  Annotations simplify it.  Off the ladder it counts a piece of
+    max degree 2 and settles the general phase (an active degree >= 4).
+    `frozen` is μ₃'s log argument since the last re-separation or the
+    handover to the subcubic phase."""
+
+    sep = property(lambda self: self.inst.sep)
+
+    def __init__(self, inst: ScIncidence, weights: ScWeights, stats: Stats,
+                 audit: Audit | None, frozen: Fraction | None = None):
+        self.inst, self.graph, self.w, self.frozen = inst, inst.incidence, weights, frozen
+        self.stats, self.audit = stats, audit
+
+    def check(self) -> None:
+        self.inst.check()
+
+    def leaf(self) -> CountVector:
+        if self.audit:
+            self.audit.step("leaf", 2, sc_snapshots(self.inst, self.w)(self.inst), [])
         return CountVector.one()
-    comps = connected_components(g)
-    if len(comps) > 1:
-        st.splits += 1
-        children = [_component(inst, comp) for comp in comps]
-        if aud:
-            snap = sc_snapshots(inst, w)
-            aud.step("split", 2, snap(inst), [snap(c) for c in children], hard=False,
-                     note=f"{len(comps)} parts")
+
+    def split(self, parts, depth) -> CountVector:
+        children = [_component(self.inst, comp) for comp in parts]
+        if self.audit:
+            snap = sc_snapshots(self.inst, self.w)
+            self.audit.step("split", 2, snap(self.inst), [snap(c) for c in children],
+                            hard=False, note=f"{len(parts)} parts")
         vec = CountVector.one()
         for child in children:
-            vec = vec.convolve(_sc(child, env, depth + 1, None))
+            vec = vec.convolve(run(_Node(child, self.w, self.stats, self.audit), depth))
         return vec
 
-    resep = False  # the last re-separation's graph is still the active one
-    while True:
-        st.max_depth = max(st.max_depth, depth)
-        if aud is not None:
-            inst.check()
-        if inst.sep.sep:  # the lighter side is L; only the ladder reads the sides
-            mu_l, _, mu_r = sc_side_weights(inst, w)
+    def orient(self) -> None:
+        """Make the lighter side L, by the μ_r weight of each side.  Only the
+        ladder reads the sides, so a separation with S = ∅ is left as is."""
+        if self.inst.sep.sep:
+            mu_l, _, mu_r = sc_side_weights(self.inst, self.w)
             if mu_l > mu_r:
-                inst.sep.swap()
-        # annotate a degree <= 1 vertex, else a duplicate degree-2 one
+                self.inst.sep.swap()
+
+    def simplify(self) -> bool:
+        """Annotate a degree <= 1 vertex, else a duplicate degree-2 one."""
+        inst, aud = self.inst, self.audit
         low = [v for v in inst.active_vertices() if inst.active_degree(v) <= 1]
         v = min(low) if low else _find_duplicate(inst)
-        if v is not None:
-            if aud:
-                snap = sc_snapshots(inst, w, frozen)
-                before = snap(inst)
-            inst.annotation_log.append(Annotation(v, tuple(inst.active_neighbors(v))))
-            inst.annotated.add(v)
-            inst.sep.discard(v)
-            st.annotations += 1
-            if aud:
-                aud.step("annotate", 2, before, [snap(inst)], falls=("active",),
-                         note=f"v={v}" if low else f"dup v={v}")
-            resep, depth = False, depth + 1
-            continue
-
-        if not inst.sep.sep and resep:
-            return _stall(inst, env, depth)
-
-        d_set = max((inst.active_degree(v) for v in inst.active_vertices()
-                     if inst.is_set(v)), default=0)
-        d_elt = max((inst.active_degree(v) for v in inst.active_vertices()
-                     if not inst.is_set(v)), default=0)
-        # One decomposition per node about to branch in the general phase:
-        # narrow, the node is counted.  Pieces of max degree 2 always are.
-        chains = max(d_set, d_elt) <= 2
-        if max(d_set, d_elt) > 3 or chains:
-            ag = inst.active_graph()
-            decomp = nice_path_decomposition(ag)
-            if decomp.width <= PD_WIDTH_CAP or chains:
-                st.dp_calls += 1
-                st.leaves += 1
-                if aud:
-                    aud.step("dp", 2, sc_snapshots(inst, w, frozen)(inst), [])
-                return sc_dp(inst, decomp)
-
-        if max(d_set, d_elt) > 3:
-            # general phase: branch on a maximum-degree set or element
-            on_set = d_set > d_elt
-            d = d_set if on_set else d_elt
-            v = min(u for u in inst.active_vertices()
-                    if inst.is_set(u) == on_set and inst.active_degree(u) == d)
-            return _branch(inst, env, depth, "branch", v, None)
-
-        if frozen is None:
-            frozen = sc_mu3_parts(inst, w)[1]
-            if aud:  # entering the subcubic engine should not raise the measure
-                m4, m3 = float(sc_mu4(inst, w)), float(sc_mu3(inst, w))
-                aud.add("handover", False, {"mu": m3 <= m4 + 1e-9}, {"mu": (m4, (m3,))},
-                        note=f"mu3={m3:.6f} mu4={m4:.6f}")
-        if not inst.sep.sep:
-            ag = inst.active_graph()
-            decomp = nice_path_decomposition(ag)
-            arg_old = sc_mu3_parts(inst, w)[1] if aud else None
-            inst.sep = separate_balanced_by_measure(
-                ag, lambda v: w.wright(ag.degree(v)), w.B, decomp)
-            st.separator_recomputes += 1
-            resep = True
-            frozen = sc_mu3_parts(inst, w)[1]
-            if aud:  # the log term's amortization needs μ_r + μ_s to shrink by 1+ε
-                aud.add("reseparate", False,
-                        {"shrink": frozen * (1 + w.eps) <= arg_old or arg_old == 0},
-                        {"arg": (float(arg_old), (float(frozen),))},
-                        note=f"arg {float(arg_old):.6f} -> {float(frozen):.6f}")
-            if decomp.width <= PD_WIDTH_CAP:  # narrow, the node is counted
-                st.dp_calls += 1
-                st.leaves += 1
-                if aud:
-                    aud.step("dp", 2, sc_snapshots(inst, w, frozen)(inst), [])
-                return sc_dp(inst, decomp)
-            depth += 1
-            continue
-
-        act = _ladder_move(inst, w)
-        if act.kind == "branch":
-            if not resep:  # no current decomposition: narrow, the node is counted
-                decomp = nice_path_decomposition(inst.active_graph())
-                if decomp.width <= PD_WIDTH_CAP:
-                    st.dp_calls += 1
-                    st.leaves += 1
-                    if aud:
-                        aud.step("dp", 2, sc_snapshots(inst, w, frozen)(inst), [])
-                    return sc_dp(inst, decomp)
-            return _branch(inst, env, depth, "branch3", act.vertex, frozen)
+        if v is None:
+            return False
         if aud:
-            snap = sc_snapshots(inst, w, frozen, ladder=True)
+            snap = sc_snapshots(inst, self.w, self.frozen)
             before = snap(inst)
-        adj = g.neighbor_sets()
+        inst.annotation_log.append(Annotation(v, tuple(inst.active_neighbors(v))))
+        inst.annotated.add(v)
+        inst.sep.discard(v)
+        self.stats.annotations += 1
+        if aud:
+            aud.step("annotate", 2, before, [snap(inst)], falls=("active",),
+                     note=f"v={v}" if low else f"dup v={v}")
+        return True
+
+    def direct(self, depth) -> CountVector | None:
+        inst, w = self.inst, self.w
+        degs = [(inst.active_degree(v), inst.is_set(v)) for v in inst.active_vertices()]
+        d_set = max((d for d, is_set in degs if is_set), default=0)
+        d_elt = max((d for d, is_set in degs if not is_set), default=0)
+        if max(d_set, d_elt) <= 2:
+            return self._count(self.decompose())
+        if max(d_set, d_elt) > 3:
+            # general phase: narrow, the node is counted; else branch on a
+            # maximum-degree set or element
+            vec = self.sweep(self.decompose())
+            if vec is not None:
+                return vec
+            on_set = d_set > d_elt
+            v = min(u for u in inst.active_vertices() if inst.is_set(u) == on_set
+                    and inst.active_degree(u) == max(d_set, d_elt))
+            self.stats.branchings += 1
+            return self.branch(v, "general", depth)
+        if self.frozen is None:
+            self.frozen = sc_mu3_parts(inst, w)[1]
+            if self.audit:  # entering the subcubic engine should not raise the measure
+                m4, m3 = float(sc_mu4(inst, w)), float(sc_mu3(inst, w))
+                self.audit.add("handover", False, {"mu": m3 <= m4 + 1e-9}, {"mu": (m4, (m3,))},
+                               note=f"mu3={m3:.6f} mu4={m4:.6f}")
+        return None
+
+    def decompose(self) -> PathDecomposition:
+        return nice_path_decomposition(self.inst.active_graph())
+
+    def separate(self) -> PathDecomposition:
+        inst, w, aud = self.inst, self.w, self.audit
+        ag = inst.active_graph()
+        decomp = nice_path_decomposition(ag)
+        arg_old = sc_mu3_parts(inst, w)[1] if aud else None
+        inst.sep = separate_balanced_by_measure(
+            ag, lambda v: w.wright(ag.degree(v)), w.B, decomp)
+        self.frozen = arg = sc_mu3_parts(inst, w)[1]
+        if aud:  # the log term's amortization needs μ_r + μ_s to shrink by 1+ε
+            aud.add("reseparate", False, {"shrink": arg * (1 + w.eps) <= arg_old or arg_old == 0},
+                    {"arg": (float(arg_old), (float(arg),))},
+                    note=f"arg {float(arg_old):.6f} -> {float(arg):.6f}")
+        return decomp
+
+    def sweep(self, decomp: PathDecomposition) -> CountVector | None:
+        return None if decomp.width > PD_WIDTH_CAP else self._count(decomp)
+
+    def _count(self, decomp: PathDecomposition) -> CountVector:
+        self.stats.dp_calls += 1
+        self.stats.leaves += 1
+        if self.audit:
+            self.audit.step("dp", 2, sc_snapshots(self.inst, self.w, self.frozen)(self.inst), [])
+        return sc_dp(self.inst, decomp)
+
+    def pivot(self) -> PivotAction:
+        """A separator move, or a branch on the first separator element,
+        else on the first separator set."""
+        inst, w, sep = self.inst, self.w, self.inst.sep
+        mu_l, _, mu_r = sc_side_weights(inst, w)
+        gap = mu_r - mu_l
+        s_sorted = sorted(sep.sep)
+
+        def side_nbrs(v: int, side: str) -> list[int]:
+            return [u for u in inst.active_neighbors(v) if sep.side_of(u) == side]
+
+        for s in s_sorted:
+            if not side_nbrs(s, "L"):
+                return PivotAction("drag-R", s)
+            if not side_nbrs(s, "R"):
+                return PivotAction("drag-L", s)
+        deg2 = [s for s in s_sorted if inst.active_degree(s) == 2]
+        if deg2:
+            # every S vertex now has a neighbor on each side, so a degree-2
+            # one has exactly one per side; near balance its chain in the
+            # light side L goes to R with it, otherwise its chain in R to L
+            return PivotAction("drag-path-R" if gap <= 2 * w.B else "drag-path-L", deg2[0])
+        if gap > w.B:
+            # S is all degree 3 now: two L-neighbours leave one R-neighbour r
+            two_l = [(s, side_nbrs(s, "R")[0]) for s in s_sorted
+                     if len(side_nbrs(s, "L")) == 2]
+            for s, r in two_l:
+                if inst.active_degree(r) == 3:
+                    return PivotAction("rotate", s, r)
+            for s, r in two_l:  # every r has degree 2 here
+                if next(u for u in inst.active_neighbors(r) if u != s) in sep.sep:
+                    return PivotAction("rotate-pair", s, r)
+        elts = [s for s in s_sorted if not inst.is_set(s)]
+        return PivotAction("branch", elts[0] if elts else s_sorted[0])
+
+    def move(self, act: PivotAction) -> None:
+        inst, aud = self.inst, self.audit
+        if aud:
+            snap = sc_snapshots(inst, self.w, self.frozen, ladder=True)
+            before = snap(inst)
+        adj = self.graph.neighbor_sets()
         apply_move(inst.sep, act, lambda u: adj[u] - inst.annotated)
         if aud:
-            aud.step(act.kind, 2, before, [snap(inst)], falls=("progress",), cap=w.B)
-        depth += 1
+            aud.step(act.kind, 2, before, [snap(inst)], falls=("progress",), cap=self.w.B)
+
+    def stall(self) -> int:
+        return _stall(self.inst)
+
+    def branch(self, v, kind, depth) -> CountVector:
+        """Two-way branch on v: a set is discarded or taken, an element made
+        optional or forbidden (its sets deleted).  On the ladder, audited
+        as "branch3", the children keep the separation and `frozen`; in the
+        general phase and at a stall they start from the trivial one."""
+        inst, w, aud = self.inst, self.w, self.audit
+        kind = {"branch": "branch3", "general": "branch"}.get(kind, kind)
+        frozen, ladder = (self.frozen, True) if kind == "branch3" else (None, False)
+        is_set = inst.is_set(v)
+        # (discard, take) for a set, (optional, forbidden) for an element
+        first = _without(inst, {v}, reset_sep=not ladder)
+        second = _without(inst, {v} | set(inst.incidence.neighbors(v)), reset_sep=not ladder)
+        if aud:
+            snap = sc_snapshots(inst, w, frozen, ladder)
+            aud.step(f"{kind}-{'set' if is_set else 'elt'}", 2, snap(inst),
+                     [snap(first), snap(second)],
+                     falls={"branch": ("active",), "branch3": ("progress",)}.get(kind, ()),
+                     cap=w.B if ladder else None, hard=kind != "stall",
+                     note=f"{'s' if is_set else 'e'}={v}")
+        a, b = (run(_Node(c, w, self.stats, aud, frozen), depth) for c in (first, second))
+        return a + b.shift(1) if is_set else a - b
 
 
-def _ladder_move(inst: ScIncidence, w: ScWeights) -> PivotAction:
-    """Next subcubic ladder step on inst's nonempty separator, whose
-    lighter side is L: a separator move, or a branch on the first
-    separator element, else on the first separator set."""
-    mu_l, _, mu_r = sc_side_weights(inst, w)
-    gap = mu_r - mu_l
-    sep = inst.sep
-    s_sorted = sorted(sep.sep)
-
-    def side_nbrs(v: int, side: str) -> list[int]:
-        return [u for u in inst.active_neighbors(v)
-                if sep.side_of(u) == side]
-
-    for s in s_sorted:
-        if not side_nbrs(s, "L"):
-            return PivotAction("drag-R", s)
-        if not side_nbrs(s, "R"):
-            return PivotAction("drag-L", s)
-
-    deg2 = [s for s in s_sorted if inst.active_degree(s) == 2]
-    if deg2:
-        # every S vertex now has a neighbor on each side, so a degree-2
-        # one has exactly one per side; near balance its chain in the light
-        # side L goes to R with it, otherwise its chain in R goes to L
-        return PivotAction("drag-path-R" if gap <= 2 * w.B else "drag-path-L", deg2[0])
-
-    if gap > w.B:
-        # S is all degree 3 now: two L-neighbours leave one R-neighbour r
-        two_l = [(s, side_nbrs(s, "R")[0]) for s in s_sorted
-                 if len(side_nbrs(s, "L")) == 2]
-        for s, r in two_l:
-            if inst.active_degree(r) == 3:
-                return PivotAction("rotate", s, r)
-        for s, r in two_l:  # every r has degree 2 here
-            if next(u for u in inst.active_neighbors(r) if u != s) in sep.sep:
-                return PivotAction("rotate-pair", s, r)
-
-    elts = [s for s in s_sorted if not inst.is_set(s)]
-    return PivotAction("branch", elts[0] if elts else s_sorted[0])
-
-
-def _stall(inst: ScIncidence, env: _ScEnv, depth: int) -> CountVector:
-    """The ladder drained the separator that the last re-separation swept,
-    and no annotation has changed the graph since, so re-separating would
-    repeat the cycle: branch on the smallest degree-3 active vertex."""
-    env.stats.stalls += 1
-    v = min(u for u in inst.active_vertices() if inst.active_degree(u) == 3)
-    return _branch(inst, env, depth, "stall", v, None)
-
-
-def _branch(inst: ScIncidence, env: _ScEnv, depth: int, kind: str, v: int,
-            frozen: Fraction | None) -> CountVector:
-    """Two-way branch on v, audited as `kind`-set or `kind`-elt: a set is
-    discarded or taken, an element made optional or forbidden (its sets
-    deleted).  A ladder branch passes its frozen log argument on and its
-    children keep the separation; with `frozen` None, the general phase
-    and stalls, each child starts from the trivial separation."""
-    env.stats.branchings += 1
-    is_set = inst.is_set(v)
-    # (discard, take) for a set, (optional, forbidden) for an element
-    first = _without(inst, {v}, reset_sep=frozen is None)
-    second = _without(inst, {v} | set(inst.incidence.neighbors(v)),
-                      reset_sep=frozen is None)
-    if env.audit:
-        ladder = kind == "branch3"
-        snap = sc_snapshots(inst, env.weights, frozen, ladder)
-        env.audit.step(f"{kind}-{'set' if is_set else 'elt'}", 2, snap(inst),
-                       [snap(first), snap(second)],
-                       falls={"branch": ("active",), "branch3": ("progress",)}.get(kind, ()),
-                       cap=env.weights.B if ladder else None, hard=kind != "stall",
-                       note=f"{'s' if is_set else 'e'}={v}")
-    a = _sc(first, env, depth + 1, frozen)
-    b = _sc(second, env, depth + 1, frozen)
-    return a + b.shift(1) if is_set else a - b
+def _stall(inst: ScIncidence) -> int:
+    """The vertex a stall branches on: the smallest active one of degree 3."""
+    return min(u for u in inst.active_vertices() if inst.active_degree(u) == 3)

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 from strategies import csp_instances
 
 from smc.csp import encode_maxcut, evaluate, zero_instance
-from smc.csp_solve import _brute_best, select_pivot, solve
+from smc.csp_solve import _brute_best, _simplify_action, solve
 from smc.generators import csp_on_graph, gen_random_cubic
 from smc.graph import Graph
 from smc.measures import Audit, csp_snapshot
 from smc.oracles import brute_max2csp
-from smc.policy import PivotAction
+from smc.policy import PivotAction, separator_case
 from smc.separator import (
     Separation,
     nice_path_decomposition,
@@ -275,22 +275,26 @@ class TestSelectPivot:
     def test_drag_right_when_no_left_neighbors(self):
         g = Graph.complete(4)
         sep = Separation(left=set(), sep={0, 1, 2}, right={3})
-        assert select_pivot(encode_maxcut(g), sep) == PivotAction("drag-R", 0)
+        assert _simplify_action(g, sep) is None
+        assert separator_case(g, sep) == PivotAction("drag-R", 0)
 
     def test_drag_left_when_no_right_neighbors(self):
         g = Graph.complete(4)
         sep = Separation(left={3}, sep={0, 1, 2}, right=set())
-        assert select_pivot(encode_maxcut(g), sep) == PivotAction("drag-L", 0)
+        assert _simplify_action(g, sep) is None
+        assert separator_case(g, sep) == PivotAction("drag-L", 0)
 
     def test_rotation_when_right_heavy(self):
         g, sep = _rotation_graph()
-        act = select_pivot(encode_maxcut(g), sep)
+        assert _simplify_action(g, sep) is None
+        act = separator_case(g, sep)
         assert act == PivotAction("rotate", 0, partner=3)
 
     def test_two_right_branches(self):
         g, sep = _rotation_graph()
         swapped = Separation(left=sep.right, sep=sep.sep, right=sep.left)
-        act = select_pivot(encode_maxcut(g), swapped)
+        assert _simplify_action(g, swapped) is None
+        act = separator_case(g, swapped)
         assert act == PivotAction("branch", 0)
 
     def test_reduceII_repair_carries_right_endpoint(self):
@@ -304,14 +308,15 @@ class TestSelectPivot:
         assert sorted(d for _, d in g.degrees().items()) == [2] + [3] * 10
         sep = Separation(left={1, 2, 5}, sep={0, 8},
                          right={3, 4, 6, 7, 9, 10})
-        act = select_pivot(encode_maxcut(g), sep)
+        act = _simplify_action(g, sep)
         assert act == PivotAction("reduceII", 0, partner=3)
 
     def test_empty_separator_rejected(self):
         g = Graph.complete(4)
         sep = trivial_separation(g.vertices())
+        assert _simplify_action(g, sep) is None
         with pytest.raises(ValueError):
-            select_pivot(encode_maxcut(g), sep)
+            separator_case(g, sep)
 
 
 class TestAudit:
@@ -438,7 +443,7 @@ class TestWidthCap:
 
         monkeypatch.setattr("smc.csp_solve.nice_path_decomposition", decompose)
         monkeypatch.setattr("smc.csp_solve.separate_cubic", separate)
-        monkeypatch.setattr("smc.csp_solve.separator_case", cases.append)
+        monkeypatch.setattr("smc.policy.separator_case", cases.append)
         for seed in range(3):
             built.clear()
             seps.clear()

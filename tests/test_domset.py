@@ -14,8 +14,7 @@ from strategies import labeled_subcubic
 
 from smc.cli import main
 from smc.counts import CountVector
-from smc.csp import encode_maxcut
-from smc.csp_solve import select_pivot
+from smc.csp_solve import _simplify_action
 from smc.domset import (
     C,
     N,
@@ -34,6 +33,7 @@ from smc.generators import gen_random_cubic
 from smc.graph import Graph, connected_components, format_graph, induced_subgraph
 from smc.measures import Audit
 from smc.oracles import brute_domset
+from smc.policy import separator_case
 from smc.separator import nice_path_decomposition, path_decomposition, separate_cubic
 from smc.setcover import ds_to_sc, sc_count
 
@@ -213,7 +213,7 @@ class TestPivotSharing:
             g = Graph((ids[v] for v in g.vertices()), ((ids[u], ids[v]) for u, v in g.edges()))
             sep = separate_cubic(g, nice_path_decomposition(g))
             a = select_pivot_ds(LabeledGraph.all_u(g), sep)
-            b = select_pivot(encode_maxcut(g), sep)
+            b = _simplify_action(g, sep) or separator_case(g, sep)
             assert a == b
 
 
@@ -266,9 +266,9 @@ class TestEngine:
         # the decomposition that check built last
         checked, built, swept = [], [], []
 
-        def terminal(lg, decomp, env):
+        def terminal(lg, decomp):
             checked.append(lg)
-            return _terminal(lg, decomp, env)
+            return _terminal(lg, decomp)
 
         def decompose(g):
             built.append(nice_path_decomposition(g))

@@ -1,7 +1,9 @@
-"""The shared separator moves, and the engines that route through them.
+"""The shared separator moves and loop, and the engines that route
+through them.
 
 ``apply_move`` is checked on hand-built separations, one per move kind
-and one per way a drag-path run can end.  The engine tests pin count
+and one per way a drag-path run can end, and the loop's stall rule on a
+scripted node.  The engine tests pin count
 vectors and full stats of both #DS routes on seeded cubic graphs and on
 cubic graphs with subdivided edges, and check that attaching an audit
 changes neither.  The pins run the separator ladders with both
@@ -19,7 +21,7 @@ from smc.domset import LabeledGraph, count_ds
 from smc.generators import gen_random_cubic
 from smc.graph import Graph
 from smc.measures import Audit
-from smc.policy import PivotAction, apply_move
+from smc.policy import Node, PivotAction, Stats, apply_move, run
 from smc.separator import Separation, trivial_separation, verify_separation
 from smc.setcover import ScIncidence, ds_to_sc, sc_count
 
@@ -94,6 +96,65 @@ class TestApplyMove:
         assert sides(sep) == ({0}, {1}, {2})
 
 
+class ScriptedNode(Node):
+    """K4 with a scripted ladder: separating puts vertex 0 into S, every
+    pivot drags it to R, and after the i-th drag `after_drag[i]`
+    simplifications become available.  Nothing is narrow enough to
+    sweep, and a branch answers with its kind."""
+
+    def __init__(self, after_drag):
+        self.graph, self.sep = Graph.complete(4), trivial_separation(range(4))
+        self.stats, self.audit = Stats(), None
+        self.after_drag, self.pending, self.log = list(after_drag), 0, []
+
+    def simplify(self):
+        if not self.pending:
+            return False
+        self.pending -= 1
+        self.log.append("simplify")
+        return True
+
+    def separate(self):
+        assert self.log.count("separate") < 3, f"no stall: {self.log}"
+        self.log.append("separate")
+        self.sep = Separation(set(), {0}, {1, 2, 3})
+        return "decomposition"
+
+    def sweep(self, decomp):
+        return None
+
+    def move(self, act):
+        super().move(act)
+        self.log.append(act.kind)
+        self.pending = self.after_drag.pop(0) if self.after_drag else 0
+
+    def branch(self, v, kind, depth):
+        self.log.append(f"{kind} {v}")
+        return kind
+
+
+class TestStallRule:
+    def test_first_drain_reseparates(self):
+        node = ScriptedNode([])
+        run(node, 0)
+        assert node.log[:2] == ["separate", "drag-R"]
+        assert node.stats.separator_recomputes == 1
+
+    def test_second_drain_without_simplification_stalls(self):
+        node = ScriptedNode([])
+        assert run(node, 0) == "stall"
+        assert node.log == ["separate", "drag-R", "stall 0"]
+        assert (node.stats.separator_recomputes, node.stats.stalls,
+                node.stats.branchings) == (1, 1, 1)
+
+    def test_simplification_between_drains_reseparates(self):
+        node = ScriptedNode([1])
+        assert run(node, 0) == "stall"
+        assert node.log == ["separate", "drag-R", "simplify", "separate", "drag-R", "stall 0"]
+        assert (node.stats.separator_recomputes, node.stats.stalls,
+                node.stats.branchings) == (2, 1, 1)
+
+
 def subdivided(n: int, seed: int, k: int) -> Graph:
     """Random cubic graph with k seeded edges each split by a new vertex."""
     g = gen_random_cubic(n, seed)
@@ -117,8 +178,8 @@ def pinned_graph(n: int, seed: int, k: int) -> Graph:
 # stats when count_ds began to separate by the bag sweep, each engine's
 # stalls (and the count_ds splits) when the engines took one Stats, and
 # the sc_count max_depth when a set-cover re-separation began to cost one
-# level of depth, as it does in the other engines.  Between them the runs make every move but rotate-pair (covered
-# by TestApplyMove).
+# level of depth, as it does in the other engines.  Between them the runs
+# make every move but rotate-pair (covered by TestApplyMove).
 PINNED = {
     (24, 0, 0): (
         (0, 0, 0, 0, 0, 0, 1, 79, 3162, 32864, 158572, 452198, 863323, 1187035, 1230545,

@@ -1,18 +1,22 @@
 """The benchmark's per-layer tracer still sees every engine layer.
 
 ``perfbench/tracer.py`` wraps functions by their module-level names, so a
-refactor that stops calling a traced name through its own module zeroes
-that layer's metric without failing anything else.  This runs one Max
-2-CSP instance at the shipped width cap, and one #DS and one set-cover
-instance with the width-capped terminals off, under the tracer, and
-checks that each engine layer fired.  The tracer is loaded read-only
-from its file.
+refactor that stops calling a traced name through its own module (by
+binding it into a class attribute or a local alias, say) zeroes that
+layer's metric without failing anything else.  This runs one Max 2-CSP
+instance at the shipped width cap and once more on its ladder, and one
+#DS and one set-cover instance with the width-capped terminals off,
+under the tracer, and checks that each engine layer fired: the terminal
+sweeps, the separators, the path decompositions, the case ladder, the
+branching reduction, the component splits, the #DS branch and the
+set-cover stall.  The tracer is loaded read-only from its file.
 """
 
 import importlib.util
 from pathlib import Path
 
 import smc.cli  # noqa: F401  (imports every module the tracer wraps)
+import smc.csp_solve
 import smc.domset
 import smc.setcover
 from smc.csp_solve import solve
@@ -30,15 +34,22 @@ def test_every_engine_layer_fires(monkeypatch):
     tr = tracer.Tracer()
     tr.install()
     try:
-        solve(csp_on_graph(gen_random_cubic(16, 0), 2, 0))
-        for module in (smc.domset, smc.setcover):
+        inst = csp_on_graph(gen_random_cubic(16, 0), 2, 0)
+        solve(inst)
+        for module in (smc.csp_solve, smc.domset, smc.setcover):
             monkeypatch.setattr(module, "PD_WIDTH_CAP", -1)
+        solve(inst)
+        csp_calls, _, _ = tr.layer_totals()  # the Max 2-CSP engine's own
+        csp_counts = dict(tr.counts)
         count_ds(LabeledGraph.all_u(gen_random_cubic(14, 0)))
         sc_count(ds_to_sc(gen_random_cubic(12, 0)))
     finally:
         tr.remove()
     calls, _, _ = tr.layer_totals()
-    fired = {group: calls[group] for group in
-             ("csp_solve.brute", "separator.separate", "domset.terminal", "setcover.sc_dp")}
+    fired = {group: csp_calls[group] for group in
+             ("csp_solve.brute", "separator.separate", "separator.pd", "policy.case",
+              "csp.reduce")}
+    fired["graph.components"] = csp_counts["graph.components"]
+    fired.update((group, calls[group]) for group in ("domset.terminal", "setcover.sc_dp"))
     fired.update((group, tr.counts[group]) for group in ("domset.branch3", "setcover.stall"))
     assert all(fired.values()), fired
