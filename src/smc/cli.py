@@ -22,7 +22,7 @@ from smc.csp import (
     parse_dimacs_2cnf,
 )
 from smc.csp_solve import solve
-from smc.domset import count_ds, parse_labeled_graph
+from smc.domset import U, count_ds, parse_labeled_graph
 from smc.generators import (
     expected_branchings,
     gen_g3,
@@ -38,9 +38,6 @@ from smc.oracles import brute_domset, brute_max2csp, brute_setcover
 from smc.separator import nice_path_decomposition, separate_cubic
 from smc.setcover import ds_to_sc, parse_sc, sc_count
 from smc.weights import CspWeights, ScWeights, parse_csp_weights, parse_sc_weights
-
-U_LABEL = "U"
-
 
 class InputError(Exception):
     """Unreadable or unparsable input (exit code 2)."""
@@ -154,7 +151,7 @@ def cmd_count_ds(args) -> int:
         if lg.graph.max_degree() > 3:
             raise InputError(f"--subcubic needs max degree <= 3, got {lg.graph.max_degree()}")
         vec, stats = count_ds(lg, policy=args.policy or "separator", audit=audit)
-    elif any(lab != U_LABEL for lab in lg.label.values()):
+    elif any(lab != U for lab in lg.label.values()):
         raise InputError("labels other than U need --subcubic")
     else:
         vec, stats = sc_count(ds_to_sc(lg.graph), _load_weights(args, "sc"), audit)

@@ -6,9 +6,11 @@ their sum.  Scores are exact Python integers (arbitrary precision, so
 "overflow" cannot wrap).  Edge tables are stored row-major over
 (color(u), color(v)) for the canonical orientation u < v.
 
-Each reduction returns the reduced instance together with an *extender*
-mapping any optimal assignment of the child back to one of the parent
-(realizing the argmax choices); extenders compose across a whole solve.
+Reductions 0/I/II remove a vertex y of degree 0/1/2 from their instance
+in place and return a *fill*, which writes y's argmax colour into an
+optimal assignment of the reduced instance; applied in reverse order,
+the fills of a whole solve complete its witness.  Reduction III leaves
+its instance as it is and returns one fresh child per colour of y.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .graph import Graph, induced_subgraph
 
 Edge = tuple[int, int]
 Assignment = dict[int, int]
-Extender = Callable[[Assignment], Assignment]
 Fill = Callable[[Assignment], None]  # writes a removed vertex's colour in place
 
 
@@ -49,12 +50,6 @@ class CspInstance:
             assert len(vec) == self.r, f"s_v[{v}] wrong arity"
         for e, tab in self.s_e.items():
             assert len(tab) == self.r * self.r, f"s_e[{e}] wrong arity"
-
-    def edge_score(self, u: int, v: int, cu: int, cv: int) -> int:
-        """Dyadic score of edge u-v under colors cu (at u), cv (at v)."""
-        if u < v:
-            return self.s_e[(u, v)][cu * self.r + cv]
-        return self.s_e[(v, u)][cv * self.r + cu]
 
     def edge_rows(self, u: int, v: int) -> list[tuple[int, ...]]:
         """Edge u-v's table oriented from u: rows[cu][cv]."""
@@ -104,23 +99,6 @@ def evaluate(inst: CspInstance, phi: Assignment) -> int:
 
 
 # -- reductions ----------------------------------------------------------------
-#
-# reduce0/I/II exist once, in place: ``reduce*_inplace`` mutates its
-# instance and returns a fill that writes y's colour into an assignment of
-# the result.  The public ``reduce*`` run it on a copy.
-
-
-def _copying(reduction: Callable[[CspInstance, int], Fill], inst: CspInstance,
-             y: int) -> tuple[CspInstance, Extender]:
-    child = inst.copy()
-    fill = reduction(child, y)
-
-    def extend(phi: Assignment) -> Assignment:
-        out = dict(phi)
-        fill(out)
-        return out
-
-    return child, extend
 
 
 def _check_degree(inst: CspInstance, y: int, name: str, want: int) -> None:
@@ -128,7 +106,7 @@ def _check_degree(inst: CspInstance, y: int, name: str, want: int) -> None:
         raise ValueError(f"{name} needs degree {want}, vertex {y} has {inst.graph.degree(y)}")
 
 
-def reduce0_inplace(inst: CspInstance, y: int) -> Fill:
+def reduce0(inst: CspInstance, y: int) -> Fill:
     """Delete isolated y, absorbing max_C s_y(C) into the niladic score."""
     _check_degree(inst, y, "reduce0", 0)
     vec = inst.s_v.pop(y)
@@ -143,7 +121,7 @@ def reduce0_inplace(inst: CspInstance, y: int) -> Fill:
     return fill
 
 
-def reduceI_inplace(inst: CspInstance, y: int) -> Fill:
+def reduceI(inst: CspInstance, y: int) -> Fill:
     """Fold pendant y into its neighbor: s'_x(C) = s_x(C) + max_D (s_xy(C,D)+s_y(D))."""
     _check_degree(inst, y, "reduceI", 1)
     (x,) = inst.graph.neighbor_sets()[y]
@@ -165,7 +143,7 @@ def reduceI_inplace(inst: CspInstance, y: int) -> Fill:
     return fill
 
 
-def reduceII_inplace(inst: CspInstance, y: int) -> Fill:
+def reduceII(inst: CspInstance, y: int) -> Fill:
     """Contract degree-2 y between x < z into a (possibly merged) xz table.
 
     s'_xz(C,D) = [existing s_xz(C,D)] + max_F (s_xy(C,F) + s_yz(F,D) + s_y(F)).
@@ -203,49 +181,26 @@ def reduceII_inplace(inst: CspInstance, y: int) -> Fill:
     return fill
 
 
-def reduce0(inst: CspInstance, y: int) -> tuple[CspInstance, Extender]:
-    """Copying form of reduce0_inplace: (child, extender), inst untouched."""
-    return _copying(reduce0_inplace, inst, y)
-
-
-def reduceI(inst: CspInstance, y: int) -> tuple[CspInstance, Extender]:
-    """Copying form of reduceI_inplace: (child, extender), inst untouched."""
-    return _copying(reduceI_inplace, inst, y)
-
-
-def reduceII(inst: CspInstance, y: int) -> tuple[CspInstance, Extender]:
-    """Copying form of reduceII_inplace: (child, extender), inst untouched."""
-    return _copying(reduceII_inplace, inst, y)
-
-
-def reduceIII(inst: CspInstance, y: int) -> list[tuple[CspInstance, Extender]]:
-    """Branch on y (degree >= 3): one subinstance per color C of y.
+def reduceIII(inst: CspInstance, y: int) -> list[CspInstance]:
+    """Branch on y (degree >= 3): one subinstance per color C of y, in
+    color order.
 
     The C-instance lives on G - y with s_nil += s_y(C) and, for every
     neighbor x, s'_x(D) = s_x(D) + s_xy(D,C).
     """
     if inst.graph.degree(y) < 3:
         raise ValueError(f"reduceIII needs degree >= 3, vertex {y} has {inst.graph.degree(y)}")
-    r = inst.r
-    nbrs = inst.graph.neighbors(y)
-    out: list[tuple[CspInstance, Extender]] = []
-    for color in range(r):
+    rows = {x: inst.edge_rows(x, y) for x in inst.graph.neighbors(y)}
+    out: list[CspInstance] = []
+    for color in range(inst.r):
         child = inst.copy()
         child.graph.delete_vertex(y)
         del child.s_v[y]
         child.s_nil += inst.s_v[y][color]
-        for x in nbrs:
+        for x, rows_x in rows.items():
             del child.s_e[edge_key(x, y)]
-            child.s_v[x] = tuple(
-                child.s_v[x][d] + inst.edge_score(x, y, d, color) for d in range(r)
-            )
-
-        def extend(phi: Assignment, _c: int = color) -> Assignment:
-            out_phi = dict(phi)
-            out_phi[y] = _c
-            return out_phi
-
-        out.append((child, extend))
+            child.s_v[x] = tuple(s + row[color] for s, row in zip(child.s_v[x], rows_x))
+        out.append(child)
     return out
 
 
@@ -327,6 +282,8 @@ def parse_csp(text: str) -> CspInstance:
     r, n, m = (int(x) for x in rows[0][1:])
     if r < 2:
         raise ValueError(f"domain size {r} < 2")
+    if n < 0 or m < 0:
+        raise ValueError(f"negative size in header 'max2csp {r} {n} {m}'")
     inst = zero_instance(r, Graph(range(n)))
     seen_v: set[int] = set()
     for row in rows[1:]:

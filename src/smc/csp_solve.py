@@ -10,11 +10,12 @@ outer loop reduces and branches on a maximum-degree vertex until the
 instance is subcubic; under the separator policy it sweeps a narrow
 piece too.
 
-Ownership: ``policy.run`` consumes a node's instance and separation, and
-``_rec_general`` its instance; both reduce in place and complete the
-witness with the reductions' fills on the way out.  ``solve`` copies the
-caller's instance once; ``reduceIII`` children and ``restrict`` pieces
-are fresh.
+Ownership: ``solve`` copies the caller's instance once.  ``policy.run``
+consumes a node's instance and separation, and ``_rec_general`` its
+instance: both reduce it in place and, on the way out, complete the
+witness with the reductions' fills in reverse order.  A branch writes
+its vertex's colour into the witness of the child it keeps.
+``reduceIII`` children and ``restrict`` pieces are fresh.
 
 Scores are exact (arbitrary-precision) integers throughout, so
 "overflow" cannot silently wrap.  Policy "local" disables all separator
@@ -26,15 +27,8 @@ from __future__ import annotations
 
 from operator import add
 
-from .csp import (
-    CspInstance,
-    CspSolution,
-    reduce0_inplace,
-    reduceI_inplace,
-    reduceII_inplace,
-    reduceIII,
-    restrict,
-)
+from . import csp
+from .csp import CspInstance, CspSolution, reduceIII, restrict
 from .graph import Graph
 from .measures import Audit, csp_snapshot
 from .policy import Node, PivotAction, Stats, run
@@ -161,10 +155,6 @@ def _narrow_best(inst: CspInstance, stats: Stats,
     return _brute_best(inst, decomp)
 
 
-_IN_PLACE = {"reduce0": reduce0_inplace, "reduceI": reduceI_inplace,
-             "reduceII": reduceII_inplace}
-
-
 class _Node(Node):
     """A subcubic instance and its separation, for ``policy.run``, which
     consumes both.  Reductions 0/I/II are its simplification, made in
@@ -201,7 +191,8 @@ class _Node(Node):
         if act is None:
             return False
         before = self._snap()
-        self.fills.append(_IN_PLACE[act.kind](self.inst, act.vertex))
+        # looked up by name at each call, so the benchmark's tracer sees it
+        self.fills.append(getattr(csp, act.kind)(self.inst, act.vertex))
         self.sep.discard(act.vertex)
         if act.partner is not None:  # reduceII's separator repair
             self.sep.right.remove(act.partner)
@@ -227,12 +218,11 @@ class _Node(Node):
         self._log(act.kind, before, falls=("eta",))
 
     def branch(self, y: int, kind: str, depth: int):
-        children = reduceIII(self.inst, y)
         nodes = [_Node(ci, self.sep.restrict(ci.graph.vertices()), self.stats, self.audit,
-                       self.weights) for ci, _ in children]
+                       self.weights) for ci in reduceIII(self.inst, y)]
         self._log(kind, self._snap(), nodes, falls=("eta",), hard=kind == "branch",
                   note="re-separation made no progress" if kind == "stall" else "")
-        return _best(children, lambda i, child: _run(nodes[i], depth))
+        return _best(y, (_run(node, depth) for node in nodes))
 
 
 def _run(node: _Node, depth: int) -> tuple[int, dict[int, int]]:
@@ -243,13 +233,13 @@ def _run(node: _Node, depth: int) -> tuple[int, dict[int, int]]:
     return score, asg
 
 
-def _best(children, solve_child) -> tuple[int, dict[int, int]]:
-    """Best extended child optimum; ties go to the lexicographically
-    smallest assignment."""
+def _best(y: int, answers) -> tuple[int, dict[int, int]]:
+    """Best of the children's answers, given in y's colour order, with y's
+    colour written into each child's own witness; ties go to the
+    lexicographically smallest assignment."""
     best = None
-    for i, (child, ext) in enumerate(children):
-        s, a = solve_child(i, child)
-        full = ext(a)
+    for colour, (s, full) in enumerate(answers):
+        full[y] = colour
         if (best is None or s > best[0]
                 or (s == best[0] and sorted(full.items()) < sorted(best[1].items()))):
             best = (s, full)
@@ -273,7 +263,7 @@ def _rec_general(inst: CspInstance, stats: Stats, depth: int,
             break
         act = _simplify_action(g, None)
         if act is not None:
-            fills.append(_IN_PLACE[act.kind](inst, act.vertex))
+            fills.append(getattr(csp, act.kind)(inst, act.vertex))
             depth += 1
             continue
         if cubic is not None:
@@ -288,7 +278,7 @@ def _rec_general(inst: CspInstance, stats: Stats, depth: int,
         y = min(v for v in g.vertices() if g.degree(v) == dmax)
         children = reduceIII(inst, y)
         stats.branchings += 1
-        score, asg = _best(children, lambda i, child: _rec_general(child, stats, depth + 1, cubic))
+        score, asg = _best(y, (_rec_general(child, stats, depth + 1, cubic) for child in children))
         break
     for fill in reversed(fills):
         fill(asg)

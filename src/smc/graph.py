@@ -191,6 +191,8 @@ def parse_graph(text: str) -> Graph:
     if not rows or rows[0][0] != "graph" or len(rows[0]) != 3:
         raise ValueError("expected header 'graph <n> <m>'")
     n, m = int(rows[0][1]), int(rows[0][2])
+    if n < 0 or m < 0:
+        raise ValueError(f"negative size in header 'graph {n} {m}'")
     if len(rows) - 1 != m:
         raise ValueError(f"header promises {m} edges, found {len(rows) - 1}")
     g = Graph(range(n))

@@ -40,8 +40,8 @@ def brute_max2csp(inst: CspInstance) -> CspSolution:
         for color in range(r):
             extra = vec[color]
             for u in inst.graph.neighbors(v):
-                if u in phi:
-                    extra += inst.edge_score(u, v, phi[u], color)
+                if u in phi:  # so u < v: vertices are coloured in increasing order
+                    extra += inst.s_e[(u, v)][phi[u] * r + color]
             phi[v] = color
             rec(k + 1, score + extra)
             del phi[v]

@@ -127,6 +127,8 @@ def parse_sc(text: str) -> ScIncidence:
     if not rows or rows[0][0] != "setcover" or len(rows[0]) != 3:
         raise ValueError("expected header 'setcover <|U|> <|S|>'")
     n_u, n_s = int(rows[0][1]), int(rows[0][2])
+    if n_u < 0 or n_s < 0:
+        raise ValueError(f"negative size in header 'setcover {n_u} {n_s}'")
     inc = Graph(range(n_u + n_s))
     seen: set[int] = set()
     for row in rows[1:]:
@@ -402,12 +404,15 @@ class _Node(Node):
         return vec
 
     def orient(self) -> None:
-        """Make the lighter side L, by the μ_r weight of each side.  Only the
+        """Make the lighter side L, by the μ_r weight of each side, and keep
+        their difference μ_r(R) − μ_r(L) as ``gap`` for ``pivot``: nothing
+        that ``run`` does between the two changes the weights.  Only the
         ladder reads the sides, so a separation with S = ∅ is left as is."""
         if self.inst.sep.sep:
             mu_l, _, mu_r = sc_side_weights(self.inst, self.w)
             if mu_l > mu_r:
                 self.inst.sep.swap()
+            self.gap = abs(mu_r - mu_l)
 
     def simplify(self) -> bool:
         """Annotate a degree <= 1 vertex, else a duplicate degree-2 one."""
@@ -484,9 +489,7 @@ class _Node(Node):
     def pivot(self) -> PivotAction:
         """A separator move, or a branch on the first separator element,
         else on the first separator set."""
-        inst, w, sep = self.inst, self.w, self.inst.sep
-        mu_l, _, mu_r = sc_side_weights(inst, w)
-        gap = mu_r - mu_l
+        inst, w, sep, gap = self.inst, self.w, self.inst.sep, self.gap
         s_sorted = sorted(sep.sep)
 
         def side_nbrs(v: int, side: str) -> list[int]:

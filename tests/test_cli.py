@@ -304,6 +304,22 @@ class TestExitCodes:
         code, _, err = run(["maxcut"], "graph 2 5\n0 1\n")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("argv,text", [
+        (["maxcut"], "graph -3 0\n"),
+        (["count-ds"], "graph -3 0\n"),
+        (["count-ds", "--subcubic"], "graph -3 0\n"),
+        (["separate"], "graph -3 0\n"),
+        (["oracle", "ds"], "graph -3 0\n"),
+        (["solve-csp"], "max2csp 2 -5 0\nnil 0\n"),
+        (["oracle", "csp"], "max2csp 2 -5 0\nnil 0\n"),
+        (["count-sc"], "setcover -2 0\n"),
+        (["oracle", "sc"], "setcover -2 0\n"),
+        (["count-sc"], "setcover 0 -1\n"),
+    ])
+    def test_negative_header_size_is_2(self, argv, text):
+        code, out, err = run(argv, text)
+        assert code == 2 and out == "" and "negative" in err
+
     def test_guard_error_is_1(self):
         big = "max2csp 2 30 0\nnil 0\n" + "".join(f"v {i} 0 0\n" for i in range(30))
         code, _, err = run(["oracle", "csp"], big)

@@ -120,8 +120,8 @@ def exhaustive_best(inst):
         for c in range(inst.r):
             gain = base[c]
             for u in inst.graph.neighbors(v):
-                if u in asg:
-                    gain += inst.edge_score(u, v, asg[u], c)
+                if u in asg:  # so u < v
+                    gain += inst.s_e[(u, v)][asg[u] * inst.r + c]
             asg[v] = c
             go(idx + 1, acc + gain)
         del asg[v]

@@ -40,19 +40,32 @@ class TestEvaluate:
             evaluate(encode_maxcut(Graph.path(2)), {0: 0})
 
 
+def _reduce(reduction, inst, y):
+    """An in-place reduction run on a copy of inst: (child, fill)."""
+    child = inst.copy()
+    return child, reduction(child, y)
+
+
+def _filled(fill, phi):
+    """phi with the fill's vertex coloured in, phi itself untouched."""
+    out = dict(phi)
+    fill(out)
+    return out
+
+
 class TestReduce0:
     def test_absorbs_max(self):
         inst = zero_instance(2, Graph([3]))
         inst.s_v[3] = (3, 5)
-        child, extend = reduce0(inst, 3)
+        child, fill = _reduce(reduce0, inst, 3)
         assert child.s_nil == 5 and child.n == 0
-        assert extend({}) == {3: 1}
+        assert _filled(fill, {}) == {3: 1}
 
     def test_zero_vector(self):
         inst = zero_instance(2, Graph([0]))
-        child, extend = reduce0(inst, 0)
+        child, fill = _reduce(reduce0, inst, 0)
         assert child.s_nil == 0
-        assert extend({})[0] == 0
+        assert _filled(fill, {})[0] == 0
 
     def test_wrong_degree(self):
         with pytest.raises(ValueError):
@@ -62,16 +75,16 @@ class TestReduce0:
 class TestReduceI:
     def test_zero_scores_noop_on_x(self):
         inst = zero_instance(2, Graph.path(2))
-        child, _ = reduceI(inst, 1)
+        child, _ = _reduce(reduceI, inst, 1)
         assert child.s_v[0] == (0, 0) and child.graph.m == 0
 
     def test_clause_fold(self):
         # clause (x or y) folded at pendant y: satisfiable whatever x is
         inst = encode_max2sat(2, [(1, 2)])
-        child, extend = reduceI(inst, 1)
+        child, fill = _reduce(reduceI, inst, 1)
         assert child.s_v[0] == (1, 1)
-        assert extend({0: 0})[1] == 1  # x false forces y true
-        assert extend({0: 1})[1] == 0  # x true frees y; color 0 is lex-first
+        assert _filled(fill, {0: 0})[1] == 1  # x false forces y true
+        assert _filled(fill, {0: 1})[1] == 0  # x true frees y; color 0 is lex-first
 
     def test_wrong_degree(self):
         with pytest.raises(ValueError):
@@ -81,18 +94,17 @@ class TestReduceI:
 class TestReduceII:
     def test_zero_path(self):
         inst = zero_instance(2, Graph.path(3))
-        child, _ = reduceII(inst, 1)
+        child, _ = _reduce(reduceII, inst, 1)
         assert child.graph.edges() == [(0, 2)]
         assert child.s_e[(0, 2)] == (0, 0, 0, 0)
 
     def test_triangle_merges_parallel(self):
         inst = encode_maxcut(Graph.complete(3))
-        child, extend = reduceII(inst, 1)
+        child, fill = _reduce(reduceII, inst, 1)
         assert child.graph.edges() == [(0, 2)]  # stayed simple
         sol = brute_max2csp(child)
         assert sol.score == 2  # triangle max cut preserved
-        full = extend(sol.assignment)
-        assert evaluate(inst, full) == 2
+        assert evaluate(inst, _filled(fill, sol.assignment)) == 2
 
     def test_wrong_degree(self):
         with pytest.raises(ValueError):
@@ -105,11 +117,10 @@ class TestReduceIII:
         branches = reduceIII(inst, 0)
         assert len(branches) == 2
         best = None
-        for child, extend in branches:
+        for color, child in enumerate(branches):
             assert child.n == 3 and child.graph.m == 3
             sol = brute_max2csp(child)
-            full = extend(sol.assignment)
-            assert evaluate(inst, full) == sol.score
+            assert evaluate(inst, {**sol.assignment, 0: color}) == sol.score
             best = sol.score if best is None else max(best, sol.score)
         assert best == 4
 
@@ -117,7 +128,7 @@ class TestReduceIII:
         inst = zero_instance(3, Graph.complete(4))
         branches = reduceIII(inst, 2)
         assert len(branches) == 3
-        for child, _ in branches:
+        for child in branches:
             assert child.s_nil == 0
             assert all(vec == (0, 0, 0) for vec in child.s_v.values())
 
@@ -131,7 +142,8 @@ def _first_of_degree(inst: CspInstance, d: int) -> int | None:
 
 
 class TestReductionSoundness:
-    """Each reduction preserves the optimum and extends witnesses correctly."""
+    """Each reduction preserves the optimum, and its fill (reductions
+    0/I/II) or the branch colour (reduction III) extends witnesses."""
 
     @settings(max_examples=80)
     @given(csp_instances(max_n=6))
@@ -139,7 +151,7 @@ class TestReductionSoundness:
         y = _first_of_degree(inst, 0)
         if y is None:
             return
-        self._check(inst, *reduce0(inst, y))
+        self._check(inst, *_reduce(reduce0, inst, y))
 
     @settings(max_examples=80)
     @given(csp_instances(max_n=6))
@@ -147,7 +159,7 @@ class TestReductionSoundness:
         y = _first_of_degree(inst, 1)
         if y is None:
             return
-        self._check(inst, *reduceI(inst, y))
+        self._check(inst, *_reduce(reduceI, inst, y))
 
     @settings(max_examples=80)
     @given(csp_instances(max_n=6))
@@ -155,7 +167,7 @@ class TestReductionSoundness:
         y = _first_of_degree(inst, 2)
         if y is None:
             return
-        self._check(inst, *reduceII(inst, y))
+        self._check(inst, *_reduce(reduceII, inst, y))
 
     @settings(max_examples=60)
     @given(csp_instances(max_n=6))
@@ -167,43 +179,36 @@ class TestReductionSoundness:
             return
         parent_opt = brute_max2csp(inst).score
         best = None
-        for child, extend in reduceIII(inst, y):
+        for color, child in enumerate(reduceIII(inst, y)):
             sol = brute_max2csp(child)
-            assert evaluate(inst, extend(sol.assignment)) == sol.score
+            assert evaluate(inst, {**sol.assignment, y: color}) == sol.score
             best = sol.score if best is None else max(best, sol.score)
         assert best == parent_opt
 
     @staticmethod
-    def _check(inst, child, extend):
+    def _check(inst, child, fill):
         child.check()
         parent_opt = brute_max2csp(inst).score
         sol = brute_max2csp(child)
         assert sol.score == parent_opt
-        full = extend(sol.assignment)
-        assert evaluate(inst, full) == parent_opt
+        assert evaluate(inst, _filled(fill, sol.assignment)) == parent_opt
 
 
 class TestReductionsLeaveArgument:
-    """The public reductions work on a copy: the engines reduce in place,
-    and a copying form that forgot its copy would corrupt the caller's
-    instance and, through it, the reported witness."""
+    """reduceIII branches on fresh copies: one that forgot its copy would
+    corrupt the parent's instance and, through it, its siblings and the
+    reported witness."""
 
     @settings(max_examples=80)
     @given(csp_instances(max_n=7))
     def test_argument_unchanged(self, inst):
         before = inst.copy()
         for y in inst.graph.vertices():
-            d = inst.graph.degree(y)
-            if d >= 3:
-                outs = reduceIII(inst, y)
-            else:
-                outs = [(reduce0, reduceI, reduceII)[d](inst, y)]
-            assert inst == before
-            for child, extend in outs:
-                phi = {v: 0 for v in child.graph.vertices()}
-                full = extend(phi)
-                assert phi == {v: 0 for v in child.graph.vertices()}
-                assert set(full) == set(inst.graph.vertices())
+            if inst.graph.degree(y) >= 3:
+                children = reduceIII(inst, y)
+                assert inst == before
+                assert all(set(child.graph.vertices()) == set(inst.graph.vertices()) - {y}
+                           for child in children)
 
 
 class TestEncodings:

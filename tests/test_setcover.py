@@ -16,13 +16,16 @@ from smc.counts import CountVector
 from smc.domset import LabeledGraph
 from smc.graph import Graph
 from smc.oracles import brute_domset, brute_setcover
-from smc.measures import Audit
-from smc.separator import nice_path_decomposition, trivial_separation
+from smc.weights import ScWeights
+from smc.measures import Audit, sc_side_weights
+from smc.policy import Stats
+from smc.separator import Separation, nice_path_decomposition, trivial_separation
 from smc.setcover import (
     PD_WIDTH_CAP,
     Annotation,
     ScIncidence,
     _find_duplicate,
+    _Node,
     ds_to_sc,
     format_sc,
     parse_sc,
@@ -274,6 +277,20 @@ class TestOracleEquivalence:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(smc.setcover, "PD_WIDTH_CAP", -1)
             assert sc_count(ds_to_sc(g))[0] == want
+
+
+class TestOrient:
+    def test_gap_is_the_oriented_difference(self):
+        """``pivot`` reads the side-weight gap that ``orient`` kept; after a
+        swap it must be μ_r(R) − μ_r(L) of the new sides, not the old."""
+        inst = ds_to_sc(random_cubic(10, random.Random(3)))
+        vs = sorted(inst.active_vertices())
+        inst.sep = Separation(set(vs[3:]), {vs[2]}, set(vs[:2]))  # L the heavier
+        node = _Node(inst, ScWeights.published(), Stats(), None)
+        node.orient()
+        mu_l, _, mu_r = sc_side_weights(inst, node.w)
+        assert inst.sep.right == set(vs[3:])
+        assert node.gap == mu_r - mu_l > 0
 
 
 class TestAudit:

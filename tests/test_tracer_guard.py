@@ -9,7 +9,8 @@ instance at the shipped width cap and once more on its ladder, and one
 under the tracer, and checks that each engine layer fired: the terminal
 sweeps, the separators, the path decompositions, the case ladder, the
 branching reduction, the component splits, the #DS branch and the
-set-cover stall.  The tracer is loaded read-only from its file.
+set-cover stall.  A path, which the Max 2-CSP engine only reduces, must
+show its reductions too.  The tracer is loaded read-only from its file.
 """
 
 import importlib.util
@@ -19,9 +20,11 @@ import smc.cli  # noqa: F401  (imports every module the tracer wraps)
 import smc.csp_solve
 import smc.domset
 import smc.setcover
+from smc.csp import encode_maxcut
 from smc.csp_solve import solve
 from smc.domset import LabeledGraph, count_ds
 from smc.generators import csp_on_graph, gen_random_cubic
+from smc.graph import Graph
 from smc.setcover import ds_to_sc, sc_count
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -53,3 +56,14 @@ def test_every_engine_layer_fires(monkeypatch):
     fired.update((group, calls[group]) for group in ("domset.terminal", "setcover.sc_dp"))
     fired.update((group, tr.counts[group]) for group in ("domset.branch3", "setcover.stall"))
     assert all(fired.values()), fired
+
+
+def test_reductions_fire_on_a_reduce_only_solve():
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        solve(encode_maxcut(Graph.path(40)))
+    finally:
+        tr.remove()
+    calls, _, _ = tr.layer_totals()
+    assert calls["csp.reduce"] >= 40, calls
