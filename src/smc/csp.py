@@ -339,7 +339,11 @@ def parse_dimacs_2cnf(text: str) -> tuple[int, list[tuple[int, ...]]]:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"bad problem line {line!r}")
-            n_vars = int(parts[2])
+            if n_vars is not None:
+                raise ValueError(f"second problem line {line!r}")
+            n_vars, n_clauses = int(parts[2]), int(parts[3])
+            if n_vars < 0 or n_clauses < 0:
+                raise ValueError(f"negative size in problem line {line!r}")
             continue
         if n_vars is None:
             raise ValueError("clause before problem line")
@@ -352,4 +356,6 @@ def parse_dimacs_2cnf(text: str) -> tuple[int, list[tuple[int, ...]]]:
         clauses.append(clause)
     if n_vars is None:
         raise ValueError("missing problem line")
+    if len(clauses) != n_clauses:
+        raise ValueError(f"problem line promises {n_clauses} clauses, found {len(clauses)}")
     return n_vars, clauses

@@ -1,17 +1,16 @@
-"""Exact Max 2-CSP solving: the subcubic engine, a node of the shared
-loop ``policy.run``, and the plain max-degree outer loop before it.
+"""Exact Max 2-CSP solving: the engine, a node of the shared loop
+``policy.run``, and the local baseline.
 
-The subcubic node folds degree ≤ 2 vertices away in place (reductions
-0/I/II), takes its pivots from the shared separator-case ladder and
-branches on a vertex's r colours.  A piece is solved outright by a
-max-plus sweep over its path decomposition when that keeps within
-r^(width+1) ≤ 3^(PD_WIDTH_CAP+1) states, the #DS sweep's bound.  The
-outer loop reduces and branches on a maximum-degree vertex until the
-instance is subcubic; under the separator policy it sweeps a narrow
-piece too.
+A node folds degree ≤ 2 vertices away in place (reductions 0/I/II) and
+branches on a vertex's r colours: on a smallest-id maximum-degree vertex
+while some degree exceeds 3 (the general phase, Scott–Sorkin's route
+from the cubic bound to general instances), then on the pivots of the
+shared separator-case ladder.  A piece is solved outright by a max-plus
+sweep over its path decomposition when that keeps within r^(width+1) ≤
+3^(PD_WIDTH_CAP+1) states, the #DS sweep's bound.
 
 Ownership: ``solve`` copies the caller's instance once.  ``policy.run``
-consumes a node's instance and separation, and ``_rec_general`` its
+consumes a node's instance and separation, and ``_rec_local`` its
 instance: both reduce it in place and, on the way out, complete the
 witness with the reductions' fills in reverse order.  A branch writes
 its vertex's colour into the witness of the child it keeps.
@@ -144,21 +143,11 @@ def _forget_digit(scores: list[int], r: int, b: int) -> tuple[list[int], bytearr
     return out, arg
 
 
-def _narrow_best(inst: CspInstance, stats: Stats,
-                 decomp: PathDecomposition) -> tuple[int, dict[int, int]] | None:
-    """The sweep's optimum of inst over `decomp`, a nice path decomposition of
-    inst.graph, if it has r^(width+1) ≤ 3^(PD_WIDTH_CAP+1) states, else None."""
-    if inst.r ** (decomp.width + 1) > 3 ** (PD_WIDTH_CAP + 1):
-        return None
-    stats.leaves += 1
-    stats.dp_calls += 1
-    return _brute_best(inst, decomp)
-
-
 class _Node(Node):
-    """A subcubic instance and its separation, for ``policy.run``, which
-    consumes both.  Reductions 0/I/II are its simplification, made in
-    place; ``_run`` completes the witness with their fills."""
+    """An instance and its separation, for ``policy.run``, which consumes
+    both.  Reductions 0/I/II are its simplification, made in place;
+    ``_run`` completes the witness with their fills.  The audit measures
+    subcubic steps only: above max degree 3 ``_snap`` is None."""
 
     def __init__(self, inst: CspInstance, sep: Separation, stats: Stats,
                  audit: Audit | None, weights: CspWeights):
@@ -166,11 +155,13 @@ class _Node(Node):
         self.stats, self.audit, self.weights = stats, audit, weights
 
     def _snap(self) -> dict | None:
-        return None if self.audit is None else csp_snapshot(self.graph, self.sep, self.weights)
+        if self.audit is None or self.graph.max_degree() > 3:
+            return None
+        return csp_snapshot(self.graph, self.sep, self.weights)
 
     def _log(self, kind: str, before: dict | None, after: list | None = None, **kw) -> None:
         """Audit a step from `before` to this node, or to the nodes `after`."""
-        if self.audit is not None:
+        if before is not None:
             after = [self] if after is None else after
             self.audit.step(kind, self.inst.r, before, [c._snap() for c in after], **kw)
 
@@ -207,10 +198,18 @@ class _Node(Node):
         return decomp
 
     def sweep(self, decomp: PathDecomposition):
-        best = _narrow_best(self.inst, self.stats, decomp)
-        if best is not None:
-            self._log("terminal", self._snap(), [])
-        return best
+        """The sweep's answer if r^(width+1) ≤ 3^(PD_WIDTH_CAP+1), else None."""
+        if self.inst.r ** (decomp.width + 1) > 3 ** (PD_WIDTH_CAP + 1):
+            return None
+        self.stats.leaves += 1
+        self.stats.dp_calls += 1
+        self._log("terminal", self._snap(), [])
+        return _brute_best(self.inst, decomp)
+
+    def general_pivot(self) -> int | None:
+        g = self.graph
+        dmax = g.max_degree()
+        return min(v for v in g.vertices() if g.degree(v) == dmax) if dmax > 3 else None
 
     def move(self, act: PivotAction) -> None:
         before = self._snap()
@@ -246,40 +245,24 @@ def _best(y: int, answers) -> tuple[int, dict[int, int]]:
     return best
 
 
-def _rec_general(inst: CspInstance, stats: Stats, depth: int,
-                 cubic=None) -> tuple[int, dict[int, int]]:
-    """Max-degree outer loop; consumes inst.  Reductions 0/I/II run in
-    place, one level of depth each.  Under the separator policy,
-    `cubic(inst, depth)` takes over once inst is subcubic, and a narrow
-    piece is swept instead of branched on; under the local policy `cubic`
-    is None and the loop always branches."""
-    g = inst.graph
-    fills = []
-    while True:
-        stats.max_depth = max(stats.max_depth, depth)
-        if g.n == 0:
-            stats.leaves += 1
-            score, asg = inst.s_nil, {}
-            break
-        act = _simplify_action(g, None)
-        if act is not None:
-            fills.append(getattr(csp, act.kind)(inst, act.vertex))
-            depth += 1
-            continue
-        if cubic is not None:
-            if g.max_degree() <= 3:
-                score, asg = cubic(inst, depth)
-                break
-            best = _narrow_best(inst, stats, nice_path_decomposition(g))
-            if best is not None:
-                score, asg = best
-                break
+def _rec_local(inst: CspInstance, stats: Stats, depth: int) -> tuple[int, dict[int, int]]:
+    """Reduce in place, one level of depth each, then branch on a
+    smallest-id maximum-degree vertex; consumes inst.  No separators, no
+    component splits: the baseline the pivot-policy comparison runs
+    against."""
+    g, fills = inst.graph, []
+    while (act := _simplify_action(g, None)) is not None:
+        fills.append(getattr(csp, act.kind)(inst, act.vertex))
+        depth += 1
+    stats.max_depth = max(stats.max_depth, depth)
+    if g.n == 0:
+        stats.leaves += 1
+        score, asg = inst.s_nil, {}
+    else:
         dmax = g.max_degree()
         y = min(v for v in g.vertices() if g.degree(v) == dmax)
-        children = reduceIII(inst, y)
         stats.branchings += 1
-        score, asg = _best(y, (_rec_general(child, stats, depth + 1, cubic) for child in children))
-        break
+        score, asg = _best(y, (_rec_local(c, stats, depth + 1) for c in reduceIII(inst, y)))
     for fill in reversed(fills):
         fill(asg)
     return score, asg
@@ -294,13 +277,13 @@ def solve(inst: CspInstance, policy: str = "separator", audit: Audit | None = No
     colour at each forget of the sweep) and always satisfies
     evaluate(inst, witness) = score.
 
-    An audit records every step of the subcubic engine, measured with
-    `weights` (the published table by default); the local policy runs
-    no step it could audit, so it takes no audit (ValueError).  Hard
-    steps must satisfy Σ_j r^μ(I_j) ≤ r^μ(I) and drop η by at least 1;
-    splits, re-separations and stalls are recorded with the same numbers
-    but only logged, since the analysis bounds them by separator quality,
-    not by the weights.
+    An audit records every step taken at max degree ≤ 3, measured with
+    `weights` (the published table by default); the general phase and
+    the local policy have no measure yet, so the local policy takes no
+    audit (ValueError).  Hard steps must satisfy Σ_j r^μ(I_j) ≤ r^μ(I)
+    and drop η by at least 1; splits, re-separations and stalls are
+    recorded with the same numbers but only logged, since the analysis
+    bounds them by separator quality, not by the weights.
     """
     if policy not in ("separator", "local"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -308,16 +291,10 @@ def solve(inst: CspInstance, policy: str = "separator", audit: Audit | None = No
         raise ValueError("the local policy records no step: an audit needs the separator policy")
     stats, weights = Stats(), weights or CspWeights.published()
     inst = inst.copy()  # the engines consume their instance
-
-    def cubic(inst: CspInstance, depth: int) -> tuple[int, dict[int, int]]:
-        sep = trivial_separation(inst.graph.vertices())
-        return _run(_Node(inst, sep, stats, audit, weights), depth)
-
     if policy == "local":
-        score, asg = _rec_general(inst, stats, 0)
-    elif inst.graph.max_degree() <= 3:
-        score, asg = cubic(inst, 0)
+        score, asg = _rec_local(inst, stats, 0)
     else:
-        score, asg = _rec_general(inst, stats, 0, cubic)
+        node = _Node(inst, trivial_separation(inst.graph.vertices()), stats, audit, weights)
+        score, asg = _run(node, 0)
     assert stats.leaves >= 1 and stats.branchings >= 0
     return CspSolution(score, asg), stats

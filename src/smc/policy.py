@@ -1,9 +1,10 @@
 """The separator ladder of the three engines: ``run``, the one loop that
-steps every subcubic node of the Max 2-CSP, #DS and set-cover engines, in
-the order that it owns; the case ladder that picks the next pivot;
-``apply_move``, which makes the non-branching moves on a separation in
-place; and ``Stats``, the run counters of all three.  An engine's ``Node``
-applies the engine's own rules at each step and keeps its audit records.
+steps every node of the Max 2-CSP, #DS and set-cover engines, through the
+general phase and down the ladder, in the order that it owns; the case
+ladder that picks the next pivot; ``apply_move``, which makes the
+non-branching moves on a separation in place; and ``Stats``, the run
+counters of all three.  An engine's ``Node`` applies the engine's own
+rules at each step and keeps its audit records.
 
 Given a separation (L,S,R) of a 3-regular graph, ``separator_case``
 classifies the separator vertices by where their neighbors live and
@@ -23,6 +24,7 @@ makes the Max 2-CSP and #DS engines' branch sequences comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Collection
 
 from .graph import Graph, connected_components
@@ -33,7 +35,7 @@ from .separator import PathDecomposition, Separation, nice_path_decomposition, v
 class Stats:
     """Run counters of all three engines; each counts the fields that
     apply to it (only set cover annotates)."""
-    branchings: int = 0  # stall branches included
+    branchings: int = 0  # general and stall branches included
     stalls: int = 0  # the ladder drained S and nothing was removed since
     leaves: int = 0  # empty instances and terminal DPs
     dp_calls: int = 0
@@ -144,8 +146,9 @@ class Node:
     """One node of ``run``: an engine's instance with its ``graph`` and its
     separation ``sep``, both consumed by the loop, and the run's ``stats``
     and ``audit``.  An engine supplies ``leaf``, ``split``, ``separate``,
-    ``sweep`` and ``branch``; the defaults below are the cubic ladder's
-    rules, which an engine overrides where its own differ."""
+    ``sweep`` and ``branch``; the defaults below (no off-ladder answer, no
+    general phase, the cubic ladder's rules) are overridden where an
+    engine's own differ."""
 
     def check(self) -> None:
         """Assert the node's invariants; called only under an audit."""
@@ -163,6 +166,10 @@ class Node:
 
     def direct(self, depth: int):
         """The answer, when the engine settles the node off the ladder."""
+        return None
+
+    def general_pivot(self) -> int | None:
+        """The general phase's branch vertex while a degree is above 3, else None."""
         return None
 
     def decompose(self) -> PathDecomposition:
@@ -188,20 +195,23 @@ def run(node: Node, depth: int):
          (no simplification disconnects one);
       3. one in-place simplification;
       4. the engine settles the node off the ladder (``direct``);
-      5. at S = ∅, a stall when nothing was simplified since the last
+      5. the general phase: while the engine names a maximum-degree
+         vertex (``general_pivot``), a branch on it;
+      6. at S = ∅, a stall when nothing was simplified since the last
          re-separation: separating again would repeat the cycle, so the
          node branches on one vertex, outside the analysed cases.  Else a
          fresh decomposition, a separation from it and a sweep over it,
          which answers None when the piece is too wide;
-      6. the ladder's pivot: a move, made in place, or a branch, which
-         is width-tested first unless a current decomposition failed it.
+      7. the ladder's pivot: a move, made in place, or a branch.
 
-    Steps that do not branch loop in place, one level of depth each.
-    Step 5 separates before it sweeps, as the benchmark's tracer test
-    needs of a narrow ``csp-cubic`` solve.
+    Every branch is width-tested first, by a sweep over a fresh
+    decomposition, unless the last re-separation's already failed it (as
+    at every stall).  Steps that do not branch loop in place, one level of
+    depth each.  Step 6 separates before it sweeps, as the benchmark's
+    tracer test needs of a narrow ``csp-cubic`` solve.
     """
     stats, decomp, entry = node.stats, None, True  # decomp: the last re-separation's
-    while True:
+    for depth in count(depth):  # a pass that does not return goes one level deeper
         stats.max_depth = max(stats.max_depth, depth)
         if node.audit is not None:
             node.check()
@@ -215,28 +225,30 @@ def run(node: Node, depth: int):
                 stats.splits += 1
                 return node.split(parts, depth + 1)
         if node.simplify():
-            decomp, depth = None, depth + 1
+            decomp = None
             continue
         answer = node.direct(depth + 1)
         if answer is not None:
             return answer
-        if not node.sep.sep:
-            if decomp is not None:
-                stats.branchings += 1
-                stats.stalls += 1
-                return node.branch(node.stall(), "stall", depth + 1)
-            decomp = node.separate()
-            stats.separator_recomputes += 1
-            answer = node.sweep(decomp)
-            if answer is not None:
-                return answer
-        else:
+        y, kind = node.general_pivot(), "general"
+        if y is None and not node.sep.sep:
+            if decomp is None:
+                decomp = node.separate()
+                stats.separator_recomputes += 1
+                answer = node.sweep(decomp)
+                if answer is not None:
+                    return answer
+                continue
+            y, kind = node.stall(), "stall"
+            stats.stalls += 1
+        elif y is None:
             act = node.pivot()
-            if act.kind == "branch":
-                answer = None if decomp is not None else node.sweep(node.decompose())
-                if answer is None:
-                    stats.branchings += 1
-                    answer = node.branch(act.vertex, "branch", depth + 1)
-                return answer
-            node.move(act)
-        depth += 1
+            if act.kind != "branch":
+                node.move(act)
+                continue
+            y, kind = act.vertex, "branch"
+        answer = None if decomp is not None else node.sweep(node.decompose())
+        if answer is None:
+            stats.branchings += 1
+            answer = node.branch(y, kind, depth + 1)
+        return answer

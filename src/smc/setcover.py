@@ -351,10 +351,10 @@ def sc_count(inst: ScIncidence, weights: ScWeights | None = None,
     decomposition has width at most ``PD_WIDTH_CAP`` where it would
     branch in the general phase, where it re-separates, and where it
     branches on the ladder with no current decomposition.  Wider pieces
-    branch on sets/elements of degree >= 4 until the incidence graph is
-    subcubic, then follow the separator ladder.  `weights` (the published
-    table by default) set the separator balance, and the audit measures
-    with them.
+    branch on a maximum-degree set or element while some active degree is
+    >= 4 (the loop's general phase), then follow the separator ladder.
+    `weights` (the published table by default) set the separator balance,
+    and the audit measures with them.
 
     Audit: hard steps must satisfy Σ_j 2^μ(I_j) ≤ 2^μ(I), with μ = μ₄
     while some active degree is ≥ 4 and μ = μ₃ in the subcubic phase, and
@@ -373,9 +373,10 @@ class _Node(Node):
     """A set-cover instance for ``policy.run``: the loop splits its
     incidence graph and moves ``inst.sep``, the separation of its active
     part.  Annotations simplify it.  Off the ladder it counts a piece of
-    max degree 2 and settles the general phase (an active degree >= 4).
-    `frozen` is μ₃'s log argument since the last re-separation or the
-    handover to the subcubic phase."""
+    max degree 2; ``general_pivot`` names the general phase's branch (an
+    active degree >= 4).  Under an audit, `frozen` is μ₃'s log argument
+    since the last re-separation, and None until the handover to the
+    subcubic phase; without one it stays None."""
 
     sep = property(lambda self: self.inst.sep)
 
@@ -434,43 +435,38 @@ class _Node(Node):
         return True
 
     def direct(self, depth) -> CountVector | None:
-        inst, w = self.inst, self.w
+        """Count a piece of max degree 2; keep the top degrees for ``general_pivot``."""
+        inst = self.inst
         degs = [(inst.active_degree(v), inst.is_set(v)) for v in inst.active_vertices()]
-        d_set = max((d for d, is_set in degs if is_set), default=0)
-        d_elt = max((d for d, is_set in degs if not is_set), default=0)
-        if max(d_set, d_elt) <= 2:
-            return self._count(self.decompose())
-        if max(d_set, d_elt) > 3:
-            # general phase: narrow, the node is counted; else branch on a
-            # maximum-degree set or element
-            vec = self.sweep(self.decompose())
-            if vec is not None:
-                return vec
-            on_set = d_set > d_elt
-            v = min(u for u in inst.active_vertices() if inst.is_set(u) == on_set
-                    and inst.active_degree(u) == max(d_set, d_elt))
-            self.stats.branchings += 1
-            return self.branch(v, "general", depth)
-        if self.frozen is None:
-            self.frozen = sc_mu3_parts(inst, w)[1]
-            if self.audit:  # entering the subcubic engine should not raise the measure
-                m4, m3 = float(sc_mu4(inst, w)), float(sc_mu3(inst, w))
-                self.audit.add("handover", False, {"mu": m3 <= m4 + 1e-9}, {"mu": (m4, (m3,))},
-                               note=f"mu3={m3:.6f} mu4={m4:.6f}")
-        return None
+        self.top = (max((d for d, is_set in degs if is_set), default=0),
+                    max((d for d, is_set in degs if not is_set), default=0))
+        return self._count(self.decompose()) if max(self.top) <= 2 else None
+
+    def general_pivot(self) -> int | None:
+        """A smallest-id active vertex of maximum degree, an element unless a
+        set's degree is higher, while that degree is above 3."""
+        inst, (d_set, d_elt) = self.inst, self.top
+        if max(d_set, d_elt) <= 3:
+            return None
+        return min(u for u in inst.active_vertices() if inst.is_set(u) == (d_set > d_elt)
+                   and inst.active_degree(u) == max(d_set, d_elt))
 
     def decompose(self) -> PathDecomposition:
         return nice_path_decomposition(self.inst.active_graph())
 
     def separate(self) -> PathDecomposition:
         inst, w, aud = self.inst, self.w, self.audit
+        if aud and self.frozen is None:  # entering the subcubic phase should not raise the measure
+            m4, m3 = float(sc_mu4(inst, w)), float(sc_mu3(inst, w))
+            aud.add("handover", False, {"mu": m3 <= m4 + 1e-9}, {"mu": (m4, (m3,))},
+                    note=f"mu3={m3:.6f} mu4={m4:.6f}")
         ag = inst.active_graph()
         decomp = nice_path_decomposition(ag)
         arg_old = sc_mu3_parts(inst, w)[1] if aud else None
         inst.sep = separate_balanced_by_measure(
             ag, lambda v: w.wright(ag.degree(v)), w.B, decomp)
-        self.frozen = arg = sc_mu3_parts(inst, w)[1]
         if aud:  # the log term's amortization needs μ_r + μ_s to shrink by 1+ε
+            self.frozen = arg = sc_mu3_parts(inst, w)[1]
             aud.add("reseparate", False, {"shrink": arg * (1 + w.eps) <= arg_old or arg_old == 0},
                     {"arg": (float(arg_old), (float(arg),))},
                     note=f"arg {float(arg_old):.6f} -> {float(arg):.6f}")

@@ -270,6 +270,15 @@ class TestTraceLb:
 
 
 class TestAuditMeasure:
+    def test_maxcut_audits_the_subcubic_steps_of_a_star(self):
+        # K1,5: reducing leaves takes the centre down to degree 3, and from
+        # there on every step is measured
+        star = "graph 6 5\n" + "".join(f"0 {v}\n" for v in range(1, 6))
+        code, out, err = run(["maxcut", "--audit-measure", "--stats"], star)
+        stats = dict(line.split(",")[1:] for line in err.splitlines() if line.startswith("stat,"))
+        assert code == 0 and out.splitlines()[0] == "score 5"
+        assert int(stats["audit_entries"]) > 0 and stats["audit_violations"] == "0"
+
     def test_sc_line(self):
         code, out, err = run(["audit-measure", "--system", "sc"])
         assert code == 0
@@ -315,10 +324,19 @@ class TestExitCodes:
         (["count-sc"], "setcover -2 0\n"),
         (["oracle", "sc"], "setcover -2 0\n"),
         (["count-sc"], "setcover 0 -1\n"),
+        (["max2sat"], "p cnf -3 0\n"),
     ])
     def test_negative_header_size_is_2(self, argv, text):
         code, out, err = run(argv, text)
         assert code == 2 and out == "" and "negative" in err
+
+    @pytest.mark.parametrize("text,msg", [
+        ("p cnf 2 1\n1 2 0\np cnf 5 1\n", "second problem line"),
+        ("p cnf 2 5\n1 2 0\n", "promises 5 clauses, found 1"),
+    ])
+    def test_malformed_dimacs_header_is_2(self, text, msg):
+        code, out, err = run(["max2sat"], text)
+        assert code == 2 and out == "" and msg in err
 
     def test_guard_error_is_1(self):
         big = "max2csp 2 30 0\nnil 0\n" + "".join(f"v {i} 0 0\n" for i in range(30))

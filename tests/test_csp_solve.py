@@ -14,7 +14,7 @@ from strategies import csp_instances
 
 from smc.csp import encode_maxcut, evaluate, zero_instance
 from smc.csp_solve import _brute_best, _simplify_action, solve
-from smc.generators import csp_on_graph, gen_random_cubic
+from smc.generators import csp_on_graph, gen_random_csp, gen_random_cubic
 from smc.graph import Graph
 from smc.measures import Audit, csp_snapshot
 from smc.oracles import brute_max2csp
@@ -53,6 +53,17 @@ def two_k4() -> Graph:
         for i in range(4):
             for j in range(i + 1, 4):
                 g.add_edge(base + i, base + j)
+    return g
+
+
+def two_random(n: int, m: int, seed: int) -> Graph:
+    """Two disjoint random graphs of n vertices and m edges each."""
+    rng = random.Random(seed)
+    g = Graph(range(2 * n))
+    for base in (0, n):
+        pairs = [(base + u, base + v) for u in range(n) for v in range(u + 1, n)]
+        for u, v in rng.sample(pairs, m):
+            g.add_edge(u, v)
     return g
 
 
@@ -405,6 +416,46 @@ class TestStats:
         sol, stats = solve(inst, policy="local")
         assert sol.score == 12
         assert stats.separator_recomputes == 0
+
+
+class TestGeneralPhase:
+    """Above max degree 3 the shared loop branches on a maximum-degree
+    vertex, and splits a disconnected node at entry as it does any other."""
+
+    def test_disconnected_node_splits_on_the_ladder(self, ladder):
+        sol, stats = solve(encode_maxcut(two_random(5, 10, 0)))  # K5 ⊔ K5
+        assert sol.score == 12
+        assert (stats.branchings, stats.stalls, stats.splits) == (6, 4, 1)
+        _, alone = solve(encode_maxcut(Graph.complete(5)))
+        assert stats.branchings == 2 * alone.branchings
+
+    def test_disconnected_node_splits_at_the_cap(self):
+        _, stats = solve(encode_maxcut(two_random(5, 10, 0)))
+        assert (stats.splits, stats.dp_calls, stats.branchings) == (1, 2, 0)
+
+    @pytest.mark.parametrize("cap", [-1, 8])
+    def test_random_instances_audit_clean(self, cap, monkeypatch):
+        monkeypatch.setattr("smc.csp_solve.PD_WIDTH_CAP", cap)
+        recorded = 0
+        for n in (12, 18, 24):
+            for m in (3 * n // 2, 2 * n, 5 * n // 2):
+                inst = gen_random_csp(n, m, 2, n + m)
+                audit = Audit(strict=True)
+                sol, _ = solve(inst, audit=audit)
+                recorded += len(audit.entries)
+                assert evaluate(inst, sol.assignment) == sol.score
+                assert solve(inst, policy="local")[0].score == sol.score
+        assert recorded > 0  # the subcubic steps below the general phase
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_disconnected_instances_match_brute_force(self, seed, ladder):
+        inst = csp_on_graph(two_random(7, 14, seed), 2, seed)
+        assert inst.graph.max_degree() > 3
+        sol, stats = solve(inst)
+        local, _ = solve(inst, policy="local")
+        assert sol.score == local.score == brute_max2csp(inst).score
+        assert evaluate(inst, sol.assignment) == sol.score
+        assert stats.splits >= 1
 
 
 def _cubic_cases():

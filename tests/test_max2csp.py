@@ -274,3 +274,14 @@ class TestTextFormats:
     def test_dimacs_width_guard(self):
         with pytest.raises(ValueError):
             parse_dimacs_2cnf("p cnf 3 1\n1 2 3 0\n")
+
+    @pytest.mark.parametrize("bad", [
+        "p cnf -3 0\n",
+        "p cnf 2 -1\n",
+        "p cnf 2 1\n1 2 0\np cnf 5 1\n",
+        "p cnf 2 5\n1 2 0\n",
+        "p cnf 2 1\n",
+    ])
+    def test_dimacs_header_errors(self, bad):
+        with pytest.raises(ValueError):
+            parse_dimacs_2cnf(bad)

@@ -294,6 +294,18 @@ class TestOrient:
 
 
 class TestAudit:
+    def test_plain_count_computes_no_frozen_argument(self, ladder, monkeypatch):
+        """μ₃'s frozen log argument is read only by the audit, so a count
+        without one never computes it, through re-separations included."""
+        def refuse(*_):
+            raise AssertionError("sc_mu3_parts called without an audit")
+
+        g = random_cubic(14, random.Random(1))
+        want = sc_count(ds_to_sc(g))
+        monkeypatch.setattr(smc.setcover, "sc_mu3_parts", refuse)
+        vec, stats = sc_count(ds_to_sc(g))
+        assert (vec, stats) == want and stats.separator_recomputes > 0
+
     def test_zero_hard_violations_on_random_graphs(self, monkeypatch):
         for cap in (PD_WIDTH_CAP, -1):  # shipped, and the ladder everywhere
             monkeypatch.setattr(smc.setcover, "PD_WIDTH_CAP", cap)
