@@ -353,6 +353,8 @@ def parse_dimacs_2cnf(text: str) -> tuple[int, list[tuple[int, ...]]]:
         clause = tuple(lits[:-1])
         if len(clause) > 2:
             raise ValueError(f"clause width {len(clause)} > 2")
+        if any(l == 0 or abs(l) > n_vars for l in clause):
+            raise ValueError(f"literal outside ±1..{n_vars} in clause line {line!r}")
         clauses.append(clause)
     if n_vars is None:
         raise ValueError("missing problem line")

@@ -109,18 +109,26 @@ class PathDecomposition:
                     raise ValueError(f"bags {i-1},{i} differ by != 1 vertex")
 
 
-def _greedy_layout(adj: dict[int, tuple[int, ...]], first: int) -> tuple[list[int], int]:
+def _greedy_layout(adj: dict[int, tuple[int, ...]], first: int,
+                   stop: int | None = None) -> tuple[list[int], int] | None:
     """Vertex order minimizing the running boundary, seeded at `first`.
 
     B = placed vertices with an unplaced neighbor.  Each step places the
     unplaced v of least key (|B after placing v|, -#placed neighbors, v):
-    smallest boundary, then most placed neighbors, then smallest id.  With
-    B and unplaced-neighbor counts kept incrementally a key costs O(deg v);
-    only the frontier (unplaced vertices with a placed neighbor, ≤ Δ·|B|)
-    and the first untouched vertex of `fresh` (an untouched v has key
-    (|B| + [deg v > 0], 0, v)) are scored.  One start: O(n·Δ²·width).
+    smallest boundary, then most placed neighbors, then smallest id.  |B|,
+    the unplaced-neighbor counts and closed[v] (placed vertices whose only
+    unplaced neighbor is v: they leave B when v is placed) are kept
+    incrementally, so a key costs O(1); only the frontier (unplaced
+    vertices with a placed neighbor, ≤ Δ·|B|) and the first untouched
+    vertex of `fresh` (an untouched v has key (|B| + [deg v > 0], 0, v))
+    are scored.  One start: O(n·Δ·width).
+
+    The running width never falls, so with `stop` set the layout returns
+    None as soon as its width reaches `stop`: exactly when the full
+    layout's width would be ≥ `stop`.
     """
     unplaced = {v: len(nbrs) for v, nbrs in adj.items()}
+    closed = dict.fromkeys(adj, 0)
     placed: set[int] = set()
     frontier: set[int] = set()
     fresh = sorted(adj, key=lambda v: (len(adj[v]) > 0, v))
@@ -129,9 +137,11 @@ def _greedy_layout(adj: dict[int, tuple[int, ...]], first: int) -> tuple[list[in
     boundary = width = 0
 
     def key(v: int) -> tuple[int, int, int]:
-        nbrs = adj[v]
-        closed = sum(1 for u in nbrs if unplaced[u] == 1 and u in placed)
-        return boundary - closed + (unplaced[v] > 0), unplaced[v] - len(nbrs), v
+        return boundary - closed[v] + (unplaced[v] > 0), unplaced[v] - len(adj[v]), v
+
+    def close(u: int) -> None:
+        """u is placed with one unplaced neighbor left: credit that one."""
+        closed[next(w for w in adj[u] if w not in placed)] += 1
 
     current = first
     while True:
@@ -144,9 +154,15 @@ def _greedy_layout(adj: dict[int, tuple[int, ...]], first: int) -> tuple[list[in
                 frontier.add(u)
             elif not unplaced[u]:
                 boundary -= 1
+            elif unplaced[u] == 1:
+                close(u)
         if unplaced[current]:
             boundary += 1
+            if unplaced[current] == 1:
+                close(current)
         width = max(width, boundary)
+        if stop is not None and width >= stop:
+            return None
         if len(order) == len(adj):
             return order, width
         while nxt < len(fresh) and (fresh[nxt] in placed or fresh[nxt] in frontier):
@@ -168,14 +184,20 @@ def nice_path_decomposition(g: Graph) -> PathDecomposition:
     Multi-start over the PD_STARTS smallest ids as forced first vertex; each
     start runs ``_greedy_layout`` (key and cost there) on one shared
     adjacency snapshot, and the smallest width wins, ties to the earliest
-    start.  ``path_decomposition`` turns the winning order into bags.
+    start.  The first start runs to the end; each later one stops as soon
+    as its width reaches the best width so far.  A layout's running width
+    never falls, so a dropped start could at best tie, and a tie loses to
+    the earlier start: the winner is the same as with every start run to
+    the end.  ``path_decomposition`` turns the winning order into bags.
     """
     vs = g.vertices()
     if not vs:
         return PathDecomposition([])
     adj = {v: g.neighbors(v) for v in vs}
-    order, _ = min((_greedy_layout(adj, first) for first in vs[:PD_STARTS]), key=lambda ow: ow[1])
-    return path_decomposition(g, order)
+    best = _greedy_layout(adj, vs[0])
+    for first in vs[1:PD_STARTS]:
+        best = _greedy_layout(adj, first, best[1]) or best
+    return path_decomposition(g, best[0])
 
 
 def path_decomposition(g: Graph, order: list[int]) -> PathDecomposition:

@@ -333,6 +333,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("text,msg", [
         ("p cnf 2 1\n1 2 0\np cnf 5 1\n", "second problem line"),
         ("p cnf 2 5\n1 2 0\n", "promises 5 clauses, found 1"),
+        ("p cnf 2 1\n1 5 0\n", "literal outside ±1..2 in clause line '1 5 0'"),
+        ("p cnf 2 1\n1 0 0\n", "literal outside ±1..2 in clause line '1 0 0'"),
     ])
     def test_malformed_dimacs_header_is_2(self, text, msg):
         code, out, err = run(["max2sat"], text)

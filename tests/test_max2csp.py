@@ -235,6 +235,11 @@ class TestEncodings:
         with pytest.raises(ValueError):
             encode_max2sat(3, [(1, 2, 3)])
 
+    @pytest.mark.parametrize("clause", [(1, 5), (1, 0), (-3,)])
+    def test_max2sat_literal_guard(self, clause):
+        with pytest.raises(ValueError, match="bad clause"):
+            encode_max2sat(2, [clause])
+
 
 class TestTextFormats:
     def test_round_trip(self):
@@ -281,6 +286,9 @@ class TestTextFormats:
         "p cnf 2 1\n1 2 0\np cnf 5 1\n",
         "p cnf 2 5\n1 2 0\n",
         "p cnf 2 1\n",
+        "p cnf 2 1\n1 5 0\n",
+        "p cnf 2 1\n1 0 0\n",
+        "p cnf 2 1\n-3 0\n",
     ])
     def test_dimacs_header_errors(self, bad):
         with pytest.raises(ValueError):

@@ -9,7 +9,9 @@ from strategies import graphs
 from smc.generators import gen_random_cubic
 from smc.graph import Graph
 from smc.oracles import brute_pathwidth
+from smc.setcover import ds_to_sc
 from smc.separator import (
+    PD_STARTS,
     PathDecomposition,
     Separation,
     _greedy_layout,
@@ -250,6 +252,46 @@ class TestPathDecomposition:
         adj = {v: g.neighbors(v) for v in g.vertices()}
         for first in g.vertices():
             assert _greedy_layout(adj, first) == reference_layout(g, first)
+
+    @pytest.mark.parametrize("g", [
+        *(h for n in (10, 16, 18, 24)
+          for h in (gen_random_cubic(n, n), relabeled(gen_random_cubic(n, n + 1), n))),
+        Graph(range(12), [(3, 4), (4, 5), (5, 3), (7, 9), (9, 11), (10, 11)]),
+    ])
+    def test_layout_stop_drops_exactly_the_starts_that_cannot_win(self, g):
+        adj = {v: g.neighbors(v) for v in g.vertices()}
+        for first in g.vertices():
+            full = _greedy_layout(adj, first)
+            for stop in range(full[1] + 3):
+                assert _greedy_layout(adj, first, stop) == (None if full[1] >= stop else full)
+
+    def test_later_starts_stop_at_the_best_width_so_far(self, monkeypatch):
+        g = relabeled(gen_random_cubic(24, 5), 5)  # start widths 6, 6, 5, ..., 5
+        calls, results = [], []
+
+        def record(adj, first, stop=None):
+            calls.append((first, stop))
+            results.append(_greedy_layout(adj, first, stop))
+            return results[-1]
+
+        monkeypatch.setattr("smc.separator._greedy_layout", record)
+        nice_path_decomposition(g)
+        assert [first for first, _ in calls] == g.vertices()[:PD_STARTS]
+        assert calls[0][1] is None
+        assert any(result is not None for result in results[1:])
+        best = results[0][1]
+        for (_, stop), result in zip(calls[1:], results[1:]):
+            assert stop == best
+            if result is not None:
+                best = result[1]
+
+    @pytest.mark.parametrize("g", [
+        *(ds_to_sc(gen_random_cubic(n, seed)).active_graph() for n in (16, 18) for seed in (0, 1)),
+        *(gen_random_cubic(n, 0) for n in (28, 44)),
+    ])
+    def test_bags_match_reference_on_benchmark_shapes(self, g):
+        """The incidence graphs of sc-cubic (max degree 4) and the graphs of csp-cubic."""
+        assert nice_path_decomposition(g).bags == reference_bags(g)
 
 
 class TestValidate:
