@@ -29,7 +29,6 @@ class ConstraintRow:
     lhs: object  # Fraction (exact rows) or float (branching sums)
     rhs: object
     ok: bool
-    strict: bool = False
 
     @property
     def slack(self):
@@ -59,7 +58,7 @@ class ConstraintReport:
 
 def _le0(cid: str, lhs: Fraction, strict: bool = False) -> ConstraintRow:
     ok = lhs < 0 if strict else lhs <= 0
-    return ConstraintRow(cid, lhs, Fraction(0), ok, strict)
+    return ConstraintRow(cid, lhs, Fraction(0), ok)
 
 
 # -- Max 2-CSP system --------------------------------------------------------------

@@ -239,19 +239,11 @@ def _g4_params(args) -> tuple[int, int]:
 def cmd_trace_lb(args) -> int:
     fam = args.family
     _check_family_flags(args, fam)
+    params = _g4_params(args) if fam == "g4" else (_require(args.n, "--n"),)
     try:
-        if fam == "g3":
-            params: tuple[int, ...] = (_require(args.n, "--n"),)
-            g = gen_g3(*params)
-        elif fam == "g4":
-            params = _g4_params(args)
-            g = gen_g4(*params)
-        else:
-            params = (_require(args.n, "--n"),)
-            g = gen_g5(*params)
-    except ValueError as e:
+        trace = trace_lower_bound(fam, params)
+    except ValueError as e:  # the family's generator rejected params
         raise InputError(str(e)) from e
-    trace = trace_lower_bound(g, fam)
     expected = expected_branchings(fam, params)
     match = trace.reduction3_count == expected
     for t in trace.guard_failures:

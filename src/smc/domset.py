@@ -15,9 +15,11 @@ with three states per bag vertex: a connected component is counted
 outright when it has max degree <= 2 (walked as a path or cycle) or a
 nice path decomposition of width at most ``PD_WIDTH_CAP``.  Under the
 separator policy each component is a node of the shared loop
-``policy.run``, which consumes the node's separation, and its branch
-pivots come from the same separator-case ladder the Max 2-CSP solver
-uses; branch children and components are fresh copies.
+``policy.run``, which consumes the node's separation.  Its moves and
+branch pivots come from the loop's one separator-case ladder,
+``policy.separator_case``, which the Max 2-CSP solver runs too; the
+engine has no pivot rule of its own.  Branch children and components
+are fresh copies.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from .counts import CountVector, add_into
 from .graph import Graph, induced_subgraph, parse_graph
 from .measures import Audit
-from .policy import Node, PivotAction, Stats, deg3_side_counts, run, separator_case
+from .policy import Node, Stats, run
 from .separator import (
     PD_WIDTH_CAP,
     PathDecomposition,
@@ -71,21 +73,24 @@ class LabeledGraph:
 
 
 def parse_labeled_graph(text: str) -> LabeledGraph:
-    """Graph text format plus optional ``label <id> <U|N|C>`` lines (default U)."""
+    """Graph text format plus optional ``label <id> <U|N|C>`` lines (default
+    U), at most one per vertex."""
     graph_lines: list[str] = []
-    label_rows: list[tuple[int, str]] = []
+    labels: dict[int, str] = {}
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line.startswith("label"):
-            parts = line.split()
+        parts = raw.split("#", 1)[0].split()
+        if parts[:1] == ["label"]:
             if len(parts) != 3 or parts[2] not in LABELS:
-                raise ValueError(f"bad label line {line!r}")
-            label_rows.append((int(parts[1]), parts[2]))
+                raise ValueError(f"bad label line {' '.join(parts)!r}")
+            v = int(parts[1])
+            if v in labels:
+                raise ValueError(f"second label for vertex {v}")
+            labels[v] = parts[2]
         else:
             graph_lines.append(raw)
     g = parse_graph("\n".join(graph_lines))
     lg = LabeledGraph.all_u(g)
-    for v, lab in label_rows:
+    for v, lab in labels.items():
         if v not in lg.label:
             raise ValueError(f"label for unknown vertex {v}")
         lg.label[v] = lab
@@ -209,45 +214,6 @@ def _linear_order(g: Graph) -> list[int]:
     return order
 
 
-# -- pivot selection -----------------------------------------------------------
-
-
-def select_pivot_ds(lg: LabeledGraph, sep: Separation) -> PivotAction:
-    """Next engine action for a component that still needs branching.
-
-    Degree <= 2 separator vertices are cleared first: one with a free
-    side is dragged there, and one caught between both sides is dragged
-    out together with its whole degree-2 run (toward R when the
-    degree-3 side counts are near-balanced, toward L otherwise), the
-    stopping vertex of the run taking its place in the separator.  Once
-    S is all degree 3, the shared separator-case ladder decides.  Its
-    rotation is kept only when the replacement vertex has degree 3, or
-    degree 2 with its other neighbor already in S (then both move left
-    together); pulling any other degree-2 vertex into S could drag
-    forever, so those profiles branch directly.
-    """
-    g = lg.graph
-    low = [s for s in sorted(sep.sep) if g.degree(s) <= 2]
-    if low:
-        s = low[0]
-        nsides = {sep.side_of(u) for u in g.neighbors(s)}
-        if "L" not in nsides:
-            return PivotAction("drag-R", s)
-        if "R" not in nsides:
-            return PivotAction("drag-L", s)
-        l3, r3 = deg3_side_counts(g, sep)
-        if r3 <= l3 + 1:
-            return PivotAction("drag-path-R", s)
-        return PivotAction("drag-path-L", s)
-    act = separator_case(g, sep)
-    if act.kind == "rotate" and g.degree(act.partner) != 3:
-        other = [u for u in g.neighbors(act.partner) if u != act.vertex]
-        if g.degree(act.partner) == 2 and sep.side_of(other[0]) == "S":
-            return PivotAction("rotate-pair", act.vertex, act.partner)
-        return PivotAction("branch", act.vertex)
-    return act
-
-
 # -- counting engine -----------------------------------------------------------
 
 
@@ -315,9 +281,6 @@ class _Node(Node):
         self.stats.leaves += 1
         self.stats.dp_calls += 1
         return _checked(self.audit, "dp", self.graph.n, vec)
-
-    def pivot(self) -> PivotAction:
-        return select_pivot_ds(self.lg, self.sep)
 
     def branch(self, y, kind, depth) -> CountVector:
         vec_in, vec_opt, vec_forb = [run(self._child(c), depth) for c in branch3(self.lg, y)]

@@ -189,28 +189,6 @@ def _guard(g: Graph, pivot: int) -> bool:
     return not any(prefers(v) for v in g.vertices() if g.degree(v) == dmax)
 
 
-def _recover_params(g: Graph, family: str) -> tuple[int, ...]:
-    """Identify the generator parameters by regenerating and comparing; the
-    generators are deterministic, so exact equality is the structural check."""
-    n = g.n
-    if family == "g3":
-        if n >= 4 and n % 4 == 0 and gen_g3(n) == g:
-            return (n,)
-    elif family == "g4":
-        if n >= 4 and n % 4 == 0 and gen_g4(n, 0) == g:
-            return (n, 0)
-        for n4 in range(2, n + 1, 2):
-            n3 = n + 1 - n4
-            if n3 >= max(4, n4) and n3 % 4 == 0 and gen_g4(n3, n4) == g:
-                return (n3, n4)
-    elif family == "g5":
-        if (n + 1) % 40 == 0 and gen_g5(n + 1) == g:
-            return (n + 1,)
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    raise ValueError(f"graph does not match the {family} construction")
-
-
 def expected_branchings(family: str, params: tuple[int, ...]) -> int:
     """Closed-form branch count for the adversarial schedule."""
     if family == "g3":
@@ -226,8 +204,9 @@ def expected_branchings(family: str, params: tuple[int, ...]) -> int:
     raise ValueError(f"unknown family {family!r}")
 
 
-def trace_lower_bound(g: Graph, family: str) -> LbTrace:
-    """Replay the adversarial pivot schedule on a lower-bound family member.
+def trace_lower_bound(family: str, params: tuple[int, ...]) -> LbTrace:
+    """Replay the adversarial pivot schedule on the member of `family`
+    ("g3", "g4" or "g5") that its generator builds from `params`.
 
     Runs the local-policy skeleton (a split deletes the pivot, then the
     degree <= 2 closure fires) choosing pivots the way the lower-bound
@@ -237,7 +216,10 @@ def trace_lower_bound(g: Graph, family: str) -> LbTrace:
     Every step records whether the pivot was legal for the preference-guarded
     max-degree rule; failures are reported in the trace, never hidden.
     """
-    params = _recover_params(g, family)
+    gen = {"g3": gen_g3, "g4": gen_g4, "g5": gen_g5}.get(family)
+    if gen is None:
+        raise ValueError(f"unknown family {family!r}")
+    work = gen(*params)
     xs: set[int] = set()
     ys: set[int] = set()
     if family == "g4":
@@ -248,7 +230,6 @@ def trace_lower_bound(g: Graph, family: str) -> LbTrace:
         xs = set(range(big3, big3 + big4 - 1))
         ys = set(range(big3 + big4 - 1, big3 + big4 - 1 + params[0] // 5))
 
-    work = g.copy()
     trace = LbTrace(family=family)
     skeleton_closure(work)
     while work.n:

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .graph import Graph
+from .policy import side_counts
 from .separator import Separation
 from .weights import CspWeights, ScWeights
 
@@ -43,26 +44,6 @@ def rational_log(x: Fraction, base: Fraction) -> Fraction:
 # -- Max 2-CSP measure (subcubic phase) -------------------------------------------
 
 
-def csp_side_counts(g: Graph, sep: Separation) -> tuple[int, int, int, int]:
-    """(l3, s3, s2, r3): degree-3 counts per side and degree-2 count in S."""
-    l3 = s3 = s2 = r3 = 0
-    for v in g.vertices():
-        d = g.degree(v)
-        if d > 3:
-            raise ValueError(f"vertex {v} has degree {d} > 3")
-        side = sep.side_of(v)
-        if d == 3:
-            if side == "L":
-                l3 += 1
-            elif side == "S":
-                s3 += 1
-            else:
-                r3 += 1
-        elif d == 2 and side == "S":
-            s2 += 1
-    return l3, s3, s2, r3
-
-
 def csp_mu(g: Graph, sep: Separation, w: CspWeights) -> Fraction:
     """μ(L,S,R) for a subcubic instance graph, in the physical orientation.
 
@@ -73,7 +54,10 @@ def csp_mu(g: Graph, sep: Separation, w: CspWeights) -> Fraction:
     itself; the per-case analysis pays for real work only.)  The log
     argument is clamped at 1 so near-empty instances stay nonnegative.
     """
-    l3, s3, s2, r3 = csp_side_counts(g, sep)
+    dmax = g.max_degree()
+    if dmax > 3:
+        raise ValueError(f"max degree {dmax} > 3")
+    l3, s3, s2, r3 = side_counts(g, sep)
     mu = w.w_s * s3 + w.w2_s * s2 + w.w_r_eff * r3
     if r3 == l3:
         mu += w.w_b

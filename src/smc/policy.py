@@ -6,19 +6,32 @@ non-branching moves on a separation in place; and ``Stats``, the run
 counters of all three.  An engine's ``Node`` applies the engine's own
 rules at each step and keeps its audit records.
 
-Given a separation (L,S,R) of a 3-regular graph, ``separator_case``
-classifies the separator vertices by where their neighbors live and
-returns the first applicable action in priority order:
+Given a separation (L,S,R) of a subcubic graph, ``separator_case``
+classifies the separator vertices by their degree and by where their
+neighbors live, and returns the first applicable action in priority
+order:
 
+    low           the smallest s of degree ≤ 2, if any:
+                    no neighbor in L   drag-R (move s to R)
+                    no neighbor in R   drag-L (move s to L)
+                    otherwise          drag-path-R when |R₃| ≤ |L₃|+1, else
+                                       drag-path-L (s and its degree-≤2 run
+                                       cross, the vertex ending it joins S)
     drag-into-R   s has no neighbor in L        (move s to R)
     drag-into-L   s has no neighbor in R        (move s to L)
     one-each      one neighbor in each of L,S,R (branch on s)
     two-L         two in L, one in R: branch when |R₃| ≤ |L₃|+1,
-                  otherwise rotate (s into L, its R-neighbor into S)
+                  otherwise rotate (s into L, its R-neighbor p into S)
+                  when p has degree 3, rotate-pair (s and p into L) when
+                  p has degree 2 and its other neighbor is in S, and
+                  branch on s otherwise: pulling any other low-degree p
+                  into S could drag forever
     two-R         one in L, two in R            (branch on s)
 
-Within a case the smallest vertex id wins.  Sharing this ladder is what
-makes the Max 2-CSP and #DS engines' branch sequences comparable.
+Within a case the smallest vertex id wins.  The Max 2-CSP and #DS engines
+both pivot by this one ladder; on a Max 2-CSP node every vertex has
+degree 3 by the time it is reached, so the low row and the rotate's
+guard never fire there.
 """
 
 from __future__ import annotations
@@ -52,24 +65,34 @@ class PivotAction:
     partner: int | None = None
 
 
-def deg3_side_counts(g: Graph, sep: Separation) -> tuple[int, int]:
-    """(|L₃|, |R₃|): degree-3 vertices on each side."""
+def side_counts(g: Graph, sep: Separation) -> tuple[int, int, int, int]:
+    """(|L₃|, |S₃|, |S₂|, |R₃|): degree-3 vertices on each side, and
+    degree-2 vertices in S."""
     adj = g.neighbor_sets()
+    s_deg = [len(adj[v]) for v in sep.sep]
     l3 = sum(1 for v in sep.left if len(adj[v]) == 3)
     r3 = sum(1 for v in sep.right if len(adj[v]) == 3)
-    return l3, r3
+    return l3, s_deg.count(3), s_deg.count(2), r3
 
 
 def separator_case(g: Graph, sep: Separation) -> PivotAction:
-    """First applicable separator case; all S vertices must have degree 3."""
+    """First applicable separator case of the ladder above."""
     if not sep.sep:
         raise ValueError("empty separator: caller must re-separate")
+    adj = g.neighbor_sets()
     order = sorted(sep.sep)
     sides = {s: [0, 0, 0] for s in order}  # (in L, in S, in R)
     for s in order:
-        for u in g.neighbors(s):
-            side = sep.side_of(u)
-            sides[s]["LSR".index(side)] += 1
+        for u in adj[s]:
+            sides[s]["LSR".index(sep.side_of(u))] += 1
+    low = next((s for s in order if len(adj[s]) <= 2), None)
+    if low is not None:
+        if sides[low][0] == 0:
+            return PivotAction("drag-R", low)
+        if sides[low][2] == 0:
+            return PivotAction("drag-L", low)
+        l3, _, _, r3 = side_counts(g, sep)
+        return PivotAction("drag-path-R" if r3 <= l3 + 1 else "drag-path-L", low)
     for s in order:
         if sides[s][0] == 0:
             return PivotAction("drag-R", s)
@@ -79,17 +102,22 @@ def separator_case(g: Graph, sep: Separation) -> PivotAction:
     for s in order:
         if sides[s] == [1, 1, 1]:
             return PivotAction("branch", s)
-    l3, r3 = deg3_side_counts(g, sep)
+    l3, _, _, r3 = side_counts(g, sep)
     for s in order:
         if sides[s][0] == 2 and sides[s][2] == 1:
             if r3 <= l3 + 1:
                 return PivotAction("branch", s)
-            partner = next(u for u in g.neighbors(s) if sep.side_of(u) == "R")
-            return PivotAction("rotate", s, partner)
+            partner = next(u for u in adj[s] if sep.side_of(u) == "R")
+            rest = adj[partner] - {s}  # the partner's other neighbours
+            if len(rest) == 2:
+                return PivotAction("rotate", s, partner)
+            if len(rest) == 1 and sep.side_of(next(iter(rest))) == "S":
+                return PivotAction("rotate-pair", s, partner)
+            return PivotAction("branch", s)
     for s in order:
         if sides[s][0] == 1 and sides[s][2] == 2:
             return PivotAction("branch", s)
-    raise AssertionError("separator case ladder is exhaustive on cubic graphs")
+    raise AssertionError("separator case ladder is exhaustive on subcubic graphs")
 
 
 def _walk(sep: Separation, s: int, side: str,
@@ -156,7 +184,7 @@ class Node:
 
     def orient(self) -> None:
         """Make the lighter side L: the one with fewer degree-3 vertices."""
-        l3, r3 = deg3_side_counts(self.graph, self.sep)
+        l3, _, _, r3 = side_counts(self.graph, self.sep)
         if l3 > r3:
             self.sep.swap()
 

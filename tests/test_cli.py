@@ -331,6 +331,15 @@ class TestExitCodes:
         assert code == 2 and out == "" and "negative" in err
 
     @pytest.mark.parametrize("text,msg", [
+        ("graph 2 1\n0 1\nlabel 1 N\nlabel 1 C\n", "second label for vertex 1"),
+        ("graph 2 1\n0 1\nlabel 1 C\nlabel 1 N\n", "second label for vertex 1"),
+        ("graph 2 1\n0 1\nlabels 1 N\n", "header promises 1 edges, found 2"),
+    ])
+    def test_repeated_or_misspelled_label_is_2(self, text, msg):
+        code, out, err = run(["count-ds", "--subcubic"], text)
+        assert code == 2 and out == "" and msg in err
+
+    @pytest.mark.parametrize("text,msg", [
         ("p cnf 2 1\n1 2 0\np cnf 5 1\n", "second problem line"),
         ("p cnf 2 5\n1 2 0\n", "promises 5 clauses, found 1"),
         ("p cnf 2 1\n1 5 0\n", "literal outside ±1..2 in clause line '1 5 0'"),

@@ -1,6 +1,6 @@
 """Dominating-set counter: branching rules, the path-decomposition
-terminal, pivot sharing with the CSP engine, and oracle equivalence on
-labeled graphs."""
+terminal, the separator ladder it shares with the CSP engine, and oracle
+equivalence on labeled graphs."""
 
 import json
 import random
@@ -12,9 +12,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from strategies import labeled_subcubic
 
+from smc import domset
 from smc.cli import main
 from smc.counts import CountVector
-from smc.csp_solve import _simplify_action
 from smc.domset import (
     C,
     N,
@@ -27,13 +27,12 @@ from smc.domset import (
     ds_dp,
     format_labeled_graph,
     parse_labeled_graph,
-    select_pivot_ds,
 )
 from smc.generators import gen_random_cubic
 from smc.graph import Graph, connected_components, format_graph, induced_subgraph
 from smc.measures import Audit
 from smc.oracles import brute_domset
-from smc.policy import separator_case
+from smc.policy import apply_move, separator_case
 from smc.separator import nice_path_decomposition, path_decomposition, separate_cubic
 from smc.setcover import ds_to_sc, sc_count
 
@@ -203,18 +202,45 @@ class TestOracleEquivalence:
 
 
 class TestPivotSharing:
-    def test_matches_csp_selection_on_cubic(self):
-        # relabelling the vertices moves the greedy layout, so the sweep's
-        # separations vary from trial to trial
-        rng = random.Random(0)
-        for _ in range(60):
-            g = random_cubic(rng.choice([8, 10, 12, 14]), rng)
-            ids = rng.sample(range(100), g.n)
-            g = Graph((ids[v] for v in g.vertices()), ((ids[u], ids[v]) for u, v in g.edges()))
-            sep = separate_cubic(g, nice_path_decomposition(g))
-            a = select_pivot_ds(LabeledGraph.all_u(g), sep)
-            b = _simplify_action(g, sep) or separator_case(g, sep)
-            assert a == b
+    def test_count_ds_moves_and_branches_by_the_shared_ladder(self, monkeypatch):
+        # the #DS node has no pivot rule of its own: with the terminal off,
+        # each ladder step moves or branches exactly as the shared
+        # policy.separator_case said, the degree-<=2 drags included
+        log = []
+
+        def case(g, sep):
+            log.append(("case", separator_case(g, sep)))
+            return log[-1][1]
+
+        def move(sep, act, nbrs):
+            log.append(("move", act))
+            apply_move(sep, act, nbrs)
+
+        def branch(node, y, kind, depth):
+            log.append(("branch", y, kind))
+            return real_branch(node, y, kind, depth)
+
+        real_branch = domset._Node.branch
+        monkeypatch.setattr("smc.policy.separator_case", case)
+        monkeypatch.setattr("smc.policy.apply_move", move)
+        monkeypatch.setattr(domset._Node, "branch", branch)
+        monkeypatch.setattr("smc.domset.PD_WIDTH_CAP", -1)
+        rng = random.Random(9)
+        g = random_cubic(12, rng)
+        es = sorted(g.edges())
+        rng.shuffle(es)
+        lg = LabeledGraph.all_u(subdivide(g, es[:3]))
+        vec, _ = count_ds(lg)
+        assert vec == brute_domset(lg)
+        for prev, (step, *rest) in zip(log, log[1:]):
+            if prev[0] == "case":
+                act = prev[1]
+                want = ("branch", act.vertex, "branch") if act.kind == "branch" else ("move", act)
+                assert (step, *rest) == want
+            else:
+                assert step != "move"  # every move is the ladder's
+        kinds = {entry[1].kind for entry in log if entry[0] == "case"}
+        assert {"drag-R", "drag-L", "drag-path-R", "drag-path-L", "branch"} <= kinds
 
 
 class TestEngine:
@@ -304,6 +330,19 @@ class TestTextFormat:
     def test_bad_label_line(self):
         with pytest.raises(ValueError):
             parse_labeled_graph("graph 1 0\nlabel 0 X\n")
+
+    def test_repeated_label_line(self):
+        for first, second in ((N, C), (C, N), (U, U)):
+            with pytest.raises(ValueError, match="second label for vertex 1"):
+                parse_labeled_graph(f"graph 2 1\n0 1\nlabel 1 {first}\nlabel 1 {second}\n")
+
+    def test_label_keyword_is_a_whole_token(self):
+        # "labels" is no label line: it falls to the graph parser, which
+        # reads it as an edge line beyond the header's count
+        with pytest.raises(ValueError, match="header promises 1 edges"):
+            parse_labeled_graph("graph 2 1\n0 1\nlabels 1 N\n")
+        lg = parse_labeled_graph("graph 2 1\n0 1\n  label 1 N  # spaced\n")
+        assert lg.label == {0: U, 1: N}
 
     def test_degree3_must_stay_u(self):
         txt = format_labeled_graph(LabeledGraph.all_u(Graph.complete(4)))

@@ -128,7 +128,7 @@ class TestG5:
 class TestTrace:
     @pytest.mark.parametrize("n", list(range(4, 44, 4)) + [80, 120])
     def test_g3_counts(self, n):
-        t = trace_lower_bound(gen_g3(n), "g3")
+        t = trace_lower_bound("g3", (n,))
         assert t.reduction3_count == n // 4 == expected_branchings("g3", (n,))
         assert t.guard_failures == []
 
@@ -137,29 +137,29 @@ class TestTrace:
         [(4, 4), (8, 4), (8, 8), (12, 6), (16, 10), (40, 20), (80, 40), (120, 24)],
     )
     def test_g4_counts(self, n3, n4):
-        t = trace_lower_bound(gen_g4(n3, n4), "g4")
+        t = trace_lower_bound("g4", (n3, n4))
         assert t.reduction3_count == n4 // 2 - 2 + n3 // 4
         assert t.guard_failures == []
 
     @pytest.mark.parametrize("n3,n4", [(8, 0), (8, 2), (40, 2)])
     def test_g4_degenerate_path_costs_nothing(self, n3, n4):
         # with fewer than three x's the path dissolves by reductions alone
-        t = trace_lower_bound(gen_g4(n3, n4), "g4")
+        t = trace_lower_bound("g4", (n3, n4))
         assert t.reduction3_count == n3 // 4
 
     @pytest.mark.parametrize("n", [40, 80, 120])
     def test_g5_counts(self, n):
-        t = trace_lower_bound(gen_g5(n), "g5")
+        t = trace_lower_bound("g5", (n,))
         assert t.reduction3_count == 19 * n // 40 - 2
         assert t.guard_failures == []
 
     def test_g5_40_is_17(self):
-        t = trace_lower_bound(gen_g5(40), "g5")
+        t = trace_lower_bound("g5", (40,))
         assert t.reduction3_count == 17
         assert t.leaves(2) == 2**17
 
     def test_step_log(self):
-        t = trace_lower_bound(gen_g3(16), "g3")
+        t = trace_lower_bound("g3", (16,))
         assert len(t.steps) == t.reduction3_count == 4
         assert all(s.degree == 3 for s in t.steps)
         orders = [s.order_after for s in t.steps]
@@ -168,23 +168,19 @@ class TestTrace:
     def test_g5_step_degrees(self):
         # 8 y-splits at degree 5, then 4 x-splits and the hub at degree 4,
         # then the cubic core
-        t = trace_lower_bound(gen_g5(40), "g5")
+        t = trace_lower_bound("g5", (40,))
         assert [s.degree for s in t.steps] == [5] * 8 + [4] * 5 + [3] * 4
 
     def test_g4_family_subsumes_g3(self):
-        # g4(n3, 0) is g3(n3), so either family name traces it
-        t = trace_lower_bound(gen_g3(8), "g4")
+        # g4(n3, 0) is g3(n3), and traces the same
+        t = trace_lower_bound("g4", (8, 0))
         assert t.reduction3_count == 2
+        assert t.steps == trace_lower_bound("g3", (8,)).steps
 
-    def test_family_mismatch(self):
-        with pytest.raises(ValueError):
-            trace_lower_bound(Graph.complete(5), "g3")
-        with pytest.raises(ValueError):
-            trace_lower_bound(gen_g5(40), "g4")
-        with pytest.raises(ValueError):
-            trace_lower_bound(gen_g4(8, 4), "g5")
-        with pytest.raises(ValueError):
-            trace_lower_bound(gen_g3(8), "g6")
+    def test_unknown_family_or_bad_params(self):
+        for family, params in (("g6", (8,)), ("g3", (6,)), ("g4", (8, 3)), ("g5", (20,))):
+            with pytest.raises(ValueError):
+                trace_lower_bound(family, params)
 
 
 class TestShrink:

@@ -20,12 +20,12 @@ from smc.measures import (
     Audit,
     csp_eta,
     csp_mu,
-    csp_side_counts,
     rational_log,
     sc_mu3_parts,
     sc_mu4,
     sc_progress,
 )
+from smc.policy import side_counts
 from smc.separator import Separation, trivial_separation
 from smc.setcover import ds_to_sc
 from smc.weights import (
@@ -127,11 +127,22 @@ class TestCspMeasure:
         assert csp_mu(g2, even, w) == csp_mu(g2, even_sw, w)
 
     def test_side_counts(self):
+        # K4 on 0-3 with 0 in L; a K4 on 4-7 in R; the path 8-9-10 across S
+        g = Graph(range(11), [*((i, j) for i in range(4) for j in range(i + 1, 4)),
+                              *((i, j) for i in range(4, 8) for j in range(i + 1, 8)),
+                              (8, 9), (9, 10)])
+        sep = Separation({0, 8}, {1, 2, 3, 9}, {4, 5, 6, 7, 10})
+        assert side_counts(g, sep) == (1, 3, 1, 4)
+
+    def test_csp_mu_needs_max_degree_3(self):
         g = Graph.complete(4)
         g.add_vertex(9)
-        g.add_edge(9, 0)  # vertex 0 would get degree 4
+        g.add_edge(9, 0)  # vertex 0 gets degree 4
+        sep = trivial_separation(g.vertices())
         with pytest.raises(ValueError):
-            csp_side_counts(g, trivial_separation(g.vertices()))
+            csp_mu(g, sep, CspWeights.published())
+        # the side counter serves the general phase too, and skips degree 4
+        assert side_counts(g, sep) == (0, 0, 0, 3)
 
     def test_eta(self):
         g = Graph.complete(4)

@@ -2,8 +2,9 @@
 through them.
 
 ``apply_move`` is checked on hand-built separations, one per move kind
-and one per way a drag-path run can end, and the loop's stall rule on a
-scripted node.  The engine tests pin count
+and one per way a drag-path run can end; ``separator_case`` on
+hand-built separations for its degree-≤2 row and each outcome of the
+two-L rotate; and the loop's stall rule on a scripted node.  The engine tests pin count
 vectors and full stats of both #DS routes on seeded cubic graphs and on
 cubic graphs with subdivided edges, and check that attaching an audit
 changes neither.  The pins run the separator ladders with both
@@ -21,7 +22,7 @@ from smc.domset import LabeledGraph, count_ds
 from smc.generators import gen_random_cubic
 from smc.graph import Graph
 from smc.measures import Audit
-from smc.policy import Node, PivotAction, Stats, apply_move, run
+from smc.policy import Node, PivotAction, Stats, apply_move, run, separator_case
 from smc.separator import Separation, trivial_separation, verify_separation
 from smc.setcover import ScIncidence, ds_to_sc, sc_count
 
@@ -94,6 +95,47 @@ class TestApplyMove:
         with pytest.raises(ValueError):
             apply_move(sep, PivotAction("branch", 1), Graph.path(3).neighbor_sets().__getitem__)
         assert sides(sep) == ({0}, {1}, {2})
+
+
+def with_k4(edges, first: int) -> list[tuple[int, int]]:
+    """edges plus a K4 on first..first+3: four degree-3 vertices that tip
+    the |L₃|/|R₃| balance toward the side they are put on."""
+    return [*edges, *((first + i, first + j) for i in range(4) for j in range(i + 1, 4))]
+
+
+class TestSeparatorCase:
+    def test_low_vertex_before_the_cubic_rows(self):
+        # 0 has degree 3 and no L-neighbour, but the degree-2 vertex 5,
+        # with no R-neighbour, comes first
+        g = Graph([0, 1, 2, 5, 6], [(0, 1), (0, 2), (0, 5), (1, 2), (5, 6)])
+        sep = Separation({6}, {0, 5}, {1, 2})
+        assert separator_case(g, sep) == PivotAction("drag-L", 5)
+
+    def test_low_vertex_between_the_sides_drags_its_path(self):
+        # 0 has one neighbour in L and one in R; a K4 on the R side puts
+        # |R₃| = 4 > |L₃| + 1, on the L side it balances the other way
+        g = Graph(range(7), with_k4([(0, 1), (0, 2)], 3))
+        k4 = {3, 4, 5, 6}
+        assert separator_case(g, Separation({1} | k4, {0}, {2})) == PivotAction("drag-path-R", 0)
+        assert separator_case(g, Separation({1}, {0}, {2} | k4)) == PivotAction("drag-path-L", 0)
+
+    def test_two_l_rotates_a_degree_2_partner_as_a_pair(self):
+        # s = 0 has L-neighbours 1, 2 and the degree-2 R-neighbour 3, whose
+        # other neighbour 4 is in S; the K4 in R makes 0 rotate
+        g = Graph(range(11), with_k4([(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (4, 5), (4, 6)], 7))
+        sep = Separation({1, 2, 5}, {0, 4}, {3, 6, 7, 8, 9, 10})
+        assert separator_case(g, sep) == PivotAction("rotate-pair", 0, 3)
+
+    def test_two_l_branches_when_the_partner_leads_into_r(self):
+        # as above, but the partner's other neighbour 4 is in R
+        g = Graph(range(9), with_k4([(0, 1), (0, 2), (0, 3), (1, 2), (3, 4)], 5))
+        sep = Separation({1, 2}, {0}, {3, 4, 5, 6, 7, 8})
+        assert separator_case(g, sep) == PivotAction("branch", 0)
+
+    def test_two_l_rotates_a_degree_3_partner(self):
+        g = Graph(range(10), with_k4([(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (3, 5)], 6))
+        sep = Separation({1, 2}, {0}, {3, 4, 5, 6, 7, 8, 9})
+        assert separator_case(g, sep) == PivotAction("rotate", 0, 3)
 
 
 class ScriptedNode(Node):

@@ -7,9 +7,9 @@ layer's metric without failing anything else.  This runs one Max 2-CSP
 instance at the shipped width cap and once more on its ladder, and one
 #DS and one set-cover instance with the width-capped terminals off,
 under the tracer, and checks that each engine layer fired: the terminal
-sweeps, the separators, the path decompositions, the case ladder, the
-branching reduction, the component splits, the #DS branch and the
-set-cover stall.  A path, which the Max 2-CSP engine only reduces, must
+sweeps, the separators, the path decompositions, the case ladder (in
+the Max 2-CSP and in the #DS run), the branching reduction, the
+component splits, the #DS branch and the set-cover stall.  A path, which the Max 2-CSP engine only reduces, must
 show its reductions too.  The tracer is loaded read-only from its file.
 """
 
@@ -45,6 +45,7 @@ def test_every_engine_layer_fires(monkeypatch):
         csp_calls, _, _ = tr.layer_totals()  # the Max 2-CSP engine's own
         csp_counts = dict(tr.counts)
         count_ds(LabeledGraph.all_u(gen_random_cubic(14, 0)))
+        ds_calls, _, _ = tr.layer_totals()
         sc_count(ds_to_sc(gen_random_cubic(12, 0)))
     finally:
         tr.remove()
@@ -53,6 +54,7 @@ def test_every_engine_layer_fires(monkeypatch):
              ("csp_solve.brute", "separator.separate", "separator.pd", "policy.case",
               "csp.reduce")}
     fired["graph.components"] = csp_counts["graph.components"]
+    fired["policy.case in #DS"] = ds_calls["policy.case"] - csp_calls["policy.case"]
     fired.update((group, calls[group]) for group in ("domset.terminal", "setcover.sc_dp"))
     fired.update((group, tr.counts[group]) for group in ("domset.branch3", "setcover.stall"))
     assert all(fired.values()), fired
