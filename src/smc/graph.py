@@ -193,12 +193,13 @@ def parse_graph(text: str) -> Graph:
     n, m = int(rows[0][1]), int(rows[0][2])
     if n < 0 or m < 0:
         raise ValueError(f"negative size in header 'graph {n} {m}'")
+    for row in rows[1:]:
+        if len(row) != 2:
+            raise ValueError(f"bad edge line {' '.join(row)!r}")
     if len(rows) - 1 != m:
         raise ValueError(f"header promises {m} edges, found {len(rows) - 1}")
     g = Graph(range(n))
     for row in rows[1:]:
-        if len(row) != 2:
-            raise ValueError(f"bad edge line {' '.join(row)!r}")
         u, v = int(row[0]), int(row[1])
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")

@@ -79,15 +79,16 @@ def csp_snapshot(g: Graph, sep: Separation, w: CspWeights) -> dict:
 
 # -- counting set cover measures ---------------------------------------------------
 #
-# The instance argument is duck-typed: it must provide active_vertices(),
-# active_degree(v), is_set(v) and .sep (see ScIncidence).
+# The instance argument is duck-typed: it must provide .incidence, the
+# graph that is the whole instance, is_set(v) and .sep (see ScIncidence).
 
 
 def sc_mu4(inst, w: ScWeights) -> Fraction:
     """Degree-weighted measure for the general (max degree ≥ 4) phase."""
     mu = Fraction(0)
-    for v in inst.active_vertices():
-        d = inst.active_degree(v)
+    g = inst.incidence
+    for v in g.vertices():
+        d = g.degree(v)
         mu += w.wset(d) if inst.is_set(v) else w.welt(d)
     return mu
 
@@ -95,8 +96,9 @@ def sc_mu4(inst, w: ScWeights) -> Fraction:
 def sc_side_weights(inst, w: ScWeights) -> tuple[Fraction, Fraction, Fraction]:
     """(μ_r(L), μ_s(S), μ_r(R)) in the instance's physical orientation."""
     mu_l = mu_s = mu_r = Fraction(0)
-    for v in inst.active_vertices():
-        d = inst.active_degree(v)
+    g = inst.incidence
+    for v in g.vertices():
+        d = g.degree(v)
         side = inst.sep.side_of(v)
         if side == "S":
             mu_s += w.wsep(d)
@@ -135,12 +137,13 @@ def sc_progress(inst, w: ScWeights) -> Fraction:
     """Termination potential for the subcubic phase; drops ≥ 1 per step.
 
     (|S₂| + |S|)·μ_r(V)/w_right(2) + |μ_r(R) − μ_r(L)|/w_right(2),
-    where μ_r(V) weights every active vertex with w_right.
+    where μ_r(V) weights every vertex with w_right.
     """
     s2 = s_total = 0
     mu_all = Fraction(0)
-    for v in inst.active_vertices():
-        d = inst.active_degree(v)
+    g = inst.incidence
+    for v in g.vertices():
+        d = g.degree(v)
         mu_all += w.wright(d)
         if inst.sep.side_of(v) == "S":
             s_total += 1
@@ -154,17 +157,16 @@ def sc_progress(inst, w: ScWeights) -> Fraction:
 def sc_snapshots(parent, w: ScWeights, frozen_arg: Fraction | None = None,
                  ladder: bool = False) -> Callable[[object], dict]:
     """Snapshots for a step from `parent`, all in parent's phase: μ₃ while
-    no active degree exceeds 3, μ₄ otherwise, and the active count; on a
+    no degree exceeds 3, μ₄ otherwise, and the vertex count ("active"); on a
     separator-ladder step also the progress potential and the side
     weights (μ_r(L), μ_r(R)).  Within the subcubic phase μ₃'s log
     argument stays frozen_arg, its value at the last re-separation, and
     eq:sep pays for its growth."""
-    subcubic = max((parent.active_degree(v) for v in parent.active_vertices()),
-                   default=0) <= 3
+    subcubic = parent.incidence.max_degree() <= 3
 
     def snap(inst) -> dict:
         mu = sc_mu3(inst, w, frozen_arg) if subcubic else sc_mu4(inst, w)
-        out = {"mu": float(mu), "active": len(inst.active_vertices())}
+        out = {"mu": float(mu), "active": inst.incidence.n}
         if ladder:
             mu_l, _, mu_r = sc_side_weights(inst, w)
             out.update(progress=sc_progress(inst, w), sides=(mu_l, mu_r))

@@ -83,8 +83,8 @@ def brute_domset(lg: LabeledGraph) -> CountVector:
 
 def brute_setcover(inst: ScIncidence) -> CountVector:
     """Count covering subfamilies per cardinality (duplicate sets distinct)."""
-    if inst.annotated:
-        raise ValueError("oracle requires an annotation-free instance")
+    if inst.folded():
+        raise ValueError("oracle requires an instance with no folded material")
     sets = sorted(inst.set_ids)
     elems = inst.element_ids()
     if 2 ** len(sets) > GUARD:

@@ -47,12 +47,12 @@ from .separator import PathDecomposition, Separation, nice_path_decomposition, v
 @dataclass
 class Stats:
     """Run counters of all three engines; each counts the fields that
-    apply to it (only set cover annotates)."""
+    apply to it."""
     branchings: int = 0  # general and stall branches included
     stalls: int = 0  # the ladder drained S and nothing was removed since
     leaves: int = 0  # empty instances and terminal DPs
     dp_calls: int = 0
-    annotations: int = 0
+    annotations: int = 0  # set cover's folds of degree-<=1 and duplicate vertices
     splits: int = 0  # nodes whose graph fell into components
     max_depth: int = 0
     separator_recomputes: int = 0

@@ -2,21 +2,31 @@
 
 An instance is carried as its bipartite incidence graph: element vertices
 on one side, set vertices on the other, with an edge when the element
-belongs to the set.  Solving machinery works on the *active* part I - A,
-where A is the set of annotated vertices: annotation removes a vertex
-from play without deleting its edges, so annotated vertices can be
-resolved exactly at the leaves from the recorded order and neighbor
-snapshots.
+belongs to the set.  The incidence graph is the whole instance: a vertex
+that the engine resolves leaves it at once.  Each vertex that has
+absorbed others carries a generating-function pair over the choices in
+that folded material,
+
+  set vertex:      (covers, idle)  split by whether its slot covers the
+                   remaining neighbors              (base x, 1);
+  element vertex:  (sat, pend)     split by whether it is already covered
+                   inside the folded material       (base 0, 1),
+
+and ``factor`` holds the counts of everything that has left with no
+vertex to absorb it.
 
 The engine's one terminal, ``sc_dp``, sweeps a nice path decomposition of
-the active part; pieces wider than ``PD_WIDTH_CAP`` are branched on.
+the incidence graph; pieces wider than ``PD_WIDTH_CAP`` are branched on.
 
 Ownership: each node of the shared loop ``policy.run`` owns and consumes
-its instance.  Annotations, separator moves and the re-separation change
-it in place; only branches and component splits build fresh children and
+its instance.  Folds, separator moves and the re-separation change it in
+place; only branches and component splits build fresh children and
 recurse, so an instance that reduces without branching needs no
-recursion.  ``sc_count`` copies the caller's instance once.  The step
-order and the stall rule are the loop's, as in the other two engines.
+recursion.  A branch child carries the parent's factor times what leaves
+with the branch; a split's children start from one and the parent's
+factor is counted once.  ``sc_count`` copies the caller's instance once.
+The step order and the stall rule are the loop's, as in the other two
+engines.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from fractions import Fraction
 from .counts import CountVector, add_into
 from .graph import Graph, induced_subgraph
 from .measures import Audit, sc_mu3, sc_mu3_parts, sc_mu4, sc_side_weights, sc_snapshots
-from .policy import Node, PivotAction, Stats, apply_move, run
+from .policy import Node, PivotAction, Stats, run
 from .separator import (
     PD_WIDTH_CAP,
     PathDecomposition,
@@ -39,29 +49,20 @@ from .separator import (
 )
 from .weights import ScWeights
 
-
-@dataclass
-class Annotation:
-    vertex: int
-    neighbors: tuple[int, ...]  # active neighbors at annotation time
+Pair = tuple[CountVector, CountVector]
 
 
 @dataclass
 class ScIncidence:
     incidence: Graph
     set_ids: set[int]
-    annotated: set[int] = field(default_factory=set)
     sep: Separation = field(default_factory=lambda: Separation(set(), set(), set()))
-    annotation_log: list[Annotation] = field(default_factory=list)
+    pairs: dict[int, Pair] = field(default_factory=dict)  # vertices that absorbed some
+    factor: CountVector = field(default_factory=CountVector.one)
 
     def copy(self) -> "ScIncidence":
-        return ScIncidence(
-            self.incidence.copy(),
-            set(self.set_ids),
-            set(self.annotated),
-            self.sep.copy(),
-            list(self.annotation_log),
-        )
+        return ScIncidence(self.incidence.copy(), set(self.set_ids), self.sep.copy(),
+                           dict(self.pairs), self.factor)
 
     def element_ids(self) -> list[int]:
         return [v for v in self.incidence.vertices() if v not in self.set_ids]
@@ -69,31 +70,29 @@ class ScIncidence:
     def is_set(self, v: int) -> bool:
         return v in self.set_ids
 
-    # -- the active instance I - A ------------------------------------------
+    def pair(self, v: int) -> Pair:
+        """v's folded pair: (covers, idle) of a set, (sat, pend) of an
+        element; (x, 1) and (0, 1) when v has absorbed nothing."""
+        base = CountVector.unit(1) if v in self.set_ids else CountVector.zero()
+        return self.pairs.get(v, (base, CountVector.one()))
 
-    def active_vertices(self) -> list[int]:
-        return [v for v in self.incidence.vertices() if v not in self.annotated]
+    def folded(self) -> bool:
+        """Whether material has been folded into the instance."""
+        return bool(self.pairs) or self.factor != CountVector.one()
 
-    def active_neighbors(self, v: int) -> list[int]:
-        return [u for u in self.incidence.neighbors(v) if u not in self.annotated]
-
-    def active_degree(self, v: int) -> int:
-        return len(self.incidence.neighbor_sets()[v] - self.annotated)
-
-    def active_graph(self) -> Graph:
-        return induced_subgraph(
-            self.incidence, set(self.incidence.vertices()) - self.annotated
-        )
+    def delete(self, v: int) -> None:
+        self.incidence.delete_vertex(v)
+        self.set_ids.discard(v)
+        self.pairs.pop(v, None)
+        self.sep.discard(v)
 
     def check(self) -> None:
         for v in self.incidence.vertices():
             sv = self.is_set(v)
             for u in self.incidence.neighbors(v):
                 assert self.is_set(u) != sv, f"edge ({v},{u}) not across roles"
-        assert self.annotated <= set(self.incidence.vertices())
-        active = set(self.incidence.vertices()) - self.annotated
-        assert self.sep.vertices() == active, "sep must partition I - A"
-        assert verify_separation(self.active_graph(), self.sep)
+        assert self.pairs.keys() <= set(self.incidence.vertices())
+        assert verify_separation(self.incidence, self.sep)
 
 
 def ds_to_sc(g: Graph) -> ScIncidence:
@@ -151,8 +150,8 @@ def parse_sc(text: str) -> ScIncidence:
 
 
 def format_sc(inst: ScIncidence) -> str:
-    if inst.annotated:
-        raise ValueError("cannot format an instance with annotations")
+    if inst.folded():
+        raise ValueError("cannot format an instance with folded material")
     elems = inst.element_ids()
     n_u = len(elems)
     if elems != list(range(n_u)) or sorted(inst.set_ids) != list(
@@ -166,12 +165,10 @@ def format_sc(inst: ScIncidence) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- leaf counting: one sweep over a path decomposition ---------------------
+# -- folds, and the one sweep over a path decomposition ------------------------
 
 
-def _fold_set_under(target: tuple[CountVector, CountVector],
-                    va: CountVector, vb: CountVector,
-                    ) -> tuple[CountVector, CountVector]:
+def _fold_set_under(target: Pair, va: CountVector, vb: CountVector) -> Pair:
     """Absorb a set pair (covers=va, idle=vb) into the vertex it hangs on.
 
     The target's first component gains the cross term: a taken pendant
@@ -182,9 +179,7 @@ def _fold_set_under(target: tuple[CountVector, CountVector],
     return ta.convolve(va + vb) + tb.convolve(va), tb.convolve(vb)
 
 
-def _fold_elt_under(target: tuple[CountVector, CountVector],
-                    va: CountVector, vb: CountVector,
-                    ) -> tuple[CountVector, CountVector]:
+def _fold_elt_under(target: Pair, va: CountVector, vb: CountVector) -> Pair:
     """Absorb an element pair (sat=va, pend=vb) into its remaining set.
 
     The set's idle branch survives only when the element was already
@@ -194,78 +189,38 @@ def _fold_elt_under(target: tuple[CountVector, CountVector],
     return ta.convolve(va + vb), tb.convolve(va)
 
 
+def _fold(inst: ScIncidence, v: int, twin: int | None) -> None:
+    """Fold v into `twin`, a same-role vertex with v's two neighbors, else
+    into v's one neighbor, else into ``factor`` (a set with no neighbor is
+    a free choice, an element with none must be satisfied already), and
+    delete v."""
+    va, vb = inst.pair(v)
+    onto = twin if twin is not None else next(iter(inst.incidence.neighbors(v)), None)
+    if onto is None:
+        inst.factor = inst.factor.convolve(va + vb if inst.is_set(v) else va)
+    elif inst.is_set(v):  # onto an element, or onto a twin: the slot covers iff one is taken
+        inst.pairs[onto] = _fold_set_under(inst.pair(onto), va, vb)
+    elif twin is None:
+        inst.pairs[onto] = _fold_elt_under(inst.pair(onto), va, vb)
+    else:  # twin elements need the same outside cover unless both are satisfied
+        ta, tb = inst.pair(twin)
+        sat = ta.convolve(va)
+        inst.pairs[twin] = sat, (ta + tb).convolve(va + vb) - sat
+    inst.delete(v)
+
+
 def sc_dp(inst: ScIncidence, decomp: PathDecomposition) -> CountVector:
     """Exact cover counts by one sweep over `decomp`, a nice path
-    decomposition of the active part, with up to 2^(width+1) states.
-
-    Annotated vertices are first folded back in annotation order.  Every
-    vertex carries a generating-function pair over the choices in the
-    material already folded onto it:
-
-      set vertex:      (covers, idle)  split by whether its slot covers
-                       the remaining neighbors       (base z, 1);
-      element vertex:  (sat, pend)     split by whether it is already
-                       covered inside the folded part (base 0, 1).
-
-    An annotated vertex folds onto its single surviving snapshot
-    neighbor, or onto its duplicate twin when both snapshot neighbors
-    survive; if nothing survives it folds into a global factor, which is
-    exact because a deleted set is never taken and a deleted element
-    needs no cover.
+    decomposition of the incidence graph, with up to 2^(width+1) states,
+    times the instance's ``factor``.
 
     The sweep's state is the bitmask of "on" bag vertices: sets that
-    cover and elements still pending.  Every edge lies in some bag, so a
-    covering neighbor meets each element in one; forgetting a pending
-    element drops the state.
+    cover and elements still pending.  A set enters with its (covers,
+    idle) pair and an element with its (sat, pend) pair.  Every edge lies
+    in some bag, so a covering neighbor meets each element in one;
+    forgetting a pending element drops the state.
     """
     g = inst.incidence
-    assert {a.vertex for a in inst.annotation_log} == set(inst.annotated), (
-        "every annotated vertex needs a log entry")
-
-    pairs: dict[int, tuple[CountVector, CountVector]] = {}
-    for v in g.vertices():
-        if inst.is_set(v):
-            pairs[v] = (CountVector.unit(1), CountVector.one())
-        else:
-            pairs[v] = (CountVector.zero(), CountVector.one())
-
-    live = set(g.vertices())
-    absorbed: set[int] = set()
-
-    def nbrs_now(u: int) -> set[int]:
-        return {x for x in g.neighbors(u) if x not in absorbed}
-
-    total = CountVector.one()
-    for a in inst.annotation_log:
-        v = a.vertex
-        va, vb = pairs[v]
-        targets = [u for u in a.neighbors if u in live and u not in absorbed]
-        if len(targets) == 2:
-            # Duplicate: some un-absorbed same-role twin shares exactly
-            # these two neighbors (branches can only delete a twin by
-            # deleting v as well, so it is still here).
-            cands = [u for u in live
-                     if u != v and u not in absorbed
-                     and inst.is_set(u) == inst.is_set(v)
-                     and nbrs_now(u) == set(targets)]
-            assert cands, f"duplicate-annotated {v} lost its twin"
-            tw = min(cands)
-            if inst.is_set(v):
-                # slot semantics: covers iff at least one of the pair taken
-                pairs[tw] = _fold_set_under(pairs[tw], va, vb)
-            else:
-                # both elements need the same outside cover unless satisfied
-                ta, tb = pairs[tw]
-                sat = ta.convolve(va)
-                both = (ta + tb).convolve(va + vb)
-                pairs[tw] = (sat, both - sat)
-        elif len(targets) == 1:
-            fold = _fold_set_under if inst.is_set(v) else _fold_elt_under
-            pairs[targets[0]] = fold(pairs[targets[0]], va, vb)
-        else:
-            total = total.convolve(va + vb if inst.is_set(v) else va)
-        absorbed.add(v)
-
     adj = g.neighbor_sets()
     bit: dict[int, int] = {}  # bag vertex -> its state bit
     states = {0: CountVector.one()}
@@ -285,12 +240,12 @@ def sc_dp(inst: ScIncidence, decomp: PathDecomposition) -> CountVector:
             nb = sum(bit.get(u, 0) for u in adj[v])
             new = {}
             if inst.is_set(v):  # taking it covers its pending neighbors
-                covers, idle = pairs[v]
+                covers, idle = inst.pair(v)
                 for s, acc in states.items():
                     add_into(new, s, acc.convolve(idle))
                     add_into(new, (s & ~nb) | b, acc.convolve(covers))
             else:
-                sat, pend = pairs[v]
+                sat, pend = inst.pair(v)
                 either = sat + pend
                 for s, acc in states.items():
                     if s & nb:  # a covering set is already in the bag
@@ -300,7 +255,7 @@ def sc_dp(inst: ScIncidence, decomp: PathDecomposition) -> CountVector:
                         add_into(new, s | b, acc.convolve(pend))
             states = new
         prev = bag
-    return total.convolve(states.get(0, CountVector.zero()))
+    return inst.factor.convolve(states.get(0, CountVector.zero()))
 
 
 # -- engine ------------------------------------------------------------------
@@ -308,57 +263,54 @@ def sc_dp(inst: ScIncidence, decomp: PathDecomposition) -> CountVector:
 
 def _component(inst: ScIncidence, comp: list[int]) -> ScIncidence:
     keep = set(comp)
-    return ScIncidence(
-        induced_subgraph(inst.incidence, keep),
-        set(inst.set_ids) & keep,
-        set(inst.annotated) & keep,
-        trivial_separation(keep - inst.annotated),
-        [a for a in inst.annotation_log if a.vertex in keep],
-    )
+    return ScIncidence(induced_subgraph(inst.incidence, keep), inst.set_ids & keep,
+                       trivial_separation(keep),
+                       {v: p for v, p in inst.pairs.items() if v in keep})
 
 
-def _without(inst: ScIncidence, doomed: set[int],
-             reset_sep: bool = False) -> ScIncidence:
+def _without(inst: ScIncidence, doomed: set[int], leaving: CountVector,
+             reset_sep: bool) -> ScIncidence:
+    """A copy without `doomed`, whose counts are `leaving`."""
     child = inst.copy()
     for v in doomed:
-        child.incidence.delete_vertex(v)
-        child.annotated.discard(v)
-        child.set_ids.discard(v)
-        child.sep.discard(v)
-    child.annotation_log = [a for a in child.annotation_log
-                            if a.vertex not in doomed]
+        child.delete(v)
+    child.factor = inst.factor.convolve(leaving)
     if reset_sep:
-        child.sep = trivial_separation(child.active_vertices())
+        child.sep = trivial_separation(child.incidence.vertices())
     return child
 
 
-def _find_duplicate(inst: ScIncidence) -> int | None:
-    """Smallest active degree-2 vertex sharing both neighbors with a twin."""
+def _find_duplicate(inst: ScIncidence) -> tuple[int, int] | None:
+    """The smallest degree-2 vertex sharing both neighbors with a twin,
+    and its smallest twin."""
+    g = inst.incidence
     sig: dict[tuple[bool, frozenset[int]], list[int]] = {}
-    for v in sorted(inst.active_vertices()):
-        if inst.active_degree(v) == 2:
-            key = (inst.is_set(v), frozenset(inst.active_neighbors(v)))
-            sig.setdefault(key, []).append(v)
-    twins = [vs[0] for vs in sig.values() if len(vs) >= 2]
+    for v in g.vertices():
+        if g.degree(v) == 2:
+            sig.setdefault((inst.is_set(v), frozenset(g.neighbors(v))), []).append(v)
+    twins = [tuple(vs[:2]) for vs in sig.values() if len(vs) >= 2]
     return min(twins) if twins else None
 
 
 def sc_count(inst: ScIncidence, weights: ScWeights | None = None,
              audit: Audit | None = None) -> tuple[CountVector, Stats]:
-    """Count set covers of every cardinality (duplicate sets distinct).
+    """Count set covers of every cardinality (duplicate sets distinct),
+    times the instance's ``factor``.
 
-    ``sc_dp`` counts a piece of maximum degree 2, and a node whose path
-    decomposition has width at most ``PD_WIDTH_CAP`` where it would
-    branch in the general phase, where it re-separates, and where it
-    branches on the ladder with no current decomposition.  Wider pieces
-    branch on a maximum-degree set or element while some active degree is
-    >= 4 (the loop's general phase), then follow the separator ladder.
-    `weights` (the published table by default) set the separator balance,
-    and the audit measures with them.
+    Each vertex of degree <= 1, else each duplicate of degree 2, is folded
+    into a neighbor, a twin or ``factor`` and deleted (counted as
+    ``annotations``).  ``sc_dp`` counts a piece of maximum degree 2, and a
+    node whose path decomposition has width at most ``PD_WIDTH_CAP``
+    where it would branch in the general phase, where it re-separates,
+    and where it branches on the ladder with no current decomposition.
+    Wider pieces branch on a maximum-degree set or element while some
+    degree is >= 4 (the loop's general phase), then follow the separator
+    ladder.  `weights` (the published table by default) set the separator
+    balance, and the audit measures with them.
 
     Audit: hard steps must satisfy Σ_j 2^μ(I_j) ≤ 2^μ(I), with μ = μ₄
-    while some active degree is ≥ 4 and μ = μ₃ in the subcubic phase, and
-    drop a potential by 1: the active count at annotations and general
+    while some degree is ≥ 4 and μ = μ₃ in the subcubic phase, and drop a
+    potential by 1: the vertex count ("active") at folds and general
     branches, the progress potential on the separator ladder.  Splits,
     the μ₃ ≤ μ₄ handover, re-separations and stall branches are logged
     only: their quality rests on the separator, not on the weights.
@@ -371,12 +323,12 @@ def sc_count(inst: ScIncidence, weights: ScWeights | None = None,
 
 class _Node(Node):
     """A set-cover instance for ``policy.run``: the loop splits its
-    incidence graph and moves ``inst.sep``, the separation of its active
-    part.  Annotations simplify it.  Off the ladder it counts a piece of
-    max degree 2; ``general_pivot`` names the general phase's branch (an
-    active degree >= 4).  Under an audit, `frozen` is μ₃'s log argument
-    since the last re-separation, and None until the handover to the
-    subcubic phase; without one it stays None."""
+    incidence graph and moves ``inst.sep``, its separation.  Folds
+    simplify it.  Off the ladder it counts a piece of max degree 2;
+    ``general_pivot`` names the general phase's branch (a degree >= 4).
+    Under an audit, `frozen` is μ₃'s log argument since the last
+    re-separation, and None until the handover to the subcubic phase;
+    without one it stays None."""
 
     sep = property(lambda self: self.inst.sep)
 
@@ -391,7 +343,7 @@ class _Node(Node):
     def leaf(self) -> CountVector:
         if self.audit:
             self.audit.step("leaf", 2, sc_snapshots(self.inst, self.w)(self.inst), [])
-        return CountVector.one()
+        return self.inst.factor
 
     def split(self, parts, depth) -> CountVector:
         children = [_component(self.inst, comp) for comp in parts]
@@ -399,7 +351,7 @@ class _Node(Node):
             snap = sc_snapshots(self.inst, self.w)
             self.audit.step("split", 2, snap(self.inst), [snap(c) for c in children],
                             hard=False, note=f"{len(parts)} parts")
-        vec = CountVector.one()
+        vec = self.inst.factor
         for child in children:
             vec = vec.convolve(run(_Node(child, self.w, self.stats, self.audit), depth))
         return vec
@@ -416,18 +368,16 @@ class _Node(Node):
             self.gap = abs(mu_r - mu_l)
 
     def simplify(self) -> bool:
-        """Annotate a degree <= 1 vertex, else a duplicate degree-2 one."""
-        inst, aud = self.inst, self.audit
-        low = [v for v in inst.active_vertices() if inst.active_degree(v) <= 1]
-        v = min(low) if low else _find_duplicate(inst)
+        """Fold a degree <= 1 vertex away, else a duplicate degree-2 one."""
+        inst, g, aud = self.inst, self.graph, self.audit
+        low = [v for v in g.vertices() if g.degree(v) <= 1]
+        v, twin = (min(low), None) if low else _find_duplicate(inst) or (None, None)
         if v is None:
             return False
         if aud:
             snap = sc_snapshots(inst, self.w, self.frozen)
             before = snap(inst)
-        inst.annotation_log.append(Annotation(v, tuple(inst.active_neighbors(v))))
-        inst.annotated.add(v)
-        inst.sep.discard(v)
+        _fold(inst, v, twin)
         self.stats.annotations += 1
         if aud:
             aud.step("annotate", 2, before, [snap(inst)], falls=("active",),
@@ -436,35 +386,31 @@ class _Node(Node):
 
     def direct(self, depth) -> CountVector | None:
         """Count a piece of max degree 2; keep the top degrees for ``general_pivot``."""
-        inst = self.inst
-        degs = [(inst.active_degree(v), inst.is_set(v)) for v in inst.active_vertices()]
+        g = self.graph
+        degs = [(g.degree(v), self.inst.is_set(v)) for v in g.vertices()]
         self.top = (max((d for d, is_set in degs if is_set), default=0),
                     max((d for d, is_set in degs if not is_set), default=0))
         return self._count(self.decompose()) if max(self.top) <= 2 else None
 
     def general_pivot(self) -> int | None:
-        """A smallest-id active vertex of maximum degree, an element unless a
-        set's degree is higher, while that degree is above 3."""
-        inst, (d_set, d_elt) = self.inst, self.top
+        """A smallest-id vertex of maximum degree, an element unless a set's
+        degree is higher, while that degree is above 3."""
+        g, (d_set, d_elt) = self.graph, self.top
         if max(d_set, d_elt) <= 3:
             return None
-        return min(u for u in inst.active_vertices() if inst.is_set(u) == (d_set > d_elt)
-                   and inst.active_degree(u) == max(d_set, d_elt))
-
-    def decompose(self) -> PathDecomposition:
-        return nice_path_decomposition(self.inst.active_graph())
+        return min(u for u in g.vertices() if self.inst.is_set(u) == (d_set > d_elt)
+                   and g.degree(u) == max(d_set, d_elt))
 
     def separate(self) -> PathDecomposition:
-        inst, w, aud = self.inst, self.w, self.audit
+        inst, g, w, aud = self.inst, self.graph, self.w, self.audit
         if aud and self.frozen is None:  # entering the subcubic phase should not raise the measure
             m4, m3 = float(sc_mu4(inst, w)), float(sc_mu3(inst, w))
             aud.add("handover", False, {"mu": m3 <= m4 + 1e-9}, {"mu": (m4, (m3,))},
                     note=f"mu3={m3:.6f} mu4={m4:.6f}")
-        ag = inst.active_graph()
-        decomp = nice_path_decomposition(ag)
+        decomp = nice_path_decomposition(g)
         arg_old = sc_mu3_parts(inst, w)[1] if aud else None
         inst.sep = separate_balanced_by_measure(
-            ag, lambda v: w.wright(ag.degree(v)), w.B, decomp)
+            g, lambda v: w.wright(g.degree(v)), w.B, decomp)
         if aud:  # the log term's amortization needs μ_r + μ_s to shrink by 1+ε
             self.frozen = arg = sc_mu3_parts(inst, w)[1]
             aud.add("reseparate", False, {"shrink": arg * (1 + w.eps) <= arg_old or arg_old == 0},
@@ -485,18 +431,18 @@ class _Node(Node):
     def pivot(self) -> PivotAction:
         """A separator move, or a branch on the first separator element,
         else on the first separator set."""
-        inst, w, sep, gap = self.inst, self.w, self.inst.sep, self.gap
+        g, w, sep, gap = self.graph, self.w, self.inst.sep, self.gap
         s_sorted = sorted(sep.sep)
 
         def side_nbrs(v: int, side: str) -> list[int]:
-            return [u for u in inst.active_neighbors(v) if sep.side_of(u) == side]
+            return [u for u in g.neighbors(v) if sep.side_of(u) == side]
 
         for s in s_sorted:
             if not side_nbrs(s, "L"):
                 return PivotAction("drag-R", s)
             if not side_nbrs(s, "R"):
                 return PivotAction("drag-L", s)
-        deg2 = [s for s in s_sorted if inst.active_degree(s) == 2]
+        deg2 = [s for s in s_sorted if g.degree(s) == 2]
         if deg2:
             # every S vertex now has a neighbor on each side, so a degree-2
             # one has exactly one per side; near balance its chain in the
@@ -507,39 +453,47 @@ class _Node(Node):
             two_l = [(s, side_nbrs(s, "R")[0]) for s in s_sorted
                      if len(side_nbrs(s, "L")) == 2]
             for s, r in two_l:
-                if inst.active_degree(r) == 3:
+                if g.degree(r) == 3:
                     return PivotAction("rotate", s, r)
             for s, r in two_l:  # every r has degree 2 here
-                if next(u for u in inst.active_neighbors(r) if u != s) in sep.sep:
+                if next(u for u in g.neighbors(r) if u != s) in sep.sep:
                     return PivotAction("rotate-pair", s, r)
-        elts = [s for s in s_sorted if not inst.is_set(s)]
+        elts = [s for s in s_sorted if not self.inst.is_set(s)]
         return PivotAction("branch", elts[0] if elts else s_sorted[0])
 
     def move(self, act: PivotAction) -> None:
-        inst, aud = self.inst, self.audit
+        aud = self.audit
         if aud:
-            snap = sc_snapshots(inst, self.w, self.frozen, ladder=True)
-            before = snap(inst)
-        adj = self.graph.neighbor_sets()
-        apply_move(inst.sep, act, lambda u: adj[u] - inst.annotated)
+            snap = sc_snapshots(self.inst, self.w, self.frozen, ladder=True)
+            before = snap(self.inst)
+        super().move(act)
         if aud:
-            aud.step(act.kind, 2, before, [snap(inst)], falls=("progress",), cap=self.w.B)
+            aud.step(act.kind, 2, before, [snap(self.inst)], falls=("progress",), cap=self.w.B)
 
     def stall(self) -> int:
         return _stall(self.inst)
 
     def branch(self, v, kind, depth) -> CountVector:
         """Two-way branch on v: a set is discarded or taken, an element made
-        optional or forbidden (its sets deleted).  On the ladder, audited
-        as "branch3", the children keep the separation and `frozen`; in the
-        general phase and at a stall they start from the trivial one."""
+        optional or forbidden (its sets deleted).  Each child carries the
+        node's factor times the counts of what leaves with it.  On the
+        ladder, audited as "branch3", the children keep the separation and
+        `frozen`; in the general phase and at a stall they start from the
+        trivial one."""
         inst, w, aud = self.inst, self.w, self.audit
         kind = {"branch": "branch3", "general": "branch"}.get(kind, kind)
         frozen, ladder = (self.frozen, True) if kind == "branch3" else (None, False)
         is_set = inst.is_set(v)
+        on, off = inst.pair(v)  # (covers, idle) of a set, (sat, pend) of an element
+        nbrs = set(self.graph.neighbors(v))
+        # a taken set's elements leave covered, a forbidden element's sets untaken
+        gone = CountVector.one()
+        for u in nbrs:
+            u_on, u_off = inst.pair(u)
+            gone = gone.convolve(u_on + u_off if is_set else u_off)
         # (discard, take) for a set, (optional, forbidden) for an element
-        first = _without(inst, {v}, reset_sep=not ladder)
-        second = _without(inst, {v} | set(inst.incidence.neighbors(v)), reset_sep=not ladder)
+        first = _without(inst, {v}, off if is_set else on + off, not ladder)
+        second = _without(inst, {v} | nbrs, (on if is_set else off).convolve(gone), not ladder)
         if aud:
             snap = sc_snapshots(inst, w, frozen, ladder)
             aud.step(f"{kind}-{'set' if is_set else 'elt'}", 2, snap(inst),
@@ -548,9 +502,11 @@ class _Node(Node):
                      cap=w.B if ladder else None, hard=kind != "stall",
                      note=f"{'s' if is_set else 'e'}={v}")
         a, b = (run(_Node(c, w, self.stats, aud, frozen), depth) for c in (first, second))
-        return a + b.shift(1) if is_set else a - b
+        return a + b if is_set else a - b
 
 
 def _stall(inst: ScIncidence) -> int:
-    """The vertex a stall branches on: the smallest active one of degree 3."""
-    return min(u for u in inst.active_vertices() if inst.active_degree(u) == 3)
+    """The vertex a stall branches on: the smallest one of degree 3.  The
+    benchmark's tracer counts its calls as ``setcover.stall``."""
+    g = inst.incidence
+    return min(u for u in g.vertices() if g.degree(u) == 3)

@@ -53,7 +53,7 @@ def csp_instances(draw, max_n: int = 6, rs: tuple[int, ...] = (2, 3), lo: int = 
 @st.composite
 def sc_instances(draw, max_sets: int = 8, max_elems: int = 8):
     """Random set-cover incidence instance (empty sets and isolated
-    elements are legal and exercise the degree-0 annotations)."""
+    elements are legal and exercise the degree-0 folds)."""
     ns = draw(st.integers(min_value=0, max_value=max_sets))
     ne = draw(st.integers(min_value=0, max_value=max_elems))
     inc = Graph(range(ne + ns))

@@ -40,8 +40,9 @@ DS_FIRST = [
 ]
 
 SC_KINDS = {"annotate": 913, "branch-elt": 44, "branch-set": 14, "branch3-elt": 7,
-            "branch3-set": 1, "dp": 280, "drag-L": 1, "drag-R": 62, "drag-path-R": 5,
-            "handover": 43, "reseparate": 50, "split": 83, "stall-elt": 41, "stall-set": 1}
+            "branch3-set": 1, "dp": 9, "drag-L": 1, "drag-R": 62, "drag-path-R": 5,
+            "handover": 41, "leaf": 181, "reseparate": 50, "split": 73, "stall-elt": 41,
+            "stall-set": 1}
 # (kind, hard, ok, balance held, μ before, μ of the children, note)
 SC_FIRST = [
     ("annotate", True, True, True, 6.4258, (6.38628,), "v=18"),
@@ -49,13 +50,14 @@ SC_FIRST = [
     ("branch-set", True, True, True, 2.021, (1.27316, 0.22732), "s=30"),
     ("branch3-elt", True, True, True, 283.100871604, (282.164966604, 281.105566604), "e=11"),
     ("branch3-set", True, True, True, 283.550893174, (282.532233174, 282.385758174), "s=22"),
-    ("dp", True, True, True, 1.36014, (), ""),
+    ("dp", True, True, True, 102.715178926, (), ""),
     ("drag-L", True, True, True, 340.997880759, (340.321795759,), ""),
     ("drag-R", True, True, True, 241.256544669, (240.576654669,), ""),
     ("drag-path-R", True, True, True, 263.080756245, (262.400866245,), ""),
     ("handover", False, False, True, 2.5288, (212.665227979,), "mu3=212.665228 mu4=2.528800"),
+    ("leaf", True, True, True, 1.36014, (), ""),
     ("reseparate", False, False, True, None, (), "arg 2.424800 -> 3.244640"),
-    ("split", False, True, True, 205.468643475, (154.245544139, 1.36014), "2 parts"),
+    ("split", False, False, True, 1.43655, (1.36014, 1.43655), "2 parts"),
     ("stall-elt", False, True, True, 101.127898703, (1.855535, 1.43655), "e=12"),
     ("stall-set", False, True, True, 182.262978984, (90.093992744, 17.885465323), "s=19"),
 ]
@@ -96,7 +98,7 @@ def test_sc_count_pins(ladder):
     sc_count(ds_to_sc(gen_random_cubic(16, 0)), audit=audit)
     assert Counter(e.kind for e in audit.entries) == SC_KINDS
     assert len(audit.violations) == 0
-    assert sum(not e.ok for e in audit.entries) == 156
+    assert sum(not e.ok for e in audit.entries) == 147
     balance = [e.checks.get("balance", True) for e in audit.entries]
     assert balance.count(False) == 22
     assert _firsts(audit.entries, lambda e: (

@@ -333,7 +333,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("text,msg", [
         ("graph 2 1\n0 1\nlabel 1 N\nlabel 1 C\n", "second label for vertex 1"),
         ("graph 2 1\n0 1\nlabel 1 C\nlabel 1 N\n", "second label for vertex 1"),
-        ("graph 2 1\n0 1\nlabels 1 N\n", "header promises 1 edges, found 2"),
+        ("graph 2 1\n0 1\nlabels 1 N\n", "bad edge line 'labels 1 N'"),
     ])
     def test_repeated_or_misspelled_label_is_2(self, text, msg):
         code, out, err = run(["count-ds", "--subcubic"], text)

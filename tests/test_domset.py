@@ -338,9 +338,11 @@ class TestTextFormat:
 
     def test_label_keyword_is_a_whole_token(self):
         # "labels" is no label line: it falls to the graph parser, which
-        # reads it as an edge line beyond the header's count
-        with pytest.raises(ValueError, match="header promises 1 edges"):
+        # rejects it as an edge line before it counts the edge lines
+        with pytest.raises(ValueError, match="bad edge line 'labels 1 N'"):
             parse_labeled_graph("graph 2 1\n0 1\nlabels 1 N\n")
+        with pytest.raises(ValueError, match="header promises 1 edges, found 2"):
+            parse_labeled_graph("graph 3 1\n0 1\n1 2\n")
         lg = parse_labeled_graph("graph 2 1\n0 1\n  label 1 N  # spaced\n")
         assert lg.label == {0: U, 1: N}
 

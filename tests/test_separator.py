@@ -286,7 +286,7 @@ class TestPathDecomposition:
                 best = result[1]
 
     @pytest.mark.parametrize("g", [
-        *(ds_to_sc(gen_random_cubic(n, seed)).active_graph() for n in (16, 18) for seed in (0, 1)),
+        *(ds_to_sc(gen_random_cubic(n, seed)).incidence for n in (16, 18) for seed in (0, 1)),
         *(gen_random_cubic(n, 0) for n in (28, 44)),
     ])
     def test_bags_match_reference_on_benchmark_shapes(self, g):

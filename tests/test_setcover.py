@@ -1,5 +1,6 @@
-"""Set-cover counting: incidence plumbing, the path-decomposition DP with
-annotation resolution, the subcubic separator ladder, oracle equivalence,
+"""Set-cover counting: incidence plumbing, the folds of degree-<=1 and
+duplicate vertices, branches and splits over folded material, the
+path-decomposition DP, the subcubic separator ladder, oracle equivalence,
 and the runtime measure audit.  The ladder is tested with the DP terminal
 switched off (the ``ladder`` fixture), since at the shipped width cap
 small instances never reach it."""
@@ -22,9 +23,7 @@ from smc.policy import Stats
 from smc.separator import Separation, nice_path_decomposition, trivial_separation
 from smc.setcover import (
     PD_WIDTH_CAP,
-    Annotation,
     ScIncidence,
-    _find_duplicate,
     _Node,
     ds_to_sc,
     format_sc,
@@ -47,21 +46,19 @@ def inst_from_sets(sets: list[set[int]], ne: int) -> ScIncidence:
 
 
 def dp(inst: ScIncidence) -> CountVector:
-    return sc_dp(inst, nice_path_decomposition(inst.active_graph()))
+    return sc_dp(inst, nice_path_decomposition(inst.incidence))
 
 
-def annotated(inst: ScIncidence, steps: int) -> ScIncidence:
-    """A copy after up to `steps` of the engine's annotation steps: the
-    smallest active vertex of degree <= 1, else a duplicate of degree 2."""
+def node(inst: ScIncidence) -> _Node:
+    return _Node(inst, ScWeights.published(), Stats(), None)
+
+
+def folded(inst: ScIncidence, steps: int) -> ScIncidence:
+    """A copy after up to `steps` of the engine's own folds (``simplify``)."""
     inst = inst.copy()
     for _ in range(steps):
-        low = [v for v in inst.active_vertices() if inst.active_degree(v) <= 1]
-        v = min(low) if low else _find_duplicate(inst)
-        if v is None:
+        if not node(inst).simplify():
             break
-        inst.annotation_log.append(Annotation(v, tuple(inst.active_neighbors(v))))
-        inst.annotated.add(v)
-        inst.sep.discard(v)
     return inst
 
 
@@ -109,11 +106,16 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_sc(text)
 
-    def test_format_refuses_annotated(self):
-        inst = parse_sc(self.SAMPLE)
-        inst.annotated.add(0)
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("inst", [
+        folded(parse_sc(SAMPLE), 1),  # element 0 folds into set 3: a pair
+        folded(inst_from_sets([set()], 0), 1),  # the empty set: a factor only
+    ], ids=["pair", "factor"])
+    def test_format_and_oracle_refuse_folded(self, inst):
+        assert inst.folded()
+        with pytest.raises(ValueError, match="folded"):
             format_sc(inst)
+        with pytest.raises(ValueError, match="folded"):
+            brute_setcover(inst)
 
 
 class TestDsToSc:
@@ -211,17 +213,17 @@ class TestScDp:
     @settings(max_examples=150, deadline=None)
     @given(sc_instances(max_sets=8, max_elems=8), st.integers(0, 20))
     def test_matches_brute_setcover_after_annotations(self, inst, steps):
-        assert dp(annotated(inst, steps)) == brute_setcover(inst)
+        assert dp(folded(inst, steps)) == brute_setcover(inst)
 
     @settings(max_examples=100, deadline=None)
     @given(graphs(max_n=9), st.integers(0, 20))
     def test_translation_matches_brute_domset_after_annotations(self, g, steps):
-        inst = annotated(ds_to_sc(g), steps)
+        inst = folded(ds_to_sc(g), steps)
         assert dp(inst) == brute_domset(LabeledGraph.all_u(g))
 
     def test_full_annotation_resolution(self):
         # paths and cycles peel completely through the deg<=1 and duplicate
-        # annotations before sc_dp resolves the log at the empty leaf
+        # folds, down to an empty leaf that answers the factor
         rng = random.Random(11)
         for _ in range(40):
             ne = rng.randint(1, 6)
@@ -234,6 +236,39 @@ class TestScDp:
                 continue
             vec, _ = sc_count(inst)
             assert vec == brute_setcover(inst)
+
+
+class TestFoldedBranches:
+    """Branches and splits over folded material, each checked against the
+    oracle on the instance before any fold."""
+
+    @pytest.mark.parametrize("sets,ne,steps,v,carriers", [
+        # element 3 lies in set 4 alone and folds into it
+        ([{0, 1, 2, 3}, {0, 1}, {1, 2}, {0, 2}], 4, 1, 4, {4}),
+        # the singleton sets 4 and 5 fold into elements 0 and 1, which
+        # leave with set 3 when it is taken
+        ([{0, 1, 2}, {0}, {1}, {1, 2}, {0, 2}], 3, 2, 3, {0, 1}),
+        # the singleton set 5 folds into element 0
+        ([{0, 1}, {0, 2}, {0}, {1, 2}, {0, 1, 2}], 3, 1, 0, {0}),
+        # element 3 folds into set 4, which leaves untaken when element 0
+        # is forbidden
+        ([{0, 1, 3}, {0, 2}, {1, 2}, {0, 1, 2}], 4, 1, 0, {4}),
+    ], ids=["set", "set-neighbors", "element", "element-neighbors"])
+    def test_branch_on_folded_material(self, sets, ne, steps, v, carriers):
+        inst = inst_from_sets(sets, ne)
+        work = folded(inst, steps)
+        assert set(work.pairs) == carriers and v in work.incidence
+        assert node(work).branch(v, "general", 0) == brute_setcover(inst)
+
+    def test_split_counts_the_node_factor_once(self):
+        # the empty set folds into the factor (1 + x) before the node
+        # splits into its two 6-cycles
+        cycles = [{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}]
+        inst = inst_from_sets([set(), *cycles], 6)
+        work = folded(inst, 1)
+        assert work.factor == CountVector([1, 1]) and not work.pairs
+        vec, stats = sc_count(work)
+        assert vec == brute_setcover(inst) and stats.splits == 1
 
 
 class TestSc3:
@@ -258,25 +293,28 @@ class TestSc3:
 
 
 class TestOracleEquivalence:
-    """At the shipped width cap, and with the ladder on every piece."""
+    """At the shipped width cap, at cap 3, where ladder branches and sweeps
+    both meet folded pairs, and with the ladder on every piece."""
+
+    CAPS = (PD_WIDTH_CAP, 3, -1)
 
     @settings(max_examples=150, deadline=None)
     @given(sc_instances(max_sets=8, max_elems=8))
     def test_matches_brute_setcover(self, inst):
         want = brute_setcover(inst)
-        assert sc_count(inst)[0] == want
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(smc.setcover, "PD_WIDTH_CAP", -1)
-            assert sc_count(inst)[0] == want
+        for cap in self.CAPS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(smc.setcover, "PD_WIDTH_CAP", cap)
+                assert sc_count(inst)[0] == want
 
     @settings(max_examples=150, deadline=None)
     @given(graphs(max_n=9))
     def test_translation_matches_brute_domset(self, g):
         want = brute_domset(LabeledGraph.all_u(g))
-        assert sc_count(ds_to_sc(g))[0] == want
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(smc.setcover, "PD_WIDTH_CAP", -1)
-            assert sc_count(ds_to_sc(g))[0] == want
+        for cap in self.CAPS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(smc.setcover, "PD_WIDTH_CAP", cap)
+                assert sc_count(ds_to_sc(g))[0] == want
 
 
 class TestOrient:
@@ -284,7 +322,7 @@ class TestOrient:
         """``pivot`` reads the side-weight gap that ``orient`` kept; after a
         swap it must be μ_r(R) − μ_r(L) of the new sides, not the old."""
         inst = ds_to_sc(random_cubic(10, random.Random(3)))
-        vs = sorted(inst.active_vertices())
+        vs = inst.incidence.vertices()
         inst.sep = Separation(set(vs[3:]), {vs[2]}, set(vs[:2]))  # L the heavier
         node = _Node(inst, ScWeights.published(), Stats(), None)
         node.orient()
@@ -363,10 +401,14 @@ class TestDeterminism:
         assert a[1] == b[1]
 
     def test_input_not_mutated(self):
-        inst = ds_to_sc(Graph.complete(5))
-        before = (inst.incidence.copy(), set(inst.annotated), inst.sep.copy())
-        sc_count(inst)
+        g = Graph.complete(5)
+        g.add_vertex(5)  # element 5 lies in set 11 alone and folds into it
+        inst = folded(ds_to_sc(g), 1)
+        assert set(inst.pairs) == {11}
+        before = (inst.incidence.copy(), dict(inst.pairs), inst.factor, inst.sep.copy())
+        vec, _ = sc_count(inst)
+        assert vec == brute_domset(LabeledGraph.all_u(g))
         assert inst.incidence.edges() == before[0].edges()
-        assert inst.annotated == before[1]
-        assert inst.sep.left == before[2].left
-        assert inst.sep.right == before[2].right
+        assert (inst.pairs, inst.factor) == before[1:3]
+        assert inst.sep.left == before[3].left
+        assert inst.sep.right == before[3].right
