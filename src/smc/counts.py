@@ -3,6 +3,11 @@
 ``CountVector`` behaves like a polynomial in x with nonnegative integer
 coefficients: entry k counts objects of cardinality k.  Vectors are
 value-like and compared mathematically (trailing zeros ignored).
+
+``CountVector`` is the type at the engines' boundaries: folds, factors,
+branch recombination and results.  A sweep may pack the vectors it
+carries into Python ints (``pack``/``unpack``), one slot of fixed width
+per coefficient, so that a sum is one add and a convolution one multiply.
 """
 
 from __future__ import annotations
@@ -83,6 +88,28 @@ class CountVector:
 
     def __repr__(self) -> str:
         return f"CountVector({list(self.counts)!r})"
+
+
+def pack(vec: CountVector, width: int) -> int:
+    """vec as one int with entry k in bits [k·width, (k+1)·width)
+    (Kronecker packing).  Sums and products of packed ints are the packed
+    sums and convolutions while no coefficient reaches 2^width."""
+    packed = 0
+    for c in reversed(vec.counts):
+        if c < 0 or c >> width:
+            raise ValueError(f"coefficient {c} does not fit a {width}-bit slot")
+        packed = packed << width | c
+    return packed
+
+
+def unpack(packed: int, width: int) -> CountVector:
+    """The vector that ``pack`` packed into `packed` with `width`-bit slots,
+    read off its binary digits in one pass."""
+    if not packed:
+        return CountVector.zero()
+    digits = format(packed, "b")
+    return CountVector(int(digits[max(i - width, 0):i], 2)
+                       for i in range(len(digits), 0, -width))
 
 
 def add_into(states: dict[int, CountVector], key: int, vec: CountVector) -> None:

@@ -109,8 +109,13 @@ class PathDecomposition:
                     raise ValueError(f"bags {i-1},{i} differ by != 1 vertex")
 
 
-def _greedy_layout(adj: dict[int, tuple[int, ...]], first: int,
-                   stop: int | None = None) -> tuple[list[int], int] | None:
+def _fresh_order(adj: dict[int, tuple[int, ...]]) -> list[int]:
+    """Isolated vertices first, then by id: untouched vertices in key order."""
+    return sorted(adj, key=lambda v: (len(adj[v]) > 0, v))
+
+
+def _greedy_layout(adj: dict[int, tuple[int, ...]], first: int, stop: int | None = None,
+                   fresh: list[int] | None = None) -> tuple[list[int], int] | None:
     """Vertex order minimizing the running boundary, seeded at `first`.
 
     B = placed vertices with an unplaced neighbor.  Each step places the
@@ -125,13 +130,16 @@ def _greedy_layout(adj: dict[int, tuple[int, ...]], first: int,
 
     The running width never falls, so with `stop` set the layout returns
     None as soon as its width reaches `stop`: exactly when the full
-    layout's width would be ≥ `stop`.
+    layout's width would be ≥ `stop`.  `fresh`, the vertices in untouched
+    key order, does not depend on the start; a caller with many starts
+    passes ``_fresh_order(adj)`` to each, and it is sorted here otherwise.
     """
     unplaced = {v: len(nbrs) for v, nbrs in adj.items()}
     closed = dict.fromkeys(adj, 0)
     placed: set[int] = set()
     frontier: set[int] = set()
-    fresh = sorted(adj, key=lambda v: (len(adj[v]) > 0, v))
+    if fresh is None:
+        fresh = _fresh_order(adj)
     nxt = 0  # touched vertices never become untouched again
     order: list[int] = []
     boundary = width = 0
@@ -183,20 +191,22 @@ def nice_path_decomposition(g: Graph) -> PathDecomposition:
 
     Multi-start over the PD_STARTS smallest ids as forced first vertex; each
     start runs ``_greedy_layout`` (key and cost there) on one shared
-    adjacency snapshot, and the smallest width wins, ties to the earliest
-    start.  The first start runs to the end; each later one stops as soon
-    as its width reaches the best width so far.  A layout's running width
-    never falls, so a dropped start could at best tie, and a tie loses to
-    the earlier start: the winner is the same as with every start run to
-    the end.  ``path_decomposition`` turns the winning order into bags.
+    adjacency snapshot and one shared untouched order, and the smallest
+    width wins, ties to the earliest start.  The first start runs to the
+    end; each later one stops as soon as its width reaches the best width
+    so far.  A layout's running width never falls, so a dropped start
+    could at best tie, and a tie loses to the earlier start: the winner is
+    the same as with every start run to the end.  ``path_decomposition``
+    turns the winning order into bags.
     """
     vs = g.vertices()
     if not vs:
         return PathDecomposition([])
     adj = {v: g.neighbors(v) for v in vs}
-    best = _greedy_layout(adj, vs[0])
+    fresh = _fresh_order(adj)
+    best = _greedy_layout(adj, vs[0], None, fresh)
     for first in vs[1:PD_STARTS]:
-        best = _greedy_layout(adj, first, best[1]) or best
+        best = _greedy_layout(adj, first, best[1], fresh) or best
     return path_decomposition(g, best[0])
 
 

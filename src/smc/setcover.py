@@ -33,8 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
+from typing import Callable
 
-from .counts import CountVector, add_into
+from .counts import CountVector, pack, unpack
 from .graph import Graph, induced_subgraph
 from .measures import Audit, sc_mu3, sc_mu3_parts, sc_mu4, sc_side_weights, sc_snapshots
 from .policy import Node, PivotAction, Stats, run
@@ -209,6 +211,14 @@ def _fold(inst: ScIncidence, v: int, twin: int | None) -> None:
     inst.delete(v)
 
 
+def _times(p: int) -> Callable[[int], int] | None:
+    """Multiplication by p, as a shift when p is a power of two (a packed
+    x^k, or 1); None for p = 0."""
+    if p & (p - 1) == 0:
+        return (p.bit_length() - 1).__rlshift__ if p else None
+    return p.__mul__
+
+
 def sc_dp(inst: ScIncidence, decomp: PathDecomposition) -> CountVector:
     """Exact cover counts by one sweep over `decomp`, a nice path
     decomposition of the incidence graph, with up to 2^(width+1) states,
@@ -219,20 +229,35 @@ def sc_dp(inst: ScIncidence, decomp: PathDecomposition) -> CountVector:
     idle) pair and an element with its (sat, pend) pair.  Every edge lies
     in some bag, so a covering neighbor meets each element in one;
     forgetting a pending element drops the state.
+
+    Each state's counts are one packed int (``counts.pack``) with slots of
+    W = bit_length(Π_v T_v) bits, T_v the total of v's two pair entries
+    summed.  An introduce splits a state's mass over at most two states
+    that together carry its total times T_v, and a forget only drops or
+    merges states, so the mass of all states never exceeds Π_v T_v, and no
+    coefficient does.  The sweep never subtracts, so no slot borrows or
+    carries: an introduce is a multiply (a shift for an x^k entry), a
+    forget an add.  Each vertex is introduced once, so its pair is packed
+    once.
     """
     g = inst.incidence
+    pairs = {v: inst.pair(v) for v in g.vertices()}
+    mass = prod((a + b).total() for a, b in pairs.values())
+    if not mass:  # some vertex has no choice at all
+        return CountVector.zero()
+    width = mass.bit_length()
     adj = g.neighbor_sets()
     bit: dict[int, int] = {}  # bag vertex -> its state bit
-    states = {0: CountVector.one()}
+    states = {0: 1}  # state -> its packed counts; zero counts are left out
     prev: frozenset[int] = frozenset()
     # the last bag is not empty: a closing empty bag forgets what it holds
     for bag in [*decomp.bags, frozenset()]:
         for v in prev - bag:
             b = bit.pop(v)
-            new: dict[int, CountVector] = {}
+            new: dict[int, int] = {}
             for s, acc in states.items():
                 if inst.is_set(v) or not s & b:  # a pending element stays uncovered
-                    add_into(new, s & ~b, acc)
+                    new[s & ~b] = new.get(s & ~b, 0) + acc
             states = new
         for v in bag - prev:
             used = sum(bit.values())
@@ -240,22 +265,27 @@ def sc_dp(inst: ScIncidence, decomp: PathDecomposition) -> CountVector:
             nb = sum(bit.get(u, 0) for u in adj[v])
             new = {}
             if inst.is_set(v):  # taking it covers its pending neighbors
-                covers, idle = inst.pair(v)
+                covers, idle = (_times(pack(x, width)) for x in pairs[v])
                 for s, acc in states.items():
-                    add_into(new, s, acc.convolve(idle))
-                    add_into(new, (s & ~nb) | b, acc.convolve(covers))
-            else:
-                sat, pend = inst.pair(v)
-                either = sat + pend
+                    if idle:
+                        new[s] = new.get(s, 0) + idle(acc)
+                    if covers:
+                        t = (s & ~nb) | b
+                        new[t] = new.get(t, 0) + covers(acc)
+            else:  # no two states make the same state: nothing merges
+                a, c = pairs[v]
+                sat, pend, either = (_times(pack(x, width)) for x in (a, c, a + c))
                 for s, acc in states.items():
                     if s & nb:  # a covering set is already in the bag
-                        add_into(new, s, acc.convolve(either))
+                        new[s] = either(acc)
                     else:
-                        add_into(new, s, acc.convolve(sat))
-                        add_into(new, s | b, acc.convolve(pend))
+                        if sat:
+                            new[s] = sat(acc)
+                        if pend:
+                            new[s | b] = pend(acc)
             states = new
         prev = bag
-    return inst.factor.convolve(states.get(0, CountVector.zero()))
+    return inst.factor.convolve(unpack(states.get(0, 0), width))
 
 
 # -- engine ------------------------------------------------------------------

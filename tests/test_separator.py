@@ -269,9 +269,9 @@ class TestPathDecomposition:
         g = relabeled(gen_random_cubic(24, 5), 5)  # start widths 6, 6, 5, ..., 5
         calls, results = [], []
 
-        def record(adj, first, stop=None):
+        def record(adj, first, stop=None, fresh=None):
             calls.append((first, stop))
-            results.append(_greedy_layout(adj, first, stop))
+            results.append(_greedy_layout(adj, first, stop, fresh))
             return results[-1]
 
         monkeypatch.setattr("smc.separator._greedy_layout", record)

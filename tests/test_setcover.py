@@ -6,6 +6,7 @@ switched off (the ``ladder`` fixture), since at the shipped width cap
 small instances never reach it."""
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from strategies import graphs, sc_instances
 
 import smc.setcover
-from smc.counts import CountVector
+from smc.counts import CountVector, add_into
 from smc.domset import LabeledGraph
 from smc.graph import Graph
 from smc.oracles import brute_domset, brute_setcover
@@ -236,6 +237,120 @@ class TestScDp:
                 continue
             vec, _ = sc_count(inst)
             assert vec == brute_setcover(inst)
+
+
+# -- the former CountVector sweep, kept as an oracle for the packed sc_dp
+
+
+def cv_sweep(inst: ScIncidence, decomp) -> CountVector:
+    """sc_dp with a CountVector per state, merged by ``add_into``."""
+    adj = inst.incidence.neighbor_sets()
+    bit: dict[int, int] = {}
+    states = {0: CountVector.one()}
+    prev: frozenset[int] = frozenset()
+    for bag in [*decomp.bags, frozenset()]:
+        for v in prev - bag:
+            b = bit.pop(v)
+            new: dict[int, CountVector] = {}
+            for s, acc in states.items():
+                if inst.is_set(v) or not s & b:
+                    add_into(new, s & ~b, acc)
+            states = new
+        for v in bag - prev:
+            used = sum(bit.values())
+            bit[v] = b = ~used & (used + 1)
+            nb = sum(bit.get(u, 0) for u in adj[v])
+            new = {}
+            if inst.is_set(v):
+                covers, idle = inst.pair(v)
+                for s, acc in states.items():
+                    add_into(new, s, acc.convolve(idle))
+                    add_into(new, (s & ~nb) | b, acc.convolve(covers))
+            else:
+                sat, pend = inst.pair(v)
+                for s, acc in states.items():
+                    if s & nb:
+                        add_into(new, s, acc.convolve(sat + pend))
+                    else:
+                        add_into(new, s, acc.convolve(sat))
+                        add_into(new, s | b, acc.convolve(pend))
+            states = new
+        prev = bag
+    return inst.factor.convolve(states.get(0, CountVector.zero()))
+
+
+def both_sweeps(inst: ScIncidence) -> tuple[CountVector, CountVector]:
+    decomp = nice_path_decomposition(inst.incidence)
+    return sc_dp(inst, decomp), cv_sweep(inst, decomp)
+
+
+vectors = st.lists(st.integers(0, 6), max_size=4).map(CountVector)
+
+
+@st.composite
+def with_pairs(draw):
+    """An instance whose vertices carry arbitrary nonnegative pairs, with
+    several nonzero slots, and a factor."""
+    inst = draw(sc_instances(max_sets=7, max_elems=7))
+    for v in inst.incidence.vertices():
+        if draw(st.booleans()):
+            inst.pairs[v] = draw(vectors), draw(vectors)
+    inst.factor = draw(vectors)
+    return inst
+
+
+class TestPackedSweep:
+    """sc_dp's packed sweep against the former CountVector sweep on the
+    same decomposition."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sc_instances(max_sets=8, max_elems=8), st.integers(0, 20))
+    def test_matches_former_sweep_after_folds(self, inst, steps):
+        got, want = both_sweeps(folded(inst, steps))
+        assert got == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_n=10), st.integers(0, 20))
+    def test_matches_former_sweep_on_translations(self, g, steps):
+        got, want = both_sweeps(folded(ds_to_sc(g), steps))
+        assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(with_pairs())
+    def test_matches_former_sweep_on_pairs_with_several_slots(self, inst):
+        got, want = both_sweeps(inst)
+        assert got == want
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 30])
+    @pytest.mark.parametrize("covers,idle,slot", [((1,), (1,), 0), ((0, 1), (0, 1), 1)],
+                             ids=["constant", "monomial"])
+    def test_identical_sets_over_one_element_fill_the_slot(self, k, covers, idle, slot):
+        """k identical sets over an element already satisfied (pend = 0):
+        no state is dropped, so all 2^k choices land in one coefficient,
+        the total mass Π_v T_v, which needs every bit of the slot width
+        W = bit_length(Π_v T_v)."""
+        inst = inst_from_sets([{0}] * k, 1)
+        inst.pairs = {0: (CountVector.one(), CountVector.zero())}
+        inst.pairs.update({s: (CountVector(covers), CountVector(idle)) for s in inst.set_ids})
+        got, want = both_sweeps(inst)
+        assert got == want == CountVector.unit(slot * k).convolve(CountVector([2**k]))
+
+    def test_identical_base_sets_over_one_element(self):
+        inst = inst_from_sets([{0}] * 20, 1)
+        got, want = both_sweeps(inst)
+        assert got == want
+        assert got.to_list(20) == [0] + [comb(20, j) for j in range(1, 21)]
+
+    @pytest.mark.parametrize("pairs", [
+        {},  # element 0 lies in no set: every state is dropped
+        {2: (CountVector.zero(), CountVector.zero())},  # set 2 has no choice: mass 0
+        {1: (CountVector.zero(), CountVector((0, 0)))},  # element 1 can be neither
+    ], ids=["uncoverable", "set-without-choice", "element-without-choice"])
+    def test_piece_that_counts_zero(self, pairs):
+        inst = inst_from_sets([{1}], 2)
+        inst.pairs.update(pairs)
+        got, want = both_sweeps(inst)
+        assert got == want == CountVector.zero()
 
 
 class TestFoldedBranches:
