@@ -10,16 +10,20 @@ cubic graphs with subdivided edges, and check that attaching an audit
 changes neither.  The pins run the separator ladders with both
 path-decomposition terminals switched off (``PD_WIDTH_CAP`` = -1), and
 once more at the shipped cap, where one more set-cover pin reaches the
-subcubic ladder.
+subcubic ladder.  The local baselines of the Max 2-CSP and #DS engines
+are pinned too: answers, full stats and the #DS audit's kinds.
 """
 
 import random
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
 
-from smc.domset import LabeledGraph, count_ds
-from smc.generators import gen_random_cubic
+from smc.csp import encode_maxcut
+from smc.csp_solve import solve
+from smc.domset import LabeledGraph, branch3, count_ds
+from smc.generators import csp_on_graph, gen_g4, gen_random_cubic
 from smc.graph import Graph
 from smc.measures import Audit
 from smc.policy import Node, PivotAction, Stats, apply_move, run, separator_case
@@ -371,3 +375,63 @@ class TestAuditIsPassive:
         assert sc_count(inst, audit=audit) == sc_count(inst)
         assert any(e.kind == "annotate" for e in audit.entries)
         assert any(e.kind.startswith("drag") for e in audit.entries)
+
+
+def local_stats(branchings: int, leaves: int, dp_calls: int, max_depth: int) -> dict:
+    """A local run's stats: it never splits, stalls or separates."""
+    return {'branchings': branchings, 'stalls': 0, 'leaves': leaves, 'dp_calls': dp_calls,
+            'annotations': 0, 'splits': 0, 'max_depth': max_depth, 'separator_recomputes': 0}
+
+
+# (score, witness colours in vertex order, stats) of solve(policy="local")
+# on csp_on_graph(gen_random_cubic(20, seed), 2, seed) and on the max-cut
+# encoding of gen_g4(16, 8)
+LOCAL_CSP = {
+    0: (75, "01111110001101101111", local_stats(15, 16, 0, 20)),
+    1: (90, "00000011100001101010", local_stats(15, 16, 0, 20)),
+    2: (53, "01011101111111001100", local_stats(7, 8, 0, 20)),
+    "g4": (35, "00110011010110101001100", local_stats(31, 32, 0, 23)),
+}
+
+# (counts, stats) of count_ds(policy="local") on gen_random_cubic(16, seed),
+# and on the forbidden child of a branch3 on vertex 0 of seed 0's graph
+LOCAL_DS = {
+    0: ((0, 0, 0, 0, 0, 93, 961, 3549, 6924, 8449, 7036, 4182, 1804, 560, 120, 16, 1),
+        local_stats(121, 243, 243, 5)),
+    1: ((0, 0, 0, 0, 0, 52, 777, 3260, 6692, 8343, 7009, 4179, 1804, 560, 120, 16, 1),
+        local_stats(310, 621, 621, 6)),
+    "forb": ((0, 0, 0, 0, 1, 15, 73, 155, 171, 111, 44, 10, 1),
+             local_stats(40, 81, 81, 4)),
+}
+
+
+class TestLocalPinned:
+    @pytest.mark.parametrize("key", list(LOCAL_CSP))
+    def test_solve(self, key):
+        score, witness, stats = LOCAL_CSP[key]
+        if key == "g4":
+            inst = encode_maxcut(gen_g4(16, 8))
+        else:
+            inst = csp_on_graph(gen_random_cubic(20, key), 2, key)
+        sol, got = solve(inst, policy="local")
+        colours = "".join(str(sol.assignment[v]) for v in inst.graph.vertices())
+        assert (sol.score, colours, asdict(got)) == (score, witness, stats)
+
+    @pytest.mark.parametrize("key", list(LOCAL_DS))
+    def test_count_ds(self, key):
+        counts, stats = LOCAL_DS[key]
+        if key == "forb":
+            lg = branch3(LabeledGraph.all_u(gen_random_cubic(16, 0)), 0)[2]
+        else:
+            lg = LabeledGraph.all_u(gen_random_cubic(16, key))
+        vec, got = count_ds(lg, policy="local")
+        assert (vec.counts, asdict(got)) == (counts, stats)
+
+    def test_count_ds_audit_kinds(self):
+        # one entry per branch and per swept piece, all of them ok
+        audit = Audit(strict=True)
+        vec, _ = count_ds(LabeledGraph.all_u(gen_random_cubic(16, 0)), policy="local",
+                          audit=audit)
+        assert vec.counts == LOCAL_DS[0][0]
+        assert Counter(e.kind for e in audit.entries) == {"branch": 121, "flat": 243}
+        assert all(e.ok for e in audit.entries)
