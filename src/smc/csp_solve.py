@@ -1,5 +1,5 @@
-"""Exact Max 2-CSP solving: the engine, a node of the shared loop
-``policy.run``, and the local baseline.
+"""Exact Max 2-CSP solving: the engine and its local baseline, both nodes
+of the shared loop ``policy.run``.
 
 A node folds degree ≤ 2 vertices away in place (reductions 0/I/II) and
 branches on a vertex's r colours: on a smallest-id maximum-degree vertex
@@ -10,16 +10,17 @@ sweep over its path decomposition when that keeps within r^(width+1) ≤
 3^(PD_WIDTH_CAP+1) states, the #DS sweep's bound.
 
 Ownership: ``solve`` copies the caller's instance once.  ``policy.run``
-consumes a node's instance and separation, and ``_rec_local`` its
-instance: both reduce it in place and, on the way out, complete the
-witness with the reductions' fills in reverse order.  A branch writes
-its vertex's colour into the witness of the child it keeps.
-``reduceIII`` children and ``restrict`` pieces are fresh.
+consumes a node's instance and separation: it reduces the instance in
+place and, on the way out, the witness is completed with the reductions'
+fills in reverse order.  A branch writes its vertex's colour into the
+witness of the child it keeps.  ``reduceIII`` children and ``restrict``
+pieces are fresh.
 
 Scores are exact (arbitrary-precision) integers throughout, so
-"overflow" cannot silently wrap.  Policy "local" disables all separator
-machinery and branches on a smallest-id maximum-degree vertex, which is
-the baseline the adversarial trace analysis applies to.
+"overflow" cannot silently wrap.  Policy "local", Scott–Sorkin's local
+branching and the baseline the adversarial trace analysis applies to,
+runs on the same loop: it branches on a smallest-id maximum-degree
+vertex at every degree, and never splits, separates or sweeps.
 """
 
 from __future__ import annotations
@@ -48,11 +49,10 @@ def _simplify_action(g: Graph, sep: Separation | None) -> PivotAction | None:
     endpoint in L and one in R carries its R-endpoint as the separator
     repair."""
     adj = g.neighbor_sets()
-    low = min(((len(nbrs), v) for v, nbrs in adj.items() if len(nbrs) <= 2),
-              default=None)
-    if low is None:
+    low = [(len(nbrs), v) for v, nbrs in adj.items() if len(nbrs) <= 2]
+    if not low:
         return None
-    deg, y = low
+    deg, y = min(low)
     partner = None
     if deg == 2 and sep is not None and y in sep.sep:
         a, b = adj[y]
@@ -170,7 +170,7 @@ class _Node(Node):
         return self.inst.s_nil, {}
 
     def split(self, parts, depth):
-        children = [_Node(restrict(self.inst, comp), self.sep.restrict(comp), self.stats,
+        children = [type(self)(restrict(self.inst, comp), self.sep.restrict(comp), self.stats,
                           self.audit, self.weights) for comp in parts]
         self._log("split", self._snap(), children, hard=False)
         answers = [_run(child, depth) for child in children]
@@ -197,9 +197,10 @@ class _Node(Node):
         self._log("reseparate", before, hard=False)
         return decomp
 
-    def sweep(self, decomp: PathDecomposition):
-        """The sweep's answer if r^(width+1) ≤ 3^(PD_WIDTH_CAP+1), else None."""
-        if self.inst.r ** (decomp.width + 1) > 3 ** (PD_WIDTH_CAP + 1):
+    def sweep(self, decomp: PathDecomposition | None):
+        """The sweep's answer if r^(width+1) ≤ 3^(PD_WIDTH_CAP+1), else
+        None, as it is without a decomposition."""
+        if decomp is None or self.inst.r ** (decomp.width + 1) > 3 ** (PD_WIDTH_CAP + 1):
             return None
         self.stats.leaves += 1
         self.stats.dp_calls += 1
@@ -217,11 +218,31 @@ class _Node(Node):
         self._log(act.kind, before, falls=("eta",))
 
     def branch(self, y: int, kind: str, depth: int):
-        nodes = [_Node(ci, self.sep.restrict(ci.graph.vertices()), self.stats, self.audit,
-                       self.weights) for ci in reduceIII(self.inst, y)]
-        self._log(kind, self._snap(), nodes, falls=("eta",), hard=kind == "branch",
+        before = self._snap()
+        self.sep.discard(y)  # each child is G - y
+        nodes = [type(self)(ci, self.sep.copy(), self.stats, self.audit, self.weights)
+                 for ci in reduceIII(self.inst, y)]
+        self._log(kind, before, nodes, falls=("eta",), hard=kind == "branch",
                   note="re-separation made no progress" if kind == "stall" else "")
         return _best(y, (_run(node, depth) for node in nodes))
+
+
+class _Local(_Node):
+    """A node of the local baseline: after the reductions, a branch on a
+    smallest-id maximum-degree vertex at every degree, never a split or a
+    sweep; its separation stays trivial."""
+
+    splits = False
+
+    def decompose(self) -> None:
+        return None
+
+    def general_pivot(self) -> int:
+        g = self.graph
+        return min(g.vertices(), key=lambda v: (-g.degree(v), v))
+
+
+_NODES = {"separator": _Node, "local": _Local}
 
 
 def _run(node: _Node, depth: int) -> tuple[int, dict[int, int]]:
@@ -245,29 +266,6 @@ def _best(y: int, answers) -> tuple[int, dict[int, int]]:
     return best
 
 
-def _rec_local(inst: CspInstance, stats: Stats, depth: int) -> tuple[int, dict[int, int]]:
-    """Reduce in place, one level of depth each, then branch on a
-    smallest-id maximum-degree vertex; consumes inst.  No separators, no
-    component splits: the baseline the pivot-policy comparison runs
-    against."""
-    g, fills = inst.graph, []
-    while (act := _simplify_action(g, None)) is not None:
-        fills.append(getattr(csp, act.kind)(inst, act.vertex))
-        depth += 1
-    stats.max_depth = max(stats.max_depth, depth)
-    if g.n == 0:
-        stats.leaves += 1
-        score, asg = inst.s_nil, {}
-    else:
-        dmax = g.max_degree()
-        y = min(v for v in g.vertices() if g.degree(v) == dmax)
-        stats.branchings += 1
-        score, asg = _best(y, (_rec_local(c, stats, depth + 1) for c in reduceIII(inst, y)))
-    for fill in reversed(fills):
-        fill(asg)
-    return score, asg
-
-
 def solve(inst: CspInstance, policy: str = "separator", audit: Audit | None = None,
           weights: CspWeights | None = None) -> tuple[CspSolution, Stats]:
     """Exact optimum, witnessing assignment, and run counters.
@@ -277,6 +275,9 @@ def solve(inst: CspInstance, policy: str = "separator", audit: Audit | None = No
     colour at each forget of the sweep) and always satisfies
     evaluate(inst, witness) = score.
 
+    Policy "local" is the baseline on the same loop: it branches on a
+    smallest-id maximum-degree vertex, never splits, separates or sweeps.
+
     An audit records every step taken at max degree ≤ 3, measured with
     `weights` (the published table by default); the general phase and
     the local policy have no measure yet, so the local policy takes no
@@ -285,16 +286,13 @@ def solve(inst: CspInstance, policy: str = "separator", audit: Audit | None = No
     recorded with the same numbers but only logged, since the analysis
     bounds them by separator quality, not by the weights.
     """
-    if policy not in ("separator", "local"):
+    if policy not in _NODES:
         raise ValueError(f"unknown policy {policy!r}")
     if policy == "local" and audit is not None:
         raise ValueError("the local policy records no step: an audit needs the separator policy")
     stats, weights = Stats(), weights or CspWeights.published()
     inst = inst.copy()  # the engines consume their instance
-    if policy == "local":
-        score, asg = _rec_local(inst, stats, 0)
-    else:
-        node = _Node(inst, trivial_separation(inst.graph.vertices()), stats, audit, weights)
-        score, asg = _run(node, 0)
+    node = _NODES[policy](inst, trivial_separation(inst.graph.vertices()), stats, audit, weights)
+    score, asg = _run(node, 0)
     assert stats.leaves >= 1 and stats.branchings >= 0
     return CspSolution(score, asg), stats

@@ -13,13 +13,15 @@ recombines by inclusion-exclusion; degree <= 2 vertices are never
 branched on.  Its one terminal, ``ds_dp``, sweeps a path decomposition
 with three states per bag vertex: a connected component is counted
 outright when it has max degree <= 2 (walked as a path or cycle) or a
-nice path decomposition of width at most ``PD_WIDTH_CAP``.  Under the
-separator policy each component is a node of the shared loop
-``policy.run``, which consumes the node's separation.  Its moves and
-branch pivots come from the loop's one separator-case ladder,
-``policy.separator_case``, which the Max 2-CSP solver runs too; the
-engine has no pivot rule of its own.  Branch children and components
-are fresh copies.
+nice path decomposition of width at most ``PD_WIDTH_CAP``.  Both
+policies run on the shared loop ``policy.run``, which consumes a node's
+separation.  Under the separator policy each component is a node, and
+its moves and branch pivots come from the loop's one separator-case
+ladder, ``policy.separator_case``, which the Max 2-CSP solver runs too.
+The local baseline branches on the smallest-id degree-3 vertex until
+none is left, with no component split, separation or decomposition, and
+then sweeps what remains along its walk.  Branch children and
+components are fresh copies.
 """
 
 from __future__ import annotations
@@ -232,11 +234,11 @@ def _terminal(lg: LabeledGraph, decomp: PathDecomposition | None) -> CountVector
     """Count of a connected component by ``ds_dp``: along its walk order
     when it has max degree <= 2, else over `decomp`, a nice path
     decomposition of it, when that is at most PD_WIDTH_CAP wide; None
-    when it is wider."""
+    when it is wider or there is no decomposition."""
     g = lg.graph
     if g.max_degree() <= 2:
         decomp = path_decomposition(g, _linear_order(g))
-    elif decomp.width > PD_WIDTH_CAP:
+    elif decomp is None or decomp.width > PD_WIDTH_CAP:
         return None
     return ds_dp(lg, decomp)
 
@@ -250,7 +252,7 @@ class _Node(Node):
         self.lg, self.graph, self.sep, self.stats, self.audit = lg, lg.graph, sep, stats, audit
 
     def _child(self, lg: LabeledGraph) -> "_Node":
-        return _Node(lg, self.sep.restrict(lg.graph.vertices()), self.stats, self.audit)
+        return type(self)(lg, self.sep.restrict(lg.graph.vertices()), self.stats, self.audit)
 
     def check(self) -> None:
         super().check()
@@ -287,31 +289,22 @@ class _Node(Node):
         return _checked(self.audit, kind, self.graph.n, vec_in.shift(1) + vec_opt - vec_forb)
 
 
-def _rec_local(lg: LabeledGraph, stats: Stats, audit: Audit | None, depth: int) -> CountVector:
-    """Branch on the smallest-id degree-3 vertex until none is left, then
-    sweep up what remains (paths, cycles, isolated vertices).  No
-    separators, no component splits while branching: the baseline the
-    pivot-policy comparison runs against."""
-    stats.max_depth = max(stats.max_depth, depth)
-    g = lg.graph
-    if audit is not None:
-        lg.check()
-    if g.n == 0:
-        stats.leaves += 1
-        return _checked(audit, "leaf", 0, CountVector.one())
-    deg3 = [v for v in g.vertices() if g.degree(v) == 3]
-    if deg3:
-        g_in, g_opt, g_forb = branch3(lg, deg3[0])
-        stats.branchings += 1
-        vec = (
-            _rec_local(g_in, stats, audit, depth + 1).shift(1)
-            + _rec_local(g_opt, stats, audit, depth + 1)
-            - _rec_local(g_forb, stats, audit, depth + 1)
-        )
-        return _checked(audit, "branch", g.n, vec)
-    stats.leaves += 1
-    stats.dp_calls += 1
-    return _checked(audit, "flat", g.n, ds_dp(lg, path_decomposition(g, _linear_order(g))))
+class _Local(_Node):
+    """A node of the local baseline: a branch on the smallest-id degree-3
+    vertex, never a split or a decomposition; its separation stays
+    trivial."""
+
+    splits = False
+
+    def decompose(self) -> None:
+        return None
+
+    def general_pivot(self) -> int:
+        g = self.graph
+        return next(v for v in g.vertices() if g.degree(v) == 3)
+
+
+_NODES = {"separator": _Node, "local": _Local}
 
 
 def count_ds(lg: LabeledGraph, policy: str = "separator",
@@ -322,18 +315,18 @@ def count_ds(lg: LabeledGraph, policy: str = "separator",
     that satisfy every label: U and N vertices dominated, N vertices
     excluded.  The default policy drives branching by separators (it
     starts from the trivial all-R separation and computes a real one on
-    demand); policy "local" is the separator-free baseline.  An audit
-    records the count checks of every vector the engine returns.
+    demand); policy "local" is the separator-free baseline, on the same
+    loop: a branch on the smallest-id degree-3 vertex until none is left,
+    then a sweep of the paths and cycles that remain.  An audit records
+    the count checks of every vector the engine returns: a local run's
+    branches are "general" and its sweeps "dp".
     """
-    if policy not in ("separator", "local"):
+    if policy not in _NODES:
         raise ValueError(f"unknown policy {policy!r}")
     if lg.graph.max_degree() > 3:
         raise ValueError(f"count_ds needs max degree <= 3, got {lg.graph.max_degree()}")
     lg = lg.copy()
     lg.check()
     stats = Stats()
-    if policy == "separator":
-        vec = run(_Node(lg, trivial_separation(lg.graph.vertices()), stats, audit), 0)
-    else:
-        vec = _rec_local(lg, stats, audit, 0)
+    vec = run(_NODES[policy](lg, trivial_separation(lg.graph.vertices()), stats, audit), 0)
     return vec, stats

@@ -87,9 +87,6 @@ class Graph:
     def __contains__(self, v: int) -> bool:
         return v in self._adj
 
-    def __len__(self) -> int:
-        return len(self._adj)
-
     @property
     def n(self) -> int:
         return len(self._adj)

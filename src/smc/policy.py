@@ -176,17 +176,23 @@ class Node:
     and ``audit``.  An engine supplies ``leaf``, ``split``, ``separate``,
     ``sweep`` and ``branch``; the defaults below (no off-ladder answer, no
     general phase, the cubic ladder's rules) are overridden where an
-    engine's own differ."""
+    engine's own differ.  A local node, an engine's baseline, has no split
+    (``splits`` is False), no separation (its ``general_pivot`` names a
+    vertex at every degree) and no sweep (``decompose`` gives None)."""
+
+    splits = True  # False: run never splits the node into its components
 
     def check(self) -> None:
         """Assert the node's invariants; called only under an audit."""
         assert verify_separation(self.graph, self.sep), "separation invalid at recursive call"
 
     def orient(self) -> None:
-        """Make the lighter side L: the one with fewer degree-3 vertices."""
-        l3, _, _, r3 = side_counts(self.graph, self.sep)
-        if l3 > r3:
-            self.sep.swap()
+        """Make the lighter side L: the one with fewer degree-3 vertices.
+        An empty L, as in a trivial separation, is the lighter already."""
+        if self.sep.left:
+            l3, _, _, r3 = side_counts(self.graph, self.sep)
+            if l3 > r3:
+                self.sep.swap()
 
     def simplify(self) -> bool:
         """Make one in-place simplification; False when none applies."""
@@ -220,7 +226,7 @@ def run(node: Node, depth: int):
 
       1. an empty instance is a leaf;
       2. at node entry, a disconnected graph splits into its components
-         (no simplification disconnects one);
+         (no simplification disconnects one) if ``node.splits``;
       3. one in-place simplification;
       4. the engine settles the node off the ladder (``direct``);
       5. the general phase: while the engine names a maximum-degree
@@ -238,7 +244,7 @@ def run(node: Node, depth: int):
     depth each.  Step 6 separates before it sweeps, as the benchmark's
     tracer test needs of a narrow ``csp-cubic`` solve.
     """
-    stats, decomp, entry = node.stats, None, True  # decomp: the last re-separation's
+    stats, decomp, entry = node.stats, None, node.splits  # decomp: the last re-separation's
     for depth in count(depth):  # a pass that does not return goes one level deeper
         stats.max_depth = max(stats.max_depth, depth)
         if node.audit is not None:

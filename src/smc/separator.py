@@ -45,9 +45,6 @@ class Separation:
         self.sep.discard(v)
         self.right.discard(v)
 
-    def vertices(self) -> set[int]:
-        return self.left | self.sep | self.right
-
     def swap(self) -> None:
         self.left, self.right = self.right, self.left
 

@@ -4,6 +4,7 @@ import pytest
 
 import smc.csp_solve
 import smc.domset
+import smc.policy
 import smc.setcover
 
 
@@ -16,3 +17,17 @@ def ladder(monkeypatch):
     monkeypatch.setattr(smc.csp_solve, "PD_WIDTH_CAP", -1)
     monkeypatch.setattr(smc.setcover, "PD_WIDTH_CAP", -1)
     monkeypatch.setattr(smc.domset, "PD_WIDTH_CAP", -1)
+
+
+@pytest.fixture
+def no_separators(monkeypatch):
+    """Make every decomposition, separation and component split that the
+    Max 2-CSP and #DS engines could reach raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the local policy must not separate, decompose or split")
+
+    for module, names in ((smc.policy, ("nice_path_decomposition", "connected_components")),
+                          (smc.csp_solve, ("nice_path_decomposition", "separate_cubic")),
+                          (smc.domset, ("nice_path_decomposition", "separate_cubic"))):
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)

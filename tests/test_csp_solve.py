@@ -411,11 +411,17 @@ class TestStats:
         with pytest.raises(ValueError):
             solve(encode_maxcut(petersen()), policy="local", audit=Audit())
 
-    def test_local_policy_skips_separators(self):
+    def test_local_policy_skips_separators(self, no_separators):
         inst = encode_maxcut(petersen())
         sol, stats = solve(inst, policy="local")
         assert sol.score == 12
         assert stats.separator_recomputes == 0
+        # disconnected, with degree-4 vertices: still no split and no sweep
+        inst = encode_maxcut(two_random(5, 10, 0))  # K5 ⊔ K5
+        sol, stats = solve(inst, policy="local")
+        assert sol.score == evaluate(inst, sol.assignment) == 12
+        assert stats.branchings > 0
+        assert (stats.splits, stats.dp_calls, stats.separator_recomputes) == (0, 0, 0)
 
 
 class TestGeneralPhase:

@@ -254,6 +254,13 @@ class TestEngine:
             assert loc_stats.branchings == (3**copies - 1) // 2
             assert sep_stats.branchings < loc_stats.branchings
 
+    def test_local_policy_skips_separators(self, no_separators):
+        lg = LabeledGraph.all_u(k4_union(3))
+        vec, stats = count_ds(lg, policy="local", audit=Audit(strict=True))
+        assert vec == brute_domset(lg)
+        assert stats.branchings == (3**3 - 1) // 2
+        assert (stats.splits, stats.separator_recomputes) == (0, 0)
+
     def test_subdivided_cubic_policies_agree(self, ladder):
         rng = random.Random(11)
         g = random_cubic(22, rng)

@@ -428,10 +428,11 @@ class TestLocalPinned:
         assert (vec.counts, asdict(got)) == (counts, stats)
 
     def test_count_ds_audit_kinds(self):
-        # one entry per branch and per swept piece, all of them ok
+        # one entry per branch and per swept piece, all of them ok; the
+        # loop names a local branch "general" and a swept piece "dp"
         audit = Audit(strict=True)
         vec, _ = count_ds(LabeledGraph.all_u(gen_random_cubic(16, 0)), policy="local",
                           audit=audit)
         assert vec.counts == LOCAL_DS[0][0]
-        assert Counter(e.kind for e in audit.entries) == {"branch": 121, "flat": 243}
+        assert Counter(e.kind for e in audit.entries) == {"general": 121, "dp": 243}
         assert all(e.ok for e in audit.entries)
