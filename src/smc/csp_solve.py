@@ -209,8 +209,7 @@ class _Node(Node):
 
     def general_pivot(self) -> int | None:
         g = self.graph
-        dmax = g.max_degree()
-        return min(v for v in g.vertices() if g.degree(v) == dmax) if dmax > 3 else None
+        return min(g.vertices(), key=lambda v: (-g.degree(v), v)) if g.max_degree() > 3 else None
 
     def move(self, act: PivotAction) -> None:
         before = self._snap()
