@@ -18,7 +18,7 @@ from smc.generators import csp_on_graph, gen_random_csp, gen_random_cubic
 from smc.graph import Graph
 from smc.measures import Audit, csp_snapshot
 from smc.oracles import brute_max2csp
-from smc.policy import PivotAction, separator_case
+from smc.policy import PivotAction, Stats, separator_case
 from smc.separator import (
     Separation,
     nice_path_decomposition,
@@ -422,6 +422,40 @@ class TestStats:
         assert sol.score == evaluate(inst, sol.assignment) == 12
         assert stats.branchings > 0
         assert (stats.splits, stats.dp_calls, stats.separator_recomputes) == (0, 0, 0)
+
+
+def triangle_chain(k: int) -> Graph:
+    """k triangles (2i, 2i+1, 2i+2) in a row: each reduceII of an odd
+    vertex merges into the table of an existing edge."""
+    return Graph(range(2 * k + 1), [e for i in range(k) for e in
+                                    ((2 * i, 2 * i + 1), (2 * i + 1, 2 * i + 2), (2 * i, 2 * i + 2))])
+
+
+# (r, graph) -> (score, witness colours in vertex order) of solve on
+# csp_on_graph(graph, r, r): reductions 0/I/II alone solve each, in one
+# leaf at depth n
+REDUCE_ONLY = {
+    (2, "P12"): (38, "100011011100"),
+    (2, "C11"): (42, "00011100010"),
+    (2, "T5"): (50, "00011101110"),
+    (3, "P12"): (66, "021222002221"),
+    (3, "C11"): (60, "01021000022"),
+    (3, "T5"): (60, "01002220222"),
+    (4, "P12"): (43, "201303012232"),
+    (4, "C11"): (42, "30221301301"),
+    (4, "T5"): (54, "21010222203"),
+}
+
+
+class TestReduceOnlyPinned:
+    @pytest.mark.parametrize("key", list(REDUCE_ONLY))
+    def test_solve(self, key):
+        r, name = key
+        g = {"P12": Graph.path(12), "C11": Graph.cycle(11), "T5": triangle_chain(5)}[name]
+        sol, stats = solve(csp_on_graph(g, r, r))
+        colours = "".join(str(sol.assignment[v]) for v in g.vertices())
+        assert (sol.score, colours) == REDUCE_ONLY[key]
+        assert stats == Stats(leaves=1, max_depth=g.n)
 
 
 class TestGeneralPhase:

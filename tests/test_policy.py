@@ -11,7 +11,9 @@ changes neither.  The pins run the separator ladders with both
 path-decomposition terminals switched off (``PD_WIDTH_CAP`` = -1), and
 once more at the shipped cap, where one more set-cover pin reaches the
 subcubic ladder.  The local baselines of the Max 2-CSP and #DS engines
-are pinned too: answers, full stats and the #DS audit's kinds.
+are pinned too: answers, full stats and the #DS audit's kinds; and so
+are the counts and full stats of both #DS policies and of set cover on
+paths and cycles, plain and labelled, at both caps.
 """
 
 import random
@@ -436,3 +438,72 @@ class TestLocalPinned:
         assert vec.counts == LOCAL_DS[0][0]
         assert Counter(e.kind for e in audit.entries) == {"general": 121, "dp": 243}
         assert all(e.ok for e in audit.entries)
+
+
+def chain(name: str) -> Graph:
+    if name == "P30":
+        return Graph.path(30)
+    if name == "C31":
+        return Graph.cycle(31)
+    return Graph(range(11), [(i, i + 1) for i in range(4)]  # P5 ⊔ C6
+                 + [(5 + i, 5 + (i + 1) % 6) for i in range(6)])
+
+
+def labelled(g: Graph) -> LabeledGraph:
+    """g with vertex v labelled "UNC"[v % 3] unless 4 divides v."""
+    return LabeledGraph(g.copy(), {v: "UNC"[v % 3] if v % 4 else "U" for v in g.vertices()})
+
+
+# name -> (counts, counts of the labelled variant, count_ds stats) of a
+# chain input; the count_ds stats are the same at both caps, labelled or
+# not, and the local policy's are always one leaf and one DP
+CHAINS = {
+    "P30": (
+        (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 330, 10351, 116116, 673699, 2403834, 5820195,
+         10171968, 13370058, 13591364, 10889622, 6960650, 3572722, 1474462, 487278, 127604,
+         25975, 3978, 433, 30, 1),
+        (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 8, 301, 2818, 11643, 27062, 39958, 40074, 28310, 14310,
+         5166, 1304, 219, 22, 1),
+        Stats(leaves=1, dp_calls=1)),
+    "C31": (
+        (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 186, 8866, 125488, 860808, 3522654, 9627732,
+         18835848, 27610584, 31284828, 27996348, 20076065, 11640407, 5480211, 2094081, 645978,
+         159030, 30628, 4464, 465, 31, 1),
+        (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 8, 342, 3743, 18239, 50020, 87147, 103385, 86964, 52995,
+         23553, 7577, 1721, 262, 24, 1),
+        Stats(leaves=1, dp_calls=1)),
+    "P5+C6": (
+        (0, 0, 0, 0, 9, 66, 172, 211, 140, 53, 11, 1),
+        (0, 0, 0, 0, 4, 14, 16, 7, 1),
+        Stats(leaves=2, dp_calls=2, splits=1, max_depth=1)),
+}
+
+# (cap, name) -> sc_count stats of the chain's ds_to_sc translation
+SC_CHAINS = {
+    (-1, "P30"): Stats(branchings=109, stalls=74, leaves=226, annotations=822, splits=116,
+                       max_depth=36, separator_recomputes=102),
+    (-1, "C31"): Stats(branchings=287, stalls=192, leaves=593, annotations=2182, splits=305,
+                       max_depth=41, separator_recomputes=263),
+    (-1, "P5+C6"): Stats(branchings=7, stalls=5, leaves=14, annotations=46, splits=6,
+                         max_depth=19, separator_recomputes=6),
+    (8, "P30"): Stats(leaves=1, dp_calls=1, separator_recomputes=1),
+    (8, "C31"): Stats(leaves=1, dp_calls=1, separator_recomputes=1),
+    (8, "P5+C6"): Stats(leaves=2, dp_calls=2, splits=1, max_depth=1, separator_recomputes=2),
+}
+
+
+class TestChainsPinned:
+    @pytest.mark.parametrize("cap", [-1, 8])
+    @pytest.mark.parametrize("name", list(CHAINS))
+    def test_count_ds_and_sc_count(self, name, cap, monkeypatch):
+        monkeypatch.setattr("smc.domset.PD_WIDTH_CAP", cap)
+        monkeypatch.setattr("smc.setcover.PD_WIDTH_CAP", cap)
+        counts, lab_counts, stats = CHAINS[name]
+        g = chain(name)
+        for lg, want in ((LabeledGraph.all_u(g), counts), (labelled(g), lab_counts)):
+            vec, got = count_ds(lg)
+            assert (vec.counts, got) == (want, stats)
+            vec, got = count_ds(lg, policy="local")
+            assert (vec.counts, got) == (want, Stats(leaves=1, dp_calls=1))
+        vec, got = sc_count(ds_to_sc(g))
+        assert (vec.counts, got) == (counts, SC_CHAINS[cap, name])
