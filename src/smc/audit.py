@@ -267,93 +267,6 @@ def exponent_sc(w: ScWeights) -> tuple[Fraction, float]:
     return e, 2.0 ** float(e)
 
 
-# -- local improvement -------------------------------------------------------------
-
-_CSP_COORDS = ("w_s", "w2_s", "w_r", "w_b", "w_c")
-
-
-def _csp_interval(w: CspWeights, coord: str) -> tuple[Fraction, Fraction | None]:
-    """Exact feasible interval for one coordinate, all others fixed.
-
-    Every inequality is affine in each coordinate, so two probe
-    evaluations recover slope and intercept exactly.
-    """
-    at0 = _csp_linear_rows(w.replaced(**{coord: Fraction(0)}))
-    at1 = _csp_linear_rows(w.replaced(**{coord: Fraction(1)}))
-    lo, hi = Fraction(0), None
-    for (_, b), (_, v1) in zip(at0, at1):
-        a = v1 - b
-        if a > 0:
-            bound = -b / a
-            hi = bound if hi is None else min(hi, bound)
-        elif a < 0:
-            lo = max(lo, -b / a)
-        # a == 0: constraint does not involve this coordinate
-    return lo, hi
-
-
-def _improve_csp(start: CspWeights, budget: int) -> CspWeights:
-    w = start
-    for _ in range(budget):
-        for coord in _CSP_COORDS:
-            lo, hi = _csp_interval(w, coord)
-            if hi is not None and lo > hi:
-                continue  # numerically impossible from a feasible point
-            if coord == "w_r":
-                new = lo
-            elif hi is None:
-                new = getattr(w, coord)
-            else:
-                new = (lo + hi) / 2
-            w = w.replaced(**{coord: new})
-    if not check_csp(w).feasible:
-        raise AssertionError("coordinate descent left the feasible region")
-    return w
-
-
-def _improve_sc(start: ScWeights, budget: int) -> ScWeights:
-    w = start
-    feasible = lambda cand: check_sc(cand, exhaustive=False).feasible
-    for _ in range(budget):
-        for family, deg in (("w_elt", 6), ("w_set", 6)):
-            cur = getattr(w, family)[deg]
-            lo = getattr(w, family)[deg - 1]  # monotonicity floor
-            if feasible(w.with_entry(family, deg, lo)):
-                w = w.with_entry(family, deg, lo)
-                continue
-            a, b = lo, cur  # a infeasible, b feasible
-            for _ in range(30):
-                mid = (a + b) / 2
-                if feasible(w.with_entry(family, deg, mid)):
-                    b = mid
-                else:
-                    a = mid
-            w = w.with_entry(family, deg, b)
-    if not check_sc(w).feasible:
-        raise AssertionError("coordinate descent left the feasible region")
-    return w
-
-
-def improve_weights(system: str, start, budget: int):
-    """Deterministic coordinate descent on the system's objective.
-
-    CSP minimizes w_r (exact interval per coordinate, non-objective
-    coordinates recentered); SC minimizes w_elt(6)+w_set(6) by bisecting
-    the two objective entries against feasibility.  budget = passes.
-    """
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    if system == "csp":
-        if not check_csp(start).feasible:
-            raise ValueError("start weights are infeasible")
-        return _improve_csp(start, budget)
-    if system == "sc":
-        if not check_sc(start).feasible:
-            raise ValueError("start weights are infeasible")
-        return _improve_sc(start, budget)
-    raise ValueError(f"unknown system {system!r}")
-
-
 # -- report rendering --------------------------------------------------------------
 
 

@@ -9,13 +9,16 @@ their sum.  Scores are exact Python integers (arbitrary precision, so
 Reductions 0/I/II remove a vertex y of degree 0/1/2 from their instance
 in place and return a *fill*, which writes y's argmax colour into an
 optimal assignment of the reduced instance; applied in reverse order,
-the fills of a whole solve complete its witness.  Reduction III leaves
-its instance as it is and returns one fresh child per colour of y.
+the fills of a whole solve complete its witness.  The three are one
+elimination, ``_eliminate``; their names stay as the entry points that
+the engine's audit kinds and the benchmark's tracer name.  Reduction III
+leaves its instance as it is and returns one fresh child per colour of y.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Callable, Iterable
 
 from .graph import Graph, induced_subgraph
@@ -101,84 +104,64 @@ def evaluate(inst: CspInstance, phi: Assignment) -> int:
 # -- reductions ----------------------------------------------------------------
 
 
-def _check_degree(inst: CspInstance, y: int, name: str, want: int) -> None:
-    if inst.graph.degree(y) != want:
-        raise ValueError(f"{name} needs degree {want}, vertex {y} has {inst.graph.degree(y)}")
+def _eliminate(inst: CspInstance, y: int, name: str, deg: int) -> Fill:
+    """Remove y of degree `deg` ≤ 2 by maximizing over its colour.
+
+    Each colouring of y's sorted neighbours, row-major, is scored in one
+    column per colour F of y: s_y(F) plus s_yx(F, ·) of each neighbour x.
+    The max over the columns is added into the niladic score (deg 0), the
+    neighbour's vector (deg 1) or the x–z table, merged with an existing
+    one (deg 2).  The fill writes the smallest colour attaining the max;
+    the argmax store is a list, so a colour of any size fits."""
+    if inst.graph.degree(y) != deg:
+        raise ValueError(f"{name} needs degree {deg}, vertex {y} has {inst.graph.degree(y)}")
+    r, nbrs = inst.r, sorted(inst.graph.neighbor_sets()[y])
+    rows = [inst.edge_rows(y, x) for x in nbrs]
+    cols = []
+    for f, gain in enumerate(inst.s_v.pop(y)):
+        col = [gain]
+        for row in rows:
+            col = [a + b for a in col for b in row[f]]
+        cols.append(col)
+    best = list(map(max, *cols))
+    arg = list(map(tuple.index, zip(*cols), best))
+    inst.graph.delete_vertex(y)
+    for x in nbrs:
+        del inst.s_e[edge_key(x, y)]
+    if deg == 0:
+        inst.s_nil += best[0]
+    elif deg == 1:
+        inst.s_v[nbrs[0]] = tuple(map(add, inst.s_v[nbrs[0]], best))
+    else:
+        x, z = nbrs
+        inst.graph.add_edge(x, z)
+        inst.s_e[x, z] = tuple(map(add, inst.s_e.get((x, z), (0,) * (r * r)), best))
+
+    def fill(phi: Assignment) -> None:
+        t = 0
+        for x in nbrs:
+            t = t * r + phi[x]
+        phi[y] = arg[t]
+
+    return fill
 
 
 def reduce0(inst: CspInstance, y: int) -> Fill:
     """Delete isolated y, absorbing max_C s_y(C) into the niladic score."""
-    _check_degree(inst, y, "reduce0", 0)
-    vec = inst.s_v.pop(y)
-    inst.graph.delete_vertex(y)
-    top = max(vec)
-    inst.s_nil += top
-    c_y = vec.index(top)  # ties go to the smallest colour, here and below
-
-    def fill(phi: Assignment) -> None:
-        phi[y] = c_y
-
-    return fill
+    return _eliminate(inst, y, "reduce0", 0)
 
 
 def reduceI(inst: CspInstance, y: int) -> Fill:
     """Fold pendant y into its neighbor: s'_x(C) = s_x(C) + max_D (s_xy(C,D)+s_y(D))."""
-    _check_degree(inst, y, "reduceI", 1)
-    (x,) = inst.graph.neighbor_sets()[y]
-    s_y = inst.s_v.pop(y)
-    best_d: list[int] = []
-    new_x = []
-    for base, row in zip(inst.s_v[x], inst.edge_rows(x, y)):
-        opts = [e + s for e, s in zip(row, s_y)]
-        top = max(opts)
-        new_x.append(base + top)
-        best_d.append(opts.index(top))
-    inst.graph.delete_vertex(y)
-    del inst.s_e[edge_key(x, y)]
-    inst.s_v[x] = tuple(new_x)
-
-    def fill(phi: Assignment) -> None:
-        phi[y] = best_d[phi[x]]
-
-    return fill
+    return _eliminate(inst, y, "reduceI", 1)
 
 
 def reduceII(inst: CspInstance, y: int) -> Fill:
-    """Contract degree-2 y between x < z into a (possibly merged) xz table.
-
+    """Contract degree-2 y between x < z into a (possibly merged) xz table:
     s'_xz(C,D) = [existing s_xz(C,D)] + max_F (s_xy(C,F) + s_yz(F,D) + s_y(F)).
     A would-be parallel edge folds into the existing table, keeping the
-    graph simple.
-    """
-    _check_degree(inst, y, "reduceII", 2)
-    x, z = sorted(inst.graph.neighbor_sets()[y])
-    s_y = inst.s_v.pop(y)
-    # via[c][f] = s_xy(c,f) + s_y(f); zy[d][f] = s_yz(f,d)
-    via = [[e + s for e, s in zip(row, s_y)] for row in inst.edge_rows(x, y)]
-    zy = inst.edge_rows(z, y)
-    merged = []
-    best_f: list[list[int]] = []
-    for via_c in via:
-        row_f = []
-        for zy_d in zy:
-            opts = [a + b for a, b in zip(via_c, zy_d)]
-            top = max(opts)
-            merged.append(top)
-            row_f.append(opts.index(top))
-        best_f.append(row_f)
-    old = inst.s_e.get((x, z))
-    if old is not None:
-        merged = [a + b for a, b in zip(merged, old)]
-    inst.graph.delete_vertex(y)
-    del inst.s_e[edge_key(x, y)]
-    del inst.s_e[edge_key(y, z)]
-    inst.graph.add_edge(x, z)
-    inst.s_e[(x, z)] = tuple(merged)  # row-major over (color_x, color_z)
-
-    def fill(phi: Assignment) -> None:
-        phi[y] = best_f[phi[x]][phi[z]]
-
-    return fill
+    graph simple."""
+    return _eliminate(inst, y, "reduceII", 2)
 
 
 def reduceIII(inst: CspInstance, y: int) -> list[CspInstance]:

@@ -197,13 +197,10 @@ class _Node(Node):
         self._log("reseparate", before, hard=False)
         return decomp
 
-    def sweep(self, decomp: PathDecomposition | None):
-        """The sweep's answer if r^(width+1) ≤ 3^(PD_WIDTH_CAP+1), else
-        None, as it is without a decomposition."""
-        if decomp is None or self.inst.r ** (decomp.width + 1) > 3 ** (PD_WIDTH_CAP + 1):
-            return None
-        self.stats.leaves += 1
-        self.stats.dp_calls += 1
+    def narrow(self, width: int) -> bool:
+        return self.inst.r ** (width + 1) <= 3 ** (PD_WIDTH_CAP + 1)
+
+    def count(self, decomp: PathDecomposition):
         self._log("terminal", self._snap(), [])
         return _brute_best(self.inst, decomp)
 

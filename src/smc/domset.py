@@ -11,13 +11,14 @@ of valid dominating sets of size exactly k.  The counter branches
 three ways on a degree-3 vertex (in / optional / forbidden) and
 recombines by inclusion-exclusion; degree <= 2 vertices are never
 branched on.  Its one terminal, ``ds_dp``, sweeps a path decomposition
-with three states per bag vertex: a connected component is counted
-outright when it has max degree <= 2 (walked as a path or cycle) or a
-nice path decomposition of width at most ``PD_WIDTH_CAP``.  Both
-policies run on the shared loop ``policy.run``, which consumes a node's
-separation.  Under the separator policy each component is a node, and
-its moves and branch pivots come from the loop's one separator-case
-ladder, ``policy.separator_case``, which the Max 2-CSP solver runs too.
+with three states per bag vertex.  Both policies run on the shared loop
+``policy.run``, which consumes a node's separation and picks what is
+counted outright: a piece of max degree <= 2, along its walk order, and
+a piece whose nice path decomposition ``narrow`` accepts, of width at
+most ``PD_WIDTH_CAP``.  Under the separator policy each component is a
+node, and its moves and branch pivots come from the loop's one
+separator-case ladder, ``policy.separator_case``, which the Max 2-CSP
+solver runs too.
 The local baseline branches on the smallest-id degree-3 vertex until
 none is left, with no component split, separation or decomposition, and
 then sweeps what remains along its walk.  Branch children and
@@ -37,7 +38,6 @@ from .separator import (
     PathDecomposition,
     Separation,
     nice_path_decomposition,
-    path_decomposition,
     separate_cubic,
     trivial_separation,
 )
@@ -199,23 +199,6 @@ def ds_dp(lg: LabeledGraph, decomp: PathDecomposition) -> CountVector:
     return states.get(0, CountVector.zero())
 
 
-def _linear_order(g: Graph) -> list[int]:
-    """Walk order of a graph of max degree <= 2: each path from an end,
-    then each cycle from its smallest vertex.  Along it a path has width 1
-    and a cycle width 2."""
-    adj = g.neighbor_sets()
-    vs = g.vertices()
-    order: list[int] = []
-    seen: set[int] = set()
-    for start in [v for v in vs if len(adj[v]) <= 1] + vs:
-        cur = start if start not in seen else None
-        while cur is not None:
-            order.append(cur)
-            seen.add(cur)
-            cur = min((u for u in adj[cur] if u not in seen), default=None)
-    return order
-
-
 # -- counting engine -----------------------------------------------------------
 
 
@@ -230,23 +213,15 @@ def _checked(audit: Audit | None, kind: str, n: int, vec: CountVector) -> CountV
     return vec
 
 
-def _terminal(lg: LabeledGraph, decomp: PathDecomposition | None) -> CountVector | None:
-    """Count of a connected component by ``ds_dp``: along its walk order
-    when it has max degree <= 2, else over `decomp`, a nice path
-    decomposition of it, when that is at most PD_WIDTH_CAP wide; None
-    when it is wider or there is no decomposition."""
-    g = lg.graph
-    if g.max_degree() <= 2:
-        decomp = path_decomposition(g, _linear_order(g))
-    elif decomp is None or decomp.width > PD_WIDTH_CAP:
-        return None
+def _terminal(lg: LabeledGraph, decomp: PathDecomposition) -> CountVector:
+    """``ds_dp`` of a piece that ``policy.run`` counts outright; the
+    benchmark's tracer times this name as ``domset.terminal``."""
     return ds_dp(lg, decomp)
 
 
 class _Node(Node):
     """A labeled subcubic graph and its separation, for ``policy.run``,
-    which consumes both.  Nothing simplifies it; off the ladder, a piece
-    of max degree <= 2 is counted along its walk."""
+    which consumes both.  Nothing simplifies it."""
 
     def __init__(self, lg: LabeledGraph, sep: Separation, stats: Stats, audit: Audit | None):
         self.lg, self.graph, self.sep, self.stats, self.audit = lg, lg.graph, sep, stats, audit
@@ -268,21 +243,16 @@ class _Node(Node):
             vec = vec.convolve(run(self._child(sub), depth))
         return _checked(self.audit, "split", self.graph.n, vec)
 
-    def direct(self, depth) -> CountVector | None:
-        return self.sweep(None) if self.graph.max_degree() <= 2 else None
-
     def separate(self) -> PathDecomposition:
         decomp = nice_path_decomposition(self.graph)
         self.sep = separate_cubic(self.graph, decomp)
         return decomp
 
-    def sweep(self, decomp) -> CountVector | None:
-        vec = _terminal(self.lg, decomp)
-        if vec is None:
-            return None
-        self.stats.leaves += 1
-        self.stats.dp_calls += 1
-        return _checked(self.audit, "dp", self.graph.n, vec)
+    def narrow(self, width: int) -> bool:
+        return width <= PD_WIDTH_CAP
+
+    def count(self, decomp: PathDecomposition) -> CountVector:
+        return _checked(self.audit, "dp", self.graph.n, _terminal(self.lg, decomp))
 
     def branch(self, y, kind, depth) -> CountVector:
         vec_in, vec_opt, vec_forb = [run(self._child(c), depth) for c in branch3(self.lg, y)]

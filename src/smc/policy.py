@@ -41,7 +41,14 @@ from itertools import count
 from typing import Callable, Collection
 
 from .graph import Graph, connected_components
-from .separator import PathDecomposition, Separation, nice_path_decomposition, verify_separation
+from .separator import (
+    PathDecomposition,
+    Separation,
+    _linear_order,
+    nice_path_decomposition,
+    path_decomposition,
+    verify_separation,
+)
 
 
 @dataclass
@@ -174,11 +181,11 @@ class Node:
     """One node of ``run``: an engine's instance with its ``graph`` and its
     separation ``sep``, both consumed by the loop, and the run's ``stats``
     and ``audit``.  An engine supplies ``leaf``, ``split``, ``separate``,
-    ``sweep`` and ``branch``; the defaults below (no off-ladder answer, no
-    general phase, the cubic ladder's rules) are overridden where an
-    engine's own differ.  A local node, an engine's baseline, has no split
-    (``splits`` is False), no separation (its ``general_pivot`` names a
-    vertex at every degree) and no sweep (``decompose`` gives None)."""
+    ``narrow``, ``count`` and ``branch``; the defaults below (no general
+    phase, the cubic ladder's rules) are overridden where an engine's own
+    differ.  A local node, an engine's baseline, has no split (``splits``
+    is False), no separation (its ``general_pivot`` names a vertex at
+    every degree) and no width-tested sweep (``decompose`` gives None)."""
 
     splits = True  # False: run never splits the node into its components
 
@@ -198,16 +205,22 @@ class Node:
         """Make one in-place simplification; False when none applies."""
         return False
 
-    def direct(self, depth: int):
-        """The answer, when the engine settles the node off the ladder."""
-        return None
-
     def general_pivot(self) -> int | None:
         """The general phase's branch vertex while a degree is above 3, else None."""
         return None
 
     def decompose(self) -> PathDecomposition:
         return nice_path_decomposition(self.graph)
+
+    def sweep(self, decomp: PathDecomposition | None, any_width: bool = False):
+        """The engine's ``count`` over `decomp`, booked as a leaf and a DP,
+        when the engine finds `decomp` ``narrow`` (or at `any_width`); None
+        without a decomposition or when it is too wide."""
+        if decomp is None or not (any_width or self.narrow(decomp.width)):
+            return None
+        self.stats.leaves += 1
+        self.stats.dp_calls += 1
+        return self.count(decomp)
 
     def pivot(self) -> PivotAction:
         return separator_case(self.graph, self.sep)
@@ -228,7 +241,8 @@ def run(node: Node, depth: int):
       2. at node entry, a disconnected graph splits into its components
          (no simplification disconnects one) if ``node.splits``;
       3. one in-place simplification;
-      4. the engine settles the node off the ladder (``direct``);
+      4. a graph of max degree ≤ 2 is swept along its walk order
+         (``_linear_order``), at any width;
       5. the general phase: while the engine names a maximum-degree
          vertex (``general_pivot``), a branch on it;
       6. at S = ∅, a stall when nothing was simplified since the last
@@ -240,9 +254,10 @@ def run(node: Node, depth: int):
 
     Every branch is width-tested first, by a sweep over a fresh
     decomposition, unless the last re-separation's already failed it (as
-    at every stall).  Steps that do not branch loop in place, one level of
-    depth each.  Step 6 separates before it sweeps, as the benchmark's
-    tracer test needs of a narrow ``csp-cubic`` solve.
+    at every stall).  ``Node.sweep`` is the one width test: it asks the
+    engine's ``narrow``.  Steps that do not branch loop in place, one
+    level of depth each.  Step 6 separates before it sweeps, as the
+    benchmark's tracer test needs of a narrow ``csp-cubic`` solve.
     """
     stats, decomp, entry = node.stats, None, node.splits  # decomp: the last re-separation's
     for depth in count(depth):  # a pass that does not return goes one level deeper
@@ -261,9 +276,8 @@ def run(node: Node, depth: int):
         if node.simplify():
             decomp = None
             continue
-        answer = node.direct(depth + 1)
-        if answer is not None:
-            return answer
+        if node.graph.max_degree() <= 2:
+            return node.sweep(path_decomposition(node.graph, _linear_order(node.graph)), True)
         y, kind = node.general_pivot(), "general"
         if y is None and not node.sep.sep:
             if decomp is None:

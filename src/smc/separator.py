@@ -234,6 +234,23 @@ def path_decomposition(g: Graph, order: list[int]) -> PathDecomposition:
     return decomp
 
 
+def _linear_order(g: Graph) -> list[int]:
+    """Walk order of a graph of max degree <= 2: each path from an end,
+    then each cycle from its smallest vertex.  Along it a path has width 1
+    and a cycle width 2."""
+    adj = g.neighbor_sets()
+    vs = g.vertices()
+    order: list[int] = []
+    seen: set[int] = set()
+    for start in [v for v in vs if len(adj[v]) <= 1] + vs:
+        cur = start if start not in seen else None
+        while cur is not None:
+            order.append(cur)
+            seen.add(cur)
+            cur = min((u for u in adj[cur] if u not in seen), default=None)
+    return order
+
+
 def separate_balanced_by_measure(
     g: Graph,
     weight: Callable[[int], Fraction],

@@ -15,8 +15,10 @@ that folded material,
 and ``factor`` holds the counts of everything that has left with no
 vertex to absorb it.
 
-The engine's one terminal, ``sc_dp``, sweeps a nice path decomposition of
-the incidence graph; pieces wider than ``PD_WIDTH_CAP`` are branched on.
+The engine's one terminal, ``sc_dp``, sweeps a path decomposition of the
+incidence graph: ``policy.run`` walks a piece of max degree 2 in order
+and width-tests the nice path decomposition of any other, asking
+``narrow``; pieces wider than ``PD_WIDTH_CAP`` are branched on.
 
 Ownership: each node of the shared loop ``policy.run`` owns and consumes
 its instance.  Folds, separator moves and the re-separation change it in
@@ -329,13 +331,13 @@ def sc_count(inst: ScIncidence, weights: ScWeights | None = None,
 
     Each vertex of degree <= 1, else each duplicate of degree 2, is folded
     into a neighbor, a twin or ``factor`` and deleted (counted as
-    ``annotations``).  ``sc_dp`` counts a piece of maximum degree 2, and a
-    node whose path decomposition has width at most ``PD_WIDTH_CAP``
-    where it would branch in the general phase, where it re-separates,
-    and where it branches on the ladder with no current decomposition.
-    Wider pieces branch on a maximum-degree set or element while some
-    degree is >= 4 (the loop's general phase), then follow the separator
-    ladder.  `weights` (the published table by default) set the separator
+    ``annotations``).  ``sc_dp`` counts a piece of maximum degree 2 along
+    its walk order, and a node whose nice path decomposition has width at
+    most ``PD_WIDTH_CAP`` where it would branch in the general phase,
+    where it re-separates, and where it branches on the ladder with no
+    current decomposition.  Wider pieces branch on a maximum-degree set or
+    element while some degree is >= 4 (the loop's general phase), then
+    follow the separator ladder.  `weights` (the published table by default) set the separator
     balance, and the audit measures with them.
 
     Audit: hard steps must satisfy Σ_j 2^μ(I_j) ≤ 2^μ(I), with μ = μ₄
@@ -354,11 +356,10 @@ def sc_count(inst: ScIncidence, weights: ScWeights | None = None,
 class _Node(Node):
     """A set-cover instance for ``policy.run``: the loop splits its
     incidence graph and moves ``inst.sep``, its separation.  Folds
-    simplify it.  Off the ladder it counts a piece of max degree 2;
-    ``general_pivot`` names the general phase's branch (a degree >= 4).
-    Under an audit, `frozen` is μ₃'s log argument since the last
-    re-separation, and None until the handover to the subcubic phase;
-    without one it stays None."""
+    simplify it; ``general_pivot`` names the general phase's branch (a
+    degree >= 4).  Under an audit, `frozen` is μ₃'s log argument since
+    the last re-separation, and None until the handover to the subcubic
+    phase; without one it stays None."""
 
     sep = property(lambda self: self.inst.sep)
 
@@ -414,21 +415,15 @@ class _Node(Node):
                      note=f"v={v}" if low else f"dup v={v}")
         return True
 
-    def direct(self, depth) -> CountVector | None:
-        """Count a piece of max degree 2; keep the top degrees for ``general_pivot``."""
-        g = self.graph
-        degs = [(g.degree(v), self.inst.is_set(v)) for v in g.vertices()]
-        self.top = (max((d for d, is_set in degs if is_set), default=0),
-                    max((d for d, is_set in degs if not is_set), default=0))
-        return self._count(self.decompose()) if max(self.top) <= 2 else None
-
     def general_pivot(self) -> int | None:
         """A smallest-id vertex of maximum degree, an element unless a set's
         degree is higher, while that degree is above 3."""
-        g, (d_set, d_elt) = self.graph, self.top
+        g, is_set = self.graph, self.inst.is_set
+        d_set = max((g.degree(v) for v in g.vertices() if is_set(v)), default=0)
+        d_elt = max((g.degree(v) for v in g.vertices() if not is_set(v)), default=0)
         if max(d_set, d_elt) <= 3:
             return None
-        return min(u for u in g.vertices() if self.inst.is_set(u) == (d_set > d_elt)
+        return min(u for u in g.vertices() if is_set(u) == (d_set > d_elt)
                    and g.degree(u) == max(d_set, d_elt))
 
     def separate(self) -> PathDecomposition:
@@ -448,12 +443,10 @@ class _Node(Node):
                     note=f"arg {float(arg_old):.6f} -> {float(arg):.6f}")
         return decomp
 
-    def sweep(self, decomp: PathDecomposition) -> CountVector | None:
-        return None if decomp.width > PD_WIDTH_CAP else self._count(decomp)
+    def narrow(self, width: int) -> bool:
+        return width <= PD_WIDTH_CAP
 
-    def _count(self, decomp: PathDecomposition) -> CountVector:
-        self.stats.dp_calls += 1
-        self.stats.leaves += 1
+    def count(self, decomp: PathDecomposition) -> CountVector:
         if self.audit:
             self.audit.step("dp", 2, sc_snapshots(self.inst, self.w, self.frozen)(self.inst), [])
         return sc_dp(self.inst, decomp)

@@ -458,6 +458,25 @@ class TestReduceOnlyPinned:
         assert stats == Stats(leaves=1, max_depth=g.n)
 
 
+def test_reductions_keep_colours_past_a_byte():
+    # r = 260 on P3: reduceI stores the argmax colours 259 and 258 of
+    # vertices 0 and 1, which no byte holds; checked against a max over
+    # the middle colour b of its two sides' best
+    r, rng = 260, random.Random(5)
+    inst = zero_instance(r, Graph.path(3))
+    boost = {0: 259, 1: 258, 2: 257}
+    inst.s_v = {v: tuple(rng.randint(-50, 50) + 1000 * (c == boost[v]) for c in range(r))
+                for v in range(3)}
+    inst.s_e = {e: tuple(rng.randint(-50, 50) for _ in range(r * r)) for e in inst.graph.edges()}
+    s0, s1, s2 = (inst.s_v[v] for v in range(3))
+    e01, e12 = inst.s_e[0, 1], inst.s_e[1, 2]
+    want = max((s1[b] + max((s0[a] + e01[a * r + b], a) for a in range(r))[0]
+                + max((s2[c] + e12[b * r + c], c) for c in range(r))[0], b) for b in range(r))
+    sol, _ = solve(inst)
+    assert sol.score == want[0] == evaluate(inst, sol.assignment)
+    assert sol.assignment == {0: 259, 1: 258, 2: 257}
+
+
 class TestGeneralPhase:
     """Above max degree 3 the shared loop branches on a maximum-degree
     vertex, and splits a disconnected node at entry as it does any other."""

@@ -20,8 +20,7 @@ from smc.domset import (
     N,
     U,
     LabeledGraph,
-    _linear_order,
-    _terminal,
+    _Node,
     branch3,
     count_ds,
     ds_dp,
@@ -33,7 +32,12 @@ from smc.graph import Graph, connected_components, format_graph, induced_subgrap
 from smc.measures import Audit
 from smc.oracles import brute_domset
 from smc.policy import apply_move, separator_case
-from smc.separator import nice_path_decomposition, path_decomposition, separate_cubic
+from smc.separator import (
+    _linear_order,
+    nice_path_decomposition,
+    path_decomposition,
+    separate_cubic,
+)
 from smc.setcover import ds_to_sc, sc_count
 
 BOTH = ("separator", "local")
@@ -295,13 +299,14 @@ class TestEngine:
 
     def test_moves_and_reseparation_reuse_the_wide_decomposition(self, monkeypatch):
         # separator moves and re-separations leave the graph as it is: the
-        # terminal check sees each graph once, and every separation sweeps
-        # the decomposition that check built last
+        # width test sees each graph once, and every separation sweeps the
+        # decomposition that test was given last
         checked, built, swept = [], [], []
+        narrow = _Node.narrow
 
-        def terminal(lg, decomp):
-            checked.append(lg)
-            return _terminal(lg, decomp)
+        def width_test(node, width):
+            checked.append(node.lg)
+            return narrow(node, width)
 
         def decompose(g):
             built.append(nice_path_decomposition(g))
@@ -311,14 +316,14 @@ class TestEngine:
             swept.append(decomp is built[-1])
             return separate_cubic(g, decomp)
 
-        monkeypatch.setattr("smc.domset._terminal", terminal)
+        monkeypatch.setattr(_Node, "narrow", width_test)
         monkeypatch.setattr("smc.domset.nice_path_decomposition", decompose)
         monkeypatch.setattr("smc.domset.separate_cubic", separate)
         monkeypatch.setattr("smc.domset.PD_WIDTH_CAP", 3)
         g = random_cubic(22, random.Random(3))
         vec, stats = count_ds(LabeledGraph.all_u(g))
         assert vec == count_ds(LabeledGraph.all_u(g), policy="local")[0]
-        assert len({id(lg) for lg in checked}) == len(checked)
+        assert checked and len({id(lg) for lg in checked}) == len(checked)
         assert len(swept) == stats.separator_recomputes > 0 and all(swept)
 
     def test_unknown_policy(self):

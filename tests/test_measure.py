@@ -4,8 +4,6 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from smc.audit import (
     check_csp,
@@ -13,7 +11,6 @@ from smc.audit import (
     exponent_csp,
     exponent_sc,
     format_report,
-    improve_weights,
 )
 from smc.graph import Graph
 from smc.measures import (
@@ -340,51 +337,6 @@ class TestExponents:
         assert check_sc(flat(hi)).feasible
         exp, _ = exponent_sc(flat(hi))
         assert exp > F("0.60243")
-
-
-class TestImprove:
-    def test_budget_zero_identity(self):
-        w = CspWeights.published().replaced(w_r=F(1, 4))
-        assert improve_weights("csp", w, 0) == w
-
-    def test_published_start_stays_optimal(self):
-        got = improve_weights("csp", CspWeights.published(), 3)
-        assert abs(got.w_r - F(1, 5)) <= F(1, 1000)
-
-    def test_slack_start_descends(self):
-        start = CspWeights.published().replaced(w_r=F("0.3"))
-        got = improve_weights("csp", start, 4)
-        assert got.w_r < start.w_r
-        assert check_csp(got).feasible
-
-    def test_deterministic(self):
-        start = CspWeights.published().replaced(w_r=F("0.3"))
-        assert improve_weights("csp", start, 3) == improve_weights("csp", start, 3)
-
-    def test_infeasible_start_rejected(self):
-        with pytest.raises(ValueError):
-            improve_weights("csp", all_zero_csp(), 1)
-        with pytest.raises(ValueError):
-            improve_weights("sc", all_zero_sc(), 1)
-
-    def test_unknown_system_rejected(self):
-        with pytest.raises(ValueError):
-            improve_weights("maxsat", CspWeights.published(), 1)
-
-    def test_sc_objective_never_increases(self):
-        start = ScWeights.published()
-        got = improve_weights("sc", start, 1)
-        assert got.w_elt[6] + got.w_set[6] <= start.w_elt[6] + start.w_set[6]
-        assert check_sc(got).feasible
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(min_value=0, max_value=250))
-    def test_feasible_band_descends(self, k):
-        start = CspWeights.published().replaced(w_r=F(1, 5) + F(k, 500))
-        assert check_csp(start).feasible
-        got = improve_weights("csp", start, 2)
-        assert got.w_r <= start.w_r
-        assert check_csp(got).feasible
 
 
 class TestReportFormat:

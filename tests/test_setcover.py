@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import graphs, sc_instances
 
+import smc.policy
 import smc.setcover
 from smc.counts import CountVector, add_into
 from smc.domset import LabeledGraph
@@ -186,6 +187,21 @@ class TestCountExamples:
         # 4-cycle incidence: two identical sets {0,1}; either covers U
         vec, _ = sc_count(inst_from_sets([{0, 1}, {0, 1}], 2))
         assert vec.to_list(2) == [0, 2, 1]
+
+
+    @pytest.mark.parametrize("k", [3, 4, 7])
+    def test_ring_of_pairs_is_walked(self, k, monkeypatch):
+        # sets {j, j+1 mod k}: the incidence graph is one 2k-cycle, which
+        # the loop counts along its walk order, with no greedy layout
+        def refuse(g):
+            raise AssertionError("a cycle is swept along its walk")
+
+        for module in (smc.policy, smc.setcover):
+            monkeypatch.setattr(module, "nice_path_decomposition", refuse)
+        inst = inst_from_sets([{j, (j + 1) % k} for j in range(k)], k)
+        vec, stats = sc_count(inst)
+        assert vec == brute_setcover(inst)
+        assert stats == Stats(leaves=1, dp_calls=1)
 
 
 class TestScDp:

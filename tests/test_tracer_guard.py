@@ -9,8 +9,10 @@ instance at the shipped width cap and once more on its ladder, and one
 under the tracer, and checks that each engine layer fired: the terminal
 sweeps, the separators, the path decompositions, the case ladder (in
 the Max 2-CSP and in the #DS run), the branching reduction, the
-component splits, the #DS branch and the set-cover stall.  A path, which the Max 2-CSP engine only reduces, must
-show its reductions too.  The tracer is loaded read-only from its file.
+component splits, the #DS branch and the set-cover stall.  A path, which
+the Max 2-CSP engine only reduces, must show its reductions too, and a
+#DS count of paths and cycles alone its terminal.  The tracer is loaded
+read-only from its file.
 """
 
 import importlib.util
@@ -69,3 +71,15 @@ def test_reductions_fire_on_a_reduce_only_solve():
         tr.remove()
     calls, _, _ = tr.layer_totals()
     assert calls["csp.reduce"] >= 40, calls
+
+
+def test_terminal_fires_on_a_chain_only_count():
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        count_ds(LabeledGraph.all_u(Graph.path(30)))
+        count_ds(LabeledGraph.all_u(Graph.cycle(20)), policy="local")
+    finally:
+        tr.remove()
+    calls, _, _ = tr.layer_totals()
+    assert calls["domset.terminal"] == 2, calls
