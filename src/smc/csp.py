@@ -18,7 +18,7 @@ leaves its instance as it is and returns one fresh child per colour of y.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from operator import add, indexOf
 from typing import Callable, Iterable
 
 from .graph import Graph, induced_subgraph
@@ -107,27 +107,22 @@ def evaluate(inst: CspInstance, phi: Assignment) -> int:
 def _eliminate(inst: CspInstance, y: int, name: str, deg: int) -> Fill:
     """Remove y of degree `deg` ≤ 2 by maximizing over its colour.
 
-    Each colouring of y's sorted neighbours, row-major, is scored in one
-    column per colour F of y: s_y(F) plus s_yx(F, ·) of each neighbour x.
-    The max over the columns is added into the niladic score (deg 0), the
-    neighbour's vector (deg 1) or the x–z table, merged with an existing
-    one (deg 2).  The fill writes the smallest colour attaining the max;
-    the argmax store is a list, so a colour of any size fits."""
+    Each colouring of y's sorted neighbours, row-major, gets one score per
+    colour F of y: s_y(F) plus s_xy(·, F) of each neighbour x.  The max
+    over F is added into the niladic score (deg 0), the neighbour's
+    vector (deg 1) or the x–z table, merged with an existing one (deg 2).
+    The fill writes the smallest F attaining the max; the argmax store is
+    a list, so a colour of any size fits."""
     if inst.graph.degree(y) != deg:
         raise ValueError(f"{name} needs degree {deg}, vertex {y} has {inst.graph.degree(y)}")
     r, nbrs = inst.r, sorted(inst.graph.neighbor_sets()[y])
-    rows = [inst.edge_rows(y, x) for x in nbrs]
-    cols = []
-    for f, gain in enumerate(inst.s_v.pop(y)):
-        col = [gain]
-        for row in rows:
-            col = [a + b for a in col for b in row[f]]
-        cols.append(col)
-    best = list(map(max, *cols))
-    arg = list(map(tuple.index, zip(*cols), best))
-    inst.graph.delete_vertex(y)
+    opts = [inst.s_v.pop(y)]
     for x in nbrs:
+        opts = [list(map(add, o, row)) for o in opts for row in inst.edge_rows(x, y)]
         del inst.s_e[edge_key(x, y)]
+    best = list(map(max, opts))
+    arg = list(map(indexOf, opts, best))
+    inst.graph.delete_vertex(y)
     if deg == 0:
         inst.s_nil += best[0]
     elif deg == 1:
