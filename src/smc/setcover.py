@@ -418,13 +418,13 @@ class _Node(Node):
     def general_pivot(self) -> int | None:
         """A smallest-id vertex of maximum degree, an element unless a set's
         degree is higher, while that degree is above 3."""
-        g, is_set = self.graph, self.inst.is_set
-        d_set = max((g.degree(v) for v in g.vertices() if is_set(v)), default=0)
-        d_elt = max((g.degree(v) for v in g.vertices() if not is_set(v)), default=0)
+        adj, sets = self.graph.neighbor_sets(), self.inst.set_ids
+        d_set = max((len(adj[v]) for v in sets), default=0)
+        d_elt = max((len(nbrs) for v, nbrs in adj.items() if v not in sets), default=0)
         if max(d_set, d_elt) <= 3:
             return None
-        return min(u for u in g.vertices() if is_set(u) == (d_set > d_elt)
-                   and g.degree(u) == max(d_set, d_elt))
+        return min(v for v, nbrs in adj.items() if (v in sets) == (d_set > d_elt)
+                   and len(nbrs) == max(d_set, d_elt))
 
     def separate(self) -> PathDecomposition:
         inst, g, w, aud = self.inst, self.graph, self.w, self.audit
