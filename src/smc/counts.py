@@ -111,9 +111,3 @@ def unpack(packed: int, width: int) -> CountVector:
     return CountVector(int(digits[max(i - width, 0):i], 2)
                        for i in range(len(digits), 0, -width))
 
-
-def add_into(states: dict[int, CountVector], key: int, vec: CountVector) -> None:
-    """states[key] += vec, for the path-decomposition sweeps; states that
-    only ever hold zero are left out."""
-    if vec.counts:
-        states[key] = states[key] + vec if key in states else vec

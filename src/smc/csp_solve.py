@@ -7,7 +7,8 @@ while some degree exceeds 3 (the general phase, Scott–Sorkin's route
 from the cubic bound to general instances), then on the pivots of the
 shared separator-case ladder.  A piece is solved outright by a max-plus
 sweep over its path decomposition when that keeps within r^(width+1) ≤
-3^(PD_WIDTH_CAP+1) states, the #DS sweep's bound.
+3^(PD_WIDTH_CAP+1) states, the budget that all three engines' sweeps
+share.
 
 Ownership: ``solve`` copies the caller's instance once.  ``policy.run``
 consumes a node's instance and separation: it reduces the instance in

@@ -14,11 +14,11 @@ branched on.  Its one terminal, ``ds_dp``, sweeps a path decomposition
 with three states per bag vertex.  Both policies run on the shared loop
 ``policy.run``, which consumes a node's separation and picks what is
 counted outright: a piece of max degree <= 2, along its walk order, and
-a piece whose nice path decomposition ``narrow`` accepts, of width at
-most ``PD_WIDTH_CAP``.  Under the separator policy each component is a
-node, and its moves and branch pivots come from the loop's one
-separator-case ladder, ``policy.separator_case``, which the Max 2-CSP
-solver runs too.
+a piece whose nice path decomposition ``narrow`` accepts: one whose
+3^(width+1) states keep within the shared budget of 3^(PD_WIDTH_CAP+1).
+Under the separator policy each component is a node, and its moves and
+branch pivots come from the loop's one separator-case ladder,
+``policy.separator_case``, which the Max 2-CSP solver runs too.
 The local baseline branches on the smallest-id degree-3 vertex until
 none is left, with no component split, separation or decomposition, and
 then sweeps what remains along its walk.  Branch children and
@@ -28,8 +28,9 @@ components are fresh copies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
-from .counts import CountVector, add_into
+from .counts import CountVector, unpack
 from .graph import Graph, induced_subgraph, parse_graph
 from .measures import Audit
 from .policy import Node, Stats, run
@@ -155,6 +156,45 @@ def branch3(lg: LabeledGraph, x: int) -> tuple[LabeledGraph, LabeledGraph, Label
 # -- terminal counter: one sweep over a path decomposition ---------------------
 
 
+def _dp_sweep(lg: LabeledGraph, decomp: PathDecomposition, one, shift):
+    """The counts of ``ds_dp``'s final state, or None when every state was
+    dropped, in the arithmetic of `one`: counts are summed with ``+`` and
+    moved up one cardinality by ``shift``."""
+    adj = lg.graph.neighbor_sets()
+    slot: dict[int, int] = {}  # bag vertex -> its in-set bit
+    states = {0: one}  # no state ever holds zero counts
+    prev: frozenset[int] = frozenset()
+    # the last bag is not empty: a closing empty bag forgets what it holds
+    for bag in [*decomp.bags, frozenset()]:
+        for v in prev - bag:
+            b = slot.pop(v)
+            pend, keep = b << 1, ~(3 * b)
+            new = {}
+            for s, acc in states.items():
+                if not s & pend:
+                    t = s & keep
+                    new[t] = new[t] + acc if t in new else acc
+            states = new
+        for v in bag - prev:
+            used = 3 * sum(slot.values())
+            slot[v] = b = ~used & (used + 1)  # the lowest free slot
+            nb = sum(slot.get(u, 0) for u in adj[v])
+            lab = lg.label[v]
+            pend = 0 if lab == C else b << 1
+            # out: distinct states stay distinct, pending unless a neighbor is in
+            new = {s if s & nb else s | pend: acc for s, acc in states.items()}
+            if lab != N:  # in: summed before their one shift
+                keep, ins = ~(nb << 1), {}
+                for s, acc in states.items():
+                    t = s & keep | b
+                    ins[t] = ins[t] + acc if t in ins else acc
+                for t, acc in ins.items():
+                    new[t] = shift(acc)
+            states = new
+        prev = bag
+    return states.get(0)
+
+
 def ds_dp(lg: LabeledGraph, decomp: PathDecomposition) -> CountVector:
     """Dominating-set counts by one sweep over `decomp`, a nice path
     decomposition of lg.graph, with up to 3^(width+1) states.
@@ -167,36 +207,23 @@ def ds_dp(lg: LabeledGraph, decomp: PathDecomposition) -> CountVector:
     it pending when it needs domination and no bag neighbor is in.  Every
     edge lies in some bag, so a vertex still pending when it is forgotten
     stays undominated and its states are dropped.
+
+    From width 3 up, each state's counts are one packed int
+    (``counts.unpack``) with slots of W = bit_length(C(k, ⌊k/2⌋)) bits, k
+    the number of non-N vertices.  A set of non-N vertices takes one path
+    through the states or is dropped, so coefficient j of all states
+    together is at most C(k, j), below 2^W.  The sweep never subtracts, so
+    no slot carries: an introduce in the set is a shift by W, summed over
+    the states first, and a merge is an add.  Walks of width <= 2 keep
+    their ``CountVector``s: a long walk has few states but many non-N
+    vertices, and adding packed ints of k slots of about k bits each costs
+    more than adding the tuples.
     """
-    adj = lg.graph.neighbor_sets()
-    slot: dict[int, int] = {}  # bag vertex -> its in-set bit
-    states = {0: CountVector.one()}
-    prev: frozenset[int] = frozenset()
-    # the last bag is not empty: a closing empty bag forgets what it holds
-    for bag in [*decomp.bags, frozenset()]:
-        for v in prev - bag:
-            b = slot.pop(v)
-            new: dict[int, CountVector] = {}
-            for s, acc in states.items():
-                if not s & b << 1:
-                    add_into(new, s & ~(3 * b), acc)
-            states = new
-        for v in bag - prev:
-            used = 3 * sum(slot.values())
-            slot[v] = b = ~used & (used + 1)  # the lowest free slot
-            nb = sum(slot.get(u, 0) for u in adj[v])
-            lab = lg.label[v]
-            new = {}
-            ins: dict[int, CountVector] = {}  # summed before their one shift
-            for s, acc in states.items():
-                if lab != N:
-                    add_into(ins, (s & ~(nb << 1)) | b, acc)
-                add_into(new, s | b << 1 if lab != C and not s & nb else s, acc)
-            for s, acc in ins.items():
-                new[s] = acc.shift(1)
-            states = new
-        prev = bag
-    return states.get(0, CountVector.zero())
+    if decomp.width < 3:
+        return _dp_sweep(lg, decomp, CountVector.one(), CountVector.shift) or CountVector.zero()
+    k = sum(lab != N for lab in lg.label.values())
+    width = comb(k, k // 2).bit_length()
+    return unpack(_dp_sweep(lg, decomp, 1, width.__rlshift__) or 0, width)
 
 
 # -- counting engine -----------------------------------------------------------
@@ -249,7 +276,7 @@ class _Node(Node):
         return decomp
 
     def narrow(self, width: int) -> bool:
-        return width <= PD_WIDTH_CAP
+        return 3 ** (width + 1) <= 3 ** (PD_WIDTH_CAP + 1)
 
     def count(self, decomp: PathDecomposition) -> CountVector:
         return _checked(self.audit, "dp", self.graph.n, _terminal(self.lg, decomp))

@@ -175,9 +175,11 @@ def _greedy_layout(adj: dict[int, tuple[int, ...]], first: int, stop: int | None
         current = min([*frontier, *fresh[nxt:nxt + 1]], key=key)
 
 
-# Widest decomposition the engines count directly instead of branching: a
-# bag holds at most PD_WIDTH_CAP + 1 vertices, so a set-cover sweep has at
-# most 2^9 states and a #DS sweep at most 3^9.
+# The state budget of the engines' sweeps: a piece is counted directly
+# instead of branched on when its sweep holds at most 3^(PD_WIDTH_CAP+1)
+# states.  Each engine's ``narrow`` reads it with its own states per bag
+# vertex: #DS (3) up to width 8, set cover (2) up to 13, Max 2-CSP (r)
+# while r^(width+1) fits.
 PD_WIDTH_CAP = 8
 # The greedy layout starts from each of this many smallest ids.
 PD_STARTS = 16

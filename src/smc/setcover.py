@@ -18,7 +18,9 @@ vertex to absorb it.
 The engine's one terminal, ``sc_dp``, sweeps a path decomposition of the
 incidence graph: ``policy.run`` walks a piece of max degree 2 in order
 and width-tests the nice path decomposition of any other, asking
-``narrow``; pieces wider than ``PD_WIDTH_CAP`` are branched on.
+``narrow``.  A sweep of width w holds up to 2^(w+1) states, so a piece is
+branched on when that exceeds the shared budget of 3^(PD_WIDTH_CAP+1)
+states: above width 13 at the shipped cap.
 
 Ownership: each node of the shared loop ``policy.run`` owns and consumes
 its instance.  Folds, separator moves and the re-separation change it in
@@ -332,13 +334,14 @@ def sc_count(inst: ScIncidence, weights: ScWeights | None = None,
     Each vertex of degree <= 1, else each duplicate of degree 2, is folded
     into a neighbor, a twin or ``factor`` and deleted (counted as
     ``annotations``).  ``sc_dp`` counts a piece of maximum degree 2 along
-    its walk order, and a node whose nice path decomposition has width at
-    most ``PD_WIDTH_CAP`` where it would branch in the general phase,
-    where it re-separates, and where it branches on the ladder with no
-    current decomposition.  Wider pieces branch on a maximum-degree set or
-    element while some degree is >= 4 (the loop's general phase), then
-    follow the separator ladder.  `weights` (the published table by default) set the separator
-    balance, and the audit measures with them.
+    its walk order, and a node whose nice path decomposition of width w
+    keeps within 2^(w+1) ≤ 3^(PD_WIDTH_CAP+1) states where it would branch
+    in the general phase, where it re-separates, and where it branches on
+    the ladder with no current decomposition.  Wider pieces branch on a
+    maximum-degree set or element while some degree is >= 4 (the loop's
+    general phase), then follow the separator ladder.  `weights` (the
+    published table by default) set the separator balance, and the audit
+    measures with them.
 
     Audit: hard steps must satisfy Σ_j 2^μ(I_j) ≤ 2^μ(I), with μ = μ₄
     while some degree is ≥ 4 and μ = μ₃ in the subcubic phase, and drop a
@@ -444,7 +447,7 @@ class _Node(Node):
         return decomp
 
     def narrow(self, width: int) -> bool:
-        return width <= PD_WIDTH_CAP
+        return 2 ** (width + 1) <= 3 ** (PD_WIDTH_CAP + 1)
 
     def count(self, decomp: PathDecomposition) -> CountVector:
         if self.audit:

@@ -1,6 +1,9 @@
-"""Shared hypothesis strategies."""
+"""Shared hypothesis strategies, and the merge step of the CountVector
+sweeps kept as oracles for the packed ones."""
 
 from hypothesis import strategies as st
+
+from smc.counts import CountVector
 
 from smc.csp import CspInstance, zero_instance
 from smc.domset import C, N, U, LabeledGraph
@@ -64,3 +67,9 @@ def sc_instances(draw, max_sets: int = 8, max_elems: int = 8):
     return ScIncidence(
         inc, set(range(ne, ne + ns)), sep=trivial_separation(range(ne + ns))
     )
+
+
+def add_into(states: dict[int, CountVector], key: int, vec: CountVector) -> None:
+    """states[key] += vec; states that only ever hold zero are left out."""
+    if vec.counts:
+        states[key] = states[key] + vec if key in states else vec

@@ -6,16 +6,18 @@ import json
 import random
 from contextlib import redirect_stdout
 from io import StringIO
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from strategies import labeled_subcubic
+from strategies import add_into, labeled_subcubic
 
 from smc import domset
 from smc.cli import main
-from smc.counts import CountVector
+from smc.counts import CountVector, unpack
 from smc.domset import (
+    LABELS,
     C,
     N,
     U,
@@ -33,6 +35,7 @@ from smc.measures import Audit
 from smc.oracles import brute_domset
 from smc.policy import apply_move, separator_case
 from smc.separator import (
+    PathDecomposition,
     _linear_order,
     nice_path_decomposition,
     path_decomposition,
@@ -732,6 +735,130 @@ class TestDsDp:
             order = _linear_order(graph)
             assert sorted(order) == graph.vertices()
             assert path_decomposition(graph, order).width == (1 if make is Graph.path else 2)
+
+
+# -- the former CountVector ds_dp, kept as an oracle for the packed sweep
+
+
+def cv_ds_sweep(lg: LabeledGraph, decomp) -> CountVector:
+    """ds_dp with a CountVector per state, merged by ``add_into``."""
+    adj = lg.graph.neighbor_sets()
+    slot: dict[int, int] = {}
+    states = {0: CountVector.one()}
+    prev: frozenset[int] = frozenset()
+    for bag in [*decomp.bags, frozenset()]:
+        for v in prev - bag:
+            b = slot.pop(v)
+            new: dict[int, CountVector] = {}
+            for s, acc in states.items():
+                if not s & b << 1:
+                    add_into(new, s & ~(3 * b), acc)
+            states = new
+        for v in bag - prev:
+            used = 3 * sum(slot.values())
+            slot[v] = b = ~used & (used + 1)
+            nb = sum(slot.get(u, 0) for u in adj[v])
+            lab = lg.label[v]
+            new = {}
+            ins: dict[int, CountVector] = {}
+            for s, acc in states.items():
+                if lab != N:
+                    add_into(ins, (s & ~(nb << 1)) | b, acc)
+                add_into(new, s | b << 1 if lab != C and not s & nb else s, acc)
+            for s, acc in ins.items():
+                new[s] = acc.shift(1)
+            states = new
+        prev = bag
+    return states.get(0, CountVector.zero())
+
+
+def thinned_cubic(n: int, seed: int) -> LabeledGraph:
+    """gen_random_cubic(n, seed) without n/10 of its edges, its vertices of
+    degree <= 2 labelled U, N or C at random."""
+    rng = random.Random(seed)
+    g = gen_random_cubic(n, seed)
+    for u, v in rng.sample(g.edges(), n // 10):
+        g.remove_edge(u, v)
+    lg = LabeledGraph.all_u(g)
+    for v in g.vertices():
+        if g.degree(v) < 3:
+            lg.label[v] = rng.choice(LABELS)
+    lg.check()
+    return lg
+
+
+def packed_sweep_calls(monkeypatch) -> list[int]:
+    """The slot width of each ds_dp call that unpacks a packed sweep."""
+    widths: list[int] = []
+
+    def spy(packed, width):
+        widths.append(width)
+        return unpack(packed, width)
+
+    monkeypatch.setattr(domset, "unpack", spy)
+    return widths
+
+
+class TestPackedDsDp:
+    """ds_dp's packed sweep against the former CountVector sweep on the
+    same decomposition."""
+
+    def test_labelled_graphs_at_widths_3_to_9(self, monkeypatch):
+        widths = packed_sweep_calls(monkeypatch)
+        seen: dict[int, int] = {}
+        for n in range(8, 60, 4):
+            for seed in range(3):
+                lg = thinned_cubic(n, seed)
+                decomp = nice_path_decomposition(lg.graph)
+                if 3 <= decomp.width <= 9 and seen.get(decomp.width, 0) < 2:
+                    seen[decomp.width] = seen.get(decomp.width, 0) + 1
+                    assert ds_dp(lg, decomp).counts == cv_ds_sweep(lg, decomp).counts
+        assert sorted(seen) == list(range(3, 10))
+        assert len(widths) == sum(seen.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(labeled_subcubic(max_n=12, min_n=4), st.randoms(use_true_random=False))
+    def test_matches_former_sweep_along_any_order(self, lg, rng):
+        order = lg.graph.vertices()
+        rng.shuffle(order)
+        decomp = path_decomposition(lg.graph, order)
+        assert ds_dp(lg, decomp).counts == cv_ds_sweep(lg, decomp).counts
+
+    def test_all_n_bag(self, monkeypatch):
+        # four N vertices, each dominated only by its U or C partner; the
+        # order introduces the N vertices first, into one bag of their own
+        widths = packed_sweep_calls(monkeypatch)
+        g = Graph(range(8), [(i, i + 4) for i in range(4)])
+        lg = LabeledGraph(g, {0: N, 1: N, 2: N, 3: N, 4: U, 5: U, 6: C, 7: C})
+        decomp = path_decomposition(g, list(range(8)))
+        assert frozenset({0, 1, 2, 3}) in decomp.bags and decomp.width == 4
+        got = ds_dp(lg, decomp)
+        assert got.counts == cv_ds_sweep(lg, decomp).counts == (0, 0, 0, 0, 1)
+        assert got == brute_domset(lg) and widths == [3]  # C(4, 2) = 6 needs 3 bits
+
+    @pytest.mark.parametrize("k", [4, 6, 11])
+    def test_free_vertices_fill_the_slot(self, k):
+        """k C vertices in one bag: every subset counts, so coefficient
+        ⌊k/2⌋ is C(k, ⌊k/2⌋), which needs every bit of the slot width."""
+        lg = LabeledGraph(Graph(range(k)), dict.fromkeys(range(k), C))
+        decomp = PathDecomposition([frozenset(range(i + 1)) for i in range(k)])
+        assert decomp.width == k - 1
+        got = ds_dp(lg, decomp)
+        assert got.counts == cv_ds_sweep(lg, decomp).counts
+        assert got.counts == tuple(comb(k, j) for j in range(k + 1))
+
+    @pytest.mark.parametrize("make", [Graph.path, Graph.cycle], ids=["path", "cycle"])
+    def test_walks_of_width_2_keep_count_vectors(self, make, monkeypatch):
+        widths = packed_sweep_calls(monkeypatch)
+        lg = LabeledGraph.all_u(make(60))
+        for v in range(0, 60, 4):
+            lg.label[v] = N
+        for v in range(1, 60, 7):
+            lg.label[v] = C
+        decomp = path_decomposition(lg.graph, _linear_order(lg.graph))
+        assert decomp.width <= 2
+        assert ds_dp(lg, decomp).counts == cv_ds_sweep(lg, decomp).counts
+        assert widths == []
 
 
 class TestCrossEngine:

@@ -9,8 +9,10 @@ vectors and full stats of both #DS routes on seeded cubic graphs and on
 cubic graphs with subdivided edges, and check that attaching an audit
 changes neither.  The pins run the separator ladders with both
 path-decomposition terminals switched off (``PD_WIDTH_CAP`` = -1), and
-once more at the shipped cap, where one more set-cover pin reaches the
-subcubic ladder.  The local baselines of the Max 2-CSP and #DS engines
+once more at the shipped cap, where a wider total-domination instance
+reaches the set-cover subcubic ladder.  Each engine's width test is
+checked against the one state budget, 3^(PD_WIDTH_CAP+1) states, that
+all three share.  The local baselines of the Max 2-CSP and #DS engines
 are pinned too: answers, full stats and the #DS audit's kinds; and so
 are the counts and full stats of both #DS policies and of set cover on
 paths and cycles, plain and labelled, at both caps.
@@ -22,6 +24,9 @@ from dataclasses import asdict
 
 import pytest
 
+import smc.csp_solve
+import smc.domset
+import smc.setcover
 from smc.csp import encode_maxcut
 from smc.csp_solve import solve
 from smc.domset import LabeledGraph, branch3, count_ds
@@ -29,8 +34,14 @@ from smc.generators import csp_on_graph, gen_g4, gen_random_cubic
 from smc.graph import Graph
 from smc.measures import Audit
 from smc.policy import Node, PivotAction, Stats, apply_move, run, separator_case
-from smc.separator import Separation, trivial_separation, verify_separation
-from smc.setcover import ScIncidence, ds_to_sc, sc_count
+from smc.separator import (
+    Separation,
+    nice_path_decomposition,
+    trivial_separation,
+    verify_separation,
+)
+from smc.setcover import ScIncidence, ds_to_sc, sc_count, sc_dp
+from smc.weights import CspWeights, ScWeights
 
 
 def moved(g: Graph, sep: Separation, kind: str, s: int, partner=None,
@@ -275,19 +286,13 @@ PINNED = {
 
 
 # sc_count stats at the shipped PD_WIDTH_CAP, where narrow pieces are
-# counted by the path-decomposition DP instead of the ladder
-PINNED_AT_CAP = {
-    (24, 0, 0): {'branchings': 7, 'stalls': 0, 'annotations': 8, 'dp_calls': 8, 'splits': 0,
-                 'leaves': 8, 'max_depth': 6, 'separator_recomputes': 0},
-    (24, 2, 0): {'branchings': 4, 'stalls': 0, 'annotations': 4, 'dp_calls': 5, 'splits': 0,
-                 'leaves': 5, 'max_depth': 4, 'separator_recomputes': 0},
-    (24, 3, 0): {'branchings': 13, 'stalls': 0, 'annotations': 10, 'dp_calls': 14, 'splits': 0,
-                 'leaves': 14, 'max_depth': 8, 'separator_recomputes': 0},
-    (18, 1, 5): {'branchings': 1, 'stalls': 0, 'annotations': 1, 'dp_calls': 2, 'splits': 0,
-                 'leaves': 2, 'max_depth': 2, 'separator_recomputes': 0},
-    (20, 2, 3): {'branchings': 0, 'stalls': 0, 'annotations': 0, 'dp_calls': 1, 'splits': 0,
-                 'leaves': 1, 'max_depth': 0, 'separator_recomputes': 0},
-}
+# counted by the path-decomposition DP instead of the ladder: within the
+# budget of 2^14 set-cover states each pinned translation is swept whole
+# at its first width test, before any branch or separation
+PINNED_AT_CAP = dict.fromkeys(
+    [(24, 0, 0), (24, 2, 0), (24, 3, 0), (18, 1, 5), (20, 2, 3)],
+    {'branchings': 0, 'stalls': 0, 'annotations': 0, 'dp_calls': 1, 'splits': 0,
+     'leaves': 1, 'max_depth': 0, 'separator_recomputes': 0})
 
 
 def total_domination(g: Graph) -> ScIncidence:
@@ -301,16 +306,19 @@ def total_domination(g: Graph) -> ScIncidence:
     return ScIncidence(inc, set(range(n, 2 * n)), sep=trivial_separation(range(2 * n)))
 
 
-# total dominating sets of gen_random_cubic(22, 1) at the shipped
-# PD_WIDTH_CAP: wider than the cap, the instance enters the subcubic ladder
-# at once; a piece is width-tested where S empties, after its
-# re-separation, and at a ladder branch made without a current
-# decomposition: both children of the one branch are narrow
-TOTAL_22 = (
-    (0, 0, 0, 0, 0, 0, 0, 0, 9, 543, 6126, 28733, 73679, 118204, 128162, 98419, 55034,
-     22702, 6901, 1518, 231, 22, 1),
-    {'branchings': 1, 'stalls': 0, 'leaves': 2, 'dp_calls': 2, 'annotations': 0,
-     'splits': 0, 'max_depth': 4, 'separator_recomputes': 1})
+# total dominating sets of gen_random_cubic(42, 1) at the shipped
+# PD_WIDTH_CAP: its incidence graph has width 15, wider than set cover's
+# 13, so the instance enters the subcubic ladder at once; a piece is
+# width-tested where S empties, after its re-separation, and at a ladder
+# branch made without a current decomposition.  The counts agree with a
+# run under set cover's former budget of 2^9 states, which branches 64 times
+TOTAL_42 = (
+    (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 11, 2062, 89658, 1716356, 18176820,
+     120631713, 543712618, 1761166033, 4274466048, 8024080049, 11940013193, 14356131385,
+     14157894463, 11585703796, 7936104617, 4579002300, 2234273005, 923551139, 323223547,
+     95480332, 23660884, 4869830, 819816, 110296, 11438, 861, 42, 1),
+    {'branchings': 3, 'stalls': 0, 'leaves': 4, 'dp_calls': 4, 'annotations': 0,
+     'splits': 0, 'max_depth': 5, 'separator_recomputes': 1})
 
 
 # count_ds stats at the shipped PD_WIDTH_CAP: each pinned graph has a nice
@@ -358,8 +366,57 @@ class TestEnginesPinned:
         assert vec.counts == PINNED[key][0] and asdict(stats) == PINNED_AT_CAP[key]
 
     def test_sc_count_on_the_ladder_at_width_cap(self):
-        vec, stats = sc_count(total_domination(gen_random_cubic(22, 1)))
-        assert (vec.counts, asdict(stats)) == TOTAL_22
+        inst = total_domination(gen_random_cubic(42, 1))
+        assert nice_path_decomposition(inst.incidence).width == 15
+        vec, stats = sc_count(inst)
+        assert (vec.counts, asdict(stats)) == TOTAL_42
+
+
+# the widest width each engine's narrow accepts, per PD_WIDTH_CAP: #DS at
+# 3 states per bag vertex, set cover at 2, Max 2-CSP at r
+WIDEST = {
+    -1: {"ds": -1, "sc": -1, 2: -1, 3: -1, 4: -1},
+    3: {"ds": 3, "sc": 5, 2: 5, 3: 3, 4: 2},
+    8: {"ds": 8, "sc": 13, 2: 13, 3: 8, 4: 6},
+}
+
+
+def narrow_nodes() -> dict:
+    """A node of each engine, keyed as in WIDEST, with its states per bag
+    vertex."""
+    g = Graph.path(2)
+    sep = trivial_separation(g.vertices())
+    nodes = {"ds": (3, smc.domset._Node(LabeledGraph.all_u(g), sep, Stats(), None)),
+             "sc": (2, smc.setcover._Node(ds_to_sc(g), ScWeights.published(), Stats(), None))}
+    for r in (2, 3, 4):
+        nodes[r] = (r, smc.csp_solve._Node(csp_on_graph(g, r, 0), sep, Stats(), None,
+                                           CspWeights.published()))
+    return nodes
+
+
+class TestStateBudget:
+    """All three sweeps share one budget of 3^(PD_WIDTH_CAP+1) states."""
+
+    @pytest.mark.parametrize("cap", [-1, 3, 8])
+    def test_narrow_holds_exactly_within_the_budget(self, cap, monkeypatch):
+        for module in (smc.csp_solve, smc.domset, smc.setcover):
+            monkeypatch.setattr(module, "PD_WIDTH_CAP", cap)
+        for key, (base, node) in narrow_nodes().items():
+            widest = WIDEST[cap][key]
+            assert [node.narrow(w) for w in range(16)] == [w <= widest for w in range(16)]
+            assert base ** (widest + 1) <= 3 ** (cap + 1) < base ** (widest + 2)
+
+    @pytest.mark.parametrize("n,seed,width", [(36, 2, 13), (40, 1, 14)])
+    def test_set_cover_sweeps_width_13_and_branches_width_14(self, n, seed, width):
+        inst = total_domination(gen_random_cubic(n, seed))
+        decomp = nice_path_decomposition(inst.incidence)
+        assert decomp.width == width
+        vec, stats = sc_count(inst)
+        assert vec == sc_dp(inst, decomp)
+        if width <= 13:
+            assert (stats.branchings, stats.dp_calls) == (0, 1)
+        else:
+            assert stats.branchings > 0
 
 
 class TestAuditIsPassive:

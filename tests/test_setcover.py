@@ -11,11 +11,11 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import graphs, sc_instances
+from strategies import add_into, graphs, sc_instances
 
 import smc.policy
 import smc.setcover
-from smc.counts import CountVector, add_into
+from smc.counts import CountVector
 from smc.domset import LabeledGraph
 from smc.graph import Graph
 from smc.oracles import brute_domset, brute_setcover
