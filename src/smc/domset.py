@@ -216,8 +216,10 @@ def ds_dp(lg: LabeledGraph, decomp: PathDecomposition) -> CountVector:
     no slot carries: an introduce in the set is a shift by W, summed over
     the states first, and a merge is an add.  Walks of width <= 2 keep
     their ``CountVector``s: a long walk has few states but many non-N
-    vertices, and adding packed ints of k slots of about k bits each costs
-    more than adding the tuples.
+    vertices, and from about a thousand of them on, adding packed ints of
+    k slots of about k bits each costs more than adding the tuples.
+    Packing wins on shorter walks too, but only the long ones take long;
+    from width 3 up it never lost where measured.
     """
     if decomp.width < 3:
         return _dp_sweep(lg, decomp, CountVector.one(), CountVector.shift) or CountVector.zero()
@@ -276,7 +278,8 @@ class _Node(Node):
         return decomp
 
     def narrow(self, width: int) -> bool:
-        return 3 ** (width + 1) <= 3 ** (PD_WIDTH_CAP + 1)
+        # 3^(width+1) states: within the shared budget exactly up to the cap
+        return width <= PD_WIDTH_CAP
 
     def count(self, decomp: PathDecomposition) -> CountVector:
         return _checked(self.audit, "dp", self.graph.n, _terminal(self.lg, decomp))
