@@ -347,67 +347,60 @@ _FLAGS = {
 }
 
 
-def _add_flags(sub: argparse.ArgumentParser, *flags: str) -> None:
-    """Give a subcommand exactly the shared flags its handler reads."""
-    for flag in flags:
-        sub.add_argument(flag, **_FLAGS[flag])
+_INT = dict(type=int)
+# Each subcommand's help and its arguments, in order: the name of a shared
+# flag, or (name, add_argument keywords).  A subcommand has exactly the
+# shared flags its handler reads.
+_COMMANDS = {
+    "solve-csp": ("exact optimum of a Max 2-CSP instance", tuple(_FLAGS)),
+    "maxcut": ("Max Cut of a graph via the CSP encoding", tuple(_FLAGS)),
+    "max2sat": ("Max 2-SAT (DIMACS 2-CNF) via the CSP encoding", tuple(_FLAGS)),
+    "count-ds": ("dominating-set counts by size", (
+        ("--subcubic", dict(action="store_true", help="use the native labeled subcubic "
+                            "engine (default: set-cover translation)")), *_FLAGS)),
+    "count-sc": ("set-cover counts by size",
+                 ("--input", "--weights", "--audit-measure", "--stats", "--json")),
+    "separate": ("balanced separation of a graph", ("--input", "--stats", "--json")),
+    "gen": ("emit a family or random instance", (
+        ("family", dict(choices=("g3", "g4", "g5", "cubic", "csp"))),
+        ("--n", _INT), ("--n3", _INT), ("--n4", _INT), ("--m", _INT),
+        ("--r", dict(type=int, help="colours (csp; default 2)")),
+        ("--seed", dict(type=int, help="64-bit seed (default 0)")))),
+    "trace-lb": ("adversarial trace on a family", (
+        ("--family", dict(choices=("g3", "g4", "g5"), required=True)),
+        ("--n", _INT), ("--n3", _INT), ("--n4", _INT), "--stats", "--json")),
+    "audit-measure": ("weight-system feasibility report", (
+        ("--system", dict(choices=("csp", "sc"), required=True)), "--weights", "--json")),
+    "oracle": ("brute-force reference solver", (
+        ("problem", dict(choices=("csp", "ds", "sc"))), "--input", "--json")),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The smc parser; with `only`, a subcommand's name, it holds that
+    subcommand alone, so an invocation builds just the parser it runs."""
     top = argparse.ArgumentParser(
         prog="smc",
         description="Exact Max 2-CSP / #Dominating Set / #Set Cover solvers "
         "with separator-driven branching, measure audits, and "
         "adversarial instance generators.",
     )
-    subs = top.add_subparsers(dest="subcommand", required=True)
-
-    for name, helptext in (
-        ("solve-csp", "exact optimum of a Max 2-CSP instance"),
-        ("maxcut", "Max Cut of a graph via the CSP encoding"),
-        ("max2sat", "Max 2-SAT (DIMACS 2-CNF) via the CSP encoding"),
-    ):
-        _add_flags(subs.add_parser(name, help=helptext), *_FLAGS)
-
-    ds = subs.add_parser("count-ds", help="dominating-set counts by size")
-    ds.add_argument("--subcubic", action="store_true",
-                    help="use the native labeled subcubic engine "
-                    "(default: set-cover translation)")
-    _add_flags(ds, *_FLAGS)
-
-    _add_flags(subs.add_parser("count-sc", help="set-cover counts by size"),
-               "--input", "--weights", "--audit-measure", "--stats", "--json")
-    _add_flags(subs.add_parser("separate", help="balanced separation of a graph"),
-               "--input", "--stats", "--json")
-
-    gen = subs.add_parser("gen", help="emit a family or random instance")
-    gen.add_argument("family", choices=("g3", "g4", "g5", "cubic", "csp"))
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--n3", type=int)
-    gen.add_argument("--n4", type=int)
-    gen.add_argument("--m", type=int)
-    gen.add_argument("--r", type=int, help="colours (csp; default 2)")
-    gen.add_argument("--seed", type=int, help="64-bit seed (default 0)")
-
-    tr = subs.add_parser("trace-lb", help="adversarial trace on a family")
-    tr.add_argument("--family", choices=("g3", "g4", "g5"), required=True)
-    tr.add_argument("--n", type=int)
-    tr.add_argument("--n3", type=int)
-    tr.add_argument("--n4", type=int)
-    _add_flags(tr, "--stats", "--json")
-
-    am = subs.add_parser("audit-measure", help="weight-system feasibility report")
-    am.add_argument("--system", choices=("csp", "sc"), required=True)
-    _add_flags(am, "--weights", "--json")
-
-    orc = subs.add_parser("oracle", help="brute-force reference solver")
-    orc.add_argument("problem", choices=("csp", "ds", "sc"))
-    _add_flags(orc, "--input", "--json")
+    # the one-subcommand parser still names every subcommand in its usage,
+    # which its errors print
+    subs = top.add_subparsers(dest="subcommand", required=True,
+                              metavar=None if only is None else "{" + ",".join(_COMMANDS) + "}")
+    for name, (helptext, arguments) in _COMMANDS.items():
+        if only in (None, name):
+            sub = subs.add_parser(name, help=helptext)
+            for arg in arguments:
+                flag, kw = (arg, _FLAGS[arg]) if isinstance(arg, str) else arg
+                sub.add_argument(flag, **kw)
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

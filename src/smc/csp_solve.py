@@ -26,7 +26,8 @@ vertex at every degree, and never splits, separates or sweeps.
 
 from __future__ import annotations
 
-from operator import add
+from itertools import chain
+from operator import add, gt
 
 from . import csp
 from .csp import CspInstance, CspSolution, reduceIII, restrict
@@ -72,8 +73,11 @@ def _brute_best(inst: CspInstance, decomp: PathDecomposition) -> tuple[int, dict
     partial scores indexed in base r, one digit per bag vertex in the
     order they were introduced.  Introducing v adds the top digit: state
     (s, c) gains s_v[v][c] plus the ``edge_rows`` entries of v's bag
-    neighbours at their colours in s.  Every edge lies in some bag, so
-    each is scored exactly once, when its later endpoint comes in.
+    neighbours at their colours in s.  Each colour's gains form one
+    column, built from the lowest digit up (a neighbour's digit adds its
+    row entry, any other digit repeats the column r times) and added to
+    the scores in one pass.  Every edge lies in some bag, so each is
+    scored exactly once, when its later endpoint comes in.
     Forgetting v keeps the max over v's colour and stores the argmax, one
     byte per remaining state; a closing empty bag forgets what the last
     bag holds.  The witness is traced back through the stored argmaxes,
@@ -95,14 +99,14 @@ def _brute_best(inst: CspInstance, decomp: PathDecomposition) -> tuple[int, dict
             trail.append((v, b, arg))
         for v in bag - prev:
             size = len(scores)
-            nbrs = [(r ** digits.index(u), inst.edge_rows(u, v)) for u in adj[v] if u in digits]
+            nbrs = {digits.index(u): inst.edge_rows(u, v) for u in adj[v] if u in digits}
             grown: list[int] = []
             for c, gain in enumerate(inst.s_v[v]):
-                block = [x + gain for x in scores]
-                for b, rows in nbrs:  # row[c] of u's colour, repeated along digit b
-                    col = [x for row in rows for x in (row[c],) * b] * (size // (b * r))
-                    block = list(map(add, block, col))
-                grown += block
+                col = [gain]
+                for d in range(len(digits)):
+                    rows = nbrs.get(d)  # rows[a][c]: the edge's score with u at a, v at c
+                    col = col * r if rows is None else [x + row[c] for row in rows for x in col]
+                grown += map(add, scores, col)
             scores = grown
             digits.append(v)
             trail.append((v, size, None))
@@ -122,26 +126,32 @@ def _forget_digit(scores: list[int], r: int, b: int) -> tuple[list[int], bytearr
     """Max over the base-r digit of weight b, and for each remaining state
     the smallest colour attaining it.
 
-    The states sharing every other digit lie b apart, so the work runs
-    either over the len/(b·r) runs of b adjacent states or over the b
-    interleaved runs of stride b·r, whichever are fewer.
+    Each colour's column is gathered in the order of the remaining states.
+    The states sharing every other digit lie b apart, so a column is
+    len/(b·r) runs of b adjacent states, or b interleaved runs of stride
+    b·r; it is copied out by whichever slices are fewer.  The columns then
+    meet in r − 1 whole-column passes: one strict comparison per state (a
+    tie keeps the smaller colour) picks both the max and the argmax, in
+    list comprehensions that cost about a third of ``map(max, …)``.
     """
-    step = b * r
-    runs = len(scores) // step
-    out = [0] * (len(scores) // r)
-    arg = bytearray(len(out))
-    if b >= runs:
-        pieces = [([slice(i * step + c * b, i * step + c * b + b) for c in range(r)],
-                   slice(i * b, i * b + b)) for i in range(runs)]
-    else:
-        pieces = [([slice(j + c * b, None, step) for c in range(r)], slice(j, None, b))
-                  for j in range(b)]
-    for src, dst in pieces:
-        cols = [scores[s] for s in src]
-        top = list(map(max, *cols))
-        out[dst] = top
-        arg[dst] = bytes(map(tuple.index, zip(*cols), top))
-    return out, arg
+    step, size = b * r, len(scores) // r
+
+    def column(c: int) -> list[int]:
+        if b > size // b:
+            return list(chain.from_iterable(scores[i:i + b]
+                                            for i in range(c * b, len(scores), step)))
+        col = [0] * size
+        for j in range(b):
+            col[j::b] = scores[c * b + j::step]
+        return col
+
+    top, arg = column(0), None
+    for c in range(1, r):
+        col = column(c)
+        up = list(map(gt, col, top))
+        top = [y if u else x for u, x, y in zip(up, top, col)]
+        arg = up if arg is None else [c if u else a for u, a in zip(up, arg)]
+    return top, bytearray(arg)
 
 
 class _Node(Node):

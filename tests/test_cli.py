@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from smc.cli import main
+from smc.cli import _HANDLERS, build_parser, main
 from smc.csp import evaluate, parse_csp
 from smc.domset import LabeledGraph, parse_labeled_graph
 from smc.graph import Graph, format_graph, parse_graph
@@ -355,7 +355,9 @@ class TestExitCodes:
         assert code == 1 and "guard" in err
 
     def test_unknown_subcommand_is_2(self):
-        assert run(["frobnicate"])[0] == 2
+        code, out, err = run(["frobnicate"])
+        assert code == 2 and out == ""
+        assert all(f"'{name}'" in err for name in _HANDLERS)
 
     def test_missing_input_file_is_2(self):
         code, _, _ = run(["maxcut", "--input", "/nonexistent/path.graph"])
@@ -458,6 +460,50 @@ class TestExitCodes:
         assert run(["oracle", "ds", "--input", str(path)]) == run(["oracle", "ds"], K4)
         code, out, _ = run(["oracle", "sc", "--json"], SC_SAMPLE)
         assert code == 0 and json.loads(out) == {"counts": [0, 0, 1]}
+
+
+# a valid argv tail for each subcommand, using most of its flags
+SAMPLE_ARGV = {
+    "solve-csp": ["--policy", "local", "--input", "x.csp", "--stats", "--json"],
+    "maxcut": ["--audit-measure", "--weights", "w.txt"],
+    "max2sat": ["--input", "-"],
+    "count-ds": ["--subcubic", "--policy", "separator", "--stats"],
+    "count-sc": ["--audit-measure", "--json"],
+    "separate": ["--input", "g.txt", "--stats"],
+    "gen": ["csp", "--n", "6", "--m", "9", "--r", "3", "--seed", "5"],
+    "trace-lb": ["--family", "g4", "--n3", "2", "--n4", "3", "--json"],
+    "audit-measure": ["--system", "sc", "--weights", "w.txt"],
+    "oracle": ["ds", "--input", "g.txt", "--json"],
+}
+
+
+def parse_exit(parser, argv):
+    """Exit code, stdout and stderr of a parse that exits (help or error)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+class TestParser:
+    """``main`` builds only the parser of the subcommand it runs, which must
+    parse and print exactly as the full parser does."""
+
+    def test_every_subcommand_is_sampled(self):
+        assert set(SAMPLE_ARGV) == set(_HANDLERS)
+
+    @pytest.mark.parametrize("name", list(SAMPLE_ARGV))
+    def test_one_subcommand_parser_matches_the_full_one(self, name):
+        argv = [name, *SAMPLE_ARGV[name]]
+        assert build_parser(name).parse_args(argv) == build_parser().parse_args(argv)
+        for bad in ([name, "--help"], [name, "--bogus"], [name, *SAMPLE_ARGV[name], "-x"]):
+            assert parse_exit(build_parser(name), bad) == parse_exit(build_parser(), bad)
+        code, out, _ = parse_exit(build_parser(name), [name, "--help"])
+        assert code == 0 and out.startswith(f"usage: smc {name} ")
+
+    def test_top_level_help_lists_every_subcommand(self):
+        code, out, _ = run(["-h"])
+        assert code == 0 and all(name in out for name in _HANDLERS)
 
 
 class TestDeterminism:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from strategies import csp_instances
 
 from smc.csp import encode_maxcut, evaluate, zero_instance
-from smc.csp_solve import _brute_best, _simplify_action, solve
+from smc.csp_solve import _brute_best, _forget_digit, _simplify_action, solve
 from smc.generators import csp_on_graph, gen_random_csp, gen_random_cubic
 from smc.graph import Graph
 from smc.measures import Audit, csp_snapshot
@@ -174,6 +174,31 @@ class TestBruteTerminal:
         inst = zero_instance(3, Graph.path(3))
         score, witness = _brute_best(inst, nice_path_decomposition(inst.graph))
         assert (score, witness) == (0, {0: 0, 1: 0, 2: 0})
+
+
+def naive_forget(scores, r, b):
+    """Per remaining state, the max over the digit of weight b and the first
+    colour attaining it."""
+    out, arg = [], bytearray()
+    for t in range(len(scores) // r):
+        col = [scores[t % b + c * b + t // b * b * r] for c in range(r)]
+        out.append(max(col))
+        arg.append(col.index(max(col)))
+    return out, arg
+
+
+class TestForgetDigit:
+    """``_forget_digit`` gathers each colour's column by one of two slicings
+    and folds the columns with strict comparisons; scores from a range of
+    five values make ties common, and a tie goes to the smaller colour."""
+
+    @pytest.mark.parametrize("r,k", [(2, 7), (3, 5), (4, 4), (5, 3)])
+    def test_matches_a_per_state_max_and_argmax(self, r, k):
+        rng = random.Random(r)
+        for p in range(k):  # every digit weight
+            for _ in range(10):
+                scores = [rng.randint(-2, 2) for _ in range(r ** k)]
+                assert _forget_digit(scores, r, r ** p) == naive_forget(scores, r, r ** p)
 
 
 class TestDepth:
