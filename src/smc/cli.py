@@ -320,20 +320,6 @@ def cmd_oracle(args) -> int:
 # -- wiring --------------------------------------------------------------------
 
 
-_HANDLERS = {
-    "solve-csp": cmd_solve_csp,
-    "maxcut": cmd_maxcut,
-    "max2sat": cmd_max2sat,
-    "count-ds": cmd_count_ds,
-    "count-sc": cmd_count_sc,
-    "separate": cmd_separate,
-    "gen": cmd_gen,
-    "trace-lb": cmd_trace_lb,
-    "audit-measure": cmd_audit_measure,
-    "oracle": cmd_oracle,
-}
-
-
 _FLAGS = {
     "--input": dict(help="input file (default: stdin)"),
     "--policy": dict(choices=("separator", "local"),
@@ -348,30 +334,30 @@ _FLAGS = {
 
 
 _INT = dict(type=int)
-# Each subcommand's help and its arguments, in order: the name of a shared
-# flag, or (name, add_argument keywords).  A subcommand has exactly the
-# shared flags its handler reads.
+# Each subcommand's handler, its help and its arguments, in order: the
+# name of a shared flag, or (name, add_argument keywords).  A subcommand
+# has exactly the shared flags its handler reads.
 _COMMANDS = {
-    "solve-csp": ("exact optimum of a Max 2-CSP instance", tuple(_FLAGS)),
-    "maxcut": ("Max Cut of a graph via the CSP encoding", tuple(_FLAGS)),
-    "max2sat": ("Max 2-SAT (DIMACS 2-CNF) via the CSP encoding", tuple(_FLAGS)),
-    "count-ds": ("dominating-set counts by size", (
+    "solve-csp": (cmd_solve_csp, "exact optimum of a Max 2-CSP instance", tuple(_FLAGS)),
+    "maxcut": (cmd_maxcut, "Max Cut of a graph via the CSP encoding", tuple(_FLAGS)),
+    "max2sat": (cmd_max2sat, "Max 2-SAT (DIMACS 2-CNF) via the CSP encoding", tuple(_FLAGS)),
+    "count-ds": (cmd_count_ds, "dominating-set counts by size", (
         ("--subcubic", dict(action="store_true", help="use the native labeled subcubic "
                             "engine (default: set-cover translation)")), *_FLAGS)),
-    "count-sc": ("set-cover counts by size",
+    "count-sc": (cmd_count_sc, "set-cover counts by size",
                  ("--input", "--weights", "--audit-measure", "--stats", "--json")),
-    "separate": ("balanced separation of a graph", ("--input", "--stats", "--json")),
-    "gen": ("emit a family or random instance", (
+    "separate": (cmd_separate, "balanced separation of a graph", ("--input", "--stats", "--json")),
+    "gen": (cmd_gen, "emit a family or random instance", (
         ("family", dict(choices=("g3", "g4", "g5", "cubic", "csp"))),
         ("--n", _INT), ("--n3", _INT), ("--n4", _INT), ("--m", _INT),
         ("--r", dict(type=int, help="colours (csp; default 2)")),
         ("--seed", dict(type=int, help="64-bit seed (default 0)")))),
-    "trace-lb": ("adversarial trace on a family", (
+    "trace-lb": (cmd_trace_lb, "adversarial trace on a family", (
         ("--family", dict(choices=("g3", "g4", "g5"), required=True)),
         ("--n", _INT), ("--n3", _INT), ("--n4", _INT), "--stats", "--json")),
-    "audit-measure": ("weight-system feasibility report", (
+    "audit-measure": (cmd_audit_measure, "weight-system feasibility report", (
         ("--system", dict(choices=("csp", "sc"), required=True)), "--weights", "--json")),
-    "oracle": ("brute-force reference solver", (
+    "oracle": (cmd_oracle, "brute-force reference solver", (
         ("problem", dict(choices=("csp", "ds", "sc"))), "--input", "--json")),
 }
 
@@ -389,7 +375,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     # which its errors print
     subs = top.add_subparsers(dest="subcommand", required=True,
                               metavar=None if only is None else "{" + ",".join(_COMMANDS) + "}")
-    for name, (helptext, arguments) in _COMMANDS.items():
+    for name, (_, helptext, arguments) in _COMMANDS.items():
         if only in (None, name):
             sub = subs.add_parser(name, help=helptext)
             for arg in arguments:
@@ -400,13 +386,13 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return _HANDLERS[args.subcommand](args)
+        return _COMMANDS[args.subcommand][0](args)
     except InputError as e:
         _diag(f"error: {e}")
         return 2

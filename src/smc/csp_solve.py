@@ -8,7 +8,7 @@ from the cubic bound to general instances), then on the pivots of the
 shared separator-case ladder.  A piece is solved outright by a max-plus
 sweep over its path decomposition when that keeps within r^(width+1) ≤
 3^(PD_WIDTH_CAP+1) states, the budget that all three engines' sweeps
-share.
+share (``policy.Node.narrow``).
 
 Ownership: ``solve`` copies the caller's instance once.  ``policy.run``
 consumes a node's instance and separation: it reduces the instance in
@@ -35,7 +35,6 @@ from .graph import Graph
 from .measures import Audit, csp_snapshot
 from .policy import Node, PivotAction, Stats, run
 from .separator import (
-    PD_WIDTH_CAP,
     PathDecomposition,
     Separation,
     nice_path_decomposition,
@@ -64,8 +63,9 @@ def _simplify_action(g: Graph, sep: Separation | None) -> PivotAction | None:
 
 
 def _brute_best(inst: CspInstance, decomp: PathDecomposition) -> tuple[int, dict[int, int]]:
-    """Optimum and witness of inst by one max-plus sweep over `decomp`, a
-    nice path decomposition of inst.graph, with up to r^(width+1) states.
+    """Optimum and witness of inst by one max-plus sweep over the steps of
+    `decomp`, a path decomposition of inst.graph, with up to r^(width+1)
+    states.
     (The name is the exhaustive terminal's that this sweep replaced: the
     benchmark's tracer wraps ``smc.csp_solve:_brute_best`` by name.)
 
@@ -79,9 +79,9 @@ def _brute_best(inst: CspInstance, decomp: PathDecomposition) -> tuple[int, dict
     the scores in one pass.  Every edge lies in some bag, so each is
     scored exactly once, when its later endpoint comes in.
     Forgetting v keeps the max over v's colour and stores the argmax, one
-    byte per remaining state; a closing empty bag forgets what the last
-    bag holds.  The witness is traced back through the stored argmaxes,
-    and ties go to the smallest colour at each forget.
+    byte per remaining state.  The witness is traced back through the
+    stored argmaxes, and ties go to the smallest colour at each forget,
+    in step order (``path_decomposition`` forgets its last bag by id).
     """
     r = inst.r
     adj = inst.graph.neighbor_sets()
@@ -90,27 +90,25 @@ def _brute_best(inst: CspInstance, decomp: PathDecomposition) -> tuple[int, dict
     # per step: (v, r^k, None) when v comes in onto k digits, and
     # (v, r^p, argmax) when v leaves from digit p
     trail: list[tuple[int, int, bytearray | None]] = []
-    prev: frozenset[int] = frozenset()
-    for bag in [*decomp.bags, frozenset()]:
-        for v in prev - bag:
+    for v, entering in decomp.steps:
+        if not entering:
             b = r ** digits.index(v)
             digits.remove(v)
             scores, arg = _forget_digit(scores, r, b)
             trail.append((v, b, arg))
-        for v in bag - prev:
-            size = len(scores)
-            nbrs = {digits.index(u): inst.edge_rows(u, v) for u in adj[v] if u in digits}
-            grown: list[int] = []
-            for c, gain in enumerate(inst.s_v[v]):
-                col = [gain]
-                for d in range(len(digits)):
-                    rows = nbrs.get(d)  # rows[a][c]: the edge's score with u at a, v at c
-                    col = col * r if rows is None else [x + row[c] for row in rows for x in col]
-                grown += map(add, scores, col)
-            scores = grown
-            digits.append(v)
-            trail.append((v, size, None))
-        prev = bag
+            continue
+        size = len(scores)
+        nbrs = {digits.index(u): inst.edge_rows(u, v) for u in adj[v] if u in digits}
+        grown: list[int] = []
+        for c, gain in enumerate(inst.s_v[v]):
+            col = [gain]
+            for d in range(len(digits)):
+                rows = nbrs.get(d)  # rows[a][c]: the edge's score with u at a, v at c
+                col = col * r if rows is None else [x + row[c] for row in rows for x in col]
+            grown += map(add, scores, col)
+        scores = grown
+        digits.append(v)
+        trail.append((v, size, None))
     asg: dict[int, int] = {}
     t = 0
     for v, b, arg in reversed(trail):
@@ -160,6 +158,8 @@ class _Node(Node):
     ``_run`` completes the witness with their fills.  The audit measures
     subcubic steps only: above max degree 3 ``_snap`` is None."""
 
+    base = property(lambda self: self.inst.r)  # sweep states per bag vertex: its colours
+
     def __init__(self, inst: CspInstance, sep: Separation, stats: Stats,
                  audit: Audit | None, weights: CspWeights):
         self.inst, self.graph, self.sep, self.fills = inst, inst.graph, sep, []
@@ -207,9 +207,6 @@ class _Node(Node):
         self.sep = separate_cubic(self.graph, decomp)
         self._log("reseparate", before, hard=False)
         return decomp
-
-    def narrow(self, width: int) -> bool:
-        return self.inst.r ** (width + 1) <= 3 ** (PD_WIDTH_CAP + 1)
 
     def count(self, decomp: PathDecomposition):
         self._log("terminal", self._snap(), [])

@@ -15,7 +15,8 @@ with three states per bag vertex.  Both policies run on the shared loop
 ``policy.run``, which consumes a node's separation and picks what is
 counted outright: a piece of max degree <= 2, along its walk order, and
 a piece whose nice path decomposition ``narrow`` accepts: one whose
-3^(width+1) states keep within the shared budget of 3^(PD_WIDTH_CAP+1).
+3^(width+1) states keep within the shared budget of 3^(PD_WIDTH_CAP+1)
+(``policy.Node.narrow``).
 Under the separator policy each component is a node, and its moves and
 branch pivots come from the loop's one separator-case ladder,
 ``policy.separator_case``, which the Max 2-CSP solver runs too.
@@ -35,7 +36,6 @@ from .graph import Graph, induced_subgraph, parse_graph
 from .measures import Audit
 from .policy import Node, Stats, run
 from .separator import (
-    PD_WIDTH_CAP,
     PathDecomposition,
     Separation,
     nice_path_decomposition,
@@ -163,10 +163,8 @@ def _dp_sweep(lg: LabeledGraph, decomp: PathDecomposition, one, shift):
     adj = lg.graph.neighbor_sets()
     slot: dict[int, int] = {}  # bag vertex -> its in-set bit
     states = {0: one}  # no state ever holds zero counts
-    prev: frozenset[int] = frozenset()
-    # the last bag is not empty: a closing empty bag forgets what it holds
-    for bag in [*decomp.bags, frozenset()]:
-        for v in prev - bag:
+    for v, entering in decomp.steps:
+        if not entering:
             b = slot.pop(v)
             pend, keep = b << 1, ~(3 * b)
             new = {}
@@ -175,29 +173,28 @@ def _dp_sweep(lg: LabeledGraph, decomp: PathDecomposition, one, shift):
                     t = s & keep
                     new[t] = new[t] + acc if t in new else acc
             states = new
-        for v in bag - prev:
-            used = 3 * sum(slot.values())
-            slot[v] = b = ~used & (used + 1)  # the lowest free slot
-            nb = sum(slot.get(u, 0) for u in adj[v])
-            lab = lg.label[v]
-            pend = 0 if lab == C else b << 1
-            # out: distinct states stay distinct, pending unless a neighbor is in
-            new = {s if s & nb else s | pend: acc for s, acc in states.items()}
-            if lab != N:  # in: summed before their one shift
-                keep, ins = ~(nb << 1), {}
-                for s, acc in states.items():
-                    t = s & keep | b
-                    ins[t] = ins[t] + acc if t in ins else acc
-                for t, acc in ins.items():
-                    new[t] = shift(acc)
-            states = new
-        prev = bag
+            continue
+        used = 3 * sum(slot.values())
+        slot[v] = b = ~used & (used + 1)  # the lowest free slot
+        nb = sum(slot.get(u, 0) for u in adj[v])
+        lab = lg.label[v]
+        pend = 0 if lab == C else b << 1
+        # out: distinct states stay distinct, pending unless a neighbor is in
+        new = {s if s & nb else s | pend: acc for s, acc in states.items()}
+        if lab != N:  # in: summed before their one shift
+            keep, ins = ~(nb << 1), {}
+            for s, acc in states.items():
+                t = s & keep | b
+                ins[t] = ins[t] + acc if t in ins else acc
+            for t, acc in ins.items():
+                new[t] = shift(acc)
+        states = new
     return states.get(0)
 
 
 def ds_dp(lg: LabeledGraph, decomp: PathDecomposition) -> CountVector:
-    """Dominating-set counts by one sweep over `decomp`, a nice path
-    decomposition of lg.graph, with up to 3^(width+1) states.
+    """Dominating-set counts by one sweep over the steps of `decomp`, a
+    path decomposition of lg.graph, with up to 3^(width+1) states.
 
     Each bag vertex is in the set, out and dominated (or labeled C, which
     needs no domination), or out and still pending.  A state key holds the
@@ -252,6 +249,8 @@ class _Node(Node):
     """A labeled subcubic graph and its separation, for ``policy.run``,
     which consumes both.  Nothing simplifies it."""
 
+    base = 3  # sweep states per bag vertex: in, out and dominated, out and pending
+
     def __init__(self, lg: LabeledGraph, sep: Separation, stats: Stats, audit: Audit | None):
         self.lg, self.graph, self.sep, self.stats, self.audit = lg, lg.graph, sep, stats, audit
 
@@ -276,10 +275,6 @@ class _Node(Node):
         decomp = nice_path_decomposition(self.graph)
         self.sep = separate_cubic(self.graph, decomp)
         return decomp
-
-    def narrow(self, width: int) -> bool:
-        # 3^(width+1) states: within the shared budget exactly up to the cap
-        return width <= PD_WIDTH_CAP
 
     def count(self, decomp: PathDecomposition) -> CountVector:
         return _checked(self.audit, "dp", self.graph.n, _terminal(self.lg, decomp))

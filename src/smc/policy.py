@@ -50,6 +50,13 @@ from .separator import (
     verify_separation,
 )
 
+# The state budget of the engines' sweeps: a piece is counted directly
+# instead of branched on when its sweep holds at most 3^(PD_WIDTH_CAP+1)
+# states.  ``Node.narrow`` reads it with the engine's states per bag
+# vertex, its ``base``: #DS (3) up to width 8, set cover (2) up to 13,
+# Max 2-CSP (r) while r^(width+1) fits.
+PD_WIDTH_CAP = 8
+
 
 @dataclass
 class Stats:
@@ -181,11 +188,12 @@ class Node:
     """One node of ``run``: an engine's instance with its ``graph`` and its
     separation ``sep``, both consumed by the loop, and the run's ``stats``
     and ``audit``.  An engine supplies ``leaf``, ``split``, ``separate``,
-    ``narrow``, ``count`` and ``branch``; the defaults below (no general
-    phase, the cubic ladder's rules) are overridden where an engine's own
-    differ.  A local node, an engine's baseline, has no split (``splits``
-    is False), no separation (its ``general_pivot`` names a vertex at
-    every degree) and no width-tested sweep (``decompose`` gives None)."""
+    ``base`` (its sweep's states per bag vertex), ``count`` and
+    ``branch``; the defaults below (no general phase, the cubic ladder's
+    rules) are overridden where an engine's own differ.  A local node, an
+    engine's baseline, has no split (``splits`` is False), no separation
+    (its ``general_pivot`` names a vertex at every degree) and no
+    width-tested sweep (``decompose`` gives None)."""
 
     splits = True  # False: run never splits the node into its components
 
@@ -212,10 +220,15 @@ class Node:
     def decompose(self) -> PathDecomposition:
         return nice_path_decomposition(self.graph)
 
+    def narrow(self, width: int) -> bool:
+        """True when a sweep of `width`, ``base`` states per bag vertex,
+        keeps within the budget."""
+        return self.base ** (width + 1) <= 3 ** (PD_WIDTH_CAP + 1)
+
     def sweep(self, decomp: PathDecomposition | None, any_width: bool = False):
         """The engine's ``count`` over `decomp`, booked as a leaf and a DP,
-        when the engine finds `decomp` ``narrow`` (or at `any_width`); None
-        without a decomposition or when it is too wide."""
+        when `decomp` is ``narrow`` (or at `any_width`); None without a
+        decomposition or when it is too wide."""
         if decomp is None or not (any_width or self.narrow(decomp.width)):
             return None
         self.stats.leaves += 1
@@ -254,9 +267,9 @@ def run(node: Node, depth: int):
 
     Every branch is width-tested first, by a sweep over a fresh
     decomposition, unless the last re-separation's already failed it (as
-    at every stall).  ``Node.sweep`` is the one width test: it asks the
-    engine's ``narrow``.  Steps that do not branch loop in place, one
-    level of depth each.  Step 6 separates before it sweeps, as the
+    at every stall).  ``Node.sweep`` is the one width test: it asks
+    ``Node.narrow``.  Steps that do not branch loop in place, one level
+    of depth each.  Step 6 separates before it sweeps, as the
     benchmark's tracer test needs of a narrow ``csp-cubic`` solve.
     """
     stats, decomp, entry = node.stats, None, node.splits  # decomp: the last re-separation's

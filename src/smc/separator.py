@@ -1,10 +1,12 @@
 """Balanced separations (L,S,R) of bounded-degree graphs.
 
 One algorithm: a path decomposition of width w has a bag that is a
-balanced separator of at most w + 1 vertices, so a sweep over the bags
-of a nice path decomposition stops at the first bag that balances the
-forgotten vertices against the unseen ones.  Every engine separates
-this way, from the decomposition its terminal check builds anyway:
+balanced separator of at most w + 1 vertices.  A decomposition is kept
+as its steps, each of which introduces or forgets one vertex, and a
+walk along them stops at the first bag that balances the forgotten
+vertices against the unseen ones.  The engines' terminal sweeps walk the
+same steps.  Every engine separates this way, from the decomposition its
+terminal check builds anyway:
 ``separate_balanced_by_measure`` balances a per-vertex weight up to a
 cap, and ``separate_cubic`` is the unit-weight case.
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable
 
 from .graph import Graph
@@ -76,34 +79,44 @@ def verify_separation(g: Graph, s: Separation) -> bool:
 
 @dataclass
 class PathDecomposition:
-    bags: list[frozenset[int]]
+    """A nice path decomposition as its steps: (v, True) introduces v and
+    (v, False) forgets it.  The bag after a step holds the vertices
+    introduced and not yet forgotten, so consecutive bags differ by one
+    vertex, and the walk starts and ends at the empty bag."""
+    steps: list[tuple[int, bool]]
 
     @property
     def width(self) -> int:
-        return max((len(b) for b in self.bags), default=0) - 1
+        sizes = accumulate(1 if entering else -1 for _, entering in self.steps)
+        return max(sizes, default=0) - 1
 
-    def validate(self, g: Graph, nice: bool = True) -> None:
-        """ValueError unless a (nice) path decomposition of g; O(n+m+Σ|bag|)."""
-        first: dict[int, int] = {}
-        last: dict[int, int] = {}
-        for i, bag in enumerate(self.bags):
-            for v in bag:
-                if v not in g:
-                    raise ValueError(f"bag {i} holds vertex {v}, which is not in the graph")
-                if v in last and last[v] != i - 1:
-                    raise ValueError(f"vertex {v} lacks a contiguous nonempty interval")
-                first.setdefault(v, i)
-                last[v] = i
-        for v in g.vertices():
-            if v not in first:
-                raise ValueError(f"vertex {v} lacks a contiguous nonempty interval")
-        for u, v in g.edges():  # intervals are contiguous: covered iff they overlap
-            if max(first[u], first[v]) > min(last[u], last[v]):
-                raise ValueError(f"edge ({u},{v}) not inside any bag")
-        if nice:
-            for i in range(1, len(self.bags)):
-                if len(self.bags[i] ^ self.bags[i - 1]) != 1:
-                    raise ValueError(f"bags {i-1},{i} differ by != 1 vertex")
+    def validate(self, g: Graph) -> None:
+        """ValueError unless a path decomposition of g, each vertex of g
+        introduced once and later forgotten once; O(n+m)."""
+        adj = g.neighbor_sets()
+        came: dict[int, int] = {}  # vertex -> the index of its introduce
+        went: dict[int, int] = {}  # vertex -> the index of its forget
+        for i, (v, entering) in enumerate(self.steps):
+            if v not in adj:
+                raise ValueError(f"step {i} holds vertex {v}, which is not in the graph")
+            if entering:
+                if v in came:
+                    raise ValueError(f"vertex {v} is introduced twice")
+                came[v] = i
+            elif v not in came or v in went:
+                raise ValueError(f"vertex {v} is forgotten while not in the bag")
+            else:
+                went[v] = i
+        for v in adj:
+            if v not in came:
+                raise ValueError(f"vertex {v} is never introduced")
+            if v not in went:
+                raise ValueError(f"vertex {v} is never forgotten")
+        for u, nbrs in adj.items():  # uncovered iff one end leaves before the other comes
+            gone = went[u]
+            for v in nbrs:
+                if came[v] > gone:
+                    raise ValueError(f"edge ({min(u, v)},{max(u, v)}) not inside any bag")
 
 
 def _fresh_order(adj: dict[int, tuple[int, ...]]) -> list[int]:
@@ -175,18 +188,12 @@ def _greedy_layout(adj: dict[int, tuple[int, ...]], first: int, stop: int | None
         current = min([*frontier, *fresh[nxt:nxt + 1]], key=key)
 
 
-# The state budget of the engines' sweeps: a piece is counted directly
-# instead of branched on when its sweep holds at most 3^(PD_WIDTH_CAP+1)
-# states.  Each engine's ``narrow`` reads it with its own states per bag
-# vertex: #DS (3) up to width 8, set cover (2) up to 13, Max 2-CSP (r)
-# while r^(width+1) fits.
-PD_WIDTH_CAP = 8
 # The greedy layout starts from each of this many smallest ids.
 PD_STARTS = 16
 
 
 def nice_path_decomposition(g: Graph) -> PathDecomposition:
-    """Greedy-layout path decomposition, nicified (consecutive bags differ by 1).
+    """Greedy-layout path decomposition, one vertex in or out per step.
 
     Multi-start over the PD_STARTS smallest ids as forced first vertex; each
     start runs ``_greedy_layout`` (key and cost there) on one shared
@@ -196,7 +203,7 @@ def nice_path_decomposition(g: Graph) -> PathDecomposition:
     so far.  A layout's running width never falls, so a dropped start
     could at best tie, and a tie loses to the earlier start: the winner is
     the same as with every start run to the end.  ``path_decomposition``
-    turns the winning order into bags.
+    turns the winning order into steps.
     """
     vs = g.vertices()
     if not vs:
@@ -214,25 +221,22 @@ def path_decomposition(g: Graph, order: list[int]) -> PathDecomposition:
 
     Raw bag i is {v_i} ∪ (earlier vertices with a neighbor at position
     ≥ i), so a vertex leaves after the later of its own position and its
-    last neighbor's.  One sweep steps from raw bag to raw bag a vertex at
-    a time: it forgets (by id) what leaves, then introduces v_i.
+    last neighbor's.  The steps go from raw bag to raw bag: forget (by
+    id) what leaves, then introduce v_i; after the last, forget (by id)
+    what the last raw bag holds.
     """
     adj = g.neighbor_sets()
     pos = {v: i for i, v in enumerate(order)}
     leave: list[list[int]] = [[] for _ in range(len(order) + 1)]
     for i, v in enumerate(order):
         leave[max([i, *(pos[u] for u in adj[v])]) + 1].append(v)
-    bags: list[frozenset[int]] = []
-    cur: frozenset[int] = frozenset()
+    steps: list[tuple[int, bool]] = []
     for i, v in enumerate(order):
-        for u in sorted(leave[i]):
-            cur = cur - {u}
-            bags.append(cur)
-        cur = cur | {v}
-        bags.append(cur)
-    decomp = PathDecomposition(bags)
+        steps += [(u, False) for u in sorted(leave[i])]
+        steps.append((v, True))
+    steps += [(u, False) for u in sorted(leave[-1])]
+    decomp = PathDecomposition(steps)
     decomp.validate(g)
-    assert len(bags) <= 2 * g.n + 1
     return decomp
 
 
@@ -294,23 +298,24 @@ def _sweep(g: Graph, w: dict[int, Fraction | int], cap: Fraction | int,
         raise ValueError(f"per-vertex weight exceeds cap at {bad[:3]}")
     total = sum(w.values())
     mu_l = mu_s = 0
+    bag: set[int] = set()
     forgotten: list[int] = []
-    prev: frozenset[int] = frozenset()
-    for bag in decomp.bags:
-        for v in bag - prev:
+    for v, entering in decomp.steps:
+        if entering:
+            bag.add(v)
             mu_s += w[v]
-        for v in prev - bag:  # intervals are contiguous: v never returns
+        else:
+            bag.remove(v)
             mu_s -= w[v]
             mu_l += w[v]
             forgotten.append(v)
-        prev = bag
         mu_r = total - mu_l - mu_s
         if abs(mu_l - mu_r) <= cap:
             left = set(forgotten)
             right = {v for v in vs if v not in left and v not in bag}
             if mu_l > mu_r:
                 left, right = right, left
-            s = Separation(left, set(bag), right)
+            s = Separation(left, bag, right)
             assert verify_separation(g, s)
             return s
     raise AssertionError("bag sweep found no balanced separation")

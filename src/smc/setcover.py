@@ -20,7 +20,7 @@ incidence graph: ``policy.run`` walks a piece of max degree 2 in order
 and width-tests the nice path decomposition of any other, asking
 ``narrow``.  A sweep of width w holds up to 2^(w+1) states, so a piece is
 branched on when that exceeds the shared budget of 3^(PD_WIDTH_CAP+1)
-states: above width 13 at the shipped cap.
+states (``policy.Node.narrow``): above width 13 at the shipped cap.
 
 Ownership: each node of the shared loop ``policy.run`` owns and consumes
 its instance.  Folds, separator moves and the re-separation change it in
@@ -45,7 +45,6 @@ from .graph import Graph, induced_subgraph
 from .measures import Audit, sc_mu3, sc_mu3_parts, sc_mu4, sc_side_weights, sc_snapshots
 from .policy import Node, PivotAction, Stats, run
 from .separator import (
-    PD_WIDTH_CAP,
     PathDecomposition,
     Separation,
     nice_path_decomposition,
@@ -224,7 +223,7 @@ def _times(p: int) -> Callable[[int], int] | None:
 
 
 def sc_dp(inst: ScIncidence, decomp: PathDecomposition) -> CountVector:
-    """Exact cover counts by one sweep over `decomp`, a nice path
+    """Exact cover counts by one sweep over the steps of `decomp`, a path
     decomposition of the incidence graph, with up to 2^(width+1) states,
     times the instance's ``factor``.
 
@@ -253,42 +252,39 @@ def sc_dp(inst: ScIncidence, decomp: PathDecomposition) -> CountVector:
     adj = g.neighbor_sets()
     bit: dict[int, int] = {}  # bag vertex -> its state bit
     states = {0: 1}  # state -> its packed counts; zero counts are left out
-    prev: frozenset[int] = frozenset()
-    # the last bag is not empty: a closing empty bag forgets what it holds
-    for bag in [*decomp.bags, frozenset()]:
-        for v in prev - bag:
+    for v, entering in decomp.steps:
+        if not entering:
             b = bit.pop(v)
             new: dict[int, int] = {}
             for s, acc in states.items():
                 if inst.is_set(v) or not s & b:  # a pending element stays uncovered
                     new[s & ~b] = new.get(s & ~b, 0) + acc
             states = new
-        for v in bag - prev:
-            used = sum(bit.values())
-            bit[v] = b = ~used & (used + 1)  # the lowest free bit
-            nb = sum(bit.get(u, 0) for u in adj[v])
-            new = {}
-            if inst.is_set(v):  # taking it covers its pending neighbors
-                covers, idle = (_times(pack(x, width)) for x in pairs[v])
-                for s, acc in states.items():
-                    if idle:
-                        new[s] = new.get(s, 0) + idle(acc)
-                    if covers:
-                        t = (s & ~nb) | b
-                        new[t] = new.get(t, 0) + covers(acc)
-            else:  # no two states make the same state: nothing merges
-                a, c = pairs[v]
-                sat, pend, either = (_times(pack(x, width)) for x in (a, c, a + c))
-                for s, acc in states.items():
-                    if s & nb:  # a covering set is already in the bag
-                        new[s] = either(acc)
-                    else:
-                        if sat:
-                            new[s] = sat(acc)
-                        if pend:
-                            new[s | b] = pend(acc)
-            states = new
-        prev = bag
+            continue
+        used = sum(bit.values())
+        bit[v] = b = ~used & (used + 1)  # the lowest free bit
+        nb = sum(bit.get(u, 0) for u in adj[v])
+        new = {}
+        if inst.is_set(v):  # taking it covers its pending neighbors
+            covers, idle = (_times(pack(x, width)) for x in pairs[v])
+            for s, acc in states.items():
+                if idle:
+                    new[s] = new.get(s, 0) + idle(acc)
+                if covers:
+                    t = (s & ~nb) | b
+                    new[t] = new.get(t, 0) + covers(acc)
+        else:  # no two states make the same state: nothing merges
+            a, c = pairs[v]
+            sat, pend, either = (_times(pack(x, width)) for x in (a, c, a + c))
+            for s, acc in states.items():
+                if s & nb:  # a covering set is already in the bag
+                    new[s] = either(acc)
+                else:
+                    if sat:
+                        new[s] = sat(acc)
+                    if pend:
+                        new[s | b] = pend(acc)
+        states = new
     return inst.factor.convolve(unpack(states.get(0, 0), width))
 
 
@@ -365,6 +361,7 @@ class _Node(Node):
     phase; without one it stays None."""
 
     sep = property(lambda self: self.inst.sep)
+    base = 2  # sweep states per bag vertex: on or off
 
     def __init__(self, inst: ScIncidence, weights: ScWeights, stats: Stats,
                  audit: Audit | None, frozen: Fraction | None = None):
@@ -445,9 +442,6 @@ class _Node(Node):
                     {"arg": (float(arg_old), (float(arg),))},
                     note=f"arg {float(arg_old):.6f} -> {float(arg):.6f}")
         return decomp
-
-    def narrow(self, width: int) -> bool:
-        return 2 ** (width + 1) <= 3 ** (PD_WIDTH_CAP + 1)
 
     def count(self, decomp: PathDecomposition) -> CountVector:
         if self.audit:

@@ -5,7 +5,6 @@ import pytest
 import smc.csp_solve
 import smc.domset
 import smc.policy
-import smc.setcover
 
 
 @pytest.fixture
@@ -14,9 +13,7 @@ def ladder(monkeypatch):
     pieces are counted directly, everything else branches (Max 2-CSP and
     #DS on the separator-case ladder; set cover in its general phase,
     then on its separator ladder)."""
-    monkeypatch.setattr(smc.csp_solve, "PD_WIDTH_CAP", -1)
-    monkeypatch.setattr(smc.setcover, "PD_WIDTH_CAP", -1)
-    monkeypatch.setattr(smc.domset, "PD_WIDTH_CAP", -1)
+    monkeypatch.setattr(smc.policy, "PD_WIDTH_CAP", -1)
 
 
 @pytest.fixture

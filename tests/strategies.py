@@ -1,5 +1,6 @@
-"""Shared hypothesis strategies, and the merge step of the CountVector
-sweeps kept as oracles for the packed ones."""
+"""Shared hypothesis strategies, the merge step of the CountVector
+sweeps kept as oracles for the packed ones, and the bags of a path
+decomposition, replayed from its steps for the bag-based references."""
 
 from hypothesis import strategies as st
 
@@ -73,3 +74,14 @@ def add_into(states: dict[int, CountVector], key: int, vec: CountVector) -> None
     """states[key] += vec; states that only ever hold zero are left out."""
     if vec.counts:
         states[key] = states[key] + vec if key in states else vec
+
+
+def bags(decomp) -> list[frozenset[int]]:
+    """The bag after each step of `decomp`, through its last introduce;
+    the forgets after it only empty the last bag."""
+    out, bag = [], frozenset()
+    for v, entering in decomp.steps:
+        bag = bag | {v} if entering else bag - {v}
+        out.append(bag)
+    ins = [i for i, (_, entering) in enumerate(decomp.steps) if entering]
+    return out[:ins[-1] + 1] if ins else []

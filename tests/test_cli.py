@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from smc.cli import _HANDLERS, build_parser, main
+from smc.cli import _COMMANDS, build_parser, main
 from smc.csp import evaluate, parse_csp
 from smc.domset import LabeledGraph, parse_labeled_graph
 from smc.graph import Graph, format_graph, parse_graph
@@ -357,7 +357,7 @@ class TestExitCodes:
     def test_unknown_subcommand_is_2(self):
         code, out, err = run(["frobnicate"])
         assert code == 2 and out == ""
-        assert all(f"'{name}'" in err for name in _HANDLERS)
+        assert all(f"'{name}'" in err for name in _COMMANDS)
 
     def test_missing_input_file_is_2(self):
         code, _, _ = run(["maxcut", "--input", "/nonexistent/path.graph"])
@@ -490,7 +490,7 @@ class TestParser:
     parse and print exactly as the full parser does."""
 
     def test_every_subcommand_is_sampled(self):
-        assert set(SAMPLE_ARGV) == set(_HANDLERS)
+        assert set(SAMPLE_ARGV) == set(_COMMANDS)
 
     @pytest.mark.parametrize("name", list(SAMPLE_ARGV))
     def test_one_subcommand_parser_matches_the_full_one(self, name):
@@ -503,7 +503,7 @@ class TestParser:
 
     def test_top_level_help_lists_every_subcommand(self):
         code, out, _ = run(["-h"])
-        assert code == 0 and all(name in out for name in _HANDLERS)
+        assert code == 0 and all(name in out for name in _COMMANDS)
 
 
 class TestDeterminism:

@@ -10,14 +10,14 @@ from dataclasses import asdict
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from strategies import csp_instances
+from strategies import bags, csp_instances
 
 from smc.csp import encode_maxcut, evaluate, zero_instance
 from smc.csp_solve import _brute_best, _forget_digit, _simplify_action, solve
 from smc.generators import csp_on_graph, gen_random_csp, gen_random_cubic
 from smc.graph import Graph
 from smc.measures import Audit, csp_snapshot
-from smc.oracles import brute_max2csp
+from smc.oracles import GUARD, brute_max2csp
 from smc.policy import PivotAction, Stats, separator_case
 from smc.separator import (
     Separation,
@@ -519,7 +519,7 @@ class TestGeneralPhase:
 
     @pytest.mark.parametrize("cap", [-1, 8])
     def test_random_instances_audit_clean(self, cap, monkeypatch):
-        monkeypatch.setattr("smc.csp_solve.PD_WIDTH_CAP", cap)
+        monkeypatch.setattr("smc.policy.PD_WIDTH_CAP", cap)
         recorded = 0
         for n in (12, 18, 24):
             for m in (3 * n // 2, 2 * n, 5 * n // 2):
@@ -584,14 +584,14 @@ class TestWidthCap:
             seps.clear()
             solve(csp_on_graph(gen_random_cubic(n, seed), r, seed))
             assert len(built) == len(seps) == 1 and not cases
-            assert seps[0] in built[0].bags
+            assert seps[0] in bags(built[0])
 
     @pytest.mark.parametrize("r,n,seed", _cubic_cases())
     def test_cap_ladder_and_local_agree(self, r, n, seed, monkeypatch):
         inst = csp_on_graph(gen_random_cubic(n, seed), r, seed)
         at_cap, _ = solve(inst)
         local, _ = solve(inst, policy="local")
-        monkeypatch.setattr("smc.csp_solve.PD_WIDTH_CAP", -1)
+        monkeypatch.setattr("smc.policy.PD_WIDTH_CAP", -1)
         on_ladder, ladder_stats = solve(inst)
         assert at_cap.score == on_ladder.score == local.score
         assert ladder_stats.branchings > 0
@@ -611,3 +611,32 @@ class TestWidthCap:
                 assert evaluate(inst, sol.assignment) == g.m
                 if policy == "separator":
                     assert stats.branchings == 0
+
+
+# (r, n, seed) -> (optimum, colours by vertex id) of
+# solve(csp_on_graph(gen_random_cubic(n, seed), r, seed)) at the shipped
+# cap.  Each optimum ties inside the sweep's last bag, which the walk
+# forgets in id order, so these witnesses pin that order.
+LAST_BAG_TIES = {
+    (2, 44, 21): (153, (0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 0,
+                        0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1, 0, 1, 1, 1, 1, 0, 0)),
+    (3, 28, 54): (138, (1, 0, 0, 0, 2, 2, 1, 1, 1, 1, 0, 1, 2, 2, 1, 0, 0, 0, 0, 1, 1, 1, 2, 2,
+                        1, 0, 1, 0)),
+    (3, 28, 56): (145, (1, 2, 1, 1, 0, 0, 0, 1, 0, 1, 2, 1, 2, 1, 2, 2, 0, 0, 1, 0, 0, 0, 0, 0,
+                        1, 1, 2, 2)),
+    (2, 20, 50): (70, (1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 0, 0)),
+    (4, 14, 9): (69, (3, 3, 2, 2, 0, 2, 3, 3, 1, 1, 2, 1, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("r,n,seed", list(LAST_BAG_TIES))
+def test_last_bag_ties_pinned(r, n, seed):
+    inst = csp_on_graph(gen_random_cubic(n, seed), r, seed)
+    sol, _ = solve(inst)
+    score, colours = LAST_BAG_TIES[r, n, seed]
+    assert (sol.score, tuple(sol.assignment[v] for v in range(n))) == (score, colours)
+    assert evaluate(inst, sol.assignment) == score
+    if r ** n <= GUARD:  # 4^14 is above the oracle's enumeration guard
+        assert brute_max2csp(inst).score == score
+    else:
+        assert solve(inst, policy="local")[0].score == score

@@ -11,7 +11,7 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from strategies import add_into, labeled_subcubic
+from strategies import add_into, bags, labeled_subcubic
 
 from smc import domset
 from smc.cli import main
@@ -231,7 +231,7 @@ class TestPivotSharing:
         monkeypatch.setattr("smc.policy.separator_case", case)
         monkeypatch.setattr("smc.policy.apply_move", move)
         monkeypatch.setattr(domset._Node, "branch", branch)
-        monkeypatch.setattr("smc.domset.PD_WIDTH_CAP", -1)
+        monkeypatch.setattr("smc.policy.PD_WIDTH_CAP", -1)
         rng = random.Random(9)
         g = random_cubic(12, rng)
         es = sorted(g.edges())
@@ -295,7 +295,7 @@ class TestEngine:
         assert vec_s.to_list(22)[22] == 1  # V dominates V
         # below the component's width the engine separates and branches
         # until the pieces fit, and the count does not change
-        monkeypatch.setattr("smc.domset.PD_WIDTH_CAP", 3)
+        monkeypatch.setattr("smc.policy.PD_WIDTH_CAP", 3)
         vec_c, st_c = count_ds(LabeledGraph.all_u(g), audit=Audit(strict=True))
         assert vec_c == vec_s
         assert st_c.branchings > 0 and st_c.separator_recomputes >= 1
@@ -322,7 +322,7 @@ class TestEngine:
         monkeypatch.setattr(_Node, "narrow", width_test)
         monkeypatch.setattr("smc.domset.nice_path_decomposition", decompose)
         monkeypatch.setattr("smc.domset.separate_cubic", separate)
-        monkeypatch.setattr("smc.domset.PD_WIDTH_CAP", 3)
+        monkeypatch.setattr("smc.policy.PD_WIDTH_CAP", 3)
         g = random_cubic(22, random.Random(3))
         vec, stats = count_ds(LabeledGraph.all_u(g))
         assert vec == count_ds(LabeledGraph.all_u(g), policy="local")[0]
@@ -746,7 +746,7 @@ def cv_ds_sweep(lg: LabeledGraph, decomp) -> CountVector:
     slot: dict[int, int] = {}
     states = {0: CountVector.one()}
     prev: frozenset[int] = frozenset()
-    for bag in [*decomp.bags, frozenset()]:
+    for bag in [*bags(decomp), frozenset()]:
         for v in prev - bag:
             b = slot.pop(v)
             new: dict[int, CountVector] = {}
@@ -831,7 +831,7 @@ class TestPackedDsDp:
         g = Graph(range(8), [(i, i + 4) for i in range(4)])
         lg = LabeledGraph(g, {0: N, 1: N, 2: N, 3: N, 4: U, 5: U, 6: C, 7: C})
         decomp = path_decomposition(g, list(range(8)))
-        assert frozenset({0, 1, 2, 3}) in decomp.bags and decomp.width == 4
+        assert frozenset({0, 1, 2, 3}) in bags(decomp) and decomp.width == 4
         got = ds_dp(lg, decomp)
         assert got.counts == cv_ds_sweep(lg, decomp).counts == (0, 0, 0, 0, 1)
         assert got == brute_domset(lg) and widths == [3]  # C(4, 2) = 6 needs 3 bits
@@ -841,8 +841,8 @@ class TestPackedDsDp:
         """k C vertices in one bag: every subset counts, so coefficient
         ⌊k/2⌋ is C(k, ⌊k/2⌋), which needs every bit of the slot width."""
         lg = LabeledGraph(Graph(range(k)), dict.fromkeys(range(k), C))
-        decomp = PathDecomposition([frozenset(range(i + 1)) for i in range(k)])
-        assert decomp.width == k - 1
+        decomp = PathDecomposition([(v, True) for v in range(k)] + [(v, False) for v in range(k)])
+        assert bags(decomp)[-1] == frozenset(range(k)) and decomp.width == k - 1
         got = ds_dp(lg, decomp)
         assert got.counts == cv_ds_sweep(lg, decomp).counts
         assert got.counts == tuple(comb(k, j) for j in range(k + 1))

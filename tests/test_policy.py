@@ -26,6 +26,7 @@ import pytest
 
 import smc.csp_solve
 import smc.domset
+import smc.policy
 import smc.setcover
 from smc.csp import encode_maxcut
 from smc.csp_solve import solve
@@ -399,8 +400,7 @@ class TestStateBudget:
 
     @pytest.mark.parametrize("cap", [-1, 3, 8])
     def test_narrow_holds_exactly_within_the_budget(self, cap, monkeypatch):
-        for module in (smc.csp_solve, smc.domset, smc.setcover):
-            monkeypatch.setattr(module, "PD_WIDTH_CAP", cap)
+        monkeypatch.setattr(smc.policy, "PD_WIDTH_CAP", cap)
         for key, (base, node) in narrow_nodes().items():
             widest = WIDEST[cap][key]
             assert [node.narrow(w) for w in range(16)] == [w <= widest for w in range(16)]
@@ -553,8 +553,7 @@ class TestChainsPinned:
     @pytest.mark.parametrize("cap", [-1, 8])
     @pytest.mark.parametrize("name", list(CHAINS))
     def test_count_ds_and_sc_count(self, name, cap, monkeypatch):
-        monkeypatch.setattr("smc.domset.PD_WIDTH_CAP", cap)
-        monkeypatch.setattr("smc.setcover.PD_WIDTH_CAP", cap)
+        monkeypatch.setattr(smc.policy, "PD_WIDTH_CAP", cap)
         counts, lab_counts, stats = CHAINS[name]
         g = chain(name)
         for lg, want in ((LabeledGraph.all_u(g), counts), (labelled(g), lab_counts)):

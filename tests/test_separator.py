@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import graphs
+from strategies import bags, graphs
 
 from smc.generators import gen_random_cubic
 from smc.graph import Graph
@@ -16,6 +16,7 @@ from smc.separator import (
     Separation,
     _greedy_layout,
     nice_path_decomposition,
+    path_decomposition,
     separate_balanced_by_measure,
     separate_cubic,
     trivial_separation,
@@ -223,7 +224,7 @@ class TestPathDecomposition:
         assert nice_path_decomposition(Graph.complete(4)).width == 3
 
     def test_empty(self):
-        assert nice_path_decomposition(Graph()).bags == []
+        assert nice_path_decomposition(Graph()).steps == []
 
     @settings(max_examples=40)
     @given(graphs(max_n=10))
@@ -232,13 +233,23 @@ class TestPathDecomposition:
             return
         d = nice_path_decomposition(g)
         d.validate(g)
-        assert len(d.bags) <= 2 * g.n + 1
+        assert len(d.steps) == 2 * g.n
         assert d.width <= brute_pathwidth(g) + 2
 
     @settings(max_examples=60, deadline=None)
     @given(graphs(max_n=40, max_degree=6))
     def test_bags_match_reference(self, g):
-        assert nice_path_decomposition(g).bags == reference_bags(g)
+        assert bags(nice_path_decomposition(g)) == reference_bags(g)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_last_bag_is_forgotten_by_id(self, seed):
+        g = relabeled(gen_random_cubic(28, seed), seed)
+        order = g.vertices()
+        random.Random(seed).shuffle(order)
+        decomp = path_decomposition(g, order)
+        last = bags(decomp)[-1]
+        assert len(last) > 1 and decomp.steps[-len(last) - 1] == (order[-1], True)
+        assert decomp.steps[-len(last):] == [(v, False) for v in sorted(last)]
 
     @pytest.mark.parametrize("n", [10, 16, 18, 24])
     def test_layout_matches_reference_from_every_start(self, n):
@@ -291,43 +302,51 @@ class TestPathDecomposition:
     ])
     def test_bags_match_reference_on_benchmark_shapes(self, g):
         """The incidence graphs of sc-cubic (max degree 4) and the graphs of csp-cubic."""
-        assert nice_path_decomposition(g).bags == reference_bags(g)
+        assert bags(nice_path_decomposition(g)) == reference_bags(g)
 
 
 class TestValidate:
     """One rejection per rule; each must raise ValueError."""
 
     G = Graph.path(3)  # 0-1-2
+    NICE = [(0, True), (1, True), (0, False), (2, True), (1, False), (2, False)]
 
     @staticmethod
-    def pd(*bags: set[int]) -> PathDecomposition:
-        return PathDecomposition([frozenset(b) for b in bags])
+    def pd(*steps: tuple[int, bool]) -> PathDecomposition:
+        return PathDecomposition(list(steps))
 
     def test_accepts_nice_decomposition(self):
-        self.pd({0}, {0, 1}, {1}, {1, 2}, {2}).validate(self.G)
+        self.pd(*self.NICE).validate(self.G)
 
     def test_non_contiguous_interval(self):
-        d = self.pd({0, 1}, {1, 2}, {0, 2})
-        with pytest.raises(ValueError, match="contiguous"):
-            d.validate(self.G, nice=False)
+        # 0 comes back after it was forgotten: introduced twice
+        d = self.pd((0, True), (1, True), (0, False), (0, True), (2, True),
+                    (0, False), (1, False), (2, False))
+        with pytest.raises(ValueError, match="introduced twice"):
+            d.validate(self.G)
+
+    def test_forgotten_before_introduced(self):
+        d = self.pd((0, True), (1, False), (1, True), (0, False), (2, True),
+                    (1, False), (2, False))
+        with pytest.raises(ValueError, match="forgotten while not in the bag"):
+            d.validate(self.G)
+
+    def test_never_forgotten(self):
+        with pytest.raises(ValueError, match="never forgotten"):
+            self.pd(*self.NICE[:-1]).validate(self.G)
 
     def test_missing_vertex(self):
-        with pytest.raises(ValueError, match="contiguous"):
-            self.pd({0}, {0, 1}, {1}).validate(self.G)
+        with pytest.raises(ValueError, match="never introduced"):
+            self.pd((0, True), (1, True), (0, False), (1, False)).validate(self.G)
 
     def test_uncovered_edge(self):
-        with pytest.raises(ValueError, match="edge"):
-            self.pd({0}, {0, 1}, {0}, {2}).validate(self.G, nice=False)
-
-    def test_non_nice_step(self):
-        d = self.pd({0, 1}, {1, 2})
-        d.validate(self.G, nice=False)
-        with pytest.raises(ValueError, match="differ"):
+        d = self.pd((0, True), (1, True), (1, False), (2, True), (0, False), (2, False))
+        with pytest.raises(ValueError, match=r"edge \(1,2\)"):
             d.validate(self.G)
 
     def test_foreign_vertex(self):
         with pytest.raises(ValueError, match="not in the graph"):
-            self.pd({0}, {0, 1}, {1}, {1, 2}, {2}, {2, 7}).validate(self.G)
+            self.pd(*self.NICE, (7, True), (7, False)).validate(self.G)
 
 
 def sweep(g: Graph, weight, cap) -> Separation:
@@ -349,7 +368,7 @@ class TestBalancedByMeasure:
         g = Graph.cycle(6)
         found = False
         seen: set[int] = set()
-        for bag in nice_path_decomposition(g).bags:
+        for bag in bags(nice_path_decomposition(g)):
             seen |= bag
             left = seen - bag
             right = set(g.vertices()) - seen

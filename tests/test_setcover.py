@@ -11,7 +11,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import add_into, graphs, sc_instances
+from strategies import add_into, bags, graphs, sc_instances
 
 import smc.policy
 import smc.setcover
@@ -21,10 +21,9 @@ from smc.graph import Graph
 from smc.oracles import brute_domset, brute_setcover
 from smc.weights import ScWeights
 from smc.measures import Audit, sc_side_weights
-from smc.policy import Stats
+from smc.policy import PD_WIDTH_CAP, Stats
 from smc.separator import Separation, nice_path_decomposition, trivial_separation
 from smc.setcover import (
-    PD_WIDTH_CAP,
     ScIncidence,
     _Node,
     ds_to_sc,
@@ -264,7 +263,7 @@ def cv_sweep(inst: ScIncidence, decomp) -> CountVector:
     bit: dict[int, int] = {}
     states = {0: CountVector.one()}
     prev: frozenset[int] = frozenset()
-    for bag in [*decomp.bags, frozenset()]:
+    for bag in [*bags(decomp), frozenset()]:
         for v in prev - bag:
             b = bit.pop(v)
             new: dict[int, CountVector] = {}
@@ -435,7 +434,7 @@ class TestOracleEquivalence:
         want = brute_setcover(inst)
         for cap in self.CAPS:
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(smc.setcover, "PD_WIDTH_CAP", cap)
+                mp.setattr(smc.policy, "PD_WIDTH_CAP", cap)
                 assert sc_count(inst)[0] == want
 
     @settings(max_examples=150, deadline=None)
@@ -444,7 +443,7 @@ class TestOracleEquivalence:
         want = brute_domset(LabeledGraph.all_u(g))
         for cap in self.CAPS:
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(smc.setcover, "PD_WIDTH_CAP", cap)
+                mp.setattr(smc.policy, "PD_WIDTH_CAP", cap)
                 assert sc_count(ds_to_sc(g))[0] == want
 
 
@@ -477,7 +476,7 @@ class TestAudit:
 
     def test_zero_hard_violations_on_random_graphs(self, monkeypatch):
         for cap in (PD_WIDTH_CAP, -1):  # shipped, and the ladder everywhere
-            monkeypatch.setattr(smc.setcover, "PD_WIDTH_CAP", cap)
+            monkeypatch.setattr(smc.policy, "PD_WIDTH_CAP", cap)
             rng = random.Random(42)
             for _ in range(20):
                 n = rng.randint(6, 14)

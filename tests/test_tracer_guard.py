@@ -19,9 +19,7 @@ import importlib.util
 from pathlib import Path
 
 import smc.cli  # noqa: F401  (imports every module the tracer wraps)
-import smc.csp_solve
-import smc.domset
-import smc.setcover
+import smc.policy
 from smc.csp import encode_maxcut
 from smc.csp_solve import solve
 from smc.domset import LabeledGraph, count_ds
@@ -41,8 +39,7 @@ def test_every_engine_layer_fires(monkeypatch):
     try:
         inst = csp_on_graph(gen_random_cubic(16, 0), 2, 0)
         solve(inst)
-        for module in (smc.csp_solve, smc.domset, smc.setcover):
-            monkeypatch.setattr(module, "PD_WIDTH_CAP", -1)
+        monkeypatch.setattr(smc.policy, "PD_WIDTH_CAP", -1)
         solve(inst)
         csp_calls, _, _ = tr.layer_totals()  # the Max 2-CSP engine's own
         csp_counts = dict(tr.counts)
